@@ -5,8 +5,19 @@ Dykstra-corrected projections between the PSD cone and the affine set of
 permutation-invariant extension candidates with the prescribed marginal.
 The inter-set gap converges to the distance between the two sets: it
 vanishes exactly when an extension exists, so a stabilized positive gap
-certifies infeasibility.  The bosonic flavor runs in the occupation-number
-basis of the symmetric subspace to shrink the iterate.
+certifies infeasibility.
+
+The iteration runs on isotypic blocks, not on the full space.  By
+Schur-Weyl duality a permutation-invariant operator on A (x) B^(x)k is
+X = sum_lambda I_{m_lambda} (x) M_lambda, with lambda a partition of k into
+at most d_B rows, m_lambda its Specht dimension (the number of standard
+Young tableaux of shape lambda) and M_lambda acting on one copy
+C^{d_A} (x) V_lambda, embedded by an isometry.  Each block is stored as
+sqrt(m_lambda) M_lambda: with that weighting the map from blocks to X is an
+isometry, so Dykstra on the blocks is Dykstra on X, up to rounding, while
+every eigensolve has the side of one block.  The bosonic flavor keeps the
+single block lambda = (k) (the symmetric subspace, weight 1); the symmetric
+flavor keeps every lambda.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -27,10 +38,23 @@ FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
 UNDECIDED = "Undecided"
 
+# Why an oracle run stopped.
+STOP_FEASIBLE_GAP = "feasible-gap"  # the gap fell to tol_feasible
+STOP_STABLE_GAP = "stable-gap"  # the gap stabilized at or above tol_gap
+STOP_MAX_ITERS = "max-iters"  # the iteration budget ran out
+STOP_FACE_REACH = "face-reach"  # the forced support face cannot reproduce the marginal
+
 # Infeasibility is declared once the gap has stopped moving: relative change
 # below STABLE_RTOL across a window of STABLE_WINDOW iterations.
 STABLE_WINDOW = 50
 STABLE_RTOL = 1e-9
+
+# Most (iteration, gap) points kept from a run's gap trajectory.
+GAP_TRACE_POINTS = 64
+
+# Relative singular-value cutoff of rank decisions: face null spaces and the
+# Gram pseudoinverse, whose null directions carry rounding noise.
+RANK_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -51,16 +75,34 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class OracleResult:
+    """Verdict of one oracle run.
+
+    ``stop_reason`` is one of the ``STOP_*`` values, ``block_sides`` the sides
+    of the blocks the iteration ran on, and ``gap_trace`` the inter-set gap
+    as (iteration, gap) pairs, down-sampled to at most GAP_TRACE_POINTS and
+    always ending with the last iteration.
+    """
+
     status: str
     residual: float
     iterations: int
     certificate: Mapping[str, float] = field(default_factory=dict)
+    stop_reason: str = STOP_MAX_ITERS
+    block_sides: tuple[int, ...] = ()
+    gap_trace: tuple[tuple[int, float], ...] = ()
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:
     """Nearest PSD matrix in Frobenius norm: clip negative eigenvalues."""
-    w, v = np.linalg.eigh(hermitize(np.asarray(m, dtype=complex)))
-    return hermitize((v * np.clip(w, 0.0, None)) @ v.conj().T)
+    h = hermitize(np.asarray(m, dtype=complex))
+    try:
+        w, v = np.linalg.eigh(h)
+    except np.linalg.LinAlgError:
+        # the divide-and-conquer eigensolver can fail on highly degenerate
+        # spectra; P+(M) = (M + |M|) / 2 with |M| = V S V^dag from M = U S V^dag
+        _, s, vh = np.linalg.svd(h)
+        return hermitize((h + (vh.conj().T * s) @ vh) / 2)
+    return hermitize((v * np.maximum(w, 0.0)) @ v.conj().T)
 
 
 def _check_extension_layout(dims) -> tuple[int, int, int]:
@@ -73,50 +115,25 @@ def _check_extension_layout(dims) -> tuple[int, int, int]:
     return d_a, d_b, len(dims) - 1
 
 
-@lru_cache(maxsize=None)
-def _b_perm_sources(d_a: int, d_b: int, k: int) -> tuple[np.ndarray, ...]:
-    """Basis-relabeling source indices for conjugation by I_A x W_pi, all pi in S_k."""
-    if d_b**k > DIM_GUARD:
-        raise ResourceLimitError(f"permutation average on dimension {d_b**k} exceeds the guard {DIM_GUARD}")
-    words = np.array(list(itertools.product(range(d_b), repeat=k)), dtype=np.intp).reshape(-1, k)
-    block = d_b**k
-    offsets = np.arange(d_a, dtype=np.intp)[:, None] * block
-    out = []
-    for pi in itertools.permutations(range(k)):
-        src_b = np.ravel_multi_index(words[:, pi].T, (d_b,) * k)
-        src = (offsets + src_b[None, :]).ravel()
-        src.setflags(write=False)
-        out.append(src)
-    return tuple(out)
-
-
-def _transposition_source(d_a: int, d_b: int, k: int, i: int) -> np.ndarray:
-    pi = list(range(k))
-    pi[0], pi[i] = pi[i], pi[0]
-    words = np.array(list(itertools.product(range(d_b), repeat=k)), dtype=np.intp).reshape(-1, k)
-    src_b = np.ravel_multi_index(words[:, pi].T, (d_b,) * k)
-    block = d_b**k
-    return (np.arange(d_a, dtype=np.intp)[:, None] * block + src_b[None, :]).ravel()
-
-
-@lru_cache(maxsize=None)
-def _transposition_sources(d_a: int, d_b: int, k: int) -> tuple[np.ndarray, ...]:
-    out = []
-    for i in range(k):
-        src = _transposition_source(d_a, d_b, k, i)
-        src.setflags(write=False)
-        out.append(src)
-    return tuple(out)
-
-
 def project_permutation_invariant(x: np.ndarray, dims) -> np.ndarray:
-    """Group average over permutations of the B factors; an orthogonal projection."""
+    """Group average over permutations of the B factors; an orthogonal projection.
+
+    The k!-term average factors over cosets as the product, for j = 2..k, of
+    (1/j)(id + sum_{i<j} Ad_(i j)); each transposition is an axis swap.
+    """
     d_a, d_b, k = _check_extension_layout(dims)
     x = np.asarray(x, dtype=complex)
-    acc = np.zeros_like(x)
-    for src in _b_perm_sources(d_a, d_b, k):
-        acc += x[np.ix_(src, src)]
-    return acc / math.factorial(k)
+    dims = (d_a,) + (d_b,) * k
+    t = x.reshape(dims + dims)
+    for j in range(2, k + 1):
+        acc = t.copy()
+        for i in range(1, j):
+            axes = list(range(2 * k + 2))
+            axes[i], axes[j] = j, i
+            axes[k + 1 + i], axes[k + 1 + j] = k + 1 + j, k + 1 + i
+            acc += t.transpose(axes)
+        t = acc / j
+    return t.reshape(x.shape)
 
 
 def project_marginal_affine(x: np.ndarray, dims, target: DensityMatrix) -> np.ndarray:
@@ -150,10 +167,10 @@ def project_invariant_marginal(x: np.ndarray, dims, target: DensityMatrix) -> np
     v_a = _ptrace_mat(v, (d_a, d_b), keep=[0])
     w = (k / d_b ** (k - 1)) * v - ((k - 1) / d_b**k) * np.kron(v_a, np.eye(d_b, dtype=complex))
     placed = np.kron(w, np.eye(d_b ** (k - 1), dtype=complex))
-    acc = np.zeros_like(z)
-    for src in _transposition_sources(d_a, d_b, k):
-        acc += placed[np.ix_(src, src)]
-    return z + acc / k
+    return z + project_permutation_invariant(placed, dims)
+
+
+# --- isotypic blocks -----------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -165,7 +182,7 @@ def _occupation_isometry(d: int, k: int) -> np.ndarray:
     for idx, word in enumerate(itertools.product(range(d), repeat=k)):
         groups.setdefault(tuple(sorted(word)), []).append(idx)
     keys = sorted(groups)
-    iso = np.zeros((d**k, len(keys)), dtype=complex)
+    iso = np.zeros((d**k, len(keys)))
     for col, key in enumerate(keys):
         rows = groups[key]
         iso[rows, col] = 1.0 / math.sqrt(len(rows))
@@ -173,15 +190,166 @@ def _occupation_isometry(d: int, k: int) -> np.ndarray:
     return iso
 
 
+def _partitions(k: int, max_rows: int, largest: int | None = None):
+    """Partitions of k into at most max_rows parts, (k) first."""
+    if k == 0:
+        yield ()
+        return
+    if max_rows == 0:
+        return
+    largest = k if largest is None else min(k, largest)
+    for first in range(largest, 0, -1):
+        for rest in _partitions(k - first, max_rows - 1, first):
+            yield (first,) + rest
+
+
+def _specht_dim(shape: tuple[int, ...]) -> int:
+    """Number of standard Young tableaux of the shape, by the hook length formula."""
+    hooks = 1
+    for r, row in enumerate(shape):
+        for c in range(row):
+            below = sum(1 for other in shape[r + 1 :] if other > c)
+            hooks *= row - c + below
+    return math.factorial(sum(shape)) // hooks
+
+
 @lru_cache(maxsize=None)
-def _bosonic_lift(d_a: int, d_b: int, k: int) -> np.ndarray:
-    lift = np.kron(np.eye(d_a, dtype=complex), _occupation_isometry(d_b, k))
-    lift.setflags(write=False)
-    return lift
+def _weyl_isometry(d: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Isometry onto one copy of the GL(d) irrep of the shape inside (C^d)^(x)k.
+
+    The copy is the joint eigenspace of the Jucys-Murphy elements
+    J_j = sum_{i<j} (i j), j = 2..k, at the contents of the row-reading
+    tableau; contents determine a standard tableau, so that eigenspace is
+    exactly one copy.  The shape (k) is the symmetric subspace.
+    """
+    k = sum(shape)
+    if len(shape) == 1:
+        return _occupation_isometry(d, k)
+    if d**k > DIM_GUARD:
+        raise ResourceLimitError(f"isotypic basis on dimension {d**k} exceeds the guard {DIM_GUARD}")
+    contents = [c - r for r, row in enumerate(shape) for c in range(row)]
+    basis = np.eye(d**k)
+    for j in range(1, k):
+        t = basis.reshape((d,) * k + (-1,))
+        jm = sum(np.swapaxes(t, i, j) for i in range(j)).reshape(d**k, -1)
+        w, u = np.linalg.eigh(basis.T @ jm)
+        basis = basis @ u[:, np.abs(w - contents[j]) < 0.5]  # the eigenvalues are integers
+    basis.setflags(write=False)
+    return basis
 
 
-def _bosonic_marginal(y: np.ndarray, lift: np.ndarray, dims_full) -> np.ndarray:
-    return _ptrace_mat(lift @ y @ lift.conj().T, dims_full, keep=[0, 1])
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for a complex vector v; a real a is not cast to complex."""
+    if np.iscomplexobj(a):
+        return a @ v
+    return (a @ v.view(float).reshape(-1, 2)).view(complex).ravel()
+
+
+def _rmatvec(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a^dag @ w for a complex vector w, without copying a."""
+    return _matvec(a.T, w.conj()).conj()
+
+
+@dataclass(frozen=True)
+class _Blocks:
+    """Weighted blocks of one extension layout and their marginal map.
+
+    Block b holds N_b = sqrt(m_b) V_b^dag X V_b for the isometry V_b into
+    A (x) B^(x)k; the iterate is the flat concatenation of the N_b.  amap maps
+    it to the flattened AB marginal of X = sum_b sqrt(m_b) Sym(V_b N_b V_b^dag),
+    and gpinv is the pseudoinverse of its Gram matrix amap amap^dag, so that
+    amap^dag gpinv is the Moore-Penrose inverse of amap.  Both are real
+    unless a face reduction made the isometries complex.
+    """
+
+    dims: tuple[int, ...]
+    isos: tuple[np.ndarray, ...]
+    weights: tuple[int, ...]
+    amap: np.ndarray
+    gpinv: np.ndarray
+
+    @property
+    def sides(self) -> tuple[int, ...]:
+        return tuple(v.shape[1] for v in self.isos)
+
+    def split(self, flat: np.ndarray) -> list[np.ndarray]:
+        out, off = [], 0
+        for s in self.sides:
+            out.append(flat[off : off + s * s].reshape(s, s))
+            off += s * s
+        return out
+
+    def marginal(self, flat: np.ndarray) -> np.ndarray:
+        return _matvec(self.amap, flat)
+
+    def correction(self, deficit: np.ndarray) -> np.ndarray:
+        """Least-norm flat iterate whose marginal is deficit, when one exists: amap^+ deficit."""
+        return _rmatvec(self.amap, _matvec(self.gpinv, deficit))
+
+    def project_affine(self, flat: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """Orthogonal projection onto the flat iterates whose marginal is target."""
+        return flat + self.correction(target - self.marginal(flat))
+
+    def placed_marginal(self, flat: np.ndarray) -> np.ndarray:
+        """The AB marginal of X, contracted from the isometries instead of through amap.
+
+        The AB_1 marginal of Sym(Y) is the average over i of the (A, B_i)
+        marginal of Y, each one contraction of a placement of V_b with N_b.
+        """
+        n_ab, k = self.dims[0] * self.dims[1], len(self.dims) - 1
+        out = np.zeros((n_ab, n_ab), dtype=complex)
+        for v, m, blk in zip(self.isos, self.weights, self.split(flat)):
+            for p in _placements(v, self.dims):
+                out += math.sqrt(m) * np.tensordot(p @ blk, p.conj(), axes=([1, 2], [1, 2]))
+        return out / k
+
+    def min_eig(self, flat: np.ndarray) -> float:
+        """Smallest eigenvalue of X on the span of the blocks; X vanishes outside it.
+
+        On that span X is the direct sum of I_{m_b} (x) M_b, with M_b = N_b / sqrt(m_b).
+        """
+        blocks = zip(self.weights, self.split(flat))
+        return min(float(np.linalg.eigvalsh(hermitize(blk))[0]) / math.sqrt(m) for m, blk in blocks)
+
+
+def _placements(iso: np.ndarray, dims) -> list[np.ndarray]:
+    """The isometry as (A B_i, the other B factors, column), for each i = 1..k."""
+    s = iso.shape[1]
+    t = iso.reshape(tuple(dims) + (s,))
+    return [np.moveaxis(t, i, 1).reshape(dims[0] * dims[1], -1, s) for i in range(1, len(dims))]
+
+
+def _make_blocks(dims, isos, weights) -> _Blocks:
+    n_ab, k = dims[0] * dims[1], len(dims) - 1
+    # amap^T, so that each block's columns of amap are one contiguous run
+    amap_t = np.empty((sum(v.shape[1] ** 2 for v in isos), n_ab * n_ab), dtype=np.result_type(float, *isos))
+    off = 0
+    for v, m in zip(isos, weights):
+        s = v.shape[1]
+        # sum over i of the trace over the B factors other than B_i of V N V^dag
+        u = np.concatenate(_placements(v, dims), axis=1).transpose(0, 2, 1).reshape(n_ab * s, -1)
+        uu = (u @ u.conj().T).reshape(n_ab, s, n_ab, s)
+        run = amap_t[off : off + s * s]
+        run.reshape(s, s, n_ab, n_ab)[...] = uu.transpose(1, 3, 0, 2)
+        run *= math.sqrt(m) / k
+        off += s * s
+    amap = amap_t.T
+    # the pseudoinverse is taken through the n_AB^2 x n_AB^2 Gram matrix
+    gpinv = np.linalg.pinv(amap @ amap.conj().T, rcond=RANK_RTOL, hermitian=True)
+    for arr in (amap, gpinv):
+        arr.setflags(write=False)
+    return _Blocks(tuple(dims), tuple(isos), tuple(weights), amap, gpinv)
+
+
+@lru_cache(maxsize=None)
+def _extension_blocks(d_a: int, d_b: int, k: int, flavor: str) -> _Blocks:
+    """Blocks of the flavor: every lambda with at most d_B rows, or only lambda = (k)."""
+    shapes = [(k,)] if flavor == BOSONIC else list(_partitions(k, d_b))
+    isos = [np.kron(np.eye(d_a), _weyl_isometry(d_b, s)) for s in shapes]
+    weights = [_specht_dim(s) for s in shapes]
+    for iso in isos:
+        iso.setflags(write=False)
+    return _make_blocks((d_a,) + (d_b,) * k, isos, weights)
 
 
 # --- facial reduction -------------------------------------------------------
@@ -191,10 +359,11 @@ def _bosonic_marginal(y: np.ndarray, lift: np.ndarray, dims_full) -> np.ndarray:
 # zero weight on v, and a PSD matrix with zero expectation on a projector
 # annihilates its range.  Restricting the iteration to that forced support
 # face restores linear convergence for rank-deficient marginals, where the
-# feasible set would otherwise touch the PSD cone tangentially.
+# feasible set would otherwise touch the PSD cone tangentially.  The face is
+# permutation invariant, so it meets each block in a subspace of that block:
+# V_b becomes V_b null(R V_b), with R the kernel rows over all k placements.
 
 KERNEL_TOL = 1e-12
-FACE_RANK_RTOL = 1e-10
 
 
 def _state_kernel(rho: DensityMatrix) -> np.ndarray | None:
@@ -204,111 +373,81 @@ def _state_kernel(rho: DensityMatrix) -> np.ndarray | None:
     return cols if cols.shape[1] else None
 
 
-def _nullspace_projector(rows: np.ndarray) -> np.ndarray:
-    _, svals, vh = np.linalg.svd(rows, full_matrices=True)
-    rank = int(np.sum(svals > FACE_RANK_RTOL * svals[0])) if svals.size else 0
-    basis = vh[rank:].conj().T
-    return basis @ basis.conj().T
+def _nullspace(rows: np.ndarray) -> np.ndarray:
+    # vh is square either way; a full U for tall rows would only cost memory
+    _, svals, vh = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
+    rank = int(np.sum(svals > RANK_RTOL * svals[0])) if svals.size else 0
+    return vh[rank:].conj().T
 
 
-def _face_projector_symmetric(kernel: np.ndarray, d_a: int, d_b: int, k: int) -> np.ndarray:
-    rest = d_b ** (k - 1)
-    base = np.kron(kernel.conj().T, np.eye(rest, dtype=complex))  # <v|_{AB_1} (x) I
-    rows = [base]
-    for src in _transposition_sources(d_a, d_b, k)[1:]:
-        rows.append(base[:, src])
-    return _nullspace_projector(np.vstack(rows))
+def _kernel_rows(kernel: np.ndarray, iso: np.ndarray, dims) -> np.ndarray:
+    """R V: the kernel vectors of the marginal on every (A, B_i) placement, applied to V."""
+    s = iso.shape[1]
+    return np.vstack([np.tensordot(kernel.conj(), p, axes=(0, 0)).reshape(-1, s) for p in _placements(iso, dims)])
 
 
-def _face_projector_bosonic(kernel: np.ndarray, lift: np.ndarray, d_b: int, k: int) -> np.ndarray:
-    # permutation invariance of lifted candidates makes the B_1 placement
-    # carry all the other placements with it
-    rest = d_b ** (k - 1)
-    rows = np.kron(kernel.conj().T, np.eye(rest, dtype=complex)) @ lift
-    return _nullspace_projector(rows)
+def _face_blocks(blocks: _Blocks, kernel: np.ndarray) -> _Blocks:
+    isos, weights = [], []
+    for v, m in zip(blocks.isos, blocks.weights):
+        null = _nullspace(_kernel_rows(kernel, v, blocks.dims))
+        if null.shape[1]:
+            isos.append(v @ null)
+            weights.append(m)
+    return _make_blocks(blocks.dims, isos, weights)
 
 
-def _normal_equations_pinv(phi, marg, marg_adj, n_ab: int) -> np.ndarray:
-    """Pseudoinverse of W -> marg(phi(marg_adj(W))), flattened over Herm(AB)."""
-    gmat = np.zeros((n_ab * n_ab, n_ab * n_ab), dtype=complex)
-    unit = np.zeros((n_ab, n_ab), dtype=complex)
-    for i in range(n_ab):
-        for j in range(n_ab):
-            unit[i, j] = 1.0
-            gmat[:, i * n_ab + j] = marg(phi(marg_adj(unit))).ravel()
-            unit[i, j] = 0.0
-    return np.linalg.pinv(gmat)
+# --- the iteration --------------------------------------------------------------
 
 
-def _structured_affine_projector(phi, marg, marg_adj, gpinv, target_mat):
-    """Projection onto {X : phi(X) = X, marg(X) = target} and the target's reach residual.
-
-    phi must be an orthogonal projector onto a subspace compatible with the
-    constraints; the marginal correction solves the normal equations of marg
-    restricted to that subspace.  A nonzero reach residual means no candidate
-    on the subspace reproduces the target marginal at all.
-    """
-    n_ab = target_mat.shape[0]
-
-    def project(x: np.ndarray) -> np.ndarray:
-        z = phi(x)
-        deficit = target_mat - marg(z)
-        w = (gpinv @ deficit.ravel()).reshape(n_ab, n_ab)
-        return z + phi(marg_adj(w))
-
-    def reach_residual() -> float:
-        w = (gpinv @ target_mat.ravel()).reshape(n_ab, n_ab)
-        return float(np.linalg.norm(marg(phi(marg_adj(w))) - target_mat))
-
-    return project, reach_residual
+def _gap_trace(gaps: list[float]) -> tuple[tuple[int, float], ...]:
+    n = len(gaps)
+    if n <= GAP_TRACE_POINTS:
+        idx = range(n)
+    else:
+        idx = [i * (n - 1) // (GAP_TRACE_POINTS - 1) for i in range(GAP_TRACE_POINTS)]
+    return tuple((i + 1, gaps[i]) for i in idx)
 
 
-def _run_dykstra(
-    x0: np.ndarray,
-    project_affine: Callable[[np.ndarray], np.ndarray],
-    marginal_residual: Callable[[np.ndarray], float],
-    cfg: OracleConfig,
-) -> OracleResult:
-    x = project_affine(x0)
+def _run_dykstra(blocks: _Blocks, rho: DensityMatrix, cfg: OracleConfig) -> OracleResult:
+    target = rho.mat.ravel()
+    # the projection of any start in the range of amap^dag, rho (x) I among them
+    x = blocks.correction(target)
     p = np.zeros_like(x)
     gaps: list[float] = []
-    status = UNDECIDED
+    status, stop = UNDECIDED, STOP_MAX_ITERS
     y = x
     gap = float("inf")
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        y = project_psd(x + p)
+        y = np.concatenate([project_psd(b).ravel() for b in blocks.split(x + p)])
         p = x + p - y
-        x = project_affine(y)
+        x = blocks.project_affine(y, target)
         gap = float(np.linalg.norm(x - y))
         gaps.append(gap)
         if gap <= cfg.tol_feasible:
-            status = FEASIBLE
+            status, stop = FEASIBLE, STOP_FEASIBLE_GAP
             break
         if len(gaps) >= STABLE_WINDOW:
             window = gaps[-STABLE_WINDOW:]
             hi, lo = max(window), min(window)
             if lo >= cfg.tol_gap and (hi - lo) <= STABLE_RTOL * hi:
-                status = INFEASIBLE
+                status, stop = INFEASIBLE, STOP_STABLE_GAP
                 break
+    # checked on the isometries and the blocks, independently of amap
     certificate = {
-        "marginal_residual": marginal_residual(y),
-        "min_eig": float(np.linalg.eigvalsh(hermitize(x))[0]),
+        "marginal_residual": float(np.linalg.norm(blocks.placed_marginal(y) - rho.mat)),
+        "min_eig": blocks.min_eig(x),
         "gap_estimate": gap,
     }
-    return OracleResult(status=status, residual=gap, iterations=iterations, certificate=certificate)
-
-
-@lru_cache(maxsize=None)
-def _bosonic_gpinv(d_a: int, d_b: int, k: int) -> np.ndarray:
-    lift = _bosonic_lift(d_a, d_b, k)
-    dims_full = (d_a,) + (d_b,) * k
-    rest = d_b ** (k - 1)
-    marg = lambda y: _bosonic_marginal(y, lift, dims_full)
-    marg_adj = lambda w: lift.conj().T @ np.kron(w, np.eye(rest, dtype=complex)) @ lift
-    gpinv = _normal_equations_pinv(lambda x: x, marg, marg_adj, d_a * d_b)
-    gpinv.setflags(write=False)
-    return gpinv
+    return OracleResult(
+        status=status,
+        residual=gap,
+        iterations=iterations,
+        certificate=certificate,
+        stop_reason=stop,
+        block_sides=blocks.sides,
+        gap_trace=_gap_trace(gaps),
+    )
 
 
 def oracle_feasibility(problem: ExtensionProblem, cfg: OracleConfig | None = None) -> OracleResult:
@@ -325,53 +464,28 @@ def oracle_feasibility(problem: ExtensionProblem, cfg: OracleConfig | None = Non
     rho = problem.marginal
     d_a, d_b = rho.dims
     k = problem.k
-    dims_full = (d_a,) + (d_b,) * k
-    rest = d_b ** (k - 1)
+
+    # the side of A (x) B^(x)k, or of A (x) Sym^k(B) for the bosonic flavor
+    side = d_a * (d_b**k if problem.flavor == SYMMETRIC else math.comb(d_b + k - 1, k))
+    if side > cfg.dim_limit:
+        raise ResourceLimitError(f"extension space side {side} exceeds the limit {cfg.dim_limit}")
+    blocks = _extension_blocks(d_a, d_b, k, problem.flavor)
+
     kernel = _state_kernel(rho)
-
-    if problem.flavor == SYMMETRIC:
-        side = d_a * d_b**k
-        if side > cfg.dim_limit:
-            raise ResourceLimitError(f"extension space side {side} exceeds the limit {cfg.dim_limit}")
-        start = np.kron(rho.mat, np.eye(rest, dtype=complex) / rest)
-        start = project_permutation_invariant(start, dims_full)
-        marg = lambda x: _ptrace_mat(x, dims_full, keep=[0, 1])
-        if kernel is None:
-            project = lambda y: project_invariant_marginal(y, dims_full, rho)
-            reach = None
-        else:
-            face = _face_projector_symmetric(kernel, d_a, d_b, k)
-            phi = lambda x: face @ project_permutation_invariant(x, dims_full) @ face
-            marg_adj = lambda w: np.kron(w, np.eye(rest, dtype=complex))
-            gpinv = _normal_equations_pinv(phi, marg, marg_adj, d_a * d_b)
-            project, reach = _structured_affine_projector(phi, marg, marg_adj, gpinv, rho.mat)
-    else:
-        # bosonic flavor: iterate on A tensor Sym^k(B) in the occupation basis
-        lift = _bosonic_lift(d_a, d_b, k)
-        side = lift.shape[1]
-        if side > cfg.dim_limit:
-            raise ResourceLimitError(f"compressed extension space side {side} exceeds the limit {cfg.dim_limit}")
-        big0 = np.kron(rho.mat, np.eye(rest, dtype=complex) / rest)
-        start = lift.conj().T @ big0 @ lift
-        tr = float(np.trace(start).real)
-        start = start / tr if tr > 1e-9 else np.eye(side, dtype=complex) / side
-        marg = lambda y: _bosonic_marginal(y, lift, dims_full)
-        marg_adj = lambda w: lift.conj().T @ np.kron(w, np.eye(rest, dtype=complex)) @ lift
-        if kernel is None:
-            phi = lambda y: y
-            gpinv = _bosonic_gpinv(d_a, d_b, k)
-        else:
-            face = _face_projector_bosonic(kernel, lift, d_b, k)
-            phi = lambda y: face @ y @ face
-            gpinv = _normal_equations_pinv(phi, marg, marg_adj, d_a * d_b)
-        project, reach = _structured_affine_projector(phi, marg, marg_adj, gpinv, rho.mat)
-
-    if kernel is not None and reach is not None:
-        deficit = reach()
+    if kernel is not None:
+        blocks = _face_blocks(blocks, kernel)
+        target = rho.mat.ravel()
+        deficit = float(np.linalg.norm(blocks.marginal(blocks.correction(target)) - target))
         if deficit >= cfg.tol_gap:
             # no candidate on the forced support face matches the marginal
             certificate = {"marginal_residual": deficit, "min_eig": 0.0, "gap_estimate": deficit}
-            return OracleResult(INFEASIBLE, residual=deficit, iterations=0, certificate=certificate)
+            return OracleResult(
+                INFEASIBLE,
+                residual=deficit,
+                iterations=0,
+                certificate=certificate,
+                stop_reason=STOP_FACE_REACH,
+                block_sides=blocks.sides,
+            )
 
-    residual = lambda y: float(np.linalg.norm(marg(y) - rho.mat))
-    return _run_dykstra(start, project, residual, cfg)
+    return _run_dykstra(blocks, rho, cfg)

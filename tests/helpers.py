@@ -38,3 +38,61 @@ def random_bosonic_marginal(d_a, d_b, k, r, rng):
     y /= np.trace(y).real
     big = DensityMatrix(lift @ y @ lift.conj().T, (d_a,) + (d_b,) * k)
     return partial_trace(big, range(r + 1))
+
+
+def brute_force_permutation_average(x, dims):
+    """Average of x over all k! permutations of the B factors, one conjugation per permutation."""
+    import itertools
+    import math
+
+    d_a, d_b, k = dims[0], dims[1], len(dims) - 1
+    words = np.array(list(itertools.product(range(d_b), repeat=k)), dtype=np.intp).reshape(-1, k)
+    offsets = np.arange(d_a, dtype=np.intp)[:, None] * d_b**k
+    acc = np.zeros_like(x, dtype=complex)
+    for pi in itertools.permutations(range(k)):
+        src = (offsets + np.ravel_multi_index(words[:, pi].T, (d_b,) * k)[None, :]).ravel()
+        acc += x[np.ix_(src, src)]
+    return acc / math.factorial(k)
+
+
+def dense_face_affine_projection(x, dims, kernel, target):
+    """Projection onto {X : permutation invariant, supported on the face, marginal = target}, on the full space.
+
+    The face is the null space of the kernel vectors placed on every (A, B_i)
+    pair; the marginal correction solves the normal equations of the marginal
+    map restricted to invariant face operators, one unit matrix at a time.
+    """
+    from symext import project_permutation_invariant
+    from symext.linalg import _ptrace_mat
+
+    d_a, d_b, k = dims[0], dims[1], len(dims) - 1
+    n_ab, rest = d_a * d_b, d_b ** (k - 1)
+    base = np.kron(kernel.conj().T, np.eye(rest)).reshape((-1,) + tuple(dims))
+    # axis 2 is B_1; swapping it with B_i places the kernel on (A, B_i)
+    rows = np.vstack([np.swapaxes(base, 2, 1 + i).reshape(base.shape[0], -1) for i in range(1, k + 1)])
+    face = np.eye(rows.shape[1]) - np.linalg.pinv(rows) @ rows
+    phi = lambda m: face @ project_permutation_invariant(m, dims) @ face
+    marg = lambda m: _ptrace_mat(m, dims, keep=[0, 1])
+    marg_adj = lambda w: np.kron(w, np.eye(rest))
+    gram = np.zeros((n_ab * n_ab, n_ab * n_ab), dtype=complex)
+    unit = np.zeros((n_ab, n_ab), dtype=complex)
+    for col in range(n_ab * n_ab):
+        unit.flat[col] = 1.0
+        gram[:, col] = marg(phi(marg_adj(unit))).ravel()
+        unit.flat[col] = 0.0
+    z = phi(x)
+    w = (np.linalg.pinv(gram, rcond=1e-10, hermitian=True) @ (target - marg(z)).ravel()).reshape(n_ab, n_ab)
+    return z + phi(marg_adj(w))
+
+
+def lift_blocks(blocks, flat):
+    """The full-space operator sum_b m_b Sym(V_b M_b V_b^dag) of a flat block iterate."""
+    import math
+
+    from symext import project_permutation_invariant
+
+    n = math.prod(blocks.dims)
+    out = np.zeros((n, n), dtype=complex)
+    for v, m, blk in zip(blocks.isos, blocks.weights, blocks.split(flat)):
+        out += project_permutation_invariant((math.sqrt(m) * v) @ blk @ v.conj().T, blocks.dims)
+    return out

@@ -1,11 +1,12 @@
 """Feasibility oracle: projections and end-to-end decisions."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from helpers import random_separable
+from helpers import brute_force_permutation_average, dense_face_affine_projection, lift_blocks, random_separable
 from symext import (
     BOSONIC,
     INCONCLUSIVE,
@@ -34,7 +35,15 @@ from symext import (
     werner_state,
 )
 from symext.linalg import _ptrace_mat
-from symext.oracle import _bosonic_gpinv, _bosonic_lift, _bosonic_marginal, _occupation_isometry
+from symext.oracle import (
+    GAP_TRACE_POINTS,
+    _extension_blocks,
+    _face_blocks,
+    _occupation_isometry,
+    _specht_dim,
+    _state_kernel,
+    _weyl_isometry,
+)
 
 
 def _random_hermitian(n, rng):
@@ -71,6 +80,26 @@ def test_project_permutation_invariant():
     out = project_permutation_invariant(h, dims)
     assert abs(np.trace(out) - np.trace(h)) < 1e-12
     assert np.max(np.abs(project_permutation_invariant(out, dims) - out)) < 1e-12
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
+def test_project_permutation_invariant_matches_brute_force(d, k):
+    rng = np.random.default_rng(60 + 10 * d + k)
+    dims = (2,) + (d,) * k
+    x = _random_hermitian(2 * d**k, rng)
+    assert np.max(np.abs(project_permutation_invariant(x, dims) - brute_force_permutation_average(x, dims))) < 1e-12
+
+
+def test_project_psd_falls_back_when_eigh_fails(monkeypatch):
+    rng = np.random.default_rng(61)
+    h = _random_hermitian(12, rng)
+    expected = project_psd(h)
+
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    assert np.max(np.abs(project_psd(h) - expected)) < 1e-12
 
 
 def test_projections_nonexpansive():
@@ -148,19 +177,21 @@ def test_occupation_isometry(d, k):
 def test_bosonic_affine_projection():
     rng = np.random.default_rng(55)
     d_a, d_b, k = 2, 2, 2
-    lift = _bosonic_lift(d_a, d_b, k)
-    gpinv = _bosonic_gpinv(d_a, d_b, k)
-    side = lift.shape[1]
     dims_full = (d_a,) + (d_b,) * k
+    blocks = _extension_blocks(d_a, d_b, k, BOSONIC)
+    assert blocks.sides == (d_a * math.comb(d_b + k - 1, k),) and blocks.weights == (1,)
     target = random_density((d_a, d_b), rng)
-    y = _random_hermitian(side, rng)
-    deficit = target.mat - _bosonic_marginal(y, lift, dims_full)
-    w = (gpinv @ deficit.ravel()).reshape(d_a * d_b, d_a * d_b)
-    py = y + lift.conj().T @ np.kron(w, np.eye(d_b ** (k - 1))) @ lift
+    side = blocks.sides[0]
+    y = _random_hermitian(side, rng).ravel()
+    project = lambda v: blocks.project_affine(v, target.mat.ravel())
+    py = project(y)
     # marginal satisfied through the lift
-    assert np.max(np.abs(_bosonic_marginal(py, lift, dims_full) - target.mat)) < 1e-10
+    assert np.max(np.abs(_ptrace_mat(lift_blocks(blocks, py), dims_full, [0, 1]) - target.mat)) < 1e-10
     # hermiticity preserved
-    assert np.max(np.abs(py - py.conj().T)) < 1e-12
+    m = py.reshape(side, side)
+    assert np.max(np.abs(m - m.conj().T)) < 1e-12
+    # idempotent
+    assert np.max(np.abs(project(py) - py)) < 1e-12
 
 
 def test_oracle_product_state_feasible():
@@ -257,39 +288,130 @@ def test_oracle_rank_deficient_marginals():
 
 
 def test_face_projector_annihilates_kernel_placements():
-    from symext.oracle import _face_projector_symmetric, _state_kernel
-
     rho = bell_state([0.0, 0.5, 0.3, 0.2])
     kernel = _state_kernel(rho)
     assert kernel is not None and kernel.shape[1] == 1
-    face = _face_projector_symmetric(kernel, 2, 2, 2)
-    # the face annihilates the kernel vector placed on either B slot
+    blocks = _face_blocks(_extension_blocks(2, 2, 2, SYMMETRIC), kernel)
+    # every face block annihilates the kernel vector placed on either B slot
     v = kernel[:, 0]
-    for w_idx in range(2):
-        w = np.zeros(2)
-        w[w_idx] = 1.0
-        placed_b1 = np.kron(v, w)
-        assert np.linalg.norm(face @ placed_b1) < 1e-12
-        placed_b2 = np.einsum("ab,c->acb", v.reshape(2, 2), w).reshape(-1)
-        assert np.linalg.norm(face @ placed_b2) < 1e-12
+    for iso in blocks.isos:
+        face = iso @ iso.conj().T
+        for w_idx in range(2):
+            w = np.zeros(2)
+            w[w_idx] = 1.0
+            placed_b1 = np.kron(v, w)
+            assert np.linalg.norm(face @ placed_b1) < 1e-12
+            placed_b2 = np.einsum("ab,c->acb", v.reshape(2, 2), w).reshape(-1)
+            assert np.linalg.norm(face @ placed_b2) < 1e-12
+
+
+def _compress(x, blocks):
+    """Flat blocks sqrt(m) V^dag Sym(x) V of a full-space matrix."""
+    z = project_permutation_invariant(x, blocks.dims)
+    return np.concatenate([math.sqrt(m) * (v.conj().T @ z @ v).ravel() for v, m in zip(blocks.isos, blocks.weights)])
+
+
+def _block_affine(blocks, x, target):
+    v = _compress(x, blocks)
+    return lift_blocks(blocks, blocks.project_affine(v, target.mat.ravel()))
 
 
 def test_structured_projector_matches_closed_form_for_full_rank():
-    from symext.oracle import _normal_equations_pinv, _structured_affine_projector
-
+    # the block affine projection, lifted back, is the dense projection onto
+    # invariant operators with the target marginal
     rng = np.random.default_rng(59)
-    d_a, d_b, k = 2, 2, 2
+    for d_a, d_b, k in [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (2, 3, 3), (3, 3, 3)]:
+        dims = (d_a,) + (d_b,) * k
+        blocks = _extension_blocks(d_a, d_b, k, SYMMETRIC)
+        target = random_density((d_a, d_b), rng)
+        x = _random_hermitian(d_a * d_b**k, rng)
+        assert np.max(np.abs(_block_affine(blocks, x, target) - project_invariant_marginal(x, dims, target))) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "rho,k",
+    [
+        (bell_state([0.0, 0.5, 0.3, 0.2]), 2),
+        (bell_state([0.4, 0.3, 0.3, 0.0]), 3),
+        (bell_state([0.35, 0.65, 0.0, 0.0]), 3),
+        (werner_state(3, 1.0), 2),
+    ],
+)
+def test_block_face_projection_matches_dense_reference(rho, k):
+    rng = np.random.default_rng(62 + k)
+    d_a, d_b = rho.dims
     dims = (d_a,) + (d_b,) * k
-    rest = d_b ** (k - 1)
-    target = random_density((d_a, d_b), rng)
-    phi = lambda x: project_permutation_invariant(x, dims)
-    marg = lambda x: _ptrace_mat(x, dims, keep=[0, 1])
-    marg_adj = lambda w: np.kron(w, np.eye(rest, dtype=complex))
-    gpinv = _normal_equations_pinv(phi, marg, marg_adj, d_a * d_b)
-    project, reach = _structured_affine_projector(phi, marg, marg_adj, gpinv, target.mat)
-    assert reach() < 1e-12
+    kernel = _state_kernel(rho)
+    blocks = _face_blocks(_extension_blocks(d_a, d_b, k, SYMMETRIC), kernel)
     x = _random_hermitian(d_a * d_b**k, rng)
-    assert np.max(np.abs(project(x) - project_invariant_marginal(x, dims, target))) < 1e-10
+    dense = dense_face_affine_projection(x, dims, kernel, rho.mat)
+    assert np.max(np.abs(_block_affine(blocks, x, rho) - dense)) < 1e-10
+
+
+@pytest.mark.parametrize("d_a,d_b,k", [(2, 2, 3), (2, 2, 5), (2, 3, 3), (3, 3, 2), (2, 3, 4)])
+def test_blocks_are_an_isometry_of_invariant_operators(d_a, d_b, k):
+    rng = np.random.default_rng(63 + k)
+    dims = (d_a,) + (d_b,) * k
+    blocks = _extension_blocks(d_a, d_b, k, SYMMETRIC)
+    # one copy per shape: Weyl isometries times Specht multiplicities fill B^k
+    assert sum(m * v.shape[1] for m, v in zip(blocks.weights, blocks.isos)) == d_a * d_b**k
+    for v in blocks.isos:
+        assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) < 1e-12
+    x = project_permutation_invariant(_random_hermitian(d_a * d_b**k, rng), dims)
+    flat = _compress(x, blocks)
+    assert np.max(np.abs(lift_blocks(blocks, flat) - x)) < 1e-12
+    assert abs(np.linalg.norm(flat) - np.linalg.norm(x)) < 1e-12
+    # the marginal map agrees with the partial trace of the lift
+    assert np.max(np.abs(blocks.marginal(flat).reshape(d_a * d_b, -1) - _ptrace_mat(x, dims, [0, 1]))) < 1e-12
+    # so do the certificate's marginal and smallest eigenvalue, which do not use the marginal map
+    assert np.max(np.abs(blocks.placed_marginal(flat) - _ptrace_mat(x, dims, [0, 1]))) < 1e-12
+    assert abs(blocks.min_eig(flat) - np.linalg.eigvalsh(x)[0]) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "rho,k,flavor", [(bell_state([0.4, 0.3, 0.3, 0.0]), 3, SYMMETRIC), (werner_state(2, 0.3), 4, BOSONIC)]
+)
+def test_certificate_reads_the_lifted_operator(rho, k, flavor):
+    # on any flat iterate: the lifted spectrum is the block spectra, each
+    # m_b times, plus zeros off the span of the blocks
+    rng = np.random.default_rng(65 + k)
+    d_a, d_b = rho.dims
+    blocks = _extension_blocks(d_a, d_b, k, flavor)
+    if _state_kernel(rho) is not None:
+        blocks = _face_blocks(blocks, _state_kernel(rho))
+    flat = np.concatenate([_random_hermitian(s, rng).ravel() for s in blocks.sides])
+    big = lift_blocks(blocks, flat)
+    spectra = [np.repeat(np.linalg.eigvalsh(b) / math.sqrt(m), m) for m, b in zip(blocks.weights, blocks.split(flat))]
+    spectrum = np.concatenate(spectra)
+    spectrum = np.sort(np.concatenate([spectrum, np.zeros(big.shape[0] - spectrum.size)]))
+    assert np.max(np.abs(np.linalg.eigvalsh(big) - spectrum)) < 1e-10
+    assert blocks.min_eig(flat) == pytest.approx(float(np.min(np.concatenate(spectra))), abs=1e-12)
+    assert np.max(np.abs(blocks.placed_marginal(flat) - _ptrace_mat(big, blocks.dims, [0, 1]))) < 1e-12
+
+
+def test_certificate_stays_on_the_blocks():
+    # bosonic qubits at k=12: one block of side 26 in a full space of side
+    # 8192, where a dense lift would take about 1 GB and a full eigensolve
+    problem = ExtensionProblem(werner_state(2, 0.3), 12, BOSONIC)
+    oracle_feasibility(problem, OracleConfig(max_iters=1))  # builds the cached blocks
+    start = time.perf_counter()
+    res = oracle_feasibility(problem)
+    elapsed = time.perf_counter() - start
+    assert res.block_sides == (26,)
+    assert res.status == FEASIBLE and res.certificate["marginal_residual"] <= OracleConfig().tol_gap
+    # read on the symmetric subspace, where this interior iterate is positive definite
+    assert res.certificate["min_eig"] > 0
+    assert elapsed < 2.0
+
+
+def test_specht_and_weyl_dimensions():
+    assert [_specht_dim(s) for s in [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]] == [1, 3, 2, 3, 1]
+    assert _specht_dim((3, 2)) == 5 and _specht_dim((4, 2, 1)) == 35
+    # GL(d) irrep dimension: semistandard tableaux with entries up to d
+    assert _weyl_isometry(2, (2, 1)).shape == (8, 2)
+    assert _weyl_isometry(3, (2, 1)).shape == (27, 8)
+    assert _weyl_isometry(3, (1, 1, 1)).shape == (27, 1)
+    assert _weyl_isometry(2, (3, 2)).shape == (32, 2)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -342,3 +464,72 @@ def test_oracle_resource_guard_and_config():
     res = oracle_feasibility(ExtensionProblem(werner_state(2, -0.5), 3, SYMMETRIC), cfg)
     assert res.status == UNDECIDED
     assert res.iterations == 3
+
+
+# (state, k, flavor) -> (status, iterations), recorded with the dense
+# full-space oracle that the block iteration replaced
+GOLDEN = [
+    (("werner", 2, -0.2), 3, SYMMETRIC, FEASIBLE, 29),
+    (("werner", 2, -0.5), 3, SYMMETRIC, INFEASIBLE, 109),
+    (("werner", 2, -0.8), 2, SYMMETRIC, INFEASIBLE, 57),
+    (("werner", 2, -0.3), 2, SYMMETRIC, FEASIBLE, 67),
+    (("werner", 2, -0.8), 4, SYMMETRIC, INFEASIBLE, 102),
+    (("werner", 3, -0.9), 2, SYMMETRIC, FEASIBLE, 2004),
+    (("werner", 3, 0.2), 3, SYMMETRIC, FEASIBLE, 1),
+    (("werner", 2, -0.8), 5, SYMMETRIC, INFEASIBLE, 140),
+    (("bell", (0.7, 0.1, 0.1, 0.1)), 2, SYMMETRIC, FEASIBLE, 73),
+    (("bell", (0.5, 0.3, 0.15, 0.05)), 3, SYMMETRIC, FEASIBLE, 280),
+    (("bell", (0.0, 1 / 9, 3 / 9, 5 / 9)), 2, SYMMETRIC, FEASIBLE, 1),
+    (("bell", (0.8, 0.2, 0.0, 0.0)), 2, SYMMETRIC, INFEASIBLE, 0),
+    (("werner", 2, -1.0), 3, SYMMETRIC, INFEASIBLE, 0),
+    (("bell", (0.4, 0.3, 0.3, 0.0)), 3, SYMMETRIC, FEASIBLE, 1),
+    (("werner", 3, 1.0), 2, SYMMETRIC, FEASIBLE, 1),
+    (("werner", 2, -0.8), 4, BOSONIC, INFEASIBLE, 50),
+    (("werner", 2, 0.3), 6, BOSONIC, FEASIBLE, 1),
+    (("bell", (0.7, 0.1, 0.1, 0.1)), 2, BOSONIC, FEASIBLE, 1),
+    (("werner", 3, -0.9), 3, BOSONIC, INFEASIBLE, 50),
+    (("bell", (0.35, 0.65, 0.0, 0.0)), 2, BOSONIC, INFEASIBLE, 0),
+    (("werner", 2, -1.0), 2, BOSONIC, INFEASIBLE, 0),
+    (("bell", (0.4, 0.3, 0.3, 0.0)), 3, BOSONIC, FEASIBLE, 1),
+]
+
+
+def test_oracle_matches_golden_statuses_and_iterations():
+    for state, k, flavor, status, iterations in GOLDEN:
+        rho = werner_state(*state[1:]) if state[0] == "werner" else bell_state(state[1])
+        res = oracle_feasibility(ExtensionProblem(rho, k, flavor))
+        assert res.status == status, (state, k, flavor)
+        assert abs(res.iterations - iterations) <= 2, (state, k, flavor, res.iterations)
+
+
+def test_oracle_stop_reasons_and_telemetry():
+    rng = np.random.default_rng(64)
+    prod = tensor_product(random_density([2], rng), random_density([2], rng))
+    cases = [
+        (ExtensionProblem(prod, 3, SYMMETRIC), None, FEASIBLE, "feasible-gap"),
+        (ExtensionProblem(werner_state(2, -0.5), 3, SYMMETRIC), None, INFEASIBLE, "stable-gap"),
+        (ExtensionProblem(werner_state(2, -0.5), 3, SYMMETRIC), OracleConfig(max_iters=3), UNDECIDED, "max-iters"),
+        (ExtensionProblem(bell_state([0.8, 0.2, 0, 0]), 2, SYMMETRIC), None, INFEASIBLE, "face-reach"),
+    ]
+    for problem, cfg, status, reason in cases:
+        res = oracle_feasibility(problem, cfg)
+        assert (res.status, res.stop_reason) == (status, reason)
+        if res.iterations:
+            assert len(res.gap_trace) <= GAP_TRACE_POINTS
+            assert res.gap_trace[0][0] == 1 and res.gap_trace[-1] == (res.iterations, res.residual)
+        else:
+            assert res.gap_trace == ()
+    # the stable-gap run is longer than the trace: it is down-sampled
+    res = oracle_feasibility(ExtensionProblem(werner_state(2, -0.5), 3, SYMMETRIC))
+    assert res.iterations > GAP_TRACE_POINTS and len(res.gap_trace) == GAP_TRACE_POINTS
+    # one block per shape: lambda = (3) and (2, 1) for qubits, each times d_A = 2
+    assert res.block_sides == (8, 4)
+    assert oracle_feasibility(ExtensionProblem(werner_state(2, -0.5), 3, BOSONIC)).block_sides == (8,)
+
+
+def test_oracle_degenerate_iterate_regression():
+    # the dense full-space solve of this case failed in the eigensolver on a
+    # highly degenerate 128 x 128 iterate
+    res = oracle_feasibility(ExtensionProblem(werner_state(2, -0.1), 6, SYMMETRIC))
+    assert res.status == FEASIBLE
+    assert res.certificate["marginal_residual"] <= OracleConfig().tol_gap

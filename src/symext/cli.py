@@ -26,6 +26,7 @@ from .criteria import (
     bosonic_extension_verdict,
     definetti_gap,
     hat_state,
+    ppt_test,
     symmetric_extension_verdict,
     tilde_state,
 )
@@ -40,7 +41,7 @@ from .families import (
     werner_exact_threshold,
     werner_state,
 )
-from .linalg import DensityMatrix, partial_transpose, random_density
+from .linalg import DensityMatrix, random_density
 from .oracle import oracle_feasibility
 
 EXIT_OK = 0
@@ -49,7 +50,18 @@ EXIT_RESOURCE = 2
 
 MC_BATCH = 1_000_000
 
-BELL_CRITERIA = ("polytope", "exact", "ssa", "ppt")
+# bell-sweep columns in output order: (criterion, CSV header, row flag from (p, k))
+BELL_COLUMNS = (
+    ("polytope", "polytope", lambda p, k: bell_polytope_condition(p)),
+    ("exact", "exact", lambda p, k: bell_exact_2ext(p)),
+    ("ssa", "ssa", lambda p, k: bell_ssa(p)),
+    (
+        "ppt",
+        "hat_ppt",
+        lambda p, k: bosonic_extension_verdict(ExtensionProblem(bell_state(p), k, BOSONIC)).status == INCONCLUSIVE,
+    ),
+)
+BELL_CRITERIA = tuple(name for name, _, _ in BELL_COLUMNS)
 
 
 class CliInputError(Exception):
@@ -165,7 +177,7 @@ def _cmd_consistency(args, out: IO[str]) -> int:
     return EXIT_OK
 
 
-def _bell_rows(n: int, k: int, criteria: Sequence[str]):
+def _bell_rows(n: int, k: int, flags):
     ticks = [i / (n - 1) for i in range(n)]
     for p1 in ticks:
         for p2 in ticks:
@@ -174,36 +186,21 @@ def _bell_rows(n: int, k: int, criteria: Sequence[str]):
                 if p4 < -1e-9:
                     continue
                 p = (p1, p2, p3, max(p4, 0.0))
-                row = [_fmt(p1), _fmt(p2), _fmt(p3)]
-                if "polytope" in criteria:
-                    row.append(str(int(bell_polytope_condition(p))))
-                if "exact" in criteria:
-                    row.append(str(int(bell_exact_2ext(p))))
-                if "ssa" in criteria:
-                    row.append(str(int(bell_ssa(p))))
-                if "ppt" in criteria:
-                    verdict = bosonic_extension_verdict(ExtensionProblem(bell_state(p), k, BOSONIC))
-                    row.append(str(int(verdict.status == INCONCLUSIVE)))
-                yield row
+                yield [_fmt(p1), _fmt(p2), _fmt(p3)] + [str(int(flag(p, k))) for flag in flags]
 
 
 def _cmd_bell_sweep(args, out: IO[str]) -> int:
     if args.grid < 2:
         raise CliInputError(f"--grid must be at least 2, got {args.grid}")
+    if args.k < 1:
+        raise CliInputError(f"--k must be at least 1, got {args.k}")
     criteria = tuple(name.strip() for name in args.criteria.split(","))
     for name in criteria:
         if name not in BELL_CRITERIA:
             raise CliInputError(f"unknown criterion {name!r}; choose from {', '.join(BELL_CRITERIA)}")
-    header = ["p1", "p2", "p3"]
-    if "polytope" in criteria:
-        header.append("polytope")
-    if "exact" in criteria:
-        header.append("exact")
-    if "ssa" in criteria:
-        header.append("ssa")
-    if "ppt" in criteria:
-        header.append("hat_ppt")
-    _write_rows(header, _bell_rows(args.grid, args.k, criteria), out)
+    columns = [(header, flag) for name, header, flag in BELL_COLUMNS if name in criteria]
+    header = ["p1", "p2", "p3"] + [h for h, _ in columns]
+    _write_rows(header, _bell_rows(args.grid, args.k, [flag for _, flag in columns]), out)
     return EXIT_OK
 
 
@@ -211,8 +208,8 @@ def _werner_rows(d: int, k: int, psis, with_oracle: bool):
     exact_threshold = werner_exact_threshold(d, k)
     for psi in psis:
         rho = werner_state(d, float(psi))
-        tilde_ok = np.linalg.eigvalsh(partial_transpose(tilde_state(rho, k), 1))[0] >= -1e-9
-        hat_ok = np.linalg.eigvalsh(partial_transpose(hat_state(rho, k), 1))[0] >= -1e-9
+        tilde_ok = ppt_test(tilde_state(rho, k)).status == INCONCLUSIVE
+        hat_ok = ppt_test(hat_state(rho, k)).status == INCONCLUSIVE
         row = [
             _fmt(float(psi)),
             str(int(tilde_ok)),
@@ -226,6 +223,10 @@ def _werner_rows(d: int, k: int, psis, with_oracle: bool):
 
 
 def _cmd_werner_sweep(args, out: IO[str]) -> int:
+    if args.d < 2:
+        raise CliInputError(f"--d must be at least 2, got {args.d}")
+    if args.k < 1:
+        raise CliInputError(f"--k must be at least 1, got {args.k}")
     if not 0 < args.psi_step <= 1:
         raise CliInputError(f"--psi-step must lie in (0, 1], got {args.psi_step}")
     n = int(round(2.0 / args.psi_step)) + 1

@@ -17,18 +17,18 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import LayoutError, ResourceLimitError, ValidationError
+from .errors import LayoutError, ValidationError
 from .linalg import (
-    DIM_GUARD,
-    SYM_SUPPORT_TOL,
     DensityMatrix,
+    _check_extension_layout,
+    _occupation_isometry,
     _ptrace_mat,
+    _require_symmetric_support,
     hermitize,
     partial_trace,
     partial_transpose,
     trace_norm,
 )
-from .linalg import _sym_projector
 
 VIOLATED = "Violated"
 INCONCLUSIVE = "Inconclusive"
@@ -125,33 +125,24 @@ def generalized_hat(rho: DensityMatrix, k: int) -> DensityMatrix:
     state, and required for the output to have unit trace).
     """
     dims = rho.dims
-    if len(dims) < 2:
-        raise LayoutError(f"need a layout [d_A, d_B, ...], got {dims}")
-    d_a = dims[0]
-    d_b = dims[1]
-    r = len(dims) - 1
-    if any(d != d_b for d in dims[1:]):
-        raise LayoutError(f"all B factors must share one dimension, got layout {dims}")
+    d_a, d_b, r = _check_extension_layout(dims)
     if k < r:
         raise ValidationError(f"need k >= r, got k={k}, r={r}")
-    if d_b**r > DIM_GUARD:
-        raise ResourceLimitError(f"symmetric compression on dimension {d_b**r} exceeds the guard {DIM_GUARD}")
-    proj = _sym_projector(d_b, r)
-    proj_full = np.kron(np.eye(d_a, dtype=complex), proj)
+    # I_A x V compresses onto A x Sym^r(B); it is real, so its adjoint is its transpose
+    iso = np.kron(np.eye(d_a), _occupation_isometry(d_b, r))
     if r >= 2:
-        defect = float(np.max(np.abs(proj_full @ rho.mat @ proj_full - rho.mat)))
-        if defect > SYM_SUPPORT_TOL:
-            raise ValidationError(
-                f"B factors are not supported on the symmetric subspace: defect {defect:.1e}"
-            )
+        _require_symmetric_support(rho.mat, iso, "B factors are")
     weights = generalized_coefficients(k, d_b, r)
     d_r = math.comb(d_b + r - 1, r)
-    acc = np.zeros((rho.side, rho.side), dtype=complex)
+    m = iso.shape[1]
+    comp = np.zeros((m, m), dtype=complex)
     for s in range(r + 1):
         marg = _ptrace_mat(rho.mat, dims, keep=range(s + 1))
-        lifted = np.kron(marg, np.eye(d_b ** (r - s), dtype=complex))
-        d_s = math.comb(d_b + s - 1, s)
-        acc += weights[s] * (d_s / d_r) * (proj_full @ lifted @ proj_full)
+        # V^T (marg x I) V, with V as (A B_1..B_s, B_{s+1}..B_r, column)
+        t = iso.reshape(marg.shape[0], -1, m)
+        compressed = np.tensordot(t, np.tensordot(marg, t, axes=(1, 0)), axes=([0, 1], [0, 1]))
+        comp += weights[s] * (math.comb(d_b + s - 1, s) / d_r) * compressed
+    acc = iso @ comp @ iso.T
     return DensityMatrix(hermitize(acc), dims, tol=rho.tol)
 
 

@@ -7,7 +7,6 @@ down the tensor-factor layout and enforces the physical invariants
 
 from __future__ import annotations
 
-import itertools
 import math
 import string
 from functools import lru_cache
@@ -24,8 +23,9 @@ HERM_TOL = 1e-10
 ENTROPY_CLAMP = 1e-12
 SYM_SUPPORT_TOL = 1e-9
 
-# Permutation-sum constructions (projectors, twirls, group averages)
-# enumerate r! terms on a d^r-dimensional space; refuse anything larger.
+# Dense constructions on r factors (permutation operators, symmetric
+# projectors, twirls, the isotypic bases) hold matrices or isometries of side
+# d^r; refuse anything larger.
 DIM_GUARD = 4096
 
 
@@ -233,36 +233,56 @@ def permutation_operator(d: int, k: int, pi: Sequence[int]) -> np.ndarray:
     return w
 
 
+def _check_extension_layout(dims) -> tuple[int, int, int]:
+    """(d_A, d_B, r) of a layout [d_A, d_B, ..., d_B] with r equal B factors."""
+    dims = tuple(dims)
+    if len(dims) < 2:
+        raise LayoutError(f"need a layout [d_A, d_B, ..., d_B], got {dims}")
+    d_a, d_b = dims[0], dims[1]
+    if any(d != d_b for d in dims[1:]):
+        raise LayoutError(f"all B factors must share one dimension, got layout {dims}")
+    return d_a, d_b, len(dims) - 1
+
+
 @lru_cache(maxsize=None)
-def _sym_projector(d: int, r: int) -> np.ndarray:
-    acc = np.zeros((d**r, d**r), dtype=complex)
-    for pi in itertools.permutations(range(r)):
-        acc += permutation_operator(d, r, pi)
-    acc /= math.factorial(r)
-    acc.setflags(write=False)
-    return acc
+def _occupation_isometry(d: int, k: int) -> np.ndarray:
+    """Isometry from the occupation-number basis of the symmetric subspace into d^k.
+
+    Column j is the normalized sum of the words that sort to the j-th sorted
+    word; V V^dag is the symmetric projector (1/k!) sum of all W_pi.
+    """
+    if d**k > DIM_GUARD:
+        raise ResourceLimitError(f"symmetric subspace on dimension {d**k} exceeds the guard {DIM_GUARD}")
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for idx, word in enumerate(np.ndindex((d,) * k)):
+        groups.setdefault(tuple(sorted(word)), []).append(idx)
+    keys = sorted(groups)
+    iso = np.zeros((d**k, len(keys)))
+    for col, key in enumerate(keys):
+        rows = groups[key]
+        iso[rows, col] = 1.0 / math.sqrt(len(rows))
+    iso.setflags(write=False)
+    return iso
+
+
+def _require_symmetric_support(mat: np.ndarray, iso: np.ndarray, what: str) -> None:
+    """Raise unless mat equals its compression V V^dag mat V V^dag onto the range of the real isometry V."""
+    compressed = iso @ (iso.T @ mat @ iso) @ iso.T
+    defect = float(np.max(np.abs(compressed - mat)))
+    if defect > SYM_SUPPORT_TOL:
+        raise ValidationError(f"{what} not supported on the symmetric subspace: defect {defect:.1e}")
 
 
 def symmetric_projector(d: int, r: int) -> np.ndarray:
     """Projector onto the symmetric subspace of r factors: (1/r!) sum of all W_pi.
 
-    Idempotent, Hermitian, with trace C(d + r - 1, r).
+    Built as V V^dag from the occupation-number isometry V, without the
+    permutation sum.  Idempotent, Hermitian, with trace C(d + r - 1, r).
     """
     if d < 1 or r < 1:
         raise ValidationError(f"need d >= 1 and r >= 1, got d={d}, r={r}")
-    if d**r > DIM_GUARD:
-        raise ResourceLimitError(f"symmetric projector on dimension {d**r} exceeds the guard {DIM_GUARD}")
-    return _sym_projector(d, r).copy()
-
-
-@lru_cache(maxsize=None)
-def _perm_sum(d: int, n: int) -> np.ndarray:
-    """Unnormalized sum of all n! permutation operators on n factors of dimension d."""
-    acc = np.zeros((d**n, d**n), dtype=complex)
-    for pi in itertools.permutations(range(n)):
-        acc += permutation_operator(d, n, pi)
-    acc.setflags(write=False)
-    return acc
+    iso = _occupation_isometry(d, r).astype(complex)
+    return iso @ iso.T
 
 
 def twirl_channel(rho_sym: DensityMatrix, d: int) -> np.ndarray:
@@ -277,13 +297,10 @@ def twirl_channel(rho_sym: DensityMatrix, d: int) -> np.ndarray:
     k = len(dims)
     if any(dim != d for dim in dims):
         raise LayoutError(f"all factors must have dimension {d}, got layout {dims}")
-    if d ** (k + 1) > DIM_GUARD:
-        raise ResourceLimitError(f"twirl on dimension {d ** (k + 1)} exceeds the guard {DIM_GUARD}")
-    proj = _sym_projector(d, k)
-    defect = float(np.max(np.abs(proj @ rho_sym.mat @ proj - rho_sym.mat)))
-    if defect > SYM_SUPPORT_TOL:
-        raise ValidationError(f"state is not supported on the symmetric subspace: defect {defect:.1e}")
-    total = np.kron(np.eye(d, dtype=complex), rho_sym.mat) @ _perm_sum(d, k + 1)
-    out = _ptrace_mat(total, (d,) * (k + 1), keep=[0])
+    # the permutation sum is (k+1)! V V^dag; V as (first factor, the other k, column)
+    t = _occupation_isometry(d, k + 1).reshape(d, d**k, -1)
+    _require_symmetric_support(rho_sym.mat, _occupation_isometry(d, k), "state is")
+    # Tr_{2..k+1}[(I x rho) V V^dag] = sum_j T_j rho^T T_j^T, T_j = t[:, :, j]; V is real
+    out = np.tensordot(t, np.tensordot(rho_sym.mat.T, t, axes=(1, 1)), axes=([1, 2], [0, 2]))
     out = hermitize(out)
     return out / np.trace(out).real

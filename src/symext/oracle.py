@@ -22,7 +22,6 @@ flavor keeps every lambda.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -32,7 +31,7 @@ import numpy as np
 
 from .criteria import BOSONIC, SYMMETRIC, ExtensionProblem
 from .errors import LayoutError, ResourceLimitError, ValidationError
-from .linalg import DIM_GUARD, DensityMatrix, _ptrace_mat, hermitize
+from .linalg import DIM_GUARD, DensityMatrix, _check_extension_layout, _occupation_isometry, _ptrace_mat, hermitize
 
 FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
@@ -43,6 +42,7 @@ STOP_FEASIBLE_GAP = "feasible-gap"  # the gap fell to tol_feasible
 STOP_STABLE_GAP = "stable-gap"  # the gap stabilized at or above tol_gap
 STOP_MAX_ITERS = "max-iters"  # the iteration budget ran out
 STOP_FACE_REACH = "face-reach"  # the forced support face cannot reproduce the marginal
+STOP_LINALG_ERROR = "linalg-error"  # eigh and the SVD fallback of project_psd both failed
 
 # Infeasibility is declared once the gap has stopped moving: relative change
 # below STABLE_RTOL across a window of STABLE_WINDOW iterations.
@@ -105,16 +105,6 @@ def project_psd(m: np.ndarray) -> np.ndarray:
     return hermitize((v * np.maximum(w, 0.0)) @ v.conj().T)
 
 
-def _check_extension_layout(dims) -> tuple[int, int, int]:
-    dims = tuple(dims)
-    if len(dims) < 2:
-        raise LayoutError(f"need a layout [d_A, d_B, ..., d_B], got {dims}")
-    d_a, d_b = dims[0], dims[1]
-    if any(d != d_b for d in dims[1:]):
-        raise LayoutError(f"all B factors must share one dimension, got layout {dims}")
-    return d_a, d_b, len(dims) - 1
-
-
 def project_permutation_invariant(x: np.ndarray, dims) -> np.ndarray:
     """Group average over permutations of the B factors; an orthogonal projection.
 
@@ -171,23 +161,6 @@ def project_invariant_marginal(x: np.ndarray, dims, target: DensityMatrix) -> np
 
 
 # --- isotypic blocks -----------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _occupation_isometry(d: int, k: int) -> np.ndarray:
-    """Isometry from the occupation-number basis of the symmetric subspace into d^k."""
-    if d**k > DIM_GUARD:
-        raise ResourceLimitError(f"occupation isometry on dimension {d**k} exceeds the guard {DIM_GUARD}")
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for idx, word in enumerate(itertools.product(range(d), repeat=k)):
-        groups.setdefault(tuple(sorted(word)), []).append(idx)
-    keys = sorted(groups)
-    iso = np.zeros((d**k, len(keys)))
-    for col, key in enumerate(keys):
-        rows = groups[key]
-        iso[rows, col] = 1.0 / math.sqrt(len(rows))
-    iso.setflags(write=False)
-    return iso
 
 
 def _partitions(k: int, max_rows: int, largest: int | None = None):
@@ -419,7 +392,13 @@ def _run_dykstra(blocks: _Blocks, rho: DensityMatrix, cfg: OracleConfig) -> Orac
     gap = float("inf")
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        y = np.concatenate([project_psd(b).ravel() for b in blocks.split(x + p)])
+        try:
+            y = np.concatenate([project_psd(b).ravel() for b in blocks.split(x + p)])
+        except np.linalg.LinAlgError:
+            # undecided, not a failure: report the iterations completed before it
+            iterations -= 1
+            stop = STOP_LINALG_ERROR
+            break
         p = x + p - y
         x = blocks.project_affine(y, target)
         gap = float(np.linalg.norm(x - y))
@@ -436,7 +415,7 @@ def _run_dykstra(blocks: _Blocks, rho: DensityMatrix, cfg: OracleConfig) -> Orac
     # checked on the isometries and the blocks, independently of amap
     certificate = {
         "marginal_residual": float(np.linalg.norm(blocks.placed_marginal(y) - rho.mat)),
-        "min_eig": blocks.min_eig(x),
+        "min_eig": float("nan") if stop == STOP_LINALG_ERROR else blocks.min_eig(x),
         "gap_estimate": gap,
     }
     return OracleResult(
@@ -458,7 +437,8 @@ def oracle_feasibility(problem: ExtensionProblem, cfg: OracleConfig | None = Non
     support face forced by the marginal's kernel cannot reproduce the
     marginal at all.  Undecided: the iteration budget ran out first
     (expected near the feasibility boundary, where first-order methods
-    converge slowly).
+    converge slowly), or both eigensolver paths of the PSD projection
+    failed (stop reason ``linalg-error``, ``min_eig`` NaN).
     """
     cfg = cfg or OracleConfig()
     rho = problem.marginal

@@ -27,8 +27,8 @@ def random_symmetric_supported(d, k, rng):
 
 def random_bosonic_marginal(d_a, d_b, k, r, rng):
     """Marginal on A,B_1..B_r of a random state on A tensor Sym^k(B)."""
-    from symext.oracle import _occupation_isometry
     from symext import partial_trace
+    from symext.linalg import _occupation_isometry
 
     iso = _occupation_isometry(d_b, k)
     lift = np.kron(np.eye(d_a, dtype=complex), iso)
@@ -38,6 +38,17 @@ def random_bosonic_marginal(d_a, d_b, k, r, rng):
     y /= np.trace(y).real
     big = DensityMatrix(lift @ y @ lift.conj().T, (d_a,) + (d_b,) * k)
     return partial_trace(big, range(r + 1))
+
+
+def brute_force_symmetric_projector(d, r):
+    """(1/r!) times the sum of all r! permutation operators on r factors of dimension d."""
+    import itertools
+    import math
+
+    from symext import permutation_operator
+
+    acc = sum(permutation_operator(d, r, pi) for pi in itertools.permutations(range(r)))
+    return acc / math.factorial(r)
 
 
 def brute_force_permutation_average(x, dims):

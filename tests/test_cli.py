@@ -154,6 +154,25 @@ def test_werner_sweep_transitions(capsys):
     assert rows["0.5"] == ["1", "1", "1"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["werner-sweep", "--k", "0"],
+        ["werner-sweep", "--k", "-1"],
+        ["werner-sweep", "--d", "0"],
+        ["werner-sweep", "--d", "1"],
+        ["bell-sweep", "--k", "0"],
+    ],
+    ids=" ".join,
+)
+def test_sweep_rejects_bad_k_and_d_before_output(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_werner_sweep_with_oracle(capsys):
     code, out, _ = _run(capsys, ["werner-sweep", "--d", "2", "--k", "2", "--psi-step", "0.5", "--with-oracle"])
     assert code == 0

@@ -1,6 +1,7 @@
 """Derived-state criteria: tilde/hat states, verdicts, and separability checks."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -133,6 +134,18 @@ def test_generalized_hat_r2_validity():
 
     proj = np.kron(np.eye(2), symmetric_projector(2, 2))
     assert np.max(np.abs(proj @ out.mat @ proj - out.mat)) < 1e-10
+
+
+def test_generalized_hat_at_the_guard():
+    # r = 8 B qubits: the compression goes through I (x) V, not an 8!-term projector
+    rng = np.random.default_rng(26)
+    marg = random_bosonic_marginal(2, 2, 8, 8, rng)
+    start = time.perf_counter()
+    out = generalized_hat(marg, 8)
+    elapsed = time.perf_counter() - start
+    assert abs(np.trace(out.mat).real - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(out.mat)[0] > -1e-9
+    assert elapsed < 2.0
 
 
 def test_generalized_hat_errors():

@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
-from helpers import random_separable, random_symmetric_supported
+from helpers import brute_force_symmetric_projector, random_separable, random_symmetric_supported
 from symext import (
     DensityMatrix,
     LayoutError,
@@ -207,12 +208,26 @@ def test_symmetric_projector_traces():
 
 
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_symmetric_projector_properties(d, r):
     proj = symmetric_projector(d, r)
     assert np.max(np.abs(proj @ proj - proj)) < 1e-12
     assert np.max(np.abs(proj - proj.conj().T)) < 1e-12
     assert abs(np.trace(proj).real - math.comb(d + r - 1, r)) < 1e-12
+    assert np.max(np.abs(proj - brute_force_symmetric_projector(d, r))) < 1e-12
+
+
+def test_symmetric_projector_at_the_guard():
+    # r = 12 is the largest qubit count DIM_GUARD admits; a 12!-term sum would not finish
+    rng = np.random.default_rng(11)
+    start = time.perf_counter()
+    proj = symmetric_projector(2, 12)
+    elapsed = time.perf_counter() - start
+    assert abs(np.trace(proj).real - 13.0) < 1e-12
+    x = rng.standard_normal(2**12) + 1j * rng.standard_normal(2**12)
+    px = proj @ x
+    assert np.max(np.abs(proj @ px - px)) < 1e-12
+    assert elapsed < 2.0
 
 
 def test_symmetric_projector_guard():
@@ -247,6 +262,18 @@ def test_twirl_matches_single_factor_formula(d, k):
         out = twirl_channel(rho, d)
         rho_b = partial_trace(rho, [0]).mat
         assert np.max(np.abs(out - (np.eye(d) + k * rho_b) / (d + k))) < 1e-10
+
+
+def test_twirl_at_the_guard():
+    # k + 1 = 10 factors: the twirl never forms a side-2^10 matrix
+    rng = np.random.default_rng(12)
+    rho = random_symmetric_supported(2, 9, rng)
+    start = time.perf_counter()
+    out = twirl_channel(rho, 2)
+    elapsed = time.perf_counter() - start
+    rho_b = partial_trace(rho, [0]).mat
+    assert np.max(np.abs(out - (np.eye(2) + 9 * rho_b) / 11)) < 1e-10
+    assert elapsed < 2.0
 
 
 def test_twirl_rejects_unsupported_state():

@@ -34,12 +34,11 @@ from symext import (
     tensor_product,
     werner_state,
 )
-from symext.linalg import _ptrace_mat
+from symext.linalg import _occupation_isometry, _ptrace_mat
 from symext.oracle import (
     GAP_TRACE_POINTS,
     _extension_blocks,
     _face_blocks,
-    _occupation_isometry,
     _specht_dim,
     _state_kernel,
     _weyl_isometry,
@@ -100,6 +99,31 @@ def test_project_psd_falls_back_when_eigh_fails(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     assert np.max(np.abs(project_psd(h) - expected)) < 1e-12
+
+
+def test_oracle_undecided_when_psd_projection_fails(monkeypatch):
+    problem = ExtensionProblem(werner_state(2, -0.3), 3, SYMMETRIC)
+    oracle_feasibility(problem, OracleConfig(max_iters=1))  # builds the cached blocks
+    real_eigh = np.linalg.eigh
+    calls = []
+
+    def eigh_failing_from_iteration_5(*args, **kwargs):
+        # one call for the marginal's kernel, then one per block (two) per iteration
+        calls.append(None)
+        if len(calls) > 1 + 2 * 4:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigh(*args, **kwargs)
+
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_failing_from_iteration_5)
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    res = oracle_feasibility(problem)
+    assert (res.status, res.stop_reason, res.iterations) == (UNDECIDED, "linalg-error", 4)
+    assert res.gap_trace[-1] == (4, res.residual) and len(res.gap_trace) == 4
+    assert math.isnan(res.certificate["min_eig"])
+    assert res.certificate["marginal_residual"] < 1.0
 
 
 def test_projections_nonexpansive():

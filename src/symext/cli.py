@@ -10,6 +10,7 @@ the --seed flag.  Exit codes: 0 = evaluated (whatever the verdict),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -17,31 +18,30 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .consistency import MarginalSet, consistency_verdict
+from .consistency import MarginalSet, _consistency_passes, consistency_verdict
 from .criteria import (
     BOSONIC,
-    INCONCLUSIVE,
     SYMMETRIC,
     ExtensionProblem,
+    _derived_ppt_passes,
     bosonic_extension_verdict,
     definetti_gap,
-    hat_state,
-    ppt_test,
     symmetric_extension_verdict,
-    tilde_state,
 )
 from .errors import ResourceLimitError, ValidationError
 from .families import (
-    bell_exact_2ext,
-    bell_polytope_condition,
-    bell_ssa,
-    bell_state,
-    ckw_check,
-    ssa_check,
+    _bell_exact_flags,
+    _bell_mats,
+    _bell_polytope_flags,
+    _bell_ssa_flags,
+    _check_bell_rows,
+    _ckw_holds,
+    _concurrences,
+    _ssa_flags,
+    _werner_mats,
     werner_exact_threshold,
-    werner_state,
 )
-from .linalg import DensityMatrix, random_density
+from .linalg import HERM_TOL, DensityMatrix, _validate_stack, random_density
 from .oracle import oracle_feasibility
 
 EXIT_OK = 0
@@ -50,16 +50,28 @@ EXIT_RESOURCE = 2
 
 MC_BATCH = 1_000_000
 
-# bell-sweep columns in output order: (criterion, CSV header, row flag from (p, k))
+# Sweeps evaluate their grids in chunks of states whose matrices hold at
+# most this many entries in all (256 two-qubit states, 50 two-qutrit states,
+# one state once side^2 exceeds it), so memory stays flat whatever the grid.
+_CHUNK_ENTRIES = 4096
+
+# werner-sweep work guards: every row eigensolves states of side d^2, and the
+# row count is 2 / psi-step + 1 (2,000,001 at the smallest step).
+_WERNER_MAX_SIDE = 256
+_WERNER_MIN_STEP = 1e-6
+
+
+def _bell_hat_ppt_flags(p: np.ndarray, k: int) -> np.ndarray:
+    """Where the bosonic extension verdict (the hat-state PPT test) of each Bell-diagonal state is Inconclusive."""
+    return _derived_ppt_passes(_validate_stack(_bell_mats(p), HERM_TOL), (2, 2), k, BOSONIC, HERM_TOL)
+
+
+# bell-sweep columns in output order: (criterion, CSV header, flags from checked (N, 4) weights and k)
 BELL_COLUMNS = (
-    ("polytope", "polytope", lambda p, k: bell_polytope_condition(p)),
-    ("exact", "exact", lambda p, k: bell_exact_2ext(p)),
-    ("ssa", "ssa", lambda p, k: bell_ssa(p)),
-    (
-        "ppt",
-        "hat_ppt",
-        lambda p, k: bosonic_extension_verdict(ExtensionProblem(bell_state(p), k, BOSONIC)).status == INCONCLUSIVE,
-    ),
+    ("polytope", "polytope", lambda p, k: _bell_polytope_flags(p)),
+    ("exact", "exact", lambda p, k: _bell_exact_flags(p)),
+    ("ssa", "ssa", lambda p, k: _bell_ssa_flags(p)),
+    ("ppt", "hat_ppt", _bell_hat_ppt_flags),
 )
 BELL_CRITERIA = tuple(name for name, _, _ in BELL_COLUMNS)
 
@@ -177,16 +189,48 @@ def _cmd_consistency(args, out: IO[str]) -> int:
     return EXIT_OK
 
 
-def _bell_rows(n: int, k: int, flags):
+def _chunk_size(side: int) -> int:
+    """States per chunk for matrices of the given side."""
+    return max(1, _CHUNK_ENTRIES // (side * side))
+
+
+def _chunks(items, size: int):
+    """Consecutive lists of at most ``size`` items."""
+    it = iter(items)
+    while chunk := list(itertools.islice(it, size)):
+        yield chunk
+
+
+def _linspace_chunks(n: int, size: int):
+    """np.linspace(-1.0, 1.0, n) in consecutive pieces of at most ``size`` values, bit for bit."""
+    step = 2.0 / (n - 1)
+    for lo in range(0, n, size):
+        hi = min(lo + size, n)
+        piece = np.arange(lo, hi, dtype=float) * step - 1.0
+        if hi == n:
+            piece[-1] = 1.0
+        yield piece
+
+
+def _bell_points(n: int):
+    """Grid points (labels of p1, p2, p3; weights) of the Bell simplex, in lexicographic order."""
     ticks = [i / (n - 1) for i in range(n)]
-    for p1 in ticks:
-        for p2 in ticks:
-            for p3 in ticks:
+    labels = [_fmt(t) for t in ticks]
+    for i1, p1 in enumerate(ticks):
+        for i2, p2 in enumerate(ticks):
+            for i3, p3 in enumerate(ticks):
                 p4 = 1.0 - p1 - p2 - p3
                 if p4 < -1e-9:
                     continue
-                p = (p1, p2, p3, max(p4, 0.0))
-                yield [_fmt(p1), _fmt(p2), _fmt(p3)] + [str(int(flag(p, k))) for flag in flags]
+                yield [labels[i1], labels[i2], labels[i3]], (p1, p2, p3, max(p4, 0.0))
+
+
+def _bell_rows(n: int, k: int, flags):
+    for chunk in _chunks(_bell_points(n), _chunk_size(4)):
+        p = _check_bell_rows(np.array([weights for _, weights in chunk]))
+        columns = [flag(p, k).tolist() for flag in flags]
+        for (labels, _), *row in zip(chunk, *columns):
+            yield labels + [str(int(f)) for f in row]
 
 
 def _cmd_bell_sweep(args, out: IO[str]) -> int:
@@ -204,22 +248,24 @@ def _cmd_bell_sweep(args, out: IO[str]) -> int:
     return EXIT_OK
 
 
-def _werner_rows(d: int, k: int, psis, with_oracle: bool):
+def _werner_rows(d: int, k: int, n: int, with_oracle: bool):
     exact_threshold = werner_exact_threshold(d, k)
-    for psi in psis:
-        rho = werner_state(d, float(psi))
-        tilde_ok = ppt_test(tilde_state(rho, k)).status == INCONCLUSIVE
-        hat_ok = ppt_test(hat_state(rho, k)).status == INCONCLUSIVE
-        row = [
-            _fmt(float(psi)),
-            str(int(tilde_ok)),
-            str(int(hat_ok)),
-            str(int(psi >= exact_threshold - 1e-12)),
-        ]
-        if with_oracle:
-            problem = ExtensionProblem(rho, k, SYMMETRIC)
-            row.append(oracle_feasibility(problem).status)
-        yield row
+    dims = (d, d)
+    for psis in _linspace_chunks(n, _chunk_size(d * d)):
+        mats = _validate_stack(_werner_mats(d, psis), HERM_TOL)
+        tilde_ok = _derived_ppt_passes(mats, dims, k, SYMMETRIC, HERM_TOL).tolist()
+        hat_ok = _derived_ppt_passes(mats, dims, k, BOSONIC, HERM_TOL).tolist()
+        for i, psi in enumerate(psis.tolist()):
+            row = [
+                _fmt(psi),
+                str(int(tilde_ok[i])),
+                str(int(hat_ok[i])),
+                str(int(psi >= exact_threshold - 1e-12)),
+            ]
+            if with_oracle:
+                problem = ExtensionProblem(DensityMatrix(mats[i], dims), k, SYMMETRIC)
+                row.append(oracle_feasibility(problem).status)
+            yield row
 
 
 def _cmd_werner_sweep(args, out: IO[str]) -> int:
@@ -229,12 +275,17 @@ def _cmd_werner_sweep(args, out: IO[str]) -> int:
         raise CliInputError(f"--k must be at least 1, got {args.k}")
     if not 0 < args.psi_step <= 1:
         raise CliInputError(f"--psi-step must lie in (0, 1], got {args.psi_step}")
+    if args.d * args.d > _WERNER_MAX_SIDE:
+        raise ResourceLimitError(
+            f"--d {args.d} gives states of side {args.d**2}, above the sweep limit {_WERNER_MAX_SIDE}"
+        )
+    if args.psi_step < _WERNER_MIN_STEP:
+        raise ResourceLimitError(f"--psi-step {args.psi_step} is below the sweep limit {_WERNER_MIN_STEP:g}")
     n = int(round(2.0 / args.psi_step)) + 1
-    psis = np.linspace(-1.0, 1.0, n)
     header = ["psi", "tilde_ppt", "hat_ppt", "exact_flag"]
     if args.with_oracle:
         header.append("oracle_status")
-    _write_rows(header, _werner_rows(args.d, args.k, psis, args.with_oracle), out)
+    _write_rows(header, _werner_rows(args.d, args.k, n, args.with_oracle), out)
     return EXIT_OK
 
 
@@ -278,16 +329,24 @@ def _cmd_volume(args, out: IO[str]) -> int:
 
 
 def _consistency_rows(n: int):
-    psis = np.linspace(-1.0, 1.0, n)
-    for psi1 in psis:
-        rho1 = werner_state(2, float(psi1))
-        for psi2 in psis:
-            rho2 = werner_state(2, float(psi2))
-            verdict = consistency_verdict(MarginalSet([rho1, rho2]))
-            pentagon = int(verdict.status == INCONCLUSIVE)
-            ckw = int(ckw_check(rho1, rho2, 1.0))
-            ssa = int(ssa_check(rho1, rho2))
-            yield [_fmt(float(psi1)), _fmt(float(psi2)), str(pentagon), str(ckw), str(ssa)]
+    dims = (2, 2)
+    size = _chunk_size(4)
+    grid = list(_linspace_chunks(n, size))
+    labels = [_fmt(psi) for psis in grid for psi in psis.tolist()]
+    # the n Werner states, each built and validated once; the pairs index into them
+    pieces = [_validate_stack(_werner_mats(2, psis), HERM_TOL) for psis in grid]
+    concurrences = np.concatenate([_concurrences(piece) for piece in pieces])
+    mats = np.concatenate(pieces)
+    for chunk in _chunks(itertools.product(range(n), repeat=2), size):
+        i, j = np.array(chunk).T
+        a, b = (mats[i], dims, HERM_TOL), (mats[j], dims, HERM_TOL)
+        flags = zip(
+            _consistency_passes([a, b]).tolist(),
+            _ckw_holds(concurrences[i], concurrences[j], 1.0).tolist(),
+            _ssa_flags(a, b).tolist(),
+        )
+        for (i1, i2), row in zip(chunk, flags):
+            yield [labels[i1], labels[i2]] + [str(int(f)) for f in row]
 
 
 def _cmd_consistency_sweep(args, out: IO[str]) -> int:

@@ -12,18 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .criteria import (
     BOSONIC,
     SYMMETRIC,
     VIOLATED,
     CriterionVerdict,
     ExtensionProblem,
+    _derived_flavor,
+    _derived_ppt_passes,
     bosonic_extension_verdict,
     symmetric_extension_verdict,
 )
 from .errors import LayoutError, MarginalMismatchError, ValidationError
 from .families import A_MARGINAL_TOL
-from .linalg import DensityMatrix, partial_trace, trace_distance
+from .linalg import DensityMatrix, _as_stack, _reduced_stack, _trace_distances, _validate_stack
 
 MARGINAL_MISMATCH = "marginal-mismatch"
 
@@ -57,8 +61,23 @@ class MarginalSet:
 
 def a_marginal_spread(ms: MarginalSet) -> float:
     """Largest pairwise trace distance between the A marginals."""
-    reduced = [partial_trace(rho, [0]) for rho in ms.marginals]
-    return max(trace_distance(a, b) for a, b in combinations(reduced, 2))
+    return float(_a_marginal_spreads([_as_stack(rho) for rho in ms.marginals])[0])
+
+
+def _a_marginal_spreads(stacks) -> np.ndarray:
+    """:func:`a_marginal_spread` row by row over stacks given as (validated states, layout, tolerance)."""
+    reduced = [_reduced_stack(mats, dims, [0], tol) for mats, dims, tol in stacks]
+    return np.max([_trace_distances(a, b) for a, b in combinations(reduced, 2)], axis=0)
+
+
+def _average(mats):
+    """Mean of equal-shape matrices or stacks, summed in order."""
+    return sum(mats) / len(mats)
+
+
+def _averaged_flavor(dims, k: int) -> str:
+    """Two-qubit pairs test the strictly stronger hat state; everything else stays symmetric."""
+    return BOSONIC if dims == (2, 2) and k == 2 else SYMMETRIC
 
 
 def average_marginals(ms: MarginalSet) -> ExtensionProblem:
@@ -72,10 +91,27 @@ def average_marginals(ms: MarginalSet) -> ExtensionProblem:
     spread = a_marginal_spread(ms)
     if spread > A_MARGINAL_TOL:
         raise MarginalMismatchError(f"A marginals differ: trace distance {spread:.3e}", spread)
-    avg = sum(rho.mat for rho in ms.marginals) / ms.k
-    flavor = BOSONIC if ms.dims == (2, 2) and ms.k == 2 else SYMMETRIC
+    avg = _average([rho.mat for rho in ms.marginals])
     tol = max(rho.tol for rho in ms.marginals)
-    return ExtensionProblem(DensityMatrix(avg, ms.dims, tol=tol), ms.k, flavor)
+    return ExtensionProblem(DensityMatrix(avg, ms.dims, tol=tol), ms.k, _averaged_flavor(ms.dims, ms.k))
+
+
+def _consistency_passes(stacks) -> np.ndarray:
+    """Where :func:`consistency_verdict` is Inconclusive, row by row over stacks of one layout.
+
+    Each stack is (validated states, layout, tolerance), as for
+    :func:`_a_marginal_spreads`; rows whose A marginals disagree are
+    Violated and build no average.
+    """
+    k = len(stacks)
+    dims = stacks[0][1]
+    tol = max(t for _, _, t in stacks)
+    agree = _a_marginal_spreads(stacks) <= A_MARGINAL_TOL
+    avg = _validate_stack(_average([mats[agree] for mats, _, _ in stacks]), tol)
+    passes = np.zeros(len(agree), dtype=bool)
+    flavor = _derived_flavor(dims, k, _averaged_flavor(dims, k))
+    passes[agree] = _derived_ppt_passes(avg, dims, k, flavor, tol)
+    return passes
 
 
 def consistency_verdict(ms: MarginalSet) -> CriterionVerdict:

@@ -23,10 +23,12 @@ from .linalg import (
     _check_extension_layout,
     _occupation_isometry,
     _ptrace_mat,
+    _ptranspose_mat,
+    _reduced_stack,
     _require_symmetric_support,
+    _validate_stack,
     hermitize,
     partial_trace,
-    partial_transpose,
     trace_norm,
 )
 
@@ -78,24 +80,34 @@ def _require_bipartite(rho: DensityMatrix) -> tuple[int, int]:
     return rho.dims
 
 
-def tilde_state(rho_ab: DensityMatrix, k: int) -> DensityMatrix:
-    """Derived state whose separability is necessary for a k-symmetric extension."""
-    d_a, d_b = _require_bipartite(rho_ab)
+def _derived_mats(mats: np.ndarray, dims: tuple[int, int], k: int, flavor: str, tol: float) -> np.ndarray:
+    """Tilde (symmetric) or hat (bosonic) matrices of a stack of bipartite states, not yet validated.
+
+    The A marginals are validated as :func:`partial_trace` validates them.
+    """
+    d_b = dims[1]
+    lifted = np.kron(_reduced_stack(mats, dims, [0], tol), np.eye(d_b))
+    if flavor == SYMMETRIC:
+        return (d_b * lifted + k * mats) / (d_b**2 + k)
+    return (lifted + k * mats) / (d_b + k)
+
+
+def _derived_state(rho_ab: DensityMatrix, k: int, flavor: str) -> DensityMatrix:
+    _require_bipartite(rho_ab)
     if k < 1:
         raise ValidationError(f"extension count must be >= 1, got {k}")
-    rho_a = partial_trace(rho_ab, [0])
-    mat = (d_b * np.kron(rho_a.mat, np.eye(d_b)) + k * rho_ab.mat) / (d_b**2 + k)
+    mat = _derived_mats(rho_ab.mat[None], rho_ab.dims, k, flavor, rho_ab.tol)[0]
     return DensityMatrix(mat, rho_ab.dims, tol=rho_ab.tol)
+
+
+def tilde_state(rho_ab: DensityMatrix, k: int) -> DensityMatrix:
+    """Derived state whose separability is necessary for a k-symmetric extension."""
+    return _derived_state(rho_ab, k, SYMMETRIC)
 
 
 def hat_state(rho_ab: DensityMatrix, k: int) -> DensityMatrix:
     """Derived state whose separability is necessary for a k-bosonic extension."""
-    d_a, d_b = _require_bipartite(rho_ab)
-    if k < 1:
-        raise ValidationError(f"extension count must be >= 1, got {k}")
-    rho_a = partial_trace(rho_ab, [0])
-    mat = (np.kron(rho_a.mat, np.eye(d_b)) + k * rho_ab.mat) / (d_b + k)
-    return DensityMatrix(mat, rho_ab.dims, tol=rho_ab.tol)
+    return _derived_state(rho_ab, k, BOSONIC)
 
 
 def generalized_coefficients(k: int, d: int, r: int) -> np.ndarray:
@@ -146,6 +158,35 @@ def generalized_hat(rho: DensityMatrix, k: int) -> DensityMatrix:
     return DensityMatrix(hermitize(acc), dims, tol=rho.tol)
 
 
+def _min_pt_eigs(mats: np.ndarray, dims, cut: int = 1) -> np.ndarray:
+    """Smallest eigenvalue of the partial transpose across ``cut`` of each matrix of a stack."""
+    return np.linalg.eigvalsh(hermitize(_ptranspose_mat(mats, dims, cut)))[:, 0]
+
+
+def _ppt_passes(lo):
+    """Where the partial-transpose test reports Inconclusive, from the smallest eigenvalue(s)."""
+    return lo >= -PPT_VIOLATION_TOL
+
+
+def _derived_flavor(dims, k: int, flavor: str) -> str:
+    """The derived state a verdict tests: hat for bosonic problems and for two-qubit k = 2, else tilde.
+
+    A two-qubit 2-symmetric extension implies a 2-bosonic one, so the
+    strictly stronger hat test applies there.
+    """
+    return BOSONIC if flavor == BOSONIC or (tuple(dims) == (2, 2) and k == 2) else SYMMETRIC
+
+
+def _derived_ppt_passes(mats: np.ndarray, dims: tuple[int, int], k: int, flavor: str, tol: float) -> np.ndarray:
+    """Where ``ppt_test`` of the tilde (symmetric) or hat (bosonic) state is Inconclusive, per state.
+
+    Each derived state is validated as :func:`tilde_state` and
+    :func:`hat_state` validate theirs.
+    """
+    derived = _validate_stack(_derived_mats(mats, dims, k, flavor, tol), tol)
+    return _ppt_passes(_min_pt_eigs(derived, dims))
+
+
 def ppt_test(rho: DensityMatrix, cut: int = 1) -> CriterionVerdict:
     """Partial-transpose criterion across the given factor.
 
@@ -155,22 +196,23 @@ def ppt_test(rho: DensityMatrix, cut: int = 1) -> CriterionVerdict:
     PPT relaxation.  Eigenvalues within the tolerance band report
     Inconclusive with a ``boundary`` flag.
     """
-    pt = partial_transpose(rho, cut)
-    lo = float(np.linalg.eigvalsh(hermitize(pt))[0])
+    lo = float(_min_pt_eigs(rho.mat[None], rho.dims, cut)[0])
     exact = len(rho.dims) == 2 and tuple(sorted(rho.dims)) in ((2, 2), (2, 3))
     witness = {"min_pt_eig": lo, "exact": 1.0 if exact else 0.0}
-    if lo < -PPT_VIOLATION_TOL:
+    if not _ppt_passes(lo):
         return CriterionVerdict(VIOLATED, "ppt", witness)
     if abs(lo) < PPT_VIOLATION_TOL:
         witness["boundary"] = 1.0
     return CriterionVerdict(INCONCLUSIVE, "ppt", witness)
 
 
-def _derived_verdict(problem: ExtensionProblem, derived: DensityMatrix, criterion: str) -> CriterionVerdict:
+def _derived_verdict(problem: ExtensionProblem) -> CriterionVerdict:
+    flavor = _derived_flavor(problem.marginal.dims, problem.k, problem.flavor)
+    derived = (hat_state if flavor == BOSONIC else tilde_state)(problem.marginal, problem.k)
     inner = ppt_test(derived, cut=1)
     witness = dict(inner.witness)
     witness["k"] = float(problem.k)
-    return CriterionVerdict(inner.status, criterion, witness)
+    return CriterionVerdict(inner.status, "hat-ppt" if flavor == BOSONIC else "tilde-ppt", witness)
 
 
 def symmetric_extension_verdict(problem: ExtensionProblem) -> CriterionVerdict:
@@ -182,16 +224,14 @@ def symmetric_extension_verdict(problem: ExtensionProblem) -> CriterionVerdict:
     """
     if problem.flavor != SYMMETRIC:
         raise ValidationError(f"expected a symmetric-flavor problem, got {problem.flavor!r}")
-    if problem.marginal.dims == (2, 2) and problem.k == 2:
-        return _derived_verdict(problem, hat_state(problem.marginal, problem.k), "hat-ppt")
-    return _derived_verdict(problem, tilde_state(problem.marginal, problem.k), "tilde-ppt")
+    return _derived_verdict(problem)
 
 
 def bosonic_extension_verdict(problem: ExtensionProblem) -> CriterionVerdict:
     """Necessary-condition verdict for the k-bosonic extension problem."""
     if problem.flavor != BOSONIC:
         raise ValidationError(f"expected a bosonic-flavor problem, got {problem.flavor!r}")
-    return _derived_verdict(problem, hat_state(problem.marginal, problem.k), "hat-ppt")
+    return _derived_verdict(problem)
 
 
 def definetti_gap(rho_ab: DensityMatrix, k: int) -> DefinettiGap:

@@ -15,10 +15,12 @@ import numpy as np
 from .errors import LayoutError, MarginalMismatchError, ValidationError
 from .linalg import (
     DensityMatrix,
-    partial_trace,
+    _as_stack,
+    _entropies,
+    _first,
+    _reduced_stack,
+    _trace_distances,
     permutation_operator,
-    trace_distance,
-    von_neumann_entropy,
 )
 
 # Bell basis columns: (|00>+|11>), (|00>-|11>), (|01>+|10>), (|01>-|10>), each /sqrt(2).
@@ -54,37 +56,76 @@ def _check_bell_probs(p: Sequence[float]) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (4,):
         raise ValidationError(f"need four probabilities, got shape {p.shape}")
-    if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
-        raise ValidationError(f"probabilities must lie in [0, 1], got {p.tolist()}")
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise ValidationError(f"probabilities must sum to 1, got sum {p.sum()!r}")
+    return _check_bell_rows(p[None])[0]
+
+
+def _check_bell_rows(p: np.ndarray) -> np.ndarray:
+    """Check each row of an (N, 4) array of Bell weights; return them clipped to [0, 1].
+
+    The error names the first failing row, with the message a single row gets.
+    """
+    out_of_range = np.any((p < -1e-12) | (p > 1 + 1e-12), axis=1)
+    off_sum = np.abs(p.sum(axis=1) - 1.0) > 1e-12
+    i = _first(out_of_range | off_sum)
+    if i is not None:
+        if out_of_range[i]:
+            raise ValidationError(f"probabilities must lie in [0, 1], got {p[i].tolist()}")
+        raise ValidationError(f"probabilities must sum to 1, got sum {p[i].sum()!r}")
     return np.clip(p, 0.0, 1.0)
+
+
+def _bell_mats(p: np.ndarray) -> np.ndarray:
+    """Bell-diagonal matrices for checked (N, 4) weights, not yet validated as states."""
+    return (BELL_VECTORS * p[:, None, :]) @ BELL_VECTORS.conj().T
 
 
 def bell_state(p: Sequence[float]) -> DensityMatrix:
     """Mixture of the four Bell projectors with weights p."""
-    p = _check_bell_probs(p)
-    mat = (BELL_VECTORS * p) @ BELL_VECTORS.conj().T
-    return DensityMatrix(mat, (2, 2))
+    return DensityMatrix(_bell_mats(_check_bell_probs(p)[None])[0], (2, 2))
+
+
+def _bell_polytope_flags(p: np.ndarray) -> np.ndarray:
+    return p.max(axis=1) <= 0.75
+
+
+def _bell_exact_flags(p: np.ndarray) -> np.ndarray:
+    return np.sum(p**2, axis=1) - 4 * np.sqrt(np.prod(p, axis=1)) <= 0.5
+
+
+def _bell_ssa_flags(p: np.ndarray) -> np.ndarray:
+    # weights at or below 1e-12 contribute 0 * log2(1); no log of zero is taken
+    entropy = -np.sum(p * np.log2(np.where(p > 1e-12, p, 1.0)), axis=1)
+    return entropy >= 1.0 - 1e-12
 
 
 def bell_polytope_condition(p: Sequence[float]) -> bool:
     """Closed-form 2-extendability test from the hat state: max p_i <= 3/4."""
-    p = _check_bell_probs(p)
-    return bool(p.max() <= 0.75)
+    return bool(_bell_polytope_flags(_check_bell_probs(p)[None])[0])
 
 
 def bell_exact_2ext(p: Sequence[float]) -> bool:
     """Exact 2-symmetric extendability: 1/2 >= sum p_i^2 - 4 sqrt(p1 p2 p3 p4)."""
-    p = _check_bell_probs(p)
-    return bool(np.sum(p**2) - 4 * math.sqrt(float(np.prod(p))) <= 0.5)
+    return bool(_bell_exact_flags(_check_bell_probs(p)[None])[0])
 
 
 def bell_ssa(p: Sequence[float]) -> bool:
     """Entropy form of strong subadditivity for Bell-diagonal pairs: H(p) >= 1 bit."""
-    p = _check_bell_probs(p)
-    nz = p[p > 1e-12]
-    return bool(-np.sum(nz * np.log2(nz)) >= 1.0 - 1e-12)
+    return bool(_bell_ssa_flags(_check_bell_probs(p)[None])[0])
+
+
+def _werner_mats(d: int, psis: np.ndarray) -> np.ndarray:
+    """Werner matrices for each parameter of a 1-D array, not yet validated as states."""
+    if d < 2:
+        raise ValidationError(f"need local dimension >= 2, got {d}")
+    i = _first(~((-1.0 <= psis) & (psis <= 1.0)))
+    if i is not None:
+        raise ValidationError(f"parameter must lie in [-1, 1], got {psis[i]}")
+    swap = permutation_operator(d, 2, (1, 0))
+    eye = np.eye(d * d, dtype=complex)
+    sym = (eye + swap) / 2
+    anti = (eye - swap) / 2
+    psi = psis[:, None, None]
+    return (1 + psi) / 2 * sym / (d * (d + 1) / 2) + (1 - psi) / 2 * anti / (d * (d - 1) / 2)
 
 
 def werner_state(d: int, psi: float) -> DensityMatrix:
@@ -94,16 +135,7 @@ def werner_state(d: int, psi: float) -> DensityMatrix:
     subspaces with weights (1 + psi)/2 and (1 - psi)/2; separable (and PPT)
     exactly when psi >= 0.
     """
-    if d < 2:
-        raise ValidationError(f"need local dimension >= 2, got {d}")
-    if not -1.0 <= psi <= 1.0:
-        raise ValidationError(f"parameter must lie in [-1, 1], got {psi}")
-    swap = permutation_operator(d, 2, (1, 0))
-    eye = np.eye(d * d, dtype=complex)
-    sym = (eye + swap) / 2
-    anti = (eye - swap) / 2
-    mat = (1 + psi) / 2 * sym / (d * (d + 1) / 2) + (1 - psi) / 2 * anti / (d * (d - 1) / 2)
-    return DensityMatrix(mat, (d, d))
+    return DensityMatrix(_werner_mats(d, np.array([psi], dtype=float))[0], (d, d))
 
 
 def werner_tilde_psi(d: int, k: int, psi: float) -> float:
@@ -136,12 +168,29 @@ def ssa_check(rho_ab: DensityMatrix, rho_ac: DensityMatrix) -> bool:
         raise LayoutError(f"both marginals must be bipartite, got {rho_ab.dims} and {rho_ac.dims}")
     if rho_ab.dims[0] != rho_ac.dims[0]:
         raise LayoutError(f"A dimensions differ: {rho_ab.dims[0]} vs {rho_ac.dims[0]}")
-    dist = trace_distance(partial_trace(rho_ab, [0]), partial_trace(rho_ac, [0]))
-    if dist > A_MARGINAL_TOL:
-        raise MarginalMismatchError(f"A marginals differ: trace distance {dist:.3e}", dist)
-    s_b = von_neumann_entropy(partial_trace(rho_ab, [1]))
-    s_c = von_neumann_entropy(partial_trace(rho_ac, [1]))
-    return von_neumann_entropy(rho_ab) + von_neumann_entropy(rho_ac) >= s_b + s_c - SSA_SLACK
+    return bool(_ssa_flags(_as_stack(rho_ab), _as_stack(rho_ac))[0])
+
+
+def _ssa_flags(ab, ac) -> np.ndarray:
+    """:func:`ssa_check` row by row on two stacks, each given as (validated states, layout, tolerance)."""
+    (m_ab, dims_ab, tol_ab), (m_ac, dims_ac, tol_ac) = ab, ac
+    a_ab = _reduced_stack(m_ab, dims_ab, [0], tol_ab)
+    a_ac = _reduced_stack(m_ac, dims_ac, [0], tol_ac)
+    dist = _trace_distances(a_ab, a_ac)
+    i = _first(dist > A_MARGINAL_TOL)
+    if i is not None:
+        raise MarginalMismatchError(f"A marginals differ: trace distance {dist[i]:.3e}", dist[i])
+    s_b = _entropies(_reduced_stack(m_ab, dims_ab, [1], tol_ab))
+    s_c = _entropies(_reduced_stack(m_ac, dims_ac, [1], tol_ac))
+    return _entropies(m_ab) + _entropies(m_ac) >= s_b + s_c - SSA_SLACK
+
+
+def _concurrences(mats: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of each two-qubit state of a stack."""
+    m = mats @ _YY @ mats.conj() @ _YY
+    lams = np.sqrt(np.clip(np.linalg.eigvals(m).real, 0.0, None))
+    lams = np.sort(lams, axis=-1)[:, ::-1]
+    return np.maximum(0.0, lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3])
 
 
 def wootters_concurrence(rho: DensityMatrix) -> float:
@@ -152,10 +201,11 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     """
     if rho.dims != (2, 2):
         raise LayoutError(f"concurrence needs a two-qubit layout, got {rho.dims}")
-    m = rho.mat @ _YY @ rho.mat.conj() @ _YY
-    lams = np.sqrt(np.clip(np.linalg.eigvals(m).real, 0.0, None))
-    lams = np.sort(lams)[::-1]
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+    return float(_concurrences(rho.mat[None])[0])
+
+
+def _ckw_holds(c_ab, c_ac, c_abc: float):
+    return c_ab**2 + c_ac**2 <= c_abc**2 + CKW_SLACK
 
 
 def ckw_check(rho_ab: DensityMatrix, rho_ac: DensityMatrix, c_abc: float) -> bool:
@@ -166,6 +216,4 @@ def ckw_check(rho_ab: DensityMatrix, rho_ac: DensityMatrix, c_abc: float) -> boo
     """
     if not 0.0 <= c_abc <= 1.0:
         raise ValidationError(f"global concurrence must lie in [0, 1], got {c_abc}")
-    c_ab = wootters_concurrence(rho_ab)
-    c_ac = wootters_concurrence(rho_ac)
-    return c_ab**2 + c_ac**2 <= c_abc**2 + CKW_SLACK
+    return bool(_ckw_holds(wootters_concurrence(rho_ab), wootters_concurrence(rho_ac), c_abc))

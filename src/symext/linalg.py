@@ -2,7 +2,10 @@
 
 States are plain numpy arrays wrapped in :class:`DensityMatrix`, which pins
 down the tensor-factor layout and enforces the physical invariants
-(Hermitian, trace one, positive semidefinite within tolerance).
+(Hermitian, trace one, positive semidefinite within tolerance).  The
+private kernels (``_validate_stack``, ``_ptrace_mat``, ``_ptranspose_mat``,
+``_trace_norms``, ``_entropies``) work on stacks of shape (N, n, n); the
+public single-state functions call them with a stack of one.
 """
 
 from __future__ import annotations
@@ -30,23 +33,69 @@ DIM_GUARD = 4096
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (M + M^dag) / 2."""
-    return (m + m.conj().T) / 2
+    """Return the Hermitian part (M + M^dag) / 2, of one matrix or of each matrix of a stack."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-entry deviation of M from its adjoint."""
-    return float(np.max(np.abs(m - m.conj().T)))
+def _hermiticity_defects(m: np.ndarray) -> np.ndarray:
+    """Max-entry deviation from the adjoint of each matrix of a stack."""
+    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERM_TOL, what: str = "matrix") -> np.ndarray:
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first True entry, or None."""
+    return int(mask.argmax()) if mask.any() else None
+
+
+def _require_square(m: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise LayoutError(f"{what} must be square, got shape {m.shape}")
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ValidationError(f"{what} is not Hermitian: max |M - M^dag| entry {defect:.1e}")
     return m
+
+
+def require_hermitian(m: np.ndarray, tol: float = HERM_TOL, what: str = "matrix") -> np.ndarray:
+    return _require_hermitian_stack(_require_square(m, what)[None], tol, what)[0]
+
+
+def _require_hermitian_stack(ms: np.ndarray, tol: float, what: str = "matrix") -> np.ndarray:
+    """Raise for the first matrix of the stack whose Hermiticity defect exceeds tol."""
+    defects = _hermiticity_defects(ms)
+    i = _first(defects > tol)
+    if i is not None:
+        raise ValidationError(f"{what} is not Hermitian: max |M - M^dag| entry {defects[i]:.1e}")
+    return ms
+
+
+def _validate_stack(mats: np.ndarray, tol: float) -> np.ndarray:
+    """Run DensityMatrix's checks on every matrix of an (N, n, n) stack; return their Hermitian parts.
+
+    The checks, in DensityMatrix's order: finite entries, Hermiticity defect
+    <= tol, |trace - 1| <= tol, smallest eigenvalue >= -10 tol.  On failure
+    the error is the one DensityMatrix raises for the first failing state on
+    its own.  States from the first non-finite one on never reach the
+    eigensolver.
+    """
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tolerance must be finite and >= 0, got {tol}")
+    finite = np.isfinite(mats)
+    stop = None if finite.all() else _first(~finite.all(axis=(1, 2)))
+    mats = mats[:stop]
+    defects = _hermiticity_defects(mats)
+    deviation = np.abs(mats.diagonal(axis1=1, axis2=2).sum(axis=-1) - 1.0)
+    herm = hermitize(mats)
+    lo = np.linalg.eigvalsh(herm)[:, 0]
+    i = _first((defects > tol) | (deviation > tol) | (lo < -10 * tol))
+    if i is not None:
+        if defects[i] > tol:
+            raise ValidationError(f"state is not Hermitian: max |M - M^dag| entry {defects[i]:.1e}")
+        if deviation[i] > tol:
+            raise ValidationError(f"trace deviates by {deviation[i]:.1e}")
+        raise ValidationError(f"minimal eigenvalue {lo[i]:.3e} is below the PSD tolerance -{10 * tol:.0e}")
+    if stop is not None:
+        raise ValidationError("state matrix contains non-finite entries")
+    return herm
 
 
 class DensityMatrix:
@@ -55,13 +104,12 @@ class DensityMatrix:
     ``dims`` lists the factor dimensions in order, e.g. ``(2, 2)`` for two
     qubits; their product must equal the matrix side.  Validation checks
     Hermiticity and unit trace within ``tol`` and positivity within
-    ``10 * tol`` slack (the defaults reproduce 1e-10 / 1e-9).
+    ``10 * tol`` slack (the defaults reproduce 1e-10 / 1e-9).  ``tol`` must be
+    finite and non-negative.
     """
 
     def __init__(self, mat: np.ndarray, dims: Sequence[int] | None = None, *, tol: float = HERM_TOL):
-        mat = np.asarray(mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise LayoutError(f"state matrix must be square, got shape {mat.shape}")
+        mat = _require_square(mat, "state matrix")
         side = mat.shape[0]
         if dims is None:
             dims = (side,)
@@ -70,18 +118,7 @@ class DensityMatrix:
             raise LayoutError(f"factor dimensions must be >= 1, got {dims}")
         if math.prod(dims) != side:
             raise LayoutError(f"layout {dims} implies side {math.prod(dims)}, matrix side is {side}")
-        if not np.isfinite(mat).all():
-            raise ValidationError("state matrix contains non-finite entries")
-        defect = hermiticity_defect(mat)
-        if defect > tol:
-            raise ValidationError(f"state is not Hermitian: max |M - M^dag| entry {defect:.1e}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > tol:
-            raise ValidationError(f"trace deviates by {abs(tr - 1.0):.1e}")
-        lo = float(np.linalg.eigvalsh(hermitize(mat))[0])
-        if lo < -10 * tol:
-            raise ValidationError(f"minimal eigenvalue {lo:.3e} is below the PSD tolerance -{10 * tol:.0e}")
-        self._mat = hermitize(mat)
+        self._mat = _validate_stack(mat[None], tol)[0]
         self._mat.setflags(write=False)
         self._dims = dims
         self._tol = float(tol)
@@ -147,22 +184,34 @@ def _check_positions(positions: Iterable[int], n: int, what: str) -> tuple[int, 
 
 
 def _ptrace_mat(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Partial trace of a raw square matrix over the factors not in ``keep``."""
+    """Partial trace over the factors not in ``keep`` of a square matrix or of each matrix of a stack."""
     dims = tuple(dims)
     n = len(dims)
     keep = sorted(_check_positions(keep, n, "keep"))
     if not keep:
         raise LayoutError("keep must name at least one factor")
-    t = np.asarray(mat).reshape(dims + dims)
+    mat = np.asarray(mat)
+    lead = mat.shape[:-2]
+    t = mat.reshape(lead + dims + dims)
     letters = string.ascii_letters
     row = [letters[i] for i in range(n)]
     col = list(row)
     for j, i in enumerate(keep):
         col[i] = letters[n + j]
     out = [row[i] for i in keep] + [col[i] for i in keep]
-    reduced = np.einsum("".join(row + col) + "->" + "".join(out), t)
+    reduced = np.einsum("..." + "".join(row + col) + "->..." + "".join(out), t)
     side = math.prod(dims[i] for i in keep)
-    return reduced.reshape(side, side)
+    return reduced.reshape(lead + (side, side))
+
+
+def _as_stack(rho: DensityMatrix) -> tuple[np.ndarray, tuple[int, ...], float]:
+    """A state as a stack of one in the form the stacked kernels take: (matrices, layout, tolerance)."""
+    return rho.mat[None], rho.dims, rho.tol
+
+
+def _reduced_stack(mats: np.ndarray, dims: Sequence[int], keep: Iterable[int], tol: float) -> np.ndarray:
+    """Partial traces of a stack, validated as :func:`partial_trace` validates one."""
+    return _validate_stack(hermitize(_ptrace_mat(mats, dims, keep)), tol)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
@@ -173,13 +222,16 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 
 
 def _ptranspose_mat(mat: np.ndarray, dims: Sequence[int], subsystem: int) -> np.ndarray:
+    """Transpose one tensor factor of a square matrix or of each matrix of a stack."""
     dims = tuple(dims)
     n = len(dims)
     (subsystem,) = _check_positions([subsystem], n, "subsystem")
-    t = np.asarray(mat).reshape(dims + dims)
-    t = np.swapaxes(t, subsystem, n + subsystem)
+    mat = np.asarray(mat)
+    lead = mat.shape[:-2]
+    t = mat.reshape(lead + dims + dims)
+    t = np.swapaxes(t, len(lead) + subsystem, len(lead) + n + subsystem)
     side = math.prod(dims)
-    return t.reshape(side, side)
+    return t.reshape(lead + (side, side))
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
@@ -195,19 +247,35 @@ def hermitian_eigs(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
 
 def trace_norm(m: np.ndarray, tol: float = HERM_TOL) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.sum(np.abs(hermitian_eigs(m, tol))))
+    return float(_trace_norms(_require_square(m, "matrix")[None], tol)[0])
+
+
+def _trace_norms(ms: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
+    """Trace norm of each Hermitian matrix of a stack."""
+    ms = _require_hermitian_stack(ms, tol)
+    return np.sum(np.abs(np.linalg.eigvalsh(hermitize(ms))), axis=-1)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the trace norm of the difference."""
-    return 0.5 * trace_norm(a.mat - b.mat)
+    return float(_trace_distances(a.mat[None], b.mat[None])[0])
+
+
+def _trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Half the trace norm of each difference of two stacks."""
+    return 0.5 * _trace_norms(a - b)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Spectral entropy in bits; eigenvalues below 1e-12 count as zero."""
-    eigs = np.linalg.eigvalsh(rho.mat)
-    eigs = eigs[eigs > ENTROPY_CLAMP]
-    return float(-np.sum(eigs * np.log2(eigs)))
+    return float(_entropies(rho.mat[None])[0])
+
+
+def _entropies(mats: np.ndarray) -> np.ndarray:
+    """Spectral entropy in bits of each matrix of a stack of states."""
+    eigs = np.linalg.eigvalsh(mats)
+    # eigenvalues at or below the clamp contribute 0 * log2(1); no log of zero is taken
+    return -np.sum(eigs * np.log2(np.where(eigs > ENTROPY_CLAMP, eigs, 1.0)), axis=-1)
 
 
 def _check_permutation(pi: Sequence[int], k: int) -> tuple[int, ...]:

@@ -1,12 +1,19 @@
 """Command-line interface: formats, determinism, and the exit-code contract."""
 
+import hashlib
 import json
+import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from symext import bell_state, maximally_mixed, random_density, werner_state
+import symext.cli as cli
+from symext import DensityMatrix, bell_state, maximally_mixed, random_density, werner_state
 from symext.cli import dump_state, load_state, main, state_from_obj, state_to_obj
+
+SWEEP_DIGESTS = json.loads((Path(__file__).parent / "data" / "sweep_digests.json").read_text())
 
 
 @pytest.fixture
@@ -72,6 +79,26 @@ def test_check_invalid_state_exits_1(capsys, tmp_path, bell_file):
     # but a looser --tol accepts it
     code, out, err = _run(capsys, ["check", str(bad), "--k", "2", "--tol", "0.2"])
     assert code == 0
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-inf"])
+def test_tol_flags_refuse_non_finite_and_negative_values(capsys, tmp_path, bell_file, tol):
+    obj = json.load(open(bell_file))
+    obj["matrix"]["re"][0][0] = -0.5  # eigenvalue below zero: invalid at any sane tolerance
+    obj["matrix"]["re"][1][1] = 1.0
+    bad = tmp_path / "bad.json"
+    json.dump(obj, open(bad, "w"))
+    for argv in (
+        ["check", str(bad), "--k", "2", f"--tol={tol}"],
+        ["check", bell_file, "--k", "2", f"--tol={tol}"],
+        ["consistency", bell_file, bell_file, f"--tol={tol}"],
+        ["definetti", "--state", bell_file, "--k-max", "2", f"--tol={tol}"],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 1, argv
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: tolerance must be finite and >= 0"), argv
 
 
 def test_check_malformed_json_exits_1(capsys, tmp_path):
@@ -171,6 +198,89 @@ def test_sweep_rejects_bad_k_and_d_before_output(capsys, argv):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("case", SWEEP_DIGESTS, ids=lambda case: " ".join(case["argv"]))
+def test_sweep_output_matches_recorded_digest(capsys, case):
+    # digests of the per-state implementation's output; bell-sweep --grid 21 spans seven chunks
+    code, out, err = _run(capsys, case["argv"])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+
+@pytest.mark.parametrize(
+    "argv, side",
+    [
+        (["bell-sweep", "--grid", "21"], 4),
+        (["consistency-sweep", "--grid", "25"], 4),
+        (["werner-sweep", "--d", "3", "--k", "4", "--psi-step", "0.02"], 9),
+        (["werner-sweep", "--d", "9", "--k", "2", "--psi-step", "0.5"], 81),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_sweeps_eigensolve_bounded_chunks_and_build_no_state_per_row(capsys, monkeypatch, argv, side):
+    sizes, built = [], []
+    for name in ("eigvalsh", "eigvals"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, _f=original: sizes.append(a.size) or _f(a, *args))
+    init = DensityMatrix.__init__
+    monkeypatch.setattr(DensityMatrix, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    code, out, _ = _run(capsys, argv)
+    rows = len(out.splitlines()) - 1
+    assert code == 0 and rows > 0
+    assert built == []
+    # a chunk holds at most _CHUNK_ENTRIES matrix entries, or one state when a single one is larger
+    assert max(sizes) <= max(cli._CHUNK_ENTRIES, side * side)
+    if side * side <= cli._CHUNK_ENTRIES:
+        assert len(sizes) < rows
+
+
+@pytest.mark.parametrize("n", [2, 3, 25, 101, 201, 1001])
+@pytest.mark.parametrize("size", [1, 7, 256])
+def test_linspace_chunks_reproduce_linspace(n, size):
+    pieces = list(cli._linspace_chunks(n, size))
+    assert all(len(piece) <= size for piece in pieces)
+    assert np.array_equal(np.concatenate(pieces), np.linspace(-1.0, 1.0, n))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["werner-sweep", "--d", "17"],
+        ["werner-sweep", "--d", "40", "--k", "3"],
+        ["werner-sweep", "--psi-step", "1e-15"],
+        ["werner-sweep", "--psi-step", "9.9e-7", "--with-oracle"],
+    ],
+    ids=" ".join,
+)
+def test_werner_sweep_work_guards_refuse_before_output(capsys, monkeypatch, argv):
+    def unreachable(*args):
+        raise AssertionError("the grid was generated")
+
+    monkeypatch.setattr(cli, "_linspace_chunks", unreachable)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = _run(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1 << 20
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("resource limit:")
+
+
+def test_werner_sweep_work_guards_admit_their_limits(capsys, monkeypatch):
+    code, out, _ = _run(capsys, ["werner-sweep", "--d", "16", "--k", "2", "--psi-step", "1"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["-1,1,0,1", "0,1,1,1", "1,1,1,1"]
+    monkeypatch.setattr(cli, "_werner_rows", lambda d, k, n, with_oracle: iter([[str(n)]]))
+    code, out, _ = _run(capsys, ["werner-sweep", "--psi-step", "1e-6"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["2000001"]
 
 
 def test_werner_sweep_with_oracle(capsys):

@@ -27,6 +27,7 @@ from symext import (
     werner_pentagon,
     werner_state,
 )
+from symext.consistency import _a_marginal_spreads, _consistency_passes
 
 
 def test_marginal_set_validation():
@@ -131,3 +132,25 @@ def test_pentagon_matches_pipeline_on_coarse_grid():
                 continue
             v = consistency_verdict(MarginalSet([werner_state(2, float(psi1)), werner_state(2, float(psi2))]))
             assert (v.status == INCONCLUSIVE) == werner_pentagon(float(psi1), float(psi2))
+
+
+@pytest.mark.parametrize("dims, k", [((2, 2), 2), ((2, 2), 3), ((2, 3), 2), ((3, 2), 3)])
+def test_stacked_consistency_matches_the_verdict(dims, k):
+    rng = np.random.default_rng(41 + k)
+    rows = []
+    for i in range(12):
+        if i % 3 == 0:  # true marginals of one global state: A marginals agree
+            big = random_density((dims[0],) + (dims[1],) * k, rng)
+            rows.append([partial_trace(big, [0, j]) for j in range(1, k + 1)])
+        else:  # independent states: A marginals disagree, or entangled marginals
+            rows.append([random_density(dims, rng) for _ in range(k)])
+    if dims == (2, 2):
+        rows.append([bell_state([1, 0, 0, 0])] * k)
+    stacks = [(np.array([row[j].mat for row in rows]), dims, 1e-10) for j in range(k)]
+    spreads = _a_marginal_spreads(stacks)
+    passes = _consistency_passes(stacks)
+    for i, row in enumerate(rows):
+        ms = MarginalSet(row)
+        assert abs(spreads[i] - a_marginal_spread(ms)) < 1e-15
+        assert passes[i] == (consistency_verdict(ms).status == INCONCLUSIVE)
+    assert passes.any() and not passes.all()

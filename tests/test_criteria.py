@@ -34,6 +34,8 @@ from symext import (
     werner_state,
     werner_tilde_psi,
 )
+from symext.criteria import _derived_mats, _derived_ppt_passes, _min_pt_eigs
+from symext.linalg import _validate_stack
 
 
 def test_tilde_fixed_point():
@@ -279,3 +281,28 @@ def test_separability_conditions():
         assert ppt_test(sigma).status == INCONCLUSIVE
     for _ in range(50):
         assert necessary_separability(random_separable((2, 2), rng))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_stacked_derived_states_match_batch_of_one(dims):
+    rng = np.random.default_rng(sum(dims))
+    states = [random_density(dims, rng) for _ in range(20)]
+    # mix in entangled pure states so both verdicts occur
+    states += [DensityMatrix(np.outer(v, v.conj()) / np.vdot(v, v).real, dims)
+               for v in rng.standard_normal((5, dims[0] * dims[1])) + 0j]
+    stack = np.array([rho.mat for rho in states])
+    for k in (1, 2, 5):
+        for flavor, single in ((SYMMETRIC, tilde_state), (BOSONIC, hat_state)):
+            derived = _validate_stack(_derived_mats(stack, dims, k, flavor, 1e-10), 1e-10)
+            lo = _min_pt_eigs(derived, dims)
+            passes = _derived_ppt_passes(stack, dims, k, flavor, 1e-10)
+            for i, rho in enumerate(states):
+                one = single(rho, k)
+                assert np.max(np.abs(derived[i] - one.mat)) < 1e-12
+                verdict = ppt_test(one)
+                assert abs(lo[i] - verdict.witness["min_pt_eig"]) < 1e-12
+                assert passes[i] == (verdict.status == INCONCLUSIVE)
+    for cut in (0, 1):
+        lo = _min_pt_eigs(stack, dims, cut)
+        for i, rho in enumerate(states):
+            assert abs(lo[i] - ppt_test(rho, cut).witness["min_pt_eig"]) < 1e-12

@@ -7,6 +7,7 @@ import pytest
 
 from symext import (
     BELL_VECTORS,
+    DensityMatrix,
     LayoutError,
     MarginalMismatchError,
     ValidationError,
@@ -18,13 +19,27 @@ from symext import (
     maximally_mixed,
     partial_trace,
     partial_transpose,
+    permutation_operator,
     ssa_check,
     symmetric_projector,
     tensor_product,
+    von_neumann_entropy,
     werner_exact_threshold,
     werner_state,
     werner_tilde_threshold,
     wootters_concurrence,
+)
+from symext.families import (
+    _YY,
+    _bell_exact_flags,
+    _bell_mats,
+    _bell_polytope_flags,
+    _bell_ssa_flags,
+    _check_bell_probs,
+    _check_bell_rows,
+    _concurrences,
+    _ssa_flags,
+    _werner_mats,
 )
 
 
@@ -167,3 +182,60 @@ def test_ckw_check():
     assert ckw_check(werner_state(2, 0.3), werner_state(2, 0.1), 1.0)
     with pytest.raises(ValidationError):
         ckw_check(w7, w7, 1.5)
+
+
+def _bell_grid(n):
+    ticks = [i / (n - 1) for i in range(n)]
+    return [(a, b, c, max(1.0 - a - b - c, 0.0)) for a in ticks for b in ticks for c in ticks if a + b + c <= 1 + 1e-9]
+
+
+def test_stacked_bell_flags_match_the_single_formulas():
+    rng = np.random.default_rng(21)
+    p = _check_bell_rows(np.vstack([rng.dirichlet(np.ones(4), 300), _bell_grid(9)]))
+    poly, exact, ssa = _bell_polytope_flags(p), _bell_exact_flags(p), _bell_ssa_flags(p)
+    mats = _bell_mats(p)
+    for i, row in enumerate(p):
+        assert poly[i] == (row.max() <= 0.75)
+        assert exact[i] == (np.sum(row**2) - 4 * math.sqrt(float(np.prod(row))) <= 0.5)
+        nz = row[row > 1e-12]
+        assert ssa[i] == (-np.sum(nz * np.log2(nz)) >= 1.0 - 1e-12)
+        assert np.array_equal(mats[i], (BELL_VECTORS * row) @ BELL_VECTORS.conj().T)
+        assert np.array_equal(bell_state(row).mat, DensityMatrix(mats[i], (2, 2)).mat)
+
+
+def test_bell_row_check_reports_the_first_failing_row():
+    rows = np.array([[0.25] * 4, [0.5, 0.5, 0.0, 0.0], [0.5, 0.3, 0.1, 0.2], [0.5, 0.6, 0.0, -0.1]])
+    for bad in (2, 3):
+        stack = np.vstack([rows[:2], rows[bad:]])
+        with pytest.raises(ValidationError) as err:
+            _check_bell_rows(stack)
+        with pytest.raises(ValidationError) as alone:
+            _check_bell_probs(rows[bad])
+        assert str(err.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_stacked_werner_states_concurrence_and_ssa_match_single(d):
+    psis = np.linspace(-1.0, 1.0, 41)
+    mats = _werner_mats(d, psis)
+    for psi, mat in zip(psis, mats):
+        swap = permutation_operator(d, 2, (1, 0))
+        eye = np.eye(d * d)
+        ref = (1 + psi) / 2 * (eye + swap) / 2 / (d * (d + 1) / 2) + (1 - psi) / 2 * (eye - swap) / 2 / (d * (d - 1) / 2)
+        assert np.max(np.abs(mat - ref)) < 1e-15
+        assert np.array_equal(werner_state(d, float(psi)).mat, DensityMatrix(mat, (d, d)).mat)
+    with pytest.raises(ValidationError, match=r"\[-1, 1\]"):
+        _werner_mats(d, np.array([0.0, 1.5]))
+    if d == 2:
+        states = [werner_state(2, float(psi)) for psi in psis] + [bell_state(p) for p in _bell_grid(5)]
+        stack = np.array([rho.mat for rho in states])
+        for rho, got in zip(states, _concurrences(stack)):
+            m = rho.mat @ _YY @ rho.mat.conj() @ _YY
+            lams = np.sort(np.sqrt(np.clip(np.linalg.eigvals(m).real, 0.0, None)))[::-1]
+            assert abs(got - max(0.0, lams[0] - lams[1] - lams[2] - lams[3])) < 1e-12
+            assert wootters_concurrence(rho) == got
+        flags = _ssa_flags((stack, (2, 2), 1e-10), (stack[::-1], (2, 2), 1e-10))
+        for rho_ab, rho_ac, got in zip(states, states[::-1], flags):
+            s_b, s_c = (von_neumann_entropy(partial_trace(rho, [1])) for rho in (rho_ab, rho_ac))
+            want = von_neumann_entropy(rho_ab) + von_neumann_entropy(rho_ac) >= s_b + s_c - 1e-9
+            assert got == want == ssa_check(rho_ab, rho_ac)

@@ -28,6 +28,7 @@ from symext import (
     von_neumann_entropy,
     werner_state,
 )
+from symext.linalg import _entropies, _ptrace_mat, _ptranspose_mat, _trace_norms, _validate_stack
 
 
 def test_density_matrix_validation():
@@ -44,6 +45,77 @@ def test_density_matrix_validation():
         DensityMatrix(np.eye(4) / 4, (2, 3))
     with pytest.raises(ValidationError, match="non-finite"):
         DensityMatrix(np.diag([np.nan, 1.0]), (2,))
+
+
+def _error_alone(mat):
+    with pytest.raises(ValidationError) as err:
+        DensityMatrix(mat)
+    return str(err.value)
+
+
+BROKEN_STATES = {
+    "non-finite": np.diag([np.inf, 0.0]).astype(complex),
+    "not Hermitian": np.array([[0.5, 1e-3], [0.0, 0.5]], dtype=complex),
+    "trace": np.eye(2, dtype=complex) * 0.45,
+    "eigenvalue": np.diag([1.5, -0.5]).astype(complex),
+}
+
+
+@pytest.mark.parametrize("kind", BROKEN_STATES)
+def test_validate_stack_reports_the_first_failing_state(kind):
+    rng = np.random.default_rng(11)
+    stack = np.array([random_density([2], rng).mat for _ in range(5)])
+    stack[3] = BROKEN_STATES[kind]
+    # a later state that fails another check must not mask the fourth
+    stack[4] = BROKEN_STATES["non-finite" if kind != "non-finite" else "eigenvalue"]
+    with pytest.raises(ValidationError) as err:
+        _validate_stack(stack, 1e-10)
+    assert str(err.value) == _error_alone(stack[3])
+    # the valid prefix passes and comes back as its Hermitian parts
+    out = _validate_stack(stack[:3], 1e-10)
+    for mat, got in zip(stack[:3], out):
+        assert np.array_equal(got, DensityMatrix(mat).mat)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -1e-12])
+def test_density_matrix_refuses_bad_tolerance(tol):
+    with pytest.raises(ValidationError, match="tolerance must be finite and >= 0"):
+        DensityMatrix(np.diag([1.5, -0.5]), (2,), tol=tol)
+    with pytest.raises(ValidationError, match="tolerance"):
+        DensityMatrix(np.eye(2) / 2, (2,), tol=tol)
+
+
+def test_density_matrix_zero_tolerance_accepts_exact_states():
+    assert DensityMatrix(np.diag([1.0, 0.0]), (2,), tol=0.0).tol == 0.0
+    with pytest.raises(ValidationError, match="trace"):
+        DensityMatrix(np.diag([0.5, 0.5 + 1e-15]), (2,), tol=0.0)
+
+
+def test_stacked_partial_trace_transpose_norm_and_entropy_match_single():
+    rng = np.random.default_rng(12)
+    dims = (2, 3, 2)
+    states = [random_density(dims, rng) for _ in range(6)]
+    stack = np.array([rho.mat for rho in states])
+    for keep in ([0], [1], [0, 2], [1, 2]):
+        got = _ptrace_mat(stack, dims, keep)
+        for rho, g in zip(states, got):
+            assert np.array_equal(g, _ptrace_mat(rho.mat, dims, keep))
+    for sub in range(3):
+        got = _ptranspose_mat(stack, dims, sub)
+        for rho, g in zip(states, got):
+            assert np.array_equal(g, partial_transpose(rho, sub))
+    diffs = stack[:3] - stack[3:]
+    norms = _trace_norms(diffs)
+    for m, got in zip(diffs, norms):
+        assert abs(got - float(np.sum(np.abs(np.linalg.eigvalsh(m))))) < 1e-12
+    # rank-deficient states put eigenvalues under the entropy clamp
+    pure = [pure_state(rng.standard_normal(12), dims) for _ in range(3)]
+    entropies = _entropies(np.array([rho.mat for rho in states + pure]))
+    for rho, got in zip(states + pure, entropies):
+        eigs = np.linalg.eigvalsh(rho.mat)
+        eigs = eigs[eigs > 1e-12]
+        assert abs(got - float(-np.sum(eigs * np.log2(eigs)))) < 1e-12
+        assert von_neumann_entropy(rho) == got
 
 
 def test_density_matrix_is_read_only():

@@ -208,6 +208,63 @@ def test_sweep_output_matches_recorded_digest(capsys, case):
     assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
 
 
+VERDICT_DIGESTS = json.loads((Path(__file__).parent / "data" / "verdict_digests.json").read_text())
+
+
+def _random_pure(dims, rng):
+    v = rng.standard_normal(dims[0] * dims[1]) + 1j * rng.standard_normal(dims[0] * dims[1])
+    return DensityMatrix(np.outer(v, v.conj()) / np.vdot(v, v).real, dims)
+
+
+def _verdict_states():
+    """Seeded states named as the ``{name}`` placeholders of the verdict digests."""
+    from symext import partial_trace, pure_state, tensor_product
+
+    states = {}
+    for dims in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        rng = np.random.default_rng(dims[0] * 10 + dims[1])
+        tag = f"{dims[0]}x{dims[1]}"
+        states[f"mixed-{tag}"] = random_density(dims, rng)
+        pure = _random_pure(dims, rng)
+        states[f"pure-{tag}"] = pure
+        side = dims[0] * dims[1]
+        states[f"noisy-{tag}"] = DensityMatrix(0.7 * pure.mat + 0.3 * np.eye(side) / side, dims)
+    states["werner-boundary"] = werner_state(2, -2 / 3)  # tilde parameter 0 at k=3
+    states["bell-boundary"] = bell_state([0.75, 1 / 12, 1 / 12, 1 / 12])  # hat state on the PPT edge at k=2
+    states["bell"] = bell_state([1, 0, 0, 0])
+    states["up-mixed"] = tensor_product(pure_state([1, 0], (2,)), maximally_mixed([2]))
+    states["down-mixed"] = tensor_product(pure_state([0, 1], (2,)), maximally_mixed([2]))
+    for psi in (-0.25, -0.5, -0.75, 0.3):
+        states[f"werner{psi:g}"] = werner_state(2, psi)
+    rng = np.random.default_rng(77)
+    big = random_density((2, 2, 2, 2), rng)
+    for j in (1, 2, 3):
+        states[f"qubits3-{j}"] = partial_trace(big, [0, j])
+    big = random_density((2, 3, 3), rng)
+    for j in (1, 2):
+        states[f"qutrits2-{j}"] = partial_trace(big, [0, j])
+    return states
+
+
+@pytest.fixture(scope="module")
+def verdict_state_paths(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("verdict-states")
+    paths = {}
+    for name, rho in _verdict_states().items():
+        paths[name] = str(tmp / f"{name}.json")
+        dump_state(rho, paths[name])
+    return paths
+
+
+@pytest.mark.parametrize("case", VERDICT_DIGESTS, ids=lambda case: " ".join(case["argv"]))
+def test_verdict_output_matches_recorded_digest(capsys, verdict_state_paths, case):
+    # digests of check, consistency and volume stdout recorded before the verdicts shared one kernel
+    argv = [verdict_state_paths[arg[1:-1]] if arg.startswith("{") else arg for arg in case["argv"]]
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+
 @pytest.mark.parametrize(
     "argv, side",
     [

@@ -18,12 +18,13 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .consistency import MarginalSet, _consistency_passes, consistency_verdict
+from .consistency import MarginalSet, _consistency_min_pt_eigs, consistency_verdict
 from .criteria import (
     BOSONIC,
     SYMMETRIC,
     ExtensionProblem,
-    _derived_ppt_passes,
+    _derived_min_pt_eigs,
+    _ppt_passes,
     bosonic_extension_verdict,
     definetti_gap,
     symmetric_extension_verdict,
@@ -41,7 +42,7 @@ from .families import (
     _werner_mats,
     werner_exact_threshold,
 )
-from .linalg import HERM_TOL, DensityMatrix, _validate_stack, random_density
+from .linalg import HERM_TOL, DensityMatrix, _checked_tol, _validate_stack, random_density
 from .oracle import oracle_feasibility
 
 EXIT_OK = 0
@@ -55,15 +56,27 @@ MC_BATCH = 1_000_000
 # one state once side^2 exceeds it), so memory stays flat whatever the grid.
 _CHUNK_ENTRIES = 4096
 
-# werner-sweep work guards: every row eigensolves states of side d^2, and the
-# row count is 2 / psi-step + 1 (2,000,001 at the smallest step).
-_WERNER_MAX_SIDE = 256
-_WERNER_MIN_STEP = 1e-6
+# Work guards: werner-sweep and definetti build states of side d^2 at most
+# this large, and every sweep prints at most this many rows.  werner-sweep
+# has 2 / psi-step + 1 rows, so its smallest step is 1e-6.
+_MAX_SIDE = 256
+_MAX_ROWS = 2_000_001
+_WERNER_MIN_STEP = 2.0 / (_MAX_ROWS - 1)
+
+
+def _require_rows(flag: str, rows: int) -> None:
+    if rows > _MAX_ROWS:
+        raise ResourceLimitError(f"{flag} gives {rows} rows, above the sweep limit {_MAX_ROWS}")
+
+
+def _require_side(d: int) -> None:
+    if d * d > _MAX_SIDE:
+        raise ResourceLimitError(f"--d {d} gives states of side {d * d}, above the limit {_MAX_SIDE}")
 
 
 def _bell_hat_ppt_flags(p: np.ndarray, k: int) -> np.ndarray:
     """Where the bosonic extension verdict (the hat-state PPT test) of each Bell-diagonal state is Inconclusive."""
-    return _derived_ppt_passes(_validate_stack(_bell_mats(p), HERM_TOL), (2, 2), k, BOSONIC, HERM_TOL)
+    return _ppt_passes(_derived_min_pt_eigs(_validate_stack(_bell_mats(p), HERM_TOL), (2, 2), k, BOSONIC, HERM_TOL))
 
 
 # bell-sweep columns in output order: (criterion, CSV header, flags from checked (N, 4) weights and k)
@@ -238,6 +251,7 @@ def _cmd_bell_sweep(args, out: IO[str]) -> int:
         raise CliInputError(f"--grid must be at least 2, got {args.grid}")
     if args.k < 1:
         raise CliInputError(f"--k must be at least 1, got {args.k}")
+    _require_rows(f"--grid {args.grid}", math.comb(args.grid + 2, 3))
     criteria = tuple(name.strip() for name in args.criteria.split(","))
     for name in criteria:
         if name not in BELL_CRITERIA:
@@ -253,8 +267,8 @@ def _werner_rows(d: int, k: int, n: int, with_oracle: bool):
     dims = (d, d)
     for psis in _linspace_chunks(n, _chunk_size(d * d)):
         mats = _validate_stack(_werner_mats(d, psis), HERM_TOL)
-        tilde_ok = _derived_ppt_passes(mats, dims, k, SYMMETRIC, HERM_TOL).tolist()
-        hat_ok = _derived_ppt_passes(mats, dims, k, BOSONIC, HERM_TOL).tolist()
+        tilde_ok = _ppt_passes(_derived_min_pt_eigs(mats, dims, k, SYMMETRIC, HERM_TOL)).tolist()
+        hat_ok = _ppt_passes(_derived_min_pt_eigs(mats, dims, k, BOSONIC, HERM_TOL)).tolist()
         for i, psi in enumerate(psis.tolist()):
             row = [
                 _fmt(psi),
@@ -275,10 +289,7 @@ def _cmd_werner_sweep(args, out: IO[str]) -> int:
         raise CliInputError(f"--k must be at least 1, got {args.k}")
     if not 0 < args.psi_step <= 1:
         raise CliInputError(f"--psi-step must lie in (0, 1], got {args.psi_step}")
-    if args.d * args.d > _WERNER_MAX_SIDE:
-        raise ResourceLimitError(
-            f"--d {args.d} gives states of side {args.d**2}, above the sweep limit {_WERNER_MAX_SIDE}"
-        )
+    _require_side(args.d)
     if args.psi_step < _WERNER_MIN_STEP:
         raise ResourceLimitError(f"--psi-step {args.psi_step} is below the sweep limit {_WERNER_MIN_STEP:g}")
     n = int(round(2.0 / args.psi_step)) + 1
@@ -294,12 +305,8 @@ def _volume_membership(which: str, u: np.ndarray) -> np.ndarray:
     in_simplex = p4 >= 0.0
     if which == "simplex":
         return in_simplex
-    if which == "polytope":
-        biggest = np.maximum(u.max(axis=1), p4)
-        return in_simplex & (biggest <= 0.75)
-    sq = np.sum(u**2, axis=1) + p4**2
-    prod = np.prod(u, axis=1) * np.clip(p4, 0.0, None)
-    return in_simplex & (sq - 4.0 * np.sqrt(np.clip(prod, 0.0, None)) <= 0.5)
+    p = np.column_stack([u, np.clip(p4, 0.0, None)])
+    return in_simplex & (_bell_polytope_flags(p) if which == "polytope" else _bell_exact_flags(p))
 
 
 def _cmd_volume(args, out: IO[str]) -> int:
@@ -341,7 +348,7 @@ def _consistency_rows(n: int):
         i, j = np.array(chunk).T
         a, b = (mats[i], dims, HERM_TOL), (mats[j], dims, HERM_TOL)
         flags = zip(
-            _consistency_passes([a, b]).tolist(),
+            _ppt_passes(_consistency_min_pt_eigs([a, b])[1]).tolist(),
             _ckw_holds(concurrences[i], concurrences[j], 1.0).tolist(),
             _ssa_flags(a, b).tolist(),
         )
@@ -354,6 +361,7 @@ def _cmd_consistency_sweep(args, out: IO[str]) -> int:
         raise CliInputError(f"unsupported family {args.family!r}")
     if args.grid < 2:
         raise CliInputError(f"--grid must be at least 2, got {args.grid}")
+    _require_rows(f"--grid {args.grid}", args.grid**2)
     _write_rows(["psi1", "psi2", "pentagon", "ckw", "ssa"], _consistency_rows(args.grid), out)
     return EXIT_OK
 
@@ -361,11 +369,15 @@ def _cmd_consistency_sweep(args, out: IO[str]) -> int:
 def _cmd_definetti(args, out: IO[str]) -> int:
     if args.k_max < 1:
         raise CliInputError(f"--k-max must be at least 1, got {args.k_max}")
+    _checked_tol(args.tol)
     if args.state is not None:
         rho = load_state(args.state, tol=args.tol)
         if len(rho.dims) != 2:
             raise CliInputError(f"state must be bipartite, got layout {rho.dims}")
     else:
+        if args.d < 1:
+            raise CliInputError(f"--d must be at least 1, got {args.d}")
+        _require_side(args.d)
         rng = np.random.Generator(np.random.Philox(args.seed))
         rho = random_density((args.d, args.d), rng)
     rows = []

@@ -21,9 +21,8 @@ from .criteria import (
     CriterionVerdict,
     ExtensionProblem,
     _derived_flavor,
-    _derived_ppt_passes,
-    bosonic_extension_verdict,
-    symmetric_extension_verdict,
+    _derived_min_pt_eigs,
+    _ppt_verdict,
 )
 from .errors import LayoutError, MarginalMismatchError, ValidationError
 from .families import A_MARGINAL_TOL
@@ -70,16 +69,6 @@ def _a_marginal_spreads(stacks) -> np.ndarray:
     return np.max([_trace_distances(a, b) for a, b in combinations(reduced, 2)], axis=0)
 
 
-def _average(mats):
-    """Mean of equal-shape matrices or stacks, summed in order."""
-    return sum(mats) / len(mats)
-
-
-def _averaged_flavor(dims, k: int) -> str:
-    """Two-qubit pairs test the strictly stronger hat state; everything else stays symmetric."""
-    return BOSONIC if dims == (2, 2) and k == 2 else SYMMETRIC
-
-
 def average_marginals(ms: MarginalSet) -> ExtensionProblem:
     """Average the marginals into an ExtensionProblem with k = number of marginals.
 
@@ -91,27 +80,26 @@ def average_marginals(ms: MarginalSet) -> ExtensionProblem:
     spread = a_marginal_spread(ms)
     if spread > A_MARGINAL_TOL:
         raise MarginalMismatchError(f"A marginals differ: trace distance {spread:.3e}", spread)
-    avg = _average([rho.mat for rho in ms.marginals])
+    avg = sum(rho.mat for rho in ms.marginals) / ms.k
     tol = max(rho.tol for rho in ms.marginals)
-    return ExtensionProblem(DensityMatrix(avg, ms.dims, tol=tol), ms.k, _averaged_flavor(ms.dims, ms.k))
+    return ExtensionProblem(DensityMatrix(avg, ms.dims, tol=tol), ms.k, _derived_flavor(ms.dims, ms.k, SYMMETRIC))
 
 
-def _consistency_passes(stacks) -> np.ndarray:
-    """Where :func:`consistency_verdict` is Inconclusive, row by row over stacks of one layout.
+def _consistency_min_pt_eigs(stacks) -> tuple[np.ndarray, np.ndarray]:
+    """A-marginal spread and derived-state eigenvalue of :func:`consistency_verdict`, row by row over stacks.
 
-    Each stack is (validated states, layout, tolerance), as for
-    :func:`_a_marginal_spreads`; rows whose A marginals disagree are
-    Violated and build no average.
+    Stacks are given as for :func:`_a_marginal_spreads`.  Rows whose A
+    marginals disagree build no average; their NaN eigenvalue reads as Violated.
     """
     k = len(stacks)
     dims = stacks[0][1]
     tol = max(t for _, _, t in stacks)
-    agree = _a_marginal_spreads(stacks) <= A_MARGINAL_TOL
-    avg = _validate_stack(_average([mats[agree] for mats, _, _ in stacks]), tol)
-    passes = np.zeros(len(agree), dtype=bool)
-    flavor = _derived_flavor(dims, k, _averaged_flavor(dims, k))
-    passes[agree] = _derived_ppt_passes(avg, dims, k, flavor, tol)
-    return passes
+    spreads = _a_marginal_spreads(stacks)
+    agree = spreads <= A_MARGINAL_TOL
+    avg = _validate_stack(sum(mats[agree] for mats, _, _ in stacks) / k, tol)
+    lo = np.full(len(agree), np.nan)
+    lo[agree] = _derived_min_pt_eigs(avg, dims, k, _derived_flavor(dims, k, SYMMETRIC), tol)
+    return spreads, lo
 
 
 def consistency_verdict(ms: MarginalSet) -> CriterionVerdict:
@@ -121,18 +109,11 @@ def consistency_verdict(ms: MarginalSet) -> CriterionVerdict:
     field records which rule fired: ``marginal-mismatch``,
     ``averaging+hat``, or ``averaging+tilde``.
     """
-    try:
-        problem = average_marginals(ms)
-    except MarginalMismatchError as err:
-        return CriterionVerdict(
-            VIOLATED, MARGINAL_MISMATCH, {"a_marginal_trace_distance": err.trace_distance}
-        )
-    if problem.flavor == BOSONIC:
-        inner = bosonic_extension_verdict(problem)
-    else:
-        inner = symmetric_extension_verdict(problem)
-    rule = "averaging+hat" if inner.criterion == "hat-ppt" else "averaging+tilde"
-    return CriterionVerdict(inner.status, rule, dict(inner.witness))
+    spreads, lo = _consistency_min_pt_eigs([_as_stack(rho) for rho in ms.marginals])
+    if spreads[0] > A_MARGINAL_TOL:
+        return CriterionVerdict(VIOLATED, MARGINAL_MISMATCH, {"a_marginal_trace_distance": float(spreads[0])})
+    rule = "averaging+hat" if _derived_flavor(ms.dims, ms.k, SYMMETRIC) == BOSONIC else "averaging+tilde"
+    return _ppt_verdict(float(lo[0]), ms.dims, rule, k=float(ms.k))
 
 
 def werner_pentagon(psi1: float, psi2: float) -> bool:

@@ -177,14 +177,24 @@ def _derived_flavor(dims, k: int, flavor: str) -> str:
     return BOSONIC if flavor == BOSONIC or (tuple(dims) == (2, 2) and k == 2) else SYMMETRIC
 
 
-def _derived_ppt_passes(mats: np.ndarray, dims: tuple[int, int], k: int, flavor: str, tol: float) -> np.ndarray:
-    """Where ``ppt_test`` of the tilde (symmetric) or hat (bosonic) state is Inconclusive, per state.
+def _derived_min_pt_eigs(mats: np.ndarray, dims: tuple[int, int], k: int, flavor: str, tol: float) -> np.ndarray:
+    """Smallest partial-transpose eigenvalue of the tilde (symmetric) or hat (bosonic) state of each state of a stack.
 
     Each derived state is validated as :func:`tilde_state` and
     :func:`hat_state` validate theirs.
     """
-    derived = _validate_stack(_derived_mats(mats, dims, k, flavor, tol), tol)
-    return _ppt_passes(_min_pt_eigs(derived, dims))
+    return _min_pt_eigs(_validate_stack(_derived_mats(mats, dims, k, flavor, tol), tol), dims)
+
+
+def _ppt_verdict(lo: float, dims, criterion: str, **extra: float) -> CriterionVerdict:
+    """Partial-transpose verdict ``criterion`` from the smallest eigenvalue on ``dims``, with ``extra`` witness keys."""
+    exact = len(dims) == 2 and tuple(sorted(dims)) in ((2, 2), (2, 3))
+    witness = {"min_pt_eig": lo, "exact": 1.0 if exact else 0.0, **extra}
+    if not _ppt_passes(lo):
+        return CriterionVerdict(VIOLATED, criterion, witness)
+    if abs(lo) < PPT_VIOLATION_TOL:
+        witness["boundary"] = 1.0
+    return CriterionVerdict(INCONCLUSIVE, criterion, witness)
 
 
 def ppt_test(rho: DensityMatrix, cut: int = 1) -> CriterionVerdict:
@@ -196,23 +206,14 @@ def ppt_test(rho: DensityMatrix, cut: int = 1) -> CriterionVerdict:
     PPT relaxation.  Eigenvalues within the tolerance band report
     Inconclusive with a ``boundary`` flag.
     """
-    lo = float(_min_pt_eigs(rho.mat[None], rho.dims, cut)[0])
-    exact = len(rho.dims) == 2 and tuple(sorted(rho.dims)) in ((2, 2), (2, 3))
-    witness = {"min_pt_eig": lo, "exact": 1.0 if exact else 0.0}
-    if not _ppt_passes(lo):
-        return CriterionVerdict(VIOLATED, "ppt", witness)
-    if abs(lo) < PPT_VIOLATION_TOL:
-        witness["boundary"] = 1.0
-    return CriterionVerdict(INCONCLUSIVE, "ppt", witness)
+    return _ppt_verdict(float(_min_pt_eigs(rho.mat[None], rho.dims, cut)[0]), rho.dims, "ppt")
 
 
 def _derived_verdict(problem: ExtensionProblem) -> CriterionVerdict:
-    flavor = _derived_flavor(problem.marginal.dims, problem.k, problem.flavor)
-    derived = (hat_state if flavor == BOSONIC else tilde_state)(problem.marginal, problem.k)
-    inner = ppt_test(derived, cut=1)
-    witness = dict(inner.witness)
-    witness["k"] = float(problem.k)
-    return CriterionVerdict(inner.status, "hat-ppt" if flavor == BOSONIC else "tilde-ppt", witness)
+    rho, k = problem.marginal, problem.k
+    flavor = _derived_flavor(rho.dims, k, problem.flavor)
+    lo = float(_derived_min_pt_eigs(rho.mat[None], rho.dims, k, flavor, rho.tol)[0])
+    return _ppt_verdict(lo, rho.dims, "hat-ppt" if flavor == BOSONIC else "tilde-ppt", k=float(k))
 
 
 def symmetric_extension_verdict(problem: ExtensionProblem) -> CriterionVerdict:

@@ -54,10 +54,6 @@ def _require_square(m: np.ndarray, what: str) -> np.ndarray:
     return m
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERM_TOL, what: str = "matrix") -> np.ndarray:
-    return _require_hermitian_stack(_require_square(m, what)[None], tol, what)[0]
-
-
 def _require_hermitian_stack(ms: np.ndarray, tol: float, what: str = "matrix") -> np.ndarray:
     """Raise for the first matrix of the stack whose Hermiticity defect exceeds tol."""
     defects = _hermiticity_defects(ms)
@@ -65,6 +61,14 @@ def _require_hermitian_stack(ms: np.ndarray, tol: float, what: str = "matrix") -
     if i is not None:
         raise ValidationError(f"{what} is not Hermitian: max |M - M^dag| entry {defects[i]:.1e}")
     return ms
+
+
+def _checked_tol(tol: float) -> float:
+    """A validation tolerance as a float; NaN, infinite and negative values raise ValidationError."""
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tolerance must be finite and >= 0, got {tol}")
+    return tol
 
 
 def _validate_stack(mats: np.ndarray, tol: float) -> np.ndarray:
@@ -76,9 +80,7 @@ def _validate_stack(mats: np.ndarray, tol: float) -> np.ndarray:
     its own.  States from the first non-finite one on never reach the
     eigensolver.
     """
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValidationError(f"tolerance must be finite and >= 0, got {tol}")
+    tol = _checked_tol(tol)
     finite = np.isfinite(mats)
     stop = None if finite.all() else _first(~finite.all(axis=(1, 2)))
     mats = mats[:stop]
@@ -241,8 +243,8 @@ def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
 
 def hermitian_eigs(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
     """Real spectrum of a Hermitian matrix, ascending."""
-    m = require_hermitian(m, tol)
-    return np.linalg.eigvalsh(hermitize(m))
+    ms = _require_hermitian_stack(_require_square(m, "matrix")[None], tol)
+    return np.linalg.eigvalsh(hermitize(ms[0]))
 
 
 def trace_norm(m: np.ndarray, tol: float = HERM_TOL) -> float:

@@ -93,6 +93,7 @@ def test_tol_flags_refuse_non_finite_and_negative_values(capsys, tmp_path, bell_
         ["check", bell_file, "--k", "2", f"--tol={tol}"],
         ["consistency", bell_file, bell_file, f"--tol={tol}"],
         ["definetti", "--state", bell_file, "--k-max", "2", f"--tol={tol}"],
+        ["definetti", "--k-max", "2", f"--tol={tol}"],
     ):
         code, out, err = _run(capsys, argv)
         assert code == 1, argv
@@ -211,11 +212,6 @@ def test_sweep_output_matches_recorded_digest(capsys, case):
 VERDICT_DIGESTS = json.loads((Path(__file__).parent / "data" / "verdict_digests.json").read_text())
 
 
-def _random_pure(dims, rng):
-    v = rng.standard_normal(dims[0] * dims[1]) + 1j * rng.standard_normal(dims[0] * dims[1])
-    return DensityMatrix(np.outer(v, v.conj()) / np.vdot(v, v).real, dims)
-
-
 def _verdict_states():
     """Seeded states named as the ``{name}`` placeholders of the verdict digests."""
     from symext import partial_trace, pure_state, tensor_product
@@ -225,9 +221,9 @@ def _verdict_states():
         rng = np.random.default_rng(dims[0] * 10 + dims[1])
         tag = f"{dims[0]}x{dims[1]}"
         states[f"mixed-{tag}"] = random_density(dims, rng)
-        pure = _random_pure(dims, rng)
-        states[f"pure-{tag}"] = pure
         side = dims[0] * dims[1]
+        v = rng.standard_normal(side) + 1j * rng.standard_normal(side)
+        pure = states[f"pure-{tag}"] = DensityMatrix(np.outer(v, v.conj()) / np.vdot(v, v).real, dims)
         states[f"noisy-{tag}"] = DensityMatrix(0.7 * pure.mat + 0.3 * np.eye(side) / side, dims)
     states["werner-boundary"] = werner_state(2, -2 / 3)  # tilde parameter 0 at k=3
     states["bell-boundary"] = bell_state([0.75, 1 / 12, 1 / 12, 1 / 12])  # hat state on the PPT edge at k=2
@@ -338,6 +334,47 @@ def test_werner_sweep_work_guards_admit_their_limits(capsys, monkeypatch):
     code, out, _ = _run(capsys, ["werner-sweep", "--psi-step", "1e-6"])
     assert code == 0
     assert out.splitlines()[1:] == ["2000001"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bell-sweep", "--grid", "228"],
+        ["bell-sweep", "--grid", "10000"],
+        ["consistency-sweep", "--grid", "1415"],
+        ["consistency-sweep", "--grid", "4000000"],
+        ["definetti", "--d", "17"],
+        ["definetti", "--d", "100", "--k-max", "1"],
+    ],
+    ids=" ".join,
+)
+def test_row_and_side_guards_refuse_before_output(capsys, monkeypatch, argv):
+    def unreachable(*args):
+        raise AssertionError("a state or grid was built")
+
+    for name in ("_bell_points", "_linspace_chunks", "random_density"):
+        monkeypatch.setattr(cli, name, unreachable)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("resource limit:")
+
+
+def test_row_and_side_guards_admit_their_limits(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_bell_rows", lambda n, k, flags: iter([[str(n)]]))
+    code, out, _ = _run(capsys, ["bell-sweep", "--grid", "227"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["227"]
+    monkeypatch.setattr(cli, "_consistency_rows", lambda n: iter([[str(n)]]))
+    code, out, _ = _run(capsys, ["consistency-sweep", "--grid", "1414"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["1414"]
+    code, out, _ = _run(capsys, ["definetti", "--d", "16", "--k-max", "1"])
+    assert code == 0
+    assert out.splitlines()[0] == "k,gap,bound" and len(out.splitlines()) == 2
 
 
 def test_werner_sweep_with_oracle(capsys):

@@ -27,7 +27,8 @@ from symext import (
     werner_pentagon,
     werner_state,
 )
-from symext.consistency import _a_marginal_spreads, _consistency_passes
+from symext.consistency import _a_marginal_spreads, _consistency_min_pt_eigs
+from symext.criteria import _ppt_passes
 
 
 def test_marginal_set_validation():
@@ -148,9 +149,13 @@ def test_stacked_consistency_matches_the_verdict(dims, k):
         rows.append([bell_state([1, 0, 0, 0])] * k)
     stacks = [(np.array([row[j].mat for row in rows]), dims, 1e-10) for j in range(k)]
     spreads = _a_marginal_spreads(stacks)
-    passes = _consistency_passes(stacks)
+    kernel_spreads, lo = _consistency_min_pt_eigs(stacks)
+    assert np.array_equal(kernel_spreads, spreads)
+    passes = _ppt_passes(lo)
     for i, row in enumerate(rows):
         ms = MarginalSet(row)
         assert abs(spreads[i] - a_marginal_spread(ms)) < 1e-15
-        assert passes[i] == (consistency_verdict(ms).status == INCONCLUSIVE)
+        verdict = consistency_verdict(ms)
+        assert passes[i] == (verdict.status == INCONCLUSIVE)
+        assert np.array_equal(lo[i], verdict.witness.get("min_pt_eig", np.nan), equal_nan=True)
     assert passes.any() and not passes.all()

@@ -34,7 +34,7 @@ from symext import (
     werner_state,
     werner_tilde_psi,
 )
-from symext.criteria import _derived_mats, _derived_ppt_passes, _min_pt_eigs
+from symext.criteria import _derived_mats, _derived_min_pt_eigs, _min_pt_eigs, _ppt_passes
 from symext.linalg import _validate_stack
 
 
@@ -295,13 +295,18 @@ def test_stacked_derived_states_match_batch_of_one(dims):
         for flavor, single in ((SYMMETRIC, tilde_state), (BOSONIC, hat_state)):
             derived = _validate_stack(_derived_mats(stack, dims, k, flavor, 1e-10), 1e-10)
             lo = _min_pt_eigs(derived, dims)
-            passes = _derived_ppt_passes(stack, dims, k, flavor, 1e-10)
+            kernel_lo = _derived_min_pt_eigs(stack, dims, k, flavor, 1e-10)
+            assert np.array_equal(kernel_lo, lo)
+            passes = _ppt_passes(kernel_lo)
             for i, rho in enumerate(states):
                 one = single(rho, k)
                 assert np.max(np.abs(derived[i] - one.mat)) < 1e-12
                 verdict = ppt_test(one)
                 assert abs(lo[i] - verdict.witness["min_pt_eig"]) < 1e-12
                 assert passes[i] == (verdict.status == INCONCLUSIVE)
+                if flavor == BOSONIC:
+                    extension = bosonic_extension_verdict(ExtensionProblem(rho, k, BOSONIC))
+                    assert extension.witness["min_pt_eig"] == kernel_lo[i]
     for cut in (0, 1):
         lo = _min_pt_eigs(stack, dims, cut)
         for i, rho in enumerate(states):

@@ -43,7 +43,7 @@ from .families import (
     werner_exact_threshold,
 )
 from .linalg import HERM_TOL, DensityMatrix, _checked_tol, _validate_stack, random_density
-from .oracle import oracle_feasibility
+from .oracle import OracleConfig, _check_reach, oracle_feasibility
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -57,11 +57,14 @@ MC_BATCH = 1_000_000
 _CHUNK_ENTRIES = 4096
 
 # Work guards: werner-sweep and definetti build states of side d^2 at most
-# this large, and every sweep prints at most this many rows.  werner-sweep
-# has 2 / psi-step + 1 rows, so its smallest step is 1e-6.
+# this large, and every sweep and the definetti table print at most this
+# many rows.  werner-sweep has 2 / psi-step + 1 rows, so its smallest step
+# is 1e-6.  volume draws at most _MAX_SAMPLES points, about 100 s at 10 M
+# points a second.
 _MAX_SIDE = 256
 _MAX_ROWS = 2_000_001
 _WERNER_MIN_STEP = 2.0 / (_MAX_ROWS - 1)
+_MAX_SAMPLES = 1_000_000_000
 
 
 def _require_rows(flag: str, rows: int) -> None:
@@ -295,6 +298,7 @@ def _cmd_werner_sweep(args, out: IO[str]) -> int:
     n = int(round(2.0 / args.psi_step)) + 1
     header = ["psi", "tilde_ppt", "hat_ppt", "exact_flag"]
     if args.with_oracle:
+        _check_reach(args.d, args.d, args.k, SYMMETRIC, OracleConfig().dim_limit)
         header.append("oracle_status")
     _write_rows(header, _werner_rows(args.d, args.k, n, args.with_oracle), out)
     return EXIT_OK
@@ -312,6 +316,8 @@ def _volume_membership(which: str, u: np.ndarray) -> np.ndarray:
 def _cmd_volume(args, out: IO[str]) -> int:
     if args.samples < 10_000:
         raise CliInputError(f"--samples must be at least 10000, got {args.samples}")
+    if args.samples > _MAX_SAMPLES:
+        raise ResourceLimitError(f"--samples {args.samples} is above the limit {_MAX_SAMPLES}")
     rng = np.random.Generator(np.random.Philox(args.seed))
     hits = 0
     left = args.samples
@@ -366,10 +372,17 @@ def _cmd_consistency_sweep(args, out: IO[str]) -> int:
     return EXIT_OK
 
 
+def _definetti_rows(rho: DensityMatrix, k_max: int):
+    for k in range(1, k_max + 1):
+        gap, bound = definetti_gap(rho, k)
+        yield [str(k), _fmt(gap), _fmt(bound)]
+
+
 def _cmd_definetti(args, out: IO[str]) -> int:
     if args.k_max < 1:
         raise CliInputError(f"--k-max must be at least 1, got {args.k_max}")
     _checked_tol(args.tol)
+    _require_rows(f"--k-max {args.k_max}", args.k_max)
     if args.state is not None:
         rho = load_state(args.state, tol=args.tol)
         if len(rho.dims) != 2:
@@ -380,11 +393,7 @@ def _cmd_definetti(args, out: IO[str]) -> int:
         _require_side(args.d)
         rng = np.random.Generator(np.random.Philox(args.seed))
         rho = random_density((args.d, args.d), rng)
-    rows = []
-    for k in range(1, args.k_max + 1):
-        result = definetti_gap(rho, k)
-        rows.append([str(k), _fmt(result.gap), _fmt(result.bound)])
-    _write_rows(["k", "gap", "bound"], rows, out)
+    _write_rows(["k", "gap", "bound"], _definetti_rows(rho, args.k_max), out)
     return EXIT_OK
 
 

@@ -4,8 +4,19 @@ Decides k-symmetric / k-bosonic extendability at desk scale with
 Dykstra-corrected projections between the PSD cone and the affine set of
 permutation-invariant extension candidates with the prescribed marginal.
 The inter-set gap converges to the distance between the two sets: it
-vanishes exactly when an extension exists, so a stabilized positive gap
-certifies infeasibility.
+vanishes exactly when an extension exists.
+
+Infeasible is a checked proof, never a stalled gap.  By SDP duality
+(Doherty, Parrilo & Spedalieri, PRA 69, 022308, 2004) no extension exists
+exactly when some Hermitian W on AB has a PSD lift
+(1/k) sum_i W_{AB_i} (x) I on the extension space and Tr(W rho) < 0.  The
+affine step already holds a candidate: with w = gpinv (amap(y) - rho), the
+difference y - x of the PSD and the affine iterate is amap^dag w.  Every
+CERTIFY_EVERY iterations the oracle shifts w by the multiple of the
+identity that makes its lift PSD on every block and stops as soon as the
+shifted trace is negative.  Stop reasons: ``feasible-gap`` (Feasible),
+``dual-certificate`` and ``face-reach`` (Infeasible), ``max-iters`` and
+``linalg-error`` (Undecided).
 
 The iteration runs on isotypic blocks, not on the full space.  By
 Schur-Weyl duality a permutation-invariant operator on A (x) B^(x)k is
@@ -39,15 +50,13 @@ UNDECIDED = "Undecided"
 
 # Why an oracle run stopped.
 STOP_FEASIBLE_GAP = "feasible-gap"  # the gap fell to tol_feasible
-STOP_STABLE_GAP = "stable-gap"  # the gap stabilized at or above tol_gap
+STOP_DUAL_CERTIFICATE = "dual-certificate"  # a checked dual witness proves infeasibility
 STOP_MAX_ITERS = "max-iters"  # the iteration budget ran out
 STOP_FACE_REACH = "face-reach"  # the forced support face cannot reproduce the marginal
 STOP_LINALG_ERROR = "linalg-error"  # eigh and the SVD fallback of project_psd both failed
 
-# Infeasibility is declared once the gap has stopped moving: relative change
-# below STABLE_RTOL across a window of STABLE_WINDOW iterations.
-STABLE_WINDOW = 50
-STABLE_RTOL = 1e-9
+# Iterations between two checks of the dual witness.
+CERTIFY_EVERY = 25
 
 # Most (iteration, gap) points kept from a run's gap trajectory.
 GAP_TRACE_POINTS = 64
@@ -77,19 +86,29 @@ class OracleConfig:
 class OracleResult:
     """Verdict of one oracle run.
 
-    ``stop_reason`` is one of the ``STOP_*`` values, ``block_sides`` the sides
-    of the blocks the iteration ran on, and ``gap_trace`` the inter-set gap
-    as (iteration, gap) pairs, down-sampled to at most GAP_TRACE_POINTS and
-    always ending with the last iteration.
+    Feasible means a PSD iterate sits within tol_feasible of the constraint
+    set (stop reason ``feasible-gap``).  Infeasible means a checked dual
+    certificate (``dual-certificate`` after the iteration, ``face-reach`` when
+    the forced support face cannot reproduce the marginal): ``dual_witness``
+    is the Hermitian W' on AB, and the certificate reports ``dual_trace`` =
+    Tr(W' rho), ``dual_min_eig``, the smallest eigenvalue of its lift
+    (1/k) sum_i W'_{AB_i} (x) I on the span of the blocks, and ``certified``,
+    true when that trace is negative.  Undecided means the iteration budget
+    ran out (``max-iters``) or the PSD projection failed (``linalg-error``).
+
+    ``block_sides`` are the sides of the blocks the iteration ran on, and
+    ``gap_trace`` the inter-set gap as (iteration, gap) pairs, down-sampled
+    to at most GAP_TRACE_POINTS and always ending with the last iteration.
     """
 
     status: str
     residual: float
     iterations: int
-    certificate: Mapping[str, float] = field(default_factory=dict)
+    certificate: Mapping[str, float | bool] = field(default_factory=dict)
     stop_reason: str = STOP_MAX_ITERS
     block_sides: tuple[int, ...] = ()
     gap_trace: tuple[tuple[int, float], ...] = ()
+    dual_witness: np.ndarray | None = field(default=None, compare=False)
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:
@@ -255,13 +274,21 @@ class _Blocks:
     def marginal(self, flat: np.ndarray) -> np.ndarray:
         return _matvec(self.amap, flat)
 
+    def adjoint(self, w: np.ndarray) -> np.ndarray:
+        """amap^dag w: the blocks of the lift (1/k) sum_i W_{AB_i} (x) I of a flattened W on AB."""
+        return _rmatvec(self.amap, w)
+
     def correction(self, deficit: np.ndarray) -> np.ndarray:
         """Least-norm flat iterate whose marginal is deficit, when one exists: amap^+ deficit."""
-        return _rmatvec(self.amap, _matvec(self.gpinv, deficit))
+        return self.adjoint(_matvec(self.gpinv, deficit))
+
+    def dual(self, flat: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """gpinv (amap(flat) - target): amap^dag of it is flat minus its affine projection."""
+        return _matvec(self.gpinv, self.marginal(flat) - target)
 
     def project_affine(self, flat: np.ndarray, target: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the flat iterates whose marginal is target."""
-        return flat + self.correction(target - self.marginal(flat))
+        return flat - self.adjoint(self.dual(flat, target))
 
     def placed_marginal(self, flat: np.ndarray) -> np.ndarray:
         """The AB marginal of X, contracted from the isometries instead of through amap.
@@ -280,9 +307,10 @@ class _Blocks:
         """Smallest eigenvalue of X on the span of the blocks; X vanishes outside it.
 
         On that span X is the direct sum of I_{m_b} (x) M_b, with M_b = N_b / sqrt(m_b).
+        The span of no blocks is empty, and the minimum over it infinite.
         """
         blocks = zip(self.weights, self.split(flat))
-        return min(float(np.linalg.eigvalsh(hermitize(blk))[0]) / math.sqrt(m) for m, blk in blocks)
+        return min((float(np.linalg.eigvalsh(hermitize(blk))[0]) / math.sqrt(m) for m, blk in blocks), default=math.inf)
 
 
 def _placements(iso: np.ndarray, dims) -> list[np.ndarray]:
@@ -381,6 +409,34 @@ def _gap_trace(gaps: list[float]) -> tuple[tuple[int, float], ...]:
     return tuple((i + 1, gaps[i]) for i in idx)
 
 
+def _shifted_witness(blocks: _Blocks, w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """W' = W + t I for the flattened W = w with z = amap^dag w, t the least shift that makes the lift PSD.
+
+    amap^dag maps the identity to sqrt(m_b) I on block b, so the lift of W'
+    is PSD on every block for t = max(0, max_b -lambda_min(Z_b) / sqrt(m_b)),
+    that is max(0, -min_eig(z)).  Any extension X then has
+    Tr(W' rho) = <amap^dag W', X> >= 0, so Tr(W' rho) < 0 proves there is none.
+    """
+    n_ab = blocks.dims[0] * blocks.dims[1]
+    t = max(0.0, -blocks.min_eig(z))
+    return hermitize(w.reshape(n_ab, n_ab)) + t * np.eye(n_ab)
+
+
+def _dual_certificate(blocks: _Blocks, witness: np.ndarray, rho: DensityMatrix) -> dict:
+    """Tr(W' rho) and the smallest eigenvalue of the lift of W', both read from W' itself."""
+    trace = float(np.vdot(witness, rho.mat).real)
+    return {
+        "dual_trace": trace,
+        "dual_min_eig": blocks.min_eig(blocks.adjoint(witness.ravel())),
+        "certified": trace < 0,
+    }
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _run_dykstra(blocks: _Blocks, rho: DensityMatrix, cfg: OracleConfig) -> OracleResult:
     target = rho.mat.ravel()
     # the projection of any start in the range of amap^dag, rho (x) I among them
@@ -390,6 +446,7 @@ def _run_dykstra(blocks: _Blocks, rho: DensityMatrix, cfg: OracleConfig) -> Orac
     status, stop = UNDECIDED, STOP_MAX_ITERS
     y = x
     gap = float("inf")
+    witness = None
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
         try:
@@ -400,17 +457,18 @@ def _run_dykstra(blocks: _Blocks, rho: DensityMatrix, cfg: OracleConfig) -> Orac
             stop = STOP_LINALG_ERROR
             break
         p = x + p - y
-        x = blocks.project_affine(y, target)
+        w = blocks.dual(y, target)
+        z = blocks.adjoint(w)  # y - x, PSD in the limit of an infeasible problem
+        x = y - z
         gap = float(np.linalg.norm(x - y))
         gaps.append(gap)
         if gap <= cfg.tol_feasible:
             status, stop = FEASIBLE, STOP_FEASIBLE_GAP
             break
-        if len(gaps) >= STABLE_WINDOW:
-            window = gaps[-STABLE_WINDOW:]
-            hi, lo = max(window), min(window)
-            if lo >= cfg.tol_gap and (hi - lo) <= STABLE_RTOL * hi:
-                status, stop = INFEASIBLE, STOP_STABLE_GAP
+        if iterations % CERTIFY_EVERY == 0 and gap >= cfg.tol_gap:
+            witness = _shifted_witness(blocks, w, z)
+            if np.vdot(witness, rho.mat).real < 0:
+                status, stop = INFEASIBLE, STOP_DUAL_CERTIFICATE
                 break
     # checked on the isometries and the blocks, independently of amap
     certificate = {
@@ -418,6 +476,8 @@ def _run_dykstra(blocks: _Blocks, rho: DensityMatrix, cfg: OracleConfig) -> Orac
         "min_eig": float("nan") if stop == STOP_LINALG_ERROR else blocks.min_eig(x),
         "gap_estimate": gap,
     }
+    if status == INFEASIBLE:
+        certificate.update(_dual_certificate(blocks, witness, rho))
     return OracleResult(
         status=status,
         residual=gap,
@@ -426,39 +486,57 @@ def _run_dykstra(blocks: _Blocks, rho: DensityMatrix, cfg: OracleConfig) -> Orac
         stop_reason=stop,
         block_sides=blocks.sides,
         gap_trace=_gap_trace(gaps),
+        dual_witness=_frozen(witness) if status == INFEASIBLE else None,
     )
+
+
+def _check_reach(d_a: int, d_b: int, k: int, flavor: str, dim_limit: int) -> None:
+    """Refuse an extension space of side above dim_limit before any work on it.
+
+    The space is A (x) B^(x)k, or A (x) Sym^k(B) for the bosonic flavor.
+    """
+    if flavor == SYMMETRIC and d_b > 1 and k > dim_limit:
+        # d_B^k > 2^k > dim_limit, a power too large to be worth forming
+        raise ResourceLimitError(f"extension space side {d_a}*{d_b}^{k} exceeds the limit {dim_limit}")
+    side = d_a * (d_b**k if flavor == SYMMETRIC else math.comb(d_b + k - 1, k))
+    if side > dim_limit:
+        raise ResourceLimitError(f"extension space side {side} exceeds the limit {dim_limit}")
 
 
 def oracle_feasibility(problem: ExtensionProblem, cfg: OracleConfig | None = None) -> OracleResult:
     """Decide extendability numerically, independent of the derived-state criteria.
 
-    Feasible: a PSD iterate sits within tol_feasible of the constraint set.
-    Infeasible: the inter-set gap stabilized at or above tol_gap, or the
-    support face forced by the marginal's kernel cannot reproduce the
-    marginal at all.  Undecided: the iteration budget ran out first
-    (expected near the feasibility boundary, where first-order methods
-    converge slowly), or both eigensolver paths of the PSD projection
-    failed (stop reason ``linalg-error``, ``min_eig`` NaN).
+    Feasible (stop reason ``feasible-gap``): a PSD iterate sits within
+    tol_feasible of the constraint set.  Infeasible: a checked dual
+    certificate, a Hermitian W' on AB whose lift is PSD on the blocks and
+    whose trace against the marginal is negative.  It comes from the
+    iteration, tested every CERTIFY_EVERY iterations while the gap is at or
+    above tol_gap (``dual-certificate``), or from the marginal's residual
+    when the support face forced by its kernel cannot reproduce it at all
+    (``face-reach``).  Undecided: the iteration budget ran out first
+    (``max-iters``, expected near the feasibility boundary, where first-order
+    methods converge slowly), or both eigensolver paths of the PSD
+    projection failed (``linalg-error``, ``min_eig`` NaN).
     """
     cfg = cfg or OracleConfig()
     rho = problem.marginal
     d_a, d_b = rho.dims
-    k = problem.k
-
-    # the side of A (x) B^(x)k, or of A (x) Sym^k(B) for the bosonic flavor
-    side = d_a * (d_b**k if problem.flavor == SYMMETRIC else math.comb(d_b + k - 1, k))
-    if side > cfg.dim_limit:
-        raise ResourceLimitError(f"extension space side {side} exceeds the limit {cfg.dim_limit}")
-    blocks = _extension_blocks(d_a, d_b, k, problem.flavor)
+    _check_reach(d_a, d_b, problem.k, problem.flavor, cfg.dim_limit)
+    blocks = _extension_blocks(d_a, d_b, problem.k, problem.flavor)
 
     kernel = _state_kernel(rho)
     if kernel is not None:
         blocks = _face_blocks(blocks, kernel)
         target = rho.mat.ravel()
-        deficit = float(np.linalg.norm(blocks.marginal(blocks.correction(target)) - target))
+        residual = target - blocks.marginal(blocks.correction(target))
+        deficit = float(np.linalg.norm(residual))
         if deficit >= cfg.tol_gap:
-            # no candidate on the forced support face matches the marginal
+            # no candidate on the forced support face matches the marginal:
+            # the residual is orthogonal to the range of amap, so W = -residual
+            # has amap^dag W = 0 and Tr(W rho) = -deficit^2
+            witness = _shifted_witness(blocks, -residual, blocks.adjoint(-residual))
             certificate = {"marginal_residual": deficit, "min_eig": 0.0, "gap_estimate": deficit}
+            certificate.update(_dual_certificate(blocks, witness, rho))
             return OracleResult(
                 INFEASIBLE,
                 residual=deficit,
@@ -466,6 +544,7 @@ def oracle_feasibility(problem: ExtensionProblem, cfg: OracleConfig | None = Non
                 certificate=certificate,
                 stop_reason=STOP_FACE_REACH,
                 block_sides=blocks.sides,
+                dual_witness=_frozen(witness),
             )
 
     return _run_dykstra(blocks, rho, cfg)

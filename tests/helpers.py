@@ -107,3 +107,52 @@ def lift_blocks(blocks, flat):
     for v, m, blk in zip(blocks.isos, blocks.weights, blocks.split(flat)):
         out += project_permutation_invariant((math.sqrt(m) * v) @ blk @ v.conj().T, blocks.dims)
     return out
+
+
+# Extension sides up to which a dual witness is also checked on the full space.
+DENSE_CHECK_SIDE = 64
+
+
+def dense_dual_check(problem, witness):
+    """(smallest eigenvalue, Tr(W' rho)) of a dual witness W', read on the full space without the oracle's blocks.
+
+    The lift (1/k) sum_i W'_{AB_i} (x) I is built densely and compressed onto
+    the space every extension lives in: A (x) B^(x)k for the symmetric flavor,
+    A (x) Sym^k(B) for the bosonic one, and within it, for a singular
+    marginal, the face annihilating its kernel vectors on every (A, B_i).
+    The smallest eigenvalue over an empty face is infinite.
+    """
+    from symext import BOSONIC
+
+    rho, k = problem.marginal, problem.k
+    d_a, d_b = rho.dims
+    dims = (d_a,) + (d_b,) * k
+    n, rest = d_a * d_b**k, d_b ** (k - 1)
+    t = np.kron(witness, np.eye(rest)).reshape(dims + dims)
+    # axis 1 is B_1 on the row side and k + 2 on the column side; swapping places W' on (A, B_i)
+    lift = sum(np.swapaxes(np.swapaxes(t, 1, i), k + 2, k + 1 + i) for i in range(1, k + 1)).reshape(n, n) / k
+    space = np.eye(n)
+    if problem.flavor == BOSONIC:
+        evals, evecs = np.linalg.eigh(np.kron(np.eye(d_a), brute_force_symmetric_projector(d_b, k)))
+        space = evecs[:, evals > 0.5]
+    evals, evecs = np.linalg.eigh(rho.mat)
+    kernel = evecs[:, evals <= 1e-12]
+    if kernel.shape[1]:
+        base = np.kron(kernel.conj().T, np.eye(rest)).reshape((-1,) + dims)
+        rows = np.vstack([np.swapaxes(base, 2, 1 + i).reshape(base.shape[0], -1) for i in range(1, k + 1)])
+        _, svals, vh = np.linalg.svd(rows @ space)
+        rank = int(np.sum(svals > 1e-10 * svals[0]))
+        space = space @ vh[rank:].conj().T
+    low = float(np.linalg.eigvalsh(space.conj().T @ lift @ space)[0]) if space.shape[1] else np.inf
+    return low, float(np.vdot(witness, rho.mat).real)
+
+
+def certificate_holds(res, problem) -> bool:
+    """An Infeasible result carries a certified dual witness, checked densely up to DENSE_CHECK_SIDE."""
+    if not (res.certificate["certified"] is True and res.certificate["dual_trace"] < 0):
+        return False
+    d_a, d_b = problem.marginal.dims
+    if d_a * d_b**problem.k > DENSE_CHECK_SIDE:
+        return True
+    low, trace = dense_dual_check(problem, res.dual_witness)
+    return low >= -1e-12 and trace < 0

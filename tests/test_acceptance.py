@@ -12,7 +12,7 @@ from contextlib import redirect_stdout
 
 import numpy as np
 
-from helpers import random_symmetric_supported
+from helpers import certificate_holds, random_symmetric_supported
 from symext import (
     BOSONIC,
     FEASIBLE,
@@ -142,15 +142,21 @@ def test_criterion_04_nonoptimality_gap():
     t0 = time.perf_counter()
     rho = werner_state(2, -0.5)
     verdict = symmetric_extension_verdict(ExtensionProblem(rho, 3, SYMMETRIC))
-    oracle = oracle_feasibility(ExtensionProblem(rho, 3, SYMMETRIC))
-    ok = verdict.status == INCONCLUSIVE and oracle.status == INFEASIBLE
+    problem = ExtensionProblem(rho, 3, SYMMETRIC)
+    oracle = oracle_feasibility(problem)
+    ok = verdict.status == INCONCLUSIVE and oracle.status == INFEASIBLE and certificate_holds(oracle, problem)
 
     threshold = -1 / 3
     statuses = {}
+    uncertified = 0
     for i in range(-45, -19):
         psi = i / 100
-        res = oracle_feasibility(ExtensionProblem(werner_state(2, psi), 3, SYMMETRIC))
+        problem = ExtensionProblem(werner_state(2, psi), 3, SYMMETRIC)
+        res = oracle_feasibility(problem)
         statuses[psi] = res.status
+        if res.status == INFEASIBLE:
+            uncertified += not certificate_holds(res, problem)
+    ok &= uncertified == 0
     for psi, status in statuses.items():
         if psi < threshold - 0.02 and status == FEASIBLE:
             ok = False
@@ -164,7 +170,8 @@ def test_criterion_04_nonoptimality_gap():
     elapsed = time.perf_counter() - t0
     _report(4, "Werner non-optimality gap (d=2, k=3)", ok,
             f"verdict {verdict.status}, oracle {oracle.status}; "
-            f"transition in [{max(infeasible):.2f}, {min(feasible):.2f}] around -1/3",
+            f"transition in [{max(infeasible):.2f}, {min(feasible):.2f}] around -1/3; "
+            f"{uncertified} Infeasible without a checked certificate",
             elapsed, 300.0)
 
 
@@ -210,7 +217,7 @@ def test_criterion_05_oracle_vs_exact_bell():
     """Oracle matches the exact 2-extendability inequality outside a 0.02 band."""
     t0 = time.perf_counter()
     cloud = _exact_boundary_cloud()
-    checked = mismatches = undecided_outside = skipped = 0
+    checked = mismatches = undecided_outside = skipped = uncertified = 0
     for p1, p2, p3, p4 in _simplex_grid(10):
         point = np.array([p1, p2, p3])
         dist = float(np.sqrt(((cloud - point) ** 2).sum(axis=1).min()))
@@ -219,16 +226,19 @@ def test_criterion_05_oracle_vs_exact_bell():
             continue
         checked += 1
         expected = FEASIBLE if bell_exact_2ext((p1, p2, p3, p4)) else INFEASIBLE
-        res = oracle_feasibility(ExtensionProblem(bell_state((p1, p2, p3, p4)), 2, SYMMETRIC))
+        problem = ExtensionProblem(bell_state((p1, p2, p3, p4)), 2, SYMMETRIC)
+        res = oracle_feasibility(problem)
         if res.status == UNDECIDED:
             undecided_outside += 1
         elif res.status != expected:
             mismatches += 1
-    ok = mismatches == 0 and undecided_outside == 0 and checked > 100
+        if res.status == INFEASIBLE:
+            uncertified += not certificate_holds(res, problem)
+    ok = mismatches == 0 and undecided_outside == 0 and uncertified == 0 and checked > 100
     elapsed = time.perf_counter() - t0
     _report(5, "oracle vs exact Bell condition", ok,
             f"{checked} points checked ({skipped} in band), {mismatches} mismatches, "
-            f"{undecided_outside} undecided outside band",
+            f"{undecided_outside} undecided outside band, {uncertified} Infeasible without a checked certificate",
             elapsed, 600.0)
 
 

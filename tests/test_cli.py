@@ -303,6 +303,8 @@ def test_linspace_chunks_reproduce_linspace(n, size):
         ["werner-sweep", "--d", "40", "--k", "3"],
         ["werner-sweep", "--psi-step", "1e-15"],
         ["werner-sweep", "--psi-step", "9.9e-7", "--with-oracle"],
+        ["werner-sweep", "--d", "2", "--k", "8", "--with-oracle"],
+        ["werner-sweep", "--d", "2", "--k", "1000000000", "--with-oracle"],
     ],
     ids=" ".join,
 )
@@ -345,14 +347,18 @@ def test_werner_sweep_work_guards_admit_their_limits(capsys, monkeypatch):
         ["consistency-sweep", "--grid", "4000000"],
         ["definetti", "--d", "17"],
         ["definetti", "--d", "100", "--k-max", "1"],
+        ["definetti", "--k-max", "2000002"],
+        ["definetti", "--k-max", "1000000000"],
+        ["volume", "--which", "exact", "--samples", "1000000001", "--seed", "1"],
+        ["volume", "--which", "exact", "--samples", "10000000000000", "--seed", "1"],
     ],
     ids=" ".join,
 )
 def test_row_and_side_guards_refuse_before_output(capsys, monkeypatch, argv):
     def unreachable(*args):
-        raise AssertionError("a state or grid was built")
+        raise AssertionError("a state or grid was built or a sample drawn")
 
-    for name in ("_bell_points", "_linspace_chunks", "random_density"):
+    for name in ("_bell_points", "_linspace_chunks", "random_density", "definetti_gap", "_volume_membership"):
         monkeypatch.setattr(cli, name, unreachable)
     start = time.perf_counter()
     code, out, err = _run(capsys, argv)
@@ -375,6 +381,34 @@ def test_row_and_side_guards_admit_their_limits(capsys, monkeypatch):
     code, out, _ = _run(capsys, ["definetti", "--d", "16", "--k-max", "1"])
     assert code == 0
     assert out.splitlines()[0] == "k,gap,bound" and len(out.splitlines()) == 2
+    monkeypatch.setattr(cli, "_definetti_rows", lambda rho, k_max: iter([[str(k_max)]]))
+    code, out, _ = _run(capsys, ["definetti", "--k-max", "2000001"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["2000001"]
+
+
+def test_volume_sample_cap_admits_its_limit(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_SAMPLES", 20_000)
+    code, out, _ = _run(capsys, ["volume", "--which", "simplex", "--samples", "20000", "--seed", "3"])
+    assert code == 0 and json.loads(out)["samples"] == 20_000
+    code, out, err = _run(capsys, ["volume", "--which", "simplex", "--samples", "20001", "--seed", "3"])
+    assert (code, out) == (2, "") and err.startswith("resource limit:")
+
+
+def test_definetti_streams_its_rows(capsys, monkeypatch):
+    # each row is written before the next is computed: a failure at k = 3
+    # leaves the header and the first two rows on stdout
+    real_gap = cli.definetti_gap
+
+    def gap_failing_at_3(rho, k):
+        if k == 3:
+            raise cli.ValidationError("stop at k = 3")
+        return real_gap(rho, k)
+
+    monkeypatch.setattr(cli, "definetti_gap", gap_failing_at_3)
+    code, out, err = _run(capsys, ["definetti", "--d", "2", "--k-max", "5"])
+    assert code == 1 and "stop at k = 3" in err
+    assert [line.split(",")[0] for line in out.splitlines()] == ["k", "1", "2"]
 
 
 def test_werner_sweep_with_oracle(capsys):

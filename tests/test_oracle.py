@@ -6,7 +6,15 @@ import time
 import numpy as np
 import pytest
 
-from helpers import brute_force_permutation_average, dense_face_affine_projection, lift_blocks, random_separable
+from helpers import (
+    DENSE_CHECK_SIDE,
+    brute_force_permutation_average,
+    certificate_holds,
+    dense_dual_check,
+    dense_face_affine_projection,
+    lift_blocks,
+    random_separable,
+)
 from symext import (
     BOSONIC,
     INCONCLUSIVE,
@@ -36,7 +44,9 @@ from symext import (
 )
 from symext.linalg import _occupation_isometry, _ptrace_mat
 from symext.oracle import (
+    CERTIFY_EVERY,
     GAP_TRACE_POINTS,
+    _check_reach,
     _extension_blocks,
     _face_blocks,
     _specht_dim,
@@ -229,8 +239,9 @@ def test_oracle_product_state_feasible():
 def test_oracle_bell_infeasible_both_flavors():
     bell = bell_state([1, 0, 0, 0])
     for flavor in (SYMMETRIC, BOSONIC):
-        res = oracle_feasibility(ExtensionProblem(bell, 2, flavor))
-        assert res.status == INFEASIBLE
+        problem = ExtensionProblem(bell, 2, flavor)
+        res = oracle_feasibility(problem)
+        assert res.status == INFEASIBLE and certificate_holds(res, problem)
         assert res.residual >= 1e-2
         assert res.certificate["marginal_residual"] >= 1e-2
 
@@ -300,15 +311,19 @@ def test_oracle_rank_deficient_marginals():
 
     infeasible_p = (0.8, 0.2, 0.0, 0.0)
     assert not bell_exact_2ext(infeasible_p)
-    res = oracle_feasibility(ExtensionProblem(bell_state(infeasible_p), 2, SYMMETRIC))
-    assert res.status == INFEASIBLE
+    problem = ExtensionProblem(bell_state(infeasible_p), 2, SYMMETRIC)
+    res = oracle_feasibility(problem)
+    assert res.status == INFEASIBLE and certificate_holds(res, problem)
     assert res.iterations == 0  # the face cannot reproduce the marginal at all
     assert res.certificate["marginal_residual"] > 1e-2
+    # the witness is minus the marginal's residual: its trace is minus the residual's square
+    assert res.certificate["dual_trace"] == pytest.approx(-res.certificate["marginal_residual"] ** 2, rel=1e-12)
 
-    # rank-1 marginal, both flavors
+    # rank-1 marginal, both flavors: the face is empty, so any negative trace proves it
     singlet = werner_state(2, -1.0)
-    assert oracle_feasibility(ExtensionProblem(singlet, 2, BOSONIC)).status == INFEASIBLE
-    assert oracle_feasibility(ExtensionProblem(singlet, 3, SYMMETRIC)).status == INFEASIBLE
+    for problem in (ExtensionProblem(singlet, 2, BOSONIC), ExtensionProblem(singlet, 3, SYMMETRIC)):
+        res = oracle_feasibility(problem)
+        assert res.status == INFEASIBLE and res.block_sides == () and certificate_holds(res, problem)
 
 
 def test_face_projector_annihilates_kernel_placements():
@@ -447,8 +462,10 @@ def test_oracle_werner_transition_location(k):
     statuses = {}
     for i in range(lo, hi + 1):
         psi = i / 100
-        res = oracle_feasibility(ExtensionProblem(werner_state(2, psi), k, SYMMETRIC))
+        problem = ExtensionProblem(werner_state(2, psi), k, SYMMETRIC)
+        res = oracle_feasibility(problem)
         statuses[psi] = res.status
+        assert res.status != INFEASIBLE or certificate_holds(res, problem), psi
     infeasible = [psi for psi, s in statuses.items() if s == INFEASIBLE]
     feasible = [psi for psi, s in statuses.items() if s == FEASIBLE]
     assert infeasible and feasible
@@ -461,20 +478,23 @@ def test_oracle_bell_soundness_full_grid():
     from test_acceptance import _exact_boundary_cloud, _simplex_grid
 
     cloud = _exact_boundary_cloud()
-    mismatches = undecided = checked = 0
+    mismatches = undecided = checked = uncertified = 0
     for p1, p2, p3, p4 in _simplex_grid(20):
         point = np.array([p1, p2, p3])
         if float(np.sqrt(((cloud - point) ** 2).sum(axis=1).min())) < 0.02:
             continue
         checked += 1
         expected = FEASIBLE if bell_exact_2ext((p1, p2, p3, p4)) else INFEASIBLE
-        res = oracle_feasibility(ExtensionProblem(bell_state((p1, p2, p3, p4)), 2, SYMMETRIC))
+        problem = ExtensionProblem(bell_state((p1, p2, p3, p4)), 2, SYMMETRIC)
+        res = oracle_feasibility(problem)
         if res.status == UNDECIDED:
             undecided += 1
         elif res.status != expected:
             mismatches += 1
+        if res.status == INFEASIBLE:
+            uncertified += not certificate_holds(res, problem)
     assert checked > 1000
-    assert mismatches == 0 and undecided == 0
+    assert mismatches == 0 and undecided == 0 and uncertified == 0
 
 
 def test_oracle_resource_guard_and_config():
@@ -488,6 +508,20 @@ def test_oracle_resource_guard_and_config():
     res = oracle_feasibility(ExtensionProblem(werner_state(2, -0.5), 3, SYMMETRIC), cfg)
     assert res.status == UNDECIDED
     assert res.iterations == 3
+    assert res.dual_witness is None and "certified" not in res.certificate
+
+
+def test_check_reach_refuses_wide_spaces_in_bounded_time():
+    _check_reach(2, 2, 7, SYMMETRIC, 256)
+    _check_reach(2, 2, 127, BOSONIC, 256)
+    for d_a, d_b, k, flavor in [(2, 2, 8, SYMMETRIC), (2, 2, 128, BOSONIC), (2, 3, 5, SYMMETRIC)]:
+        with pytest.raises(ResourceLimitError, match="exceeds the limit 256"):
+            _check_reach(d_a, d_b, k, flavor, 256)
+    # a huge k is refused without forming d_B^k
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"side 2\*3\^1000000000 exceeds"):
+        _check_reach(2, 3, 10**9, SYMMETRIC, 256)
+    assert time.perf_counter() - start < 0.1
 
 
 # (state, k, flavor) -> (status, iterations), recorded with the dense
@@ -518,12 +552,60 @@ GOLDEN = [
 ]
 
 
+# (state, k, flavor) -> iterations of the GOLDEN Infeasible solves that
+# iterate, now that they stop on a checked dual certificate.  GOLDEN's counts
+# for them came from a rule that waited for the gap to stay flat for 50
+# iterations; every one is now proven at the first check.  Feasible and
+# face-reach counts are GOLDEN's.
+GOLDEN_CERTIFIED_ITERATIONS = {
+    (("werner", 2, -0.5), 3, SYMMETRIC): 25,
+    (("werner", 2, -0.8), 2, SYMMETRIC): 25,
+    (("werner", 2, -0.8), 4, SYMMETRIC): 25,
+    (("werner", 2, -0.8), 5, SYMMETRIC): 25,
+    (("werner", 2, -0.8), 4, BOSONIC): 25,
+    (("werner", 3, -0.9), 3, BOSONIC): 25,
+}
+
+
+def _golden_problem(state, k, flavor):
+    rho = werner_state(*state[1:]) if state[0] == "werner" else bell_state(state[1])
+    return ExtensionProblem(rho, k, flavor)
+
+
 def test_oracle_matches_golden_statuses_and_iterations():
+    iterating_infeasible = {(state, k, flavor) for state, k, flavor, status, its in GOLDEN if status == INFEASIBLE and its}
+    assert iterating_infeasible == set(GOLDEN_CERTIFIED_ITERATIONS)
     for state, k, flavor, status, iterations in GOLDEN:
-        rho = werner_state(*state[1:]) if state[0] == "werner" else bell_state(state[1])
-        res = oracle_feasibility(ExtensionProblem(rho, k, flavor))
+        problem = _golden_problem(state, k, flavor)
+        res = oracle_feasibility(problem)
         assert res.status == status, (state, k, flavor)
-        assert abs(res.iterations - iterations) <= 2, (state, k, flavor, res.iterations)
+        if (state, k, flavor) in GOLDEN_CERTIFIED_ITERATIONS:
+            assert res.stop_reason == "dual-certificate"
+            assert res.iterations == GOLDEN_CERTIFIED_ITERATIONS[state, k, flavor] <= iterations
+        else:
+            assert abs(res.iterations - iterations) <= 2, (state, k, flavor, res.iterations)
+        if status == INFEASIBLE:
+            assert certificate_holds(res, problem), (state, k, flavor)
+        else:
+            assert res.dual_witness is None and "certified" not in res.certificate
+
+
+def test_dual_witness_reads_the_same_on_the_blocks_and_densely():
+    # the certificate's smallest eigenvalue, read on the blocks through amap^dag,
+    # is the dense lift's on the flavor space and the forced face
+    for state, k, flavor, status, _ in GOLDEN:
+        problem = _golden_problem(state, k, flavor)
+        d_a, d_b = problem.marginal.dims
+        if status != INFEASIBLE or d_a * d_b**k > DENSE_CHECK_SIDE:
+            continue
+        res = oracle_feasibility(problem)
+        witness = res.dual_witness
+        assert witness.shape == (d_a * d_b, d_a * d_b) and not witness.flags.writeable
+        assert np.max(np.abs(witness - witness.conj().T)) == 0.0
+        low, trace = dense_dual_check(problem, witness)
+        assert trace == res.certificate["dual_trace"] < 0
+        assert low == pytest.approx(res.certificate["dual_min_eig"], abs=1e-12)
+        assert low >= -1e-12
 
 
 def test_oracle_stop_reasons_and_telemetry():
@@ -531,7 +613,7 @@ def test_oracle_stop_reasons_and_telemetry():
     prod = tensor_product(random_density([2], rng), random_density([2], rng))
     cases = [
         (ExtensionProblem(prod, 3, SYMMETRIC), None, FEASIBLE, "feasible-gap"),
-        (ExtensionProblem(werner_state(2, -0.5), 3, SYMMETRIC), None, INFEASIBLE, "stable-gap"),
+        (ExtensionProblem(werner_state(2, -0.5), 3, SYMMETRIC), None, INFEASIBLE, "dual-certificate"),
         (ExtensionProblem(werner_state(2, -0.5), 3, SYMMETRIC), OracleConfig(max_iters=3), UNDECIDED, "max-iters"),
         (ExtensionProblem(bell_state([0.8, 0.2, 0, 0]), 2, SYMMETRIC), None, INFEASIBLE, "face-reach"),
     ]
@@ -543,11 +625,16 @@ def test_oracle_stop_reasons_and_telemetry():
             assert res.gap_trace[0][0] == 1 and res.gap_trace[-1] == (res.iterations, res.residual)
         else:
             assert res.gap_trace == ()
-    # the stable-gap run is longer than the trace: it is down-sampled
+    # the certificate is tested every CERTIFY_EVERY iterations, first at that iteration
     res = oracle_feasibility(ExtensionProblem(werner_state(2, -0.5), 3, SYMMETRIC))
-    assert res.iterations > GAP_TRACE_POINTS and len(res.gap_trace) == GAP_TRACE_POINTS
+    assert res.iterations == CERTIFY_EVERY
     # one block per shape: lambda = (3) and (2, 1) for qubits, each times d_A = 2
     assert res.block_sides == (8, 4)
+    # a run longer than the trace is down-sampled: the GOLDEN Werner d=3 psi=-0.9 k=2 solve
+    res = oracle_feasibility(ExtensionProblem(werner_state(3, -0.9), 2, SYMMETRIC))
+    assert res.status == FEASIBLE and res.iterations > GAP_TRACE_POINTS
+    assert len(res.gap_trace) == GAP_TRACE_POINTS
+    assert res.gap_trace[0][0] == 1 and res.gap_trace[-1] == (res.iterations, res.residual)
     assert oracle_feasibility(ExtensionProblem(werner_state(2, -0.5), 3, BOSONIC)).block_sides == (8,)
 
 

@@ -59,11 +59,14 @@ _CHUNK_ENTRIES = 4096
 # Work guards: werner-sweep and definetti build states of side d^2 at most
 # this large, and every sweep and the definetti table print at most this
 # many rows.  werner-sweep has 2 / psi-step + 1 rows, so its smallest step
-# is 1e-6.  volume draws at most _MAX_SAMPLES points, about 100 s at 10 M
-# points a second.
+# is 1e-6.  A definetti row costs eigensolves of the state's side, so its
+# table may hold at most rows x side^3 of _MAX_DEFINETTI_WORK, the work of
+# the longest two-qubit table (side 4).  volume draws at most _MAX_SAMPLES
+# points, about 100 s at 10 M points a second.
 _MAX_SIDE = 256
 _MAX_ROWS = 2_000_001
 _WERNER_MIN_STEP = 2.0 / (_MAX_ROWS - 1)
+_MAX_DEFINETTI_WORK = _MAX_ROWS * 4**3
 _MAX_SAMPLES = 1_000_000_000
 
 
@@ -75,6 +78,14 @@ def _require_rows(flag: str, rows: int) -> None:
 def _require_side(d: int) -> None:
     if d * d > _MAX_SIDE:
         raise ResourceLimitError(f"--d {d} gives states of side {d * d}, above the limit {_MAX_SIDE}")
+
+
+def _require_definetti_work(k_max: int, side: int) -> None:
+    if k_max * side**3 > _MAX_DEFINETTI_WORK:
+        raise ResourceLimitError(
+            f"--k-max {k_max} at state side {side} gives {k_max * side**3} rows x side^3, "
+            f"above the limit {_MAX_DEFINETTI_WORK}"
+        )
 
 
 def _bell_hat_ppt_flags(p: np.ndarray, k: int) -> np.ndarray:
@@ -387,10 +398,12 @@ def _cmd_definetti(args, out: IO[str]) -> int:
         rho = load_state(args.state, tol=args.tol)
         if len(rho.dims) != 2:
             raise CliInputError(f"state must be bipartite, got layout {rho.dims}")
+        _require_definetti_work(args.k_max, rho.mat.shape[0])
     else:
         if args.d < 1:
             raise CliInputError(f"--d must be at least 1, got {args.d}")
         _require_side(args.d)
+        _require_definetti_work(args.k_max, args.d * args.d)
         rng = np.random.Generator(np.random.Philox(args.seed))
         rho = random_density((args.d, args.d), rng)
     _write_rows(["k", "gap", "bound"], _definetti_rows(rho, args.k_max), out)

@@ -1,22 +1,27 @@
 """Numerical feasibility oracle for extension problems.
 
-Decides k-symmetric / k-bosonic extendability at desk scale with
-Dykstra-corrected projections between the PSD cone and the affine set of
-permutation-invariant extension candidates with the prescribed marginal.
-The inter-set gap converges to the distance between the two sets: it
-vanishes exactly when an extension exists.
+Decides k-symmetric / k-bosonic extendability at desk scale as the
+projection of the origin onto the permutation-invariant PSD extension
+candidates with the prescribed marginal.  A semismooth Newton method on the
+dual (Qi & Sun, SIMAX 2006; Malick, SIMAX 2004) runs first, for at most
+NEWTON_STEPS steps.  When it has not decided, Dykstra-corrected projections
+between the PSD cone and the affine set of candidates take over from the
+start; their inter-set gap converges to the distance between the two sets
+and vanishes exactly when an extension exists.  Both paths stop Feasible
+when a PSD point lies within tol_feasible of the affine set.
 
 Infeasible is a checked proof, never a stalled gap.  By SDP duality
 (Doherty, Parrilo & Spedalieri, PRA 69, 022308, 2004) no extension exists
 exactly when some Hermitian W on AB has a PSD lift
-(1/k) sum_i W_{AB_i} (x) I on the extension space and Tr(W rho) < 0.  The
-affine step already holds a candidate: with w = gpinv (amap(y) - rho), the
-difference y - x of the PSD and the affine iterate is amap^dag w.  Every
-CERTIFY_EVERY iterations the oracle shifts w by the multiple of the
-identity that makes its lift PSD on every block and stops as soon as the
-shifted trace is negative.  Stop reasons: ``feasible-gap`` (Feasible),
-``dual-certificate`` and ``face-reach`` (Infeasible), ``max-iters`` and
-``linalg-error`` (Undecided).
+(1/k) sum_i W_{AB_i} (x) I on the extension space and Tr(W rho) < 0.  Both
+paths hold a candidate W: Newton's dual point, negated, and Dykstra's
+w = gpinv (amap(y) - rho), whose lift is the difference y - x of the PSD
+and the affine iterate, tested every CERTIFY_EVERY iterations.  The oracle
+shifts W by the multiple of the identity that makes its lift PSD on every
+block and stops once Tr(W' rho) <= -tol_gap ||W'||_2, a margin that
+rounding on a boundary marginal cannot fake.  Stop reasons:
+``feasible-gap`` (Feasible), ``dual-certificate`` and ``face-reach``
+(Infeasible), ``max-iters`` and ``linalg-error`` (Undecided).
 
 The iteration runs on isotypic blocks, not on the full space.  By
 Schur-Weyl duality a permutation-invariant operator on A (x) B^(x)k is
@@ -34,7 +39,7 @@ flavor keeps every lambda.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Mapping
 
@@ -57,6 +62,12 @@ STOP_LINALG_ERROR = "linalg-error"  # eigh and the SVD fallback of project_psd b
 
 # Iterations between two checks of the dual witness.
 CERTIFY_EVERY = 25
+
+# Most semismooth Newton steps on the dual before Dykstra takes over.
+NEWTON_STEPS = 30
+
+# Entries per temporary when the Newton Hessian is built in chunks of columns.
+HESSIAN_CHUNK = 1 << 16
 
 # Most (iteration, gap) points kept from a run's gap trajectory.
 GAP_TRACE_POINTS = 64
@@ -86,19 +97,22 @@ class OracleConfig:
 class OracleResult:
     """Verdict of one oracle run.
 
-    Feasible means a PSD iterate sits within tol_feasible of the constraint
+    Feasible means a PSD point sits within tol_feasible of the constraint
     set (stop reason ``feasible-gap``).  Infeasible means a checked dual
-    certificate (``dual-certificate`` after the iteration, ``face-reach`` when
-    the forced support face cannot reproduce the marginal): ``dual_witness``
-    is the Hermitian W' on AB, and the certificate reports ``dual_trace`` =
-    Tr(W' rho), ``dual_min_eig``, the smallest eigenvalue of its lift
-    (1/k) sum_i W'_{AB_i} (x) I on the span of the blocks, and ``certified``,
-    true when that trace is negative.  Undecided means the iteration budget
-    ran out (``max-iters``) or the PSD projection failed (``linalg-error``).
+    certificate (``dual-certificate`` from Newton or Dykstra, ``face-reach``
+    when the forced support face cannot reproduce the marginal):
+    ``dual_witness`` is the Hermitian W' on AB, and the certificate reports
+    ``dual_trace`` = Tr(W' rho), ``dual_min_eig``, the smallest eigenvalue of
+    its lift (1/k) sum_i W'_{AB_i} (x) I on the span of the blocks, and
+    ``certified``, true when Tr(W' rho) <= -tol_gap ||W'||_2.  Undecided
+    means both budgets ran out (``max-iters``) or Dykstra's PSD projection
+    failed (``linalg-error``).
 
-    ``block_sides`` are the sides of the blocks the iteration ran on, and
-    ``gap_trace`` the inter-set gap as (iteration, gap) pairs, down-sampled
-    to at most GAP_TRACE_POINTS and always ending with the last iteration.
+    ``iterations`` and ``gap_trace`` are Dykstra's: 0 and empty when Newton
+    decided.  ``gap_trace`` holds the inter-set gap as (iteration, gap)
+    pairs, down-sampled to at most GAP_TRACE_POINTS and always ending with
+    the last iteration.  ``newton_steps`` counts the Newton steps run first,
+    and ``block_sides`` are the sides of the blocks both ran on.
     """
 
     status: str
@@ -109,6 +123,7 @@ class OracleResult:
     block_sides: tuple[int, ...] = ()
     gap_trace: tuple[tuple[int, float], ...] = ()
     dual_witness: np.ndarray | None = field(default=None, compare=False)
+    newton_steps: int = 0
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:
@@ -231,10 +246,11 @@ def _weyl_isometry(d: int, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v for a complex vector v; a real a is not cast to complex."""
+    """a @ v for a complex vector or C-ordered matrix v; a real a is not cast to complex."""
     if np.iscomplexobj(a):
         return a @ v
-    return (a @ v.view(float).reshape(-1, 2)).view(complex).ravel()
+    pairs = v.view(float).reshape(len(v), 2 * math.prod(v.shape[1:]))
+    return (a @ pairs).view(complex).reshape((a.shape[0],) + v.shape[1:])
 
 
 def _rmatvec(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -299,8 +315,9 @@ class _Blocks:
         n_ab, k = self.dims[0] * self.dims[1], len(self.dims) - 1
         out = np.zeros((n_ab, n_ab), dtype=complex)
         for v, m, blk in zip(self.isos, self.weights, self.split(flat)):
+            s = v.shape[1]
             for p in _placements(v, self.dims):
-                out += math.sqrt(m) * np.tensordot(p @ blk, p.conj(), axes=([1, 2], [1, 2]))
+                out += math.sqrt(m) * ((p.reshape(-1, s) @ blk).reshape(n_ab, -1) @ p.reshape(n_ab, -1).conj().T)
         return out / k
 
     def min_eig(self, flat: np.ndarray) -> float:
@@ -315,9 +332,11 @@ class _Blocks:
 
 def _placements(iso: np.ndarray, dims) -> list[np.ndarray]:
     """The isometry as (A B_i, the other B factors, column), for each i = 1..k."""
-    s = iso.shape[1]
+    s, n = iso.shape[1], len(dims)
     t = iso.reshape(tuple(dims) + (s,))
-    return [np.moveaxis(t, i, 1).reshape(dims[0] * dims[1], -1, s) for i in range(1, len(dims))]
+    # B_i moved next to A, the other factors and the column in order
+    return [t.transpose((0, i) + tuple(j for j in range(1, n + 1) if j != i)).reshape(dims[0] * dims[1], -1, s)
+            for i in range(1, n)]
 
 
 def _make_blocks(dims, isos, weights) -> _Blocks:
@@ -422,19 +441,52 @@ def _shifted_witness(blocks: _Blocks, w: np.ndarray, z: np.ndarray) -> np.ndarra
     return hermitize(w.reshape(n_ab, n_ab)) + t * np.eye(n_ab)
 
 
-def _dual_certificate(blocks: _Blocks, witness: np.ndarray, rho: DensityMatrix) -> dict:
-    """Tr(W' rho) and the smallest eigenvalue of the lift of W', both read from W' itself."""
+def _certifies(witness: np.ndarray, rho: DensityMatrix, tol_gap: float) -> bool:
+    """The certificate test: Tr(W' rho) < 0 and Tr(W' rho) <= -tol_gap ||W'||_2.
+
+    |Tr(W' (sigma - rho))| <= ||W'||_2 ||sigma - rho||_1, so a witness that
+    passes also proves that no sigma within trace norm tol_gap of rho
+    extends.  On a boundary marginal, whose trace can be negative only by
+    rounding, it fails.
+    """
     trace = float(np.vdot(witness, rho.mat).real)
+    return trace < 0 and trace <= -tol_gap * float(np.linalg.norm(witness, 2))
+
+
+def _dual_certificate(blocks: _Blocks, witness: np.ndarray, rho: DensityMatrix, tol_gap: float) -> dict:
+    """Tr(W' rho), the smallest eigenvalue of the lift of W' and the certificate test, all read from W' itself."""
     return {
-        "dual_trace": trace,
+        "dual_trace": float(np.vdot(witness, rho.mat).real),
         "dual_min_eig": blocks.min_eig(blocks.adjoint(witness.ravel())),
-        "certified": trace < 0,
+        "certified": _certifies(witness, rho, tol_gap),
     }
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _verdict(blocks: _Blocks, rho: DensityMatrix, cfg: OracleConfig, status: str, stop: str,
+             y: np.ndarray, x: np.ndarray, gap: float, witness: np.ndarray | None, **telemetry) -> OracleResult:
+    """The result of a run that ended at the PSD point y with affine projection x."""
+    # checked on the isometries and the blocks, independently of amap
+    certificate = {
+        "marginal_residual": float(np.linalg.norm(blocks.placed_marginal(y) - rho.mat)),
+        "min_eig": float("nan") if stop == STOP_LINALG_ERROR else blocks.min_eig(x),
+        "gap_estimate": gap,
+    }
+    if status == INFEASIBLE:
+        certificate.update(_dual_certificate(blocks, witness, rho, cfg.tol_gap))
+    return OracleResult(
+        status=status,
+        residual=gap,
+        certificate=certificate,
+        stop_reason=stop,
+        block_sides=blocks.sides,
+        dual_witness=_frozen(witness) if status == INFEASIBLE else None,
+        **telemetry,
+    )
 
 
 def _run_dykstra(blocks: _Blocks, rho: DensityMatrix, cfg: OracleConfig) -> OracleResult:
@@ -467,27 +519,112 @@ def _run_dykstra(blocks: _Blocks, rho: DensityMatrix, cfg: OracleConfig) -> Orac
             break
         if iterations % CERTIFY_EVERY == 0 and gap >= cfg.tol_gap:
             witness = _shifted_witness(blocks, w, z)
-            if np.vdot(witness, rho.mat).real < 0:
+            if _certifies(witness, rho, cfg.tol_gap):
                 status, stop = INFEASIBLE, STOP_DUAL_CERTIFICATE
                 break
-    # checked on the isometries and the blocks, independently of amap
-    certificate = {
-        "marginal_residual": float(np.linalg.norm(blocks.placed_marginal(y) - rho.mat)),
-        "min_eig": float("nan") if stop == STOP_LINALG_ERROR else blocks.min_eig(x),
-        "gap_estimate": gap,
-    }
-    if status == INFEASIBLE:
-        certificate.update(_dual_certificate(blocks, witness, rho))
-    return OracleResult(
-        status=status,
-        residual=gap,
-        iterations=iterations,
-        certificate=certificate,
-        stop_reason=stop,
-        block_sides=blocks.sides,
-        gap_trace=_gap_trace(gaps),
-        dual_witness=_frozen(witness) if status == INFEASIBLE else None,
-    )
+    return _verdict(blocks, rho, cfg, status, stop, y, x, gap, witness, iterations=iterations, gap_trace=_gap_trace(gaps))
+
+
+# --- semismooth Newton on the dual ----------------------------------------------
+#
+# The projection of the origin onto {X PSD : amap(X) = rho}, which Dykstra
+# also computes, is X = P+(amap^dag w) at the minimum of the dual
+# theta(w) = 1/2 ||P+(amap^dag w)||^2 - <w, rho>, with gradient
+# amap P+(amap^dag w) - rho.  theta has only n_AB^2 variables and is
+# strongly semismooth, so Newton's method with the generalized Hessian
+# amap J amap^dag and an Armijo line search converges quadratically (Qi &
+# Sun, SIMAX 28, 360, 2006; Malick, SIMAX 26, 272, 2004).  For an infeasible
+# marginal theta is unbounded below and -w becomes a dual witness.
+
+
+def _dual_point(blocks: _Blocks, w: np.ndarray, target: np.ndarray):
+    """(z, parts, y, theta) at w: z = amap^dag w, the eigendecomposition of each block of z, y = P+(z), theta(w)."""
+    z = blocks.adjoint(w)
+    parts = [np.linalg.eigh(hermitize(b)) for b in blocks.split(z)]
+    y = np.concatenate([((v * np.maximum(lam, 0.0)) @ v.conj().T).ravel() for lam, v in parts])
+    return z, parts, y, 0.5 * float(np.vdot(y, y).real) - float(np.vdot(w, target).real)
+
+
+def _jacobian_weights(lam: np.ndarray) -> np.ndarray:
+    """Divided differences of max(., 0) at the eigenvalues: J(E) = V (omega o V^dag E V) V^dag."""
+    pos = lam > 0
+    same = pos[:, None] == pos[None, :]
+    rise = np.maximum(lam, 0.0)
+    # 1 or 0 for a pair on one side of zero; a pair across zero has lam_p != lam_q
+    across = (rise[:, None] - rise[None, :]) / np.where(same, 1.0, lam[:, None] - lam[None, :])
+    return np.where(same, pos[:, None] & pos[None, :], across)
+
+
+def _newton_hessian(blocks: _Blocks, parts) -> np.ndarray:
+    """The generalized Hessian amap J amap^dag, one block and a bounded chunk of its columns at a time.
+
+    Column j of amap^dag, the lift G_j of the j-th unit matrix, is the
+    conjugated j-th row of amap, and column j of the Hessian is amap J(G_j),
+    with J(G) = V (omega o V^dag G V) V^dag on a block with eigenvectors V.
+    A chunk of columns holds at most HESSIAN_CHUNK entries per temporary, so
+    the temporaries stay small next to amap, which has n_AB^2 s^2 entries.
+    """
+    m = blocks.amap.shape[0]
+    hess = np.zeros((m, m), dtype=complex)
+    off = 0
+    for (lam, v), s in zip(parts, blocks.sides):
+        amap_b = blocks.amap[:, off : off + s * s]
+        off += s * s
+        omega = _jacobian_weights(lam)
+        step = max(1, HESSIAN_CHUNK // (s * s))
+        for j in range(0, m, step):
+            lifts = amap_b[j : j + step].conj().reshape(-1, s, s)
+            jac = v @ (omega * (v.conj().T @ lifts @ v)) @ v.conj().T
+            hess[:, j : j + step] += _matvec(amap_b, np.ascontiguousarray(jac.reshape(-1, s * s).T))
+    return hess
+
+
+def _run_newton(blocks: _Blocks, rho: DensityMatrix, cfg: OracleConfig) -> tuple[OracleResult | None, int]:
+    """The verdict of at most min(NEWTON_STEPS, max_iters) Newton steps, or None, and the steps taken.
+
+    Step j tests the dual point w: Feasible when X = P+(amap^dag w) lies
+    within tol_feasible of its affine projection, Infeasible when -w, shifted,
+    passes the certificate test; otherwise it moves w by a Newton step damped
+    by an Armijo line search.  w starts where Dykstra does, at
+    amap^dag w = amap^+ rho.  A failed eigensolve or a line search that finds
+    no descent ends the run undecided.
+    """
+    target = rho.mat.ravel()
+    n_ab = blocks.dims[0] * blocks.dims[1]
+    w = _matvec(blocks.gpinv, target)
+    steps = 0
+    try:
+        z, parts, y, theta = _dual_point(blocks, w, target)
+        for steps in range(1, min(NEWTON_STEPS, cfg.max_iters) + 1):
+            c = blocks.correction(blocks.marginal(y) - target)  # y minus its affine projection
+            gap = float(np.linalg.norm(c))
+            if gap <= cfg.tol_feasible:
+                return _verdict(blocks, rho, cfg, FEASIBLE, STOP_FEASIBLE_GAP, y, y - c, gap, None,
+                                iterations=0, newton_steps=steps), steps
+            witness = _shifted_witness(blocks, -w, -z)
+            if _certifies(witness, rho, cfg.tol_gap):
+                return _verdict(blocks, rho, cfg, INFEASIBLE, STOP_DUAL_CERTIFICATE, y, y - c, gap, witness,
+                                iterations=0, newton_steps=steps), steps
+            # the gradient's part in the range of amap: the rest is the
+            # marginal's residual off a support face, which no w changes
+            grad = blocks.marginal(c)
+            hess = _newton_hessian(blocks, parts)
+            d = np.linalg.solve(hess + 1e-10 * np.eye(len(grad)), -grad)
+            d = hermitize(d.reshape(n_ab, n_ab)).ravel()
+            slope = float(np.vdot(grad, d).real)
+            alpha = 1.0
+            for _ in range(30):
+                trial = _dual_point(blocks, w + alpha * d, target)
+                if trial[3] <= theta + 1e-4 * alpha * slope:
+                    break
+                alpha /= 2
+            else:
+                break  # no descent along d: the solve is Dykstra's
+            w = w + alpha * d
+            z, parts, y, theta = trial
+    except np.linalg.LinAlgError:
+        pass  # Dykstra's projection has an SVD fallback; Newton needs the eigenvectors
+    return None, steps
 
 
 def _check_reach(d_a: int, d_b: int, k: int, flavor: str, dim_limit: int) -> None:
@@ -506,17 +643,20 @@ def _check_reach(d_a: int, d_b: int, k: int, flavor: str, dim_limit: int) -> Non
 def oracle_feasibility(problem: ExtensionProblem, cfg: OracleConfig | None = None) -> OracleResult:
     """Decide extendability numerically, independent of the derived-state criteria.
 
-    Feasible (stop reason ``feasible-gap``): a PSD iterate sits within
-    tol_feasible of the constraint set.  Infeasible: a checked dual
-    certificate, a Hermitian W' on AB whose lift is PSD on the blocks and
-    whose trace against the marginal is negative.  It comes from the
-    iteration, tested every CERTIFY_EVERY iterations while the gap is at or
-    above tol_gap (``dual-certificate``), or from the marginal's residual
-    when the support face forced by its kernel cannot reproduce it at all
-    (``face-reach``).  Undecided: the iteration budget ran out first
-    (``max-iters``, expected near the feasibility boundary, where first-order
-    methods converge slowly), or both eigensolver paths of the PSD
-    projection failed (``linalg-error``, ``min_eig`` NaN).
+    Newton's method on the dual runs first, for at most
+    min(NEWTON_STEPS, max_iters) steps, and Dykstra, for at most max_iters
+    iterations, when Newton has not decided.  Feasible (stop reason
+    ``feasible-gap``): a PSD point sits within tol_feasible of the
+    constraint set.  Infeasible: a checked dual certificate, a Hermitian W'
+    on AB whose lift is PSD on the blocks and whose trace against the
+    marginal is at most -tol_gap ||W'||_2.  It comes from Newton's dual
+    point at every step, or from Dykstra every CERTIFY_EVERY iterations while
+    the gap is at or above tol_gap (``dual-certificate``), or from the
+    marginal's residual when the support face forced by its kernel cannot
+    reproduce it at all (``face-reach``).  Undecided: both budgets ran out
+    (``max-iters``, expected within about tol_gap of the feasibility
+    boundary), or both eigensolver paths of Dykstra's PSD projection failed
+    (``linalg-error``, ``min_eig`` NaN).
     """
     cfg = cfg or OracleConfig()
     rho = problem.marginal
@@ -536,7 +676,7 @@ def oracle_feasibility(problem: ExtensionProblem, cfg: OracleConfig | None = Non
             # has amap^dag W = 0 and Tr(W rho) = -deficit^2
             witness = _shifted_witness(blocks, -residual, blocks.adjoint(-residual))
             certificate = {"marginal_residual": deficit, "min_eig": 0.0, "gap_estimate": deficit}
-            certificate.update(_dual_certificate(blocks, witness, rho))
+            certificate.update(_dual_certificate(blocks, witness, rho, cfg.tol_gap))
             return OracleResult(
                 INFEASIBLE,
                 residual=deficit,
@@ -547,4 +687,7 @@ def oracle_feasibility(problem: ExtensionProblem, cfg: OracleConfig | None = Non
                 dual_witness=_frozen(witness),
             )
 
-    return _run_dykstra(blocks, rho, cfg)
+    result, steps = _run_newton(blocks, rho, cfg)
+    if result is None:
+        result = replace(_run_dykstra(blocks, rho, cfg), newton_steps=steps)
+    return result

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from symext import DensityMatrix, random_density, symmetric_projector
+from symext import DensityMatrix, OracleConfig, random_density, symmetric_projector
 
 
 def random_separable(dims, rng, terms=6):
@@ -148,8 +148,15 @@ def dense_dual_check(problem, witness):
 
 
 def certificate_holds(res, problem) -> bool:
-    """An Infeasible result carries a certified dual witness, checked densely up to DENSE_CHECK_SIDE."""
+    """An Infeasible result carries a certified dual witness, checked densely up to DENSE_CHECK_SIDE.
+
+    The trace must also be negative with a margin, recomputed from W' and rho:
+    -Tr(W' rho) >= tol_gap ||W'||_2 for the default tol_gap.
+    """
     if not (res.certificate["certified"] is True and res.certificate["dual_trace"] < 0):
+        return False
+    witness = res.dual_witness
+    if -float(np.vdot(witness, problem.marginal.mat).real) < OracleConfig().tol_gap * float(np.linalg.norm(witness, 2)):
         return False
     d_a, d_b = problem.marginal.dims
     if d_a * d_b**problem.k > DENSE_CHECK_SIDE:

@@ -347,6 +347,9 @@ def test_werner_sweep_work_guards_admit_their_limits(capsys, monkeypatch):
         ["consistency-sweep", "--grid", "4000000"],
         ["definetti", "--d", "17"],
         ["definetti", "--d", "100", "--k-max", "1"],
+        ["definetti", "--d", "16", "--k-max", "8"],
+        ["definetti", "--d", "16", "--k-max", "2000001"],
+        ["definetti", "--d", "3", "--k-max", "175584"],
         ["definetti", "--k-max", "2000002"],
         ["definetti", "--k-max", "1000000000"],
         ["volume", "--which", "exact", "--samples", "1000000001", "--seed", "1"],
@@ -385,6 +388,24 @@ def test_row_and_side_guards_admit_their_limits(capsys, monkeypatch):
     code, out, _ = _run(capsys, ["definetti", "--k-max", "2000001"])
     assert code == 0
     assert out.splitlines()[1:] == ["2000001"]
+    # the definetti work guard counts rows x side^3: 7 rows at side 256, 175583 at side 9
+    for d, k_max in ((16, 7), (3, 175583)):
+        code, out, _ = _run(capsys, ["definetti", "--d", str(d), "--k-max", str(k_max)])
+        assert code == 0
+        assert out.splitlines()[1:] == [str(k_max)]
+
+
+def test_definetti_work_guard_reads_the_state_side(capsys, monkeypatch, tmp_path):
+    # a --state file of side 16 admits 31250 rows and refuses one more before any output
+    path = str(tmp_path / "state.json")
+    dump_state(random_density([4, 4], np.random.default_rng(5)), path)
+    monkeypatch.setattr(cli, "_definetti_rows", lambda rho, k_max: iter([[str(k_max)]]))
+    code, out, _ = _run(capsys, ["definetti", "--k-max", "31250", "--state", path])
+    assert (code, out.splitlines()[1:]) == (0, ["31250"])
+    code, out, err = _run(capsys, ["definetti", "--k-max", "31251", "--state", path])
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("resource limit:")
 
 
 def test_volume_sample_cap_admits_its_limit(capsys, monkeypatch):

@@ -17,6 +17,7 @@ from helpers import (
 )
 from symext import (
     BOSONIC,
+    DensityMatrix,
     INCONCLUSIVE,
     SYMMETRIC,
     VIOLATED,
@@ -42,17 +43,26 @@ from symext import (
     tensor_product,
     werner_state,
 )
-from symext.linalg import _occupation_isometry, _ptrace_mat
+import symext.oracle as oracle_mod
+from symext.linalg import _occupation_isometry, _ptrace_mat, hermitize
 from symext.oracle import (
     CERTIFY_EVERY,
     GAP_TRACE_POINTS,
+    NEWTON_STEPS,
     _check_reach,
+    _dual_point,
     _extension_blocks,
     _face_blocks,
+    _newton_hessian,
+    _run_dykstra,
     _specht_dim,
     _state_kernel,
     _weyl_isometry,
 )
+
+
+# three Newton steps leave it undecided: Newton decides it at step 6
+NEWTON_UNDECIDED_AT_3 = ExtensionProblem(bell_state((0.5, 0.3, 0.15, 0.05)), 3, SYMMETRIC)
 
 
 def _random_hermitian(n, rng):
@@ -115,25 +125,42 @@ def test_oracle_undecided_when_psd_projection_fails(monkeypatch):
     problem = ExtensionProblem(werner_state(2, -0.3), 3, SYMMETRIC)
     oracle_feasibility(problem, OracleConfig(max_iters=1))  # builds the cached blocks
     real_eigh = np.linalg.eigh
-    calls = []
 
-    def eigh_failing_from_iteration_5(*args, **kwargs):
-        # one call for the marginal's kernel, then one per block (two) per iteration
-        calls.append(None)
-        if len(calls) > 1 + 2 * 4:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real_eigh(*args, **kwargs)
+    def eigh_failing_at(failing):
+        # call 1 is the marginal's kernel and call 2 Newton's first block;
+        # after Newton gives up, Dykstra makes one call per block (two) per iteration
+        calls = []
+
+        def eigh(*args, **kwargs):
+            calls.append(None)
+            if failing(len(calls)):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eigh(*args, **kwargs)
+
+        return eigh
+
+    # a failed eigensolve inside Newton hands the solve to Dykstra, which decides it
+    monkeypatch.setattr(np.linalg, "eigh", eigh_failing_at(lambda n: n == 2))
+    res = oracle_feasibility(problem)
+    assert (res.status, res.stop_reason, res.newton_steps) == (FEASIBLE, "feasible-gap", 0)
+    assert res.iterations > 0 and res.gap_trace[-1] == (res.iterations, res.residual)
 
     def failing_svd(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", eigh_failing_from_iteration_5)
+    # then Dykstra's eigensolver and its SVD fallback fail from iteration 5
+    monkeypatch.setattr(np.linalg, "eigh", eigh_failing_at(lambda n: n == 2 or n > 2 + 2 * 4))
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
     res = oracle_feasibility(problem)
-    assert (res.status, res.stop_reason, res.iterations) == (UNDECIDED, "linalg-error", 4)
+    assert (res.status, res.stop_reason, res.iterations, res.newton_steps) == (UNDECIDED, "linalg-error", 4, 0)
     assert res.gap_trace[-1] == (4, res.residual) and len(res.gap_trace) == 4
     assert math.isnan(res.certificate["min_eig"])
     assert res.certificate["marginal_residual"] < 1.0
+
+    # a failure later in Newton keeps the steps it completed
+    monkeypatch.setattr(np.linalg, "eigh", eigh_failing_at(lambda n: n >= 4))
+    res = oracle_feasibility(problem)
+    assert (res.status, res.stop_reason, res.iterations, res.newton_steps) == (UNDECIDED, "linalg-error", 0, 1)
 
 
 def test_projections_nonexpansive():
@@ -505,7 +532,7 @@ def test_oracle_resource_guard_and_config():
     with pytest.raises(ValidationError):
         OracleConfig(max_iters=0)
     cfg = OracleConfig(max_iters=3)
-    res = oracle_feasibility(ExtensionProblem(werner_state(2, -0.5), 3, SYMMETRIC), cfg)
+    res = oracle_feasibility(NEWTON_UNDECIDED_AT_3, cfg)
     assert res.status == UNDECIDED
     assert res.iterations == 3
     assert res.dual_witness is None and "certified" not in res.certificate
@@ -572,22 +599,38 @@ def _golden_problem(state, k, flavor):
     return ExtensionProblem(rho, k, flavor)
 
 
+def _solve_blocks(problem):
+    """The blocks oracle_feasibility iterates on: the flavor's, on the forced support face of a singular marginal."""
+    d_a, d_b = problem.marginal.dims
+    blocks = _extension_blocks(d_a, d_b, problem.k, problem.flavor)
+    kernel = _state_kernel(problem.marginal)
+    return blocks if kernel is None else _face_blocks(blocks, kernel)
+
+
 def test_oracle_matches_golden_statuses_and_iterations():
+    # statuses through the oracle, Newton first; iteration counts from
+    # Dykstra alone on the same blocks, which Newton leaves unchanged
     iterating_infeasible = {(state, k, flavor) for state, k, flavor, status, its in GOLDEN if status == INFEASIBLE and its}
     assert iterating_infeasible == set(GOLDEN_CERTIFIED_ITERATIONS)
     for state, k, flavor, status, iterations in GOLDEN:
         problem = _golden_problem(state, k, flavor)
         res = oracle_feasibility(problem)
         assert res.status == status, (state, k, flavor)
-        if (state, k, flavor) in GOLDEN_CERTIFIED_ITERATIONS:
-            assert res.stop_reason == "dual-certificate"
-            assert res.iterations == GOLDEN_CERTIFIED_ITERATIONS[state, k, flavor] <= iterations
-        else:
-            assert abs(res.iterations - iterations) <= 2, (state, k, flavor, res.iterations)
         if status == INFEASIBLE:
             assert certificate_holds(res, problem), (state, k, flavor)
         else:
             assert res.dual_witness is None and "certified" not in res.certificate
+        if res.stop_reason == "face-reach":
+            assert iterations == res.iterations == res.newton_steps == 0
+            continue
+        dykstra = _run_dykstra(_solve_blocks(problem), problem.marginal, OracleConfig())
+        assert dykstra.status == status, (state, k, flavor)
+        if (state, k, flavor) in GOLDEN_CERTIFIED_ITERATIONS:
+            assert dykstra.stop_reason == "dual-certificate"
+            assert dykstra.iterations == GOLDEN_CERTIFIED_ITERATIONS[state, k, flavor] <= iterations
+            assert certificate_holds(dykstra, problem), (state, k, flavor)
+        else:
+            assert dykstra.iterations == iterations, (state, k, flavor, dykstra.iterations)
 
 
 def test_dual_witness_reads_the_same_on_the_blocks_and_densely():
@@ -614,7 +657,7 @@ def test_oracle_stop_reasons_and_telemetry():
     cases = [
         (ExtensionProblem(prod, 3, SYMMETRIC), None, FEASIBLE, "feasible-gap"),
         (ExtensionProblem(werner_state(2, -0.5), 3, SYMMETRIC), None, INFEASIBLE, "dual-certificate"),
-        (ExtensionProblem(werner_state(2, -0.5), 3, SYMMETRIC), OracleConfig(max_iters=3), UNDECIDED, "max-iters"),
+        (NEWTON_UNDECIDED_AT_3, OracleConfig(max_iters=3), UNDECIDED, "max-iters"),
         (ExtensionProblem(bell_state([0.8, 0.2, 0, 0]), 2, SYMMETRIC), None, INFEASIBLE, "face-reach"),
     ]
     for problem, cfg, status, reason in cases:
@@ -625,17 +668,100 @@ def test_oracle_stop_reasons_and_telemetry():
             assert res.gap_trace[0][0] == 1 and res.gap_trace[-1] == (res.iterations, res.residual)
         else:
             assert res.gap_trace == ()
-    # the certificate is tested every CERTIFY_EVERY iterations, first at that iteration
+    # the face check runs neither method; max_iters caps the Newton steps and then the Dykstra iterations
+    assert (res.stop_reason, res.newton_steps, res.iterations) == ("face-reach", 0, 0)
+    res = oracle_feasibility(NEWTON_UNDECIDED_AT_3, OracleConfig(max_iters=3))
+    assert (res.newton_steps, res.iterations) == (3, 3)
+    res = oracle_feasibility(NEWTON_UNDECIDED_AT_3)
+    assert (res.status, res.stop_reason, res.newton_steps, res.iterations) == (FEASIBLE, "feasible-gap", 6, 0)
+    # Newton decides without a Dykstra iteration
     res = oracle_feasibility(ExtensionProblem(werner_state(2, -0.5), 3, SYMMETRIC))
-    assert res.iterations == CERTIFY_EVERY
+    assert (res.iterations, res.gap_trace, res.newton_steps) == (0, (), 1)
     # one block per shape: lambda = (3) and (2, 1) for qubits, each times d_A = 2
     assert res.block_sides == (8, 4)
+    assert oracle_feasibility(ExtensionProblem(werner_state(2, -0.5), 3, BOSONIC)).block_sides == (8,)
+    # Dykstra tests the certificate every CERTIFY_EVERY iterations, first at that iteration
+    problem = ExtensionProblem(werner_state(2, -0.5), 3, SYMMETRIC)
+    res = _run_dykstra(_solve_blocks(problem), problem.marginal, OracleConfig())
+    assert (res.stop_reason, res.iterations) == ("dual-certificate", CERTIFY_EVERY)
     # a run longer than the trace is down-sampled: the GOLDEN Werner d=3 psi=-0.9 k=2 solve
-    res = oracle_feasibility(ExtensionProblem(werner_state(3, -0.9), 2, SYMMETRIC))
+    problem = ExtensionProblem(werner_state(3, -0.9), 2, SYMMETRIC)
+    res = _run_dykstra(_solve_blocks(problem), problem.marginal, OracleConfig())
     assert res.status == FEASIBLE and res.iterations > GAP_TRACE_POINTS
     assert len(res.gap_trace) == GAP_TRACE_POINTS
     assert res.gap_trace[0][0] == 1 and res.gap_trace[-1] == (res.iterations, res.residual)
-    assert oracle_feasibility(ExtensionProblem(werner_state(2, -0.5), 3, BOSONIC)).block_sides == (8,)
+    # within tol_gap of the Werner k=3 threshold no certificate has the margin:
+    # Newton spends its budget and Dykstra its iterations
+    res = oracle_feasibility(ExtensionProblem(werner_state(2, -1 / 3 - 1e-6), 3, SYMMETRIC), OracleConfig(max_iters=200))
+    assert (res.status, res.stop_reason, res.newton_steps, res.iterations) == (UNDECIDED, "max-iters", NEWTON_STEPS, 200)
+    assert len(res.gap_trace) == GAP_TRACE_POINTS and res.gap_trace[-1] == (200, res.residual)
+
+
+@pytest.mark.parametrize("rho,k", [(werner_state(2, -0.4), 3), (bell_state([0.5, 0.3, 0.2, 0.0]), 2), (werner_state(3, 0.1), 2)])
+def test_newton_hessian_is_the_derivative_of_the_gradient(rho, k, monkeypatch):
+    # amap J amap^dag d against central differences of amap P+(amap^dag w),
+    # at a random Hermitian w where the lift has no zero eigenvalue
+    rng = np.random.default_rng(68 + k)
+    blocks = _solve_blocks(ExtensionProblem(rho, k, SYMMETRIC))
+    target = rho.mat.ravel()
+    n_ab = rho.mat.shape[0]
+    w, d = (_random_hermitian(n_ab, rng).ravel() for _ in range(2))
+    _, parts, _, _ = _dual_point(blocks, w, target)
+    assert min(float(np.min(np.abs(lam))) for lam, _ in parts) > 1e-3
+    grad = lambda v: blocks.marginal(_dual_point(blocks, v, target)[2])
+    eps = 1e-6
+    numeric = (grad(w + eps * d) - grad(w - eps * d)) / (2 * eps)
+    hess = _newton_hessian(blocks, parts)
+    assert np.max(np.abs(hess @ d - numeric)) < 1e-6
+    # built one column at a time, it is the same matrix
+    monkeypatch.setattr(oracle_mod, "HESSIAN_CHUNK", 1)
+    assert np.max(np.abs(_newton_hessian(blocks, parts) - hess)) < 1e-12
+
+
+def _local_frame(rho, rng):
+    """rho in a random local frame U_A (x) U_B: extendable exactly when rho is."""
+    u = np.kron(*(np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0] for d in rho.dims))
+    return DensityMatrix(hermitize(u @ rho.mat @ u.conj().T), rho.dims)
+
+
+@pytest.mark.parametrize(
+    "rho,k",
+    [(bell_state([3 / 4, 1 / 12, 1 / 12, 1 / 12]), 2), (werner_state(2, -1 / 3), 3)],
+    ids=["bell-boundary-k2", "werner-boundary-k3"],
+)
+def test_exact_boundary_states_are_never_infeasible(rho, k):
+    # both sit exactly on the boundary of the extendable set, where a dual
+    # trace can be negative only by rounding; the certificate's margin must
+    # refuse it, on Newton's and on Dykstra's path, in any local frame
+    rng = np.random.default_rng(66)
+    for state in [rho] + [_local_frame(rho, rng) for _ in range(4)]:
+        problem = ExtensionProblem(state, k, SYMMETRIC)
+        assert oracle_feasibility(problem).status != INFEASIBLE
+        assert oracle_feasibility(problem, OracleConfig(max_iters=NEWTON_STEPS)).status != INFEASIBLE
+        assert _run_dykstra(_solve_blocks(problem), state, OracleConfig()).status != INFEASIBLE
+
+
+def test_oracle_decides_random_states():
+    # seeded Ginibre states, 10 per cell: every solve decided, no Feasible
+    # against a Violated criterion, every Infeasible checked densely
+    rng = np.random.default_rng(67)
+    start = time.perf_counter()
+    statuses = []
+    for dims in ((2, 2), (2, 3)):
+        for k in (2, 3):
+            for _ in range(10):
+                problem = ExtensionProblem(random_density(dims, rng), k, SYMMETRIC)
+                res = oracle_feasibility(problem)
+                statuses.append(res.status)
+                assert res.status in (FEASIBLE, INFEASIBLE), (dims, k, res.stop_reason)
+                if res.status == FEASIBLE:
+                    assert symmetric_extension_verdict(problem).status != VIOLATED
+                    assert res.certificate["marginal_residual"] <= OracleConfig().tol_gap
+                else:
+                    # d_A d_B^k <= 54, so this includes dense_dual_check
+                    assert certificate_holds(res, problem)
+    assert time.perf_counter() - start < 2.0
+    assert FEASIBLE in statuses and INFEASIBLE in statuses
 
 
 def test_oracle_degenerate_iterate_regression():

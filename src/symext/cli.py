@@ -43,7 +43,7 @@ from .families import (
     werner_exact_threshold,
 )
 from .linalg import HERM_TOL, DensityMatrix, _checked_tol, _validate_stack, random_density
-from .oracle import OracleConfig, _check_reach, oracle_feasibility
+from .oracle import _check_reach, oracle_feasibility
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -128,7 +128,7 @@ def state_to_obj(rho: DensityMatrix) -> dict:
 
 def state_from_obj(obj: dict, tol: float = 1e-10) -> DensityMatrix:
     try:
-        dims = [int(d) for d in obj["dims"]]
+        dims = list(obj["dims"])
         re = np.asarray(obj["matrix"]["re"], dtype=float)
         im = np.asarray(obj["matrix"]["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as err:
@@ -309,7 +309,7 @@ def _cmd_werner_sweep(args, out: IO[str]) -> int:
     n = int(round(2.0 / args.psi_step)) + 1
     header = ["psi", "tilde_ppt", "hat_ppt", "exact_flag"]
     if args.with_oracle:
-        _check_reach(args.d, args.d, args.k, SYMMETRIC, OracleConfig().dim_limit)
+        _check_reach(args.d, args.d, args.k, SYMMETRIC)
         header.append("oracle_status")
     _write_rows(header, _werner_rows(args.d, args.k, n, args.with_oracle), out)
     return EXIT_OK

@@ -11,6 +11,7 @@ public single-state functions call them with a stack of one.
 from __future__ import annotations
 
 import math
+import numbers
 import string
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -103,8 +104,9 @@ def _validate_stack(mats: np.ndarray, tol: float) -> np.ndarray:
 class DensityMatrix:
     """Validated density matrix with an explicit tensor-factor layout.
 
-    ``dims`` lists the factor dimensions in order, e.g. ``(2, 2)`` for two
-    qubits; their product must equal the matrix side.  Validation checks
+    ``dims`` lists the factor dimensions in order as integers, e.g. ``(2, 2)``
+    for two qubits (a float, a string or a bool is refused); their product
+    must equal the matrix side.  Validation checks
     Hermiticity and unit trace within ``tol`` and positivity within
     ``10 * tol`` slack (the defaults reproduce 1e-10 / 1e-9).  ``tol`` must be
     finite and non-negative.
@@ -115,6 +117,9 @@ class DensityMatrix:
         side = mat.shape[0]
         if dims is None:
             dims = (side,)
+        dims = tuple(dims)
+        if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in dims):
+            raise LayoutError(f"factor dimensions must be integers, got {dims}")
         dims = tuple(int(d) for d in dims)
         if any(d < 1 for d in dims):
             raise LayoutError(f"factor dimensions must be >= 1, got {dims}")

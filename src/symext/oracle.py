@@ -8,7 +8,7 @@ NEWTON_STEPS steps.  When it has not decided, Dykstra-corrected projections
 between the PSD cone and the affine set of candidates take over from the
 start; their inter-set gap converges to the distance between the two sets
 and vanishes exactly when an extension exists.  Both paths stop Feasible
-when a PSD point lies within tol_feasible of the affine set.
+when a PSD point lies within TOL_FEASIBLE of the affine set.
 
 Infeasible is a checked proof, never a stalled gap.  By SDP duality
 (Doherty, Parrilo & Spedalieri, PRA 69, 022308, 2004) no extension exists
@@ -18,7 +18,7 @@ paths hold a candidate W: Newton's dual point, negated, and Dykstra's
 w = gpinv (amap(y) - rho), whose lift is the difference y - x of the PSD
 and the affine iterate, tested every CERTIFY_EVERY iterations.  The oracle
 shifts W by the multiple of the identity that makes its lift PSD on every
-block and stops once Tr(W' rho) <= -tol_gap ||W'||_2, a margin that
+block and stops once Tr(W' rho) <= -TOL_GAP ||W'||_2, a margin that
 rounding on a boundary marginal cannot fake.  Stop reasons:
 ``feasible-gap`` (Feasible), ``dual-certificate`` and ``face-reach``
 (Infeasible), ``max-iters`` and ``linalg-error`` (Undecided).
@@ -39,9 +39,10 @@ flavor keeps every lambda.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 
@@ -54,7 +55,7 @@ INFEASIBLE = "Infeasible"
 UNDECIDED = "Undecided"
 
 # Why an oracle run stopped.
-STOP_FEASIBLE_GAP = "feasible-gap"  # the gap fell to tol_feasible
+STOP_FEASIBLE_GAP = "feasible-gap"  # the gap fell to TOL_FEASIBLE
 STOP_DUAL_CERTIFICATE = "dual-certificate"  # a checked dual witness proves infeasibility
 STOP_MAX_ITERS = "max-iters"  # the iteration budget ran out
 STOP_FACE_REACH = "face-reach"  # the forced support face cannot reproduce the marginal
@@ -72,6 +73,16 @@ HESSIAN_CHUNK = 1 << 16
 # Most (iteration, gap) points kept from a run's gap trajectory.
 GAP_TRACE_POINTS = 64
 
+# Feasible when a PSD point lies within this distance of the affine set.
+TOL_FEASIBLE = 1e-7
+
+# The line between a real gap and rounding: the least gap at which Dykstra
+# certifies, the least face-reach residual and the certificate's margin.
+TOL_GAP = 1e-6
+
+# Widest extension space side the oracle admits.
+DIM_LIMIT = 256
+
 # Relative singular-value cutoff of rank decisions: face null spaces and the
 # Gram pseudoinverse, whose null directions carry rounding noise.
 RANK_RTOL = 1e-10
@@ -79,32 +90,31 @@ RANK_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class OracleConfig:
-    tol_feasible: float = 1e-7
-    tol_gap: float = 1e-6
+    """The oracle's one setting, its iteration budget; the tolerances and the side limit are fixed."""
+
     max_iters: int = 5000
-    dim_limit: int = 256
+
+    tol_feasible: ClassVar[float] = TOL_FEASIBLE
+    tol_gap: ClassVar[float] = TOL_GAP
+    dim_limit: ClassVar[int] = DIM_LIMIT
 
     def __post_init__(self):
-        if min(self.tol_feasible, self.tol_gap, self.max_iters, self.dim_limit) <= 0:
-            raise ValidationError("all oracle configuration values must be positive")
-        if self.tol_feasible >= self.tol_gap:
-            raise ValidationError(
-                f"tol_feasible must be below tol_gap, got {self.tol_feasible} >= {self.tol_gap}"
-            )
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValidationError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)
 class OracleResult:
     """Verdict of one oracle run.
 
-    Feasible means a PSD point sits within tol_feasible of the constraint
+    Feasible means a PSD point sits within TOL_FEASIBLE of the constraint
     set (stop reason ``feasible-gap``).  Infeasible means a checked dual
     certificate (``dual-certificate`` from Newton or Dykstra, ``face-reach``
     when the forced support face cannot reproduce the marginal):
     ``dual_witness`` is the Hermitian W' on AB, and the certificate reports
     ``dual_trace`` = Tr(W' rho), ``dual_min_eig``, the smallest eigenvalue of
     its lift (1/k) sum_i W'_{AB_i} (x) I on the span of the blocks, and
-    ``certified``, true when Tr(W' rho) <= -tol_gap ||W'||_2.  Undecided
+    ``certified``, true when Tr(W' rho) <= -TOL_GAP ||W'||_2.  Undecided
     means both budgets ran out (``max-iters``) or Dykstra's PSD projection
     failed (``linalg-error``).
 
@@ -263,22 +273,25 @@ class _Blocks:
     """Weighted blocks of one extension layout and their marginal map.
 
     Block b holds N_b = sqrt(m_b) V_b^dag X V_b for the isometry V_b into
-    A (x) B^(x)k; the iterate is the flat concatenation of the N_b.  amap maps
-    it to the flattened AB marginal of X = sum_b sqrt(m_b) Sym(V_b N_b V_b^dag),
-    and gpinv is the pseudoinverse of its Gram matrix amap amap^dag, so that
-    amap^dag gpinv is the Moore-Penrose inverse of amap.  Both are real
-    unless a face reduction made the isometries complex.
+    A (x) B^(x)k; the iterate is the flat concatenation of the N_b.  V_b is
+    stored placed: placed[b][i - 1] is V_b with B_i moved next to A, as
+    (A B_i, the other B factors in order, column), for i = 1..k.  amap maps
+    the iterate to the flattened AB marginal of
+    X = sum_b sqrt(m_b) Sym(V_b N_b V_b^dag), and gpinv is the pseudoinverse
+    of its Gram matrix amap amap^dag, so that amap^dag gpinv is the
+    Moore-Penrose inverse of amap.  Both are real unless a face reduction
+    made the isometries complex.
     """
 
     dims: tuple[int, ...]
-    isos: tuple[np.ndarray, ...]
+    placed: tuple[np.ndarray, ...]
     weights: tuple[int, ...]
     amap: np.ndarray
     gpinv: np.ndarray
 
     @property
     def sides(self) -> tuple[int, ...]:
-        return tuple(v.shape[1] for v in self.isos)
+        return tuple(p.shape[-1] for p in self.placed)
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
         out, off = [], 0
@@ -314,9 +327,9 @@ class _Blocks:
         """
         n_ab, k = self.dims[0] * self.dims[1], len(self.dims) - 1
         out = np.zeros((n_ab, n_ab), dtype=complex)
-        for v, m, blk in zip(self.isos, self.weights, self.split(flat)):
-            s = v.shape[1]
-            for p in _placements(v, self.dims):
+        for placed, m, blk in zip(self.placed, self.weights, self.split(flat)):
+            s = placed.shape[-1]
+            for p in placed:
                 out += math.sqrt(m) * ((p.reshape(-1, s) @ blk).reshape(n_ab, -1) @ p.reshape(n_ab, -1).conj().T)
         return out / k
 
@@ -330,24 +343,15 @@ class _Blocks:
         return min((float(np.linalg.eigvalsh(hermitize(blk))[0]) / math.sqrt(m) for m, blk in blocks), default=math.inf)
 
 
-def _placements(iso: np.ndarray, dims) -> list[np.ndarray]:
-    """The isometry as (A B_i, the other B factors, column), for each i = 1..k."""
-    s, n = iso.shape[1], len(dims)
-    t = iso.reshape(tuple(dims) + (s,))
-    # B_i moved next to A, the other factors and the column in order
-    return [t.transpose((0, i) + tuple(j for j in range(1, n + 1) if j != i)).reshape(dims[0] * dims[1], -1, s)
-            for i in range(1, n)]
-
-
-def _make_blocks(dims, isos, weights) -> _Blocks:
+def _make_blocks(dims, placed, weights) -> _Blocks:
     n_ab, k = dims[0] * dims[1], len(dims) - 1
     # amap^T, so that each block's columns of amap are one contiguous run
-    amap_t = np.empty((sum(v.shape[1] ** 2 for v in isos), n_ab * n_ab), dtype=np.result_type(float, *isos))
+    amap_t = np.empty((sum(p.shape[-1] ** 2 for p in placed), n_ab * n_ab), dtype=np.result_type(float, *placed))
     off = 0
-    for v, m in zip(isos, weights):
-        s = v.shape[1]
+    for p, m in zip(placed, weights):
+        s = p.shape[-1]
         # sum over i of the trace over the B factors other than B_i of V N V^dag
-        u = np.concatenate(_placements(v, dims), axis=1).transpose(0, 2, 1).reshape(n_ab * s, -1)
+        u = p.transpose(1, 3, 0, 2).reshape(n_ab * s, -1)
         uu = (u @ u.conj().T).reshape(n_ab, s, n_ab, s)
         run = amap_t[off : off + s * s]
         run.reshape(s, s, n_ab, n_ab)[...] = uu.transpose(1, 3, 0, 2)
@@ -356,20 +360,23 @@ def _make_blocks(dims, isos, weights) -> _Blocks:
     amap = amap_t.T
     # the pseudoinverse is taken through the n_AB^2 x n_AB^2 Gram matrix
     gpinv = np.linalg.pinv(amap @ amap.conj().T, rcond=RANK_RTOL, hermitian=True)
-    for arr in (amap, gpinv):
+    for arr in (*placed, amap, gpinv):
         arr.setflags(write=False)
-    return _Blocks(tuple(dims), tuple(isos), tuple(weights), amap, gpinv)
+    return _Blocks(tuple(dims), tuple(placed), tuple(weights), amap, gpinv)
 
 
 @lru_cache(maxsize=None)
 def _extension_blocks(d_a: int, d_b: int, k: int, flavor: str) -> _Blocks:
     """Blocks of the flavor: every lambda with at most d_B rows, or only lambda = (k)."""
     shapes = [(k,)] if flavor == BOSONIC else list(_partitions(k, d_b))
-    isos = [np.kron(np.eye(d_a), _weyl_isometry(d_b, s)) for s in shapes]
-    weights = [_specht_dim(s) for s in shapes]
-    for iso in isos:
-        iso.setflags(write=False)
-    return _make_blocks((d_a,) + (d_b,) * k, isos, weights)
+    dims = (d_a,) + (d_b,) * k
+    # B_i moved next to A, the other B factors and the column in order
+    orders = [(0, i) + tuple(j for j in range(1, k + 2) if j != i) for i in range(1, k + 1)]
+    placed = []
+    for s in shapes:
+        t = np.kron(np.eye(d_a), _weyl_isometry(d_b, s)).reshape(dims + (-1,))
+        placed.append(np.stack([t.transpose(order).reshape(d_a * d_b, d_b ** (k - 1), -1) for order in orders]))
+    return _make_blocks(dims, placed, [_specht_dim(s) for s in shapes])
 
 
 # --- facial reduction -------------------------------------------------------
@@ -382,6 +389,8 @@ def _extension_blocks(d_a: int, d_b: int, k: int, flavor: str) -> _Blocks:
 # feasible set would otherwise touch the PSD cone tangentially.  The face is
 # permutation invariant, so it meets each block in a subspace of that block:
 # V_b becomes V_b null(R V_b), with R the kernel rows over all k placements.
+# A placement only permutes the rows of V_b, so the face block is stored as
+# the placed V_b times null(R V_b).
 
 KERNEL_TOL = 1e-12
 
@@ -400,20 +409,16 @@ def _nullspace(rows: np.ndarray) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def _kernel_rows(kernel: np.ndarray, iso: np.ndarray, dims) -> np.ndarray:
-    """R V: the kernel vectors of the marginal on every (A, B_i) placement, applied to V."""
-    s = iso.shape[1]
-    return np.vstack([np.tensordot(kernel.conj(), p, axes=(0, 0)).reshape(-1, s) for p in _placements(iso, dims)])
-
-
 def _face_blocks(blocks: _Blocks, kernel: np.ndarray) -> _Blocks:
-    isos, weights = [], []
-    for v, m in zip(blocks.isos, blocks.weights):
-        null = _nullspace(_kernel_rows(kernel, v, blocks.dims))
+    placed, weights = [], []
+    for p, m in zip(blocks.placed, blocks.weights):
+        k, n_ab, rest, s = p.shape
+        # R V, rows ordered (placement, kernel vector, other B factors)
+        null = _nullspace((kernel.conj().T @ p.reshape(k, n_ab, -1)).reshape(-1, s))
         if null.shape[1]:
-            isos.append(v @ null)
+            placed.append((p.reshape(-1, s) @ null).reshape(k, n_ab, rest, -1))
             weights.append(m)
-    return _make_blocks(blocks.dims, isos, weights)
+    return _make_blocks(blocks.dims, placed, weights)
 
 
 # --- the iteration --------------------------------------------------------------
@@ -441,55 +446,52 @@ def _shifted_witness(blocks: _Blocks, w: np.ndarray, z: np.ndarray) -> np.ndarra
     return hermitize(w.reshape(n_ab, n_ab)) + t * np.eye(n_ab)
 
 
-def _certifies(witness: np.ndarray, rho: DensityMatrix, tol_gap: float) -> bool:
-    """The certificate test: Tr(W' rho) < 0 and Tr(W' rho) <= -tol_gap ||W'||_2.
+def _certifies(witness: np.ndarray, rho: DensityMatrix) -> bool:
+    """The certificate test: Tr(W' rho) < 0 and Tr(W' rho) <= -TOL_GAP ||W'||_2.
 
     |Tr(W' (sigma - rho))| <= ||W'||_2 ||sigma - rho||_1, so a witness that
-    passes also proves that no sigma within trace norm tol_gap of rho
+    passes also proves that no sigma within trace norm TOL_GAP of rho
     extends.  On a boundary marginal, whose trace can be negative only by
     rounding, it fails.
     """
     trace = float(np.vdot(witness, rho.mat).real)
-    return trace < 0 and trace <= -tol_gap * float(np.linalg.norm(witness, 2))
+    return trace < 0 and trace <= -TOL_GAP * float(np.linalg.norm(witness, 2))
 
 
-def _dual_certificate(blocks: _Blocks, witness: np.ndarray, rho: DensityMatrix, tol_gap: float) -> dict:
-    """Tr(W' rho), the smallest eigenvalue of the lift of W' and the certificate test, all read from W' itself."""
-    return {
-        "dual_trace": float(np.vdot(witness, rho.mat).real),
-        "dual_min_eig": blocks.min_eig(blocks.adjoint(witness.ravel())),
-        "certified": _certifies(witness, rho, tol_gap),
-    }
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-def _verdict(blocks: _Blocks, rho: DensityMatrix, cfg: OracleConfig, status: str, stop: str,
+def _verdict(blocks: _Blocks, rho: DensityMatrix, status: str, stop: str,
              y: np.ndarray, x: np.ndarray, gap: float, witness: np.ndarray | None, **telemetry) -> OracleResult:
-    """The result of a run that ended at the PSD point y with affine projection x."""
-    # checked on the isometries and the blocks, independently of amap
+    """The result of a run that ended at the PSD point y with affine projection x.
+
+    An Infeasible result also reports Tr(W' rho), the smallest eigenvalue of
+    the lift of W' and the certificate test, all read from W' itself.
+    """
+    # checked on the placed isometries and the blocks, independently of amap
     certificate = {
         "marginal_residual": float(np.linalg.norm(blocks.placed_marginal(y) - rho.mat)),
         "min_eig": float("nan") if stop == STOP_LINALG_ERROR else blocks.min_eig(x),
         "gap_estimate": gap,
     }
-    if status == INFEASIBLE:
-        certificate.update(_dual_certificate(blocks, witness, rho, cfg.tol_gap))
+    if status != INFEASIBLE:
+        witness = None
+    else:
+        witness.setflags(write=False)
+        certificate.update(
+            dual_trace=float(np.vdot(witness, rho.mat).real),
+            dual_min_eig=blocks.min_eig(blocks.adjoint(witness.ravel())),
+            certified=_certifies(witness, rho),
+        )
     return OracleResult(
         status=status,
         residual=gap,
         certificate=certificate,
         stop_reason=stop,
         block_sides=blocks.sides,
-        dual_witness=_frozen(witness) if status == INFEASIBLE else None,
+        dual_witness=witness,
         **telemetry,
     )
 
 
-def _run_dykstra(blocks: _Blocks, rho: DensityMatrix, cfg: OracleConfig) -> OracleResult:
+def _run_dykstra(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleResult:
     target = rho.mat.ravel()
     # the projection of any start in the range of amap^dag, rho (x) I among them
     x = blocks.correction(target)
@@ -500,7 +502,7 @@ def _run_dykstra(blocks: _Blocks, rho: DensityMatrix, cfg: OracleConfig) -> Orac
     gap = float("inf")
     witness = None
     iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, max_iters + 1):
         try:
             y = np.concatenate([project_psd(b).ravel() for b in blocks.split(x + p)])
         except np.linalg.LinAlgError:
@@ -514,15 +516,15 @@ def _run_dykstra(blocks: _Blocks, rho: DensityMatrix, cfg: OracleConfig) -> Orac
         x = y - z
         gap = float(np.linalg.norm(x - y))
         gaps.append(gap)
-        if gap <= cfg.tol_feasible:
+        if gap <= TOL_FEASIBLE:
             status, stop = FEASIBLE, STOP_FEASIBLE_GAP
             break
-        if iterations % CERTIFY_EVERY == 0 and gap >= cfg.tol_gap:
+        if iterations % CERTIFY_EVERY == 0 and gap >= TOL_GAP:
             witness = _shifted_witness(blocks, w, z)
-            if _certifies(witness, rho, cfg.tol_gap):
+            if _certifies(witness, rho):
                 status, stop = INFEASIBLE, STOP_DUAL_CERTIFICATE
                 break
-    return _verdict(blocks, rho, cfg, status, stop, y, x, gap, witness, iterations=iterations, gap_trace=_gap_trace(gaps))
+    return _verdict(blocks, rho, status, stop, y, x, gap, witness, iterations=iterations, gap_trace=_gap_trace(gaps))
 
 
 # --- semismooth Newton on the dual ----------------------------------------------
@@ -579,11 +581,11 @@ def _newton_hessian(blocks: _Blocks, parts) -> np.ndarray:
     return hess
 
 
-def _run_newton(blocks: _Blocks, rho: DensityMatrix, cfg: OracleConfig) -> tuple[OracleResult | None, int]:
+def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> tuple[OracleResult | None, int]:
     """The verdict of at most min(NEWTON_STEPS, max_iters) Newton steps, or None, and the steps taken.
 
     Step j tests the dual point w: Feasible when X = P+(amap^dag w) lies
-    within tol_feasible of its affine projection, Infeasible when -w, shifted,
+    within TOL_FEASIBLE of its affine projection, Infeasible when -w, shifted,
     passes the certificate test; otherwise it moves w by a Newton step damped
     by an Armijo line search.  w starts where Dykstra does, at
     amap^dag w = amap^+ rho.  A failed eigensolve or a line search that finds
@@ -595,15 +597,15 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, cfg: OracleConfig) -> tuple
     steps = 0
     try:
         z, parts, y, theta = _dual_point(blocks, w, target)
-        for steps in range(1, min(NEWTON_STEPS, cfg.max_iters) + 1):
+        for steps in range(1, min(NEWTON_STEPS, max_iters) + 1):
             c = blocks.correction(blocks.marginal(y) - target)  # y minus its affine projection
             gap = float(np.linalg.norm(c))
-            if gap <= cfg.tol_feasible:
-                return _verdict(blocks, rho, cfg, FEASIBLE, STOP_FEASIBLE_GAP, y, y - c, gap, None,
+            if gap <= TOL_FEASIBLE:
+                return _verdict(blocks, rho, FEASIBLE, STOP_FEASIBLE_GAP, y, y - c, gap, None,
                                 iterations=0, newton_steps=steps), steps
             witness = _shifted_witness(blocks, -w, -z)
-            if _certifies(witness, rho, cfg.tol_gap):
-                return _verdict(blocks, rho, cfg, INFEASIBLE, STOP_DUAL_CERTIFICATE, y, y - c, gap, witness,
+            if _certifies(witness, rho):
+                return _verdict(blocks, rho, INFEASIBLE, STOP_DUAL_CERTIFICATE, y, y - c, gap, witness,
                                 iterations=0, newton_steps=steps), steps
             # the gradient's part in the range of amap: the rest is the
             # marginal's residual off a support face, which no w changes
@@ -627,17 +629,17 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, cfg: OracleConfig) -> tuple
     return None, steps
 
 
-def _check_reach(d_a: int, d_b: int, k: int, flavor: str, dim_limit: int) -> None:
-    """Refuse an extension space of side above dim_limit before any work on it.
+def _check_reach(d_a: int, d_b: int, k: int, flavor: str) -> None:
+    """Refuse an extension space of side above DIM_LIMIT before any work on it.
 
     The space is A (x) B^(x)k, or A (x) Sym^k(B) for the bosonic flavor.
     """
-    if flavor == SYMMETRIC and d_b > 1 and k > dim_limit:
-        # d_B^k > 2^k > dim_limit, a power too large to be worth forming
-        raise ResourceLimitError(f"extension space side {d_a}*{d_b}^{k} exceeds the limit {dim_limit}")
+    if flavor == SYMMETRIC and d_b > 1 and k > DIM_LIMIT:
+        # d_B^k > 2^k > DIM_LIMIT, a power too large to be worth forming
+        raise ResourceLimitError(f"extension space side {d_a}*{d_b}^{k} exceeds the limit {DIM_LIMIT}")
     side = d_a * (d_b**k if flavor == SYMMETRIC else math.comb(d_b + k - 1, k))
-    if side > dim_limit:
-        raise ResourceLimitError(f"extension space side {side} exceeds the limit {dim_limit}")
+    if side > DIM_LIMIT:
+        raise ResourceLimitError(f"extension space side {side} exceeds the limit {DIM_LIMIT}")
 
 
 def oracle_feasibility(problem: ExtensionProblem, cfg: OracleConfig | None = None) -> OracleResult:
@@ -646,48 +648,39 @@ def oracle_feasibility(problem: ExtensionProblem, cfg: OracleConfig | None = Non
     Newton's method on the dual runs first, for at most
     min(NEWTON_STEPS, max_iters) steps, and Dykstra, for at most max_iters
     iterations, when Newton has not decided.  Feasible (stop reason
-    ``feasible-gap``): a PSD point sits within tol_feasible of the
+    ``feasible-gap``): a PSD point sits within TOL_FEASIBLE of the
     constraint set.  Infeasible: a checked dual certificate, a Hermitian W'
     on AB whose lift is PSD on the blocks and whose trace against the
-    marginal is at most -tol_gap ||W'||_2.  It comes from Newton's dual
+    marginal is at most -TOL_GAP ||W'||_2.  It comes from Newton's dual
     point at every step, or from Dykstra every CERTIFY_EVERY iterations while
-    the gap is at or above tol_gap (``dual-certificate``), or from the
+    the gap is at or above TOL_GAP (``dual-certificate``), or from the
     marginal's residual when the support face forced by its kernel cannot
     reproduce it at all (``face-reach``).  Undecided: both budgets ran out
-    (``max-iters``, expected within about tol_gap of the feasibility
+    (``max-iters``, expected within about TOL_GAP of the feasibility
     boundary), or both eigensolver paths of Dykstra's PSD projection failed
     (``linalg-error``, ``min_eig`` NaN).
     """
-    cfg = cfg or OracleConfig()
+    max_iters = (cfg or OracleConfig()).max_iters
     rho = problem.marginal
     d_a, d_b = rho.dims
-    _check_reach(d_a, d_b, problem.k, problem.flavor, cfg.dim_limit)
+    _check_reach(d_a, d_b, problem.k, problem.flavor)
     blocks = _extension_blocks(d_a, d_b, problem.k, problem.flavor)
 
     kernel = _state_kernel(rho)
     if kernel is not None:
         blocks = _face_blocks(blocks, kernel)
         target = rho.mat.ravel()
-        residual = target - blocks.marginal(blocks.correction(target))
+        x = blocks.correction(target)
+        residual = target - blocks.marginal(x)
         deficit = float(np.linalg.norm(residual))
-        if deficit >= cfg.tol_gap:
+        if deficit >= TOL_GAP:
             # no candidate on the forced support face matches the marginal:
             # the residual is orthogonal to the range of amap, so W = -residual
             # has amap^dag W = 0 and Tr(W rho) = -deficit^2
             witness = _shifted_witness(blocks, -residual, blocks.adjoint(-residual))
-            certificate = {"marginal_residual": deficit, "min_eig": 0.0, "gap_estimate": deficit}
-            certificate.update(_dual_certificate(blocks, witness, rho, cfg.tol_gap))
-            return OracleResult(
-                INFEASIBLE,
-                residual=deficit,
-                iterations=0,
-                certificate=certificate,
-                stop_reason=STOP_FACE_REACH,
-                block_sides=blocks.sides,
-                dual_witness=_frozen(witness),
-            )
+            return _verdict(blocks, rho, INFEASIBLE, STOP_FACE_REACH, x, x, deficit, witness, iterations=0)
 
-    result, steps = _run_newton(blocks, rho, cfg)
+    result, steps = _run_newton(blocks, rho, max_iters)
     if result is None:
-        result = replace(_run_dykstra(blocks, rho, cfg), newton_steps=steps)
+        result = replace(_run_dykstra(blocks, rho, max_iters), newton_steps=steps)
     return result

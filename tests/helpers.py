@@ -104,9 +104,14 @@ def lift_blocks(blocks, flat):
 
     n = math.prod(blocks.dims)
     out = np.zeros((n, n), dtype=complex)
-    for v, m, blk in zip(blocks.isos, blocks.weights, blocks.split(flat)):
+    for v, m, blk in zip(block_isometries(blocks), blocks.weights, blocks.split(flat)):
         out += project_permutation_invariant((math.sqrt(m) * v) @ blk @ v.conj().T, blocks.dims)
     return out
+
+
+def block_isometries(blocks):
+    """Each block's isometry V_b as (A B_1 ... B_k, column): its first placement, which moves no factor."""
+    return [p[0].reshape(-1, p.shape[-1]) for p in blocks.placed]
 
 
 # Extension sides up to which a dual witness is also checked on the full space.

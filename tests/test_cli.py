@@ -68,10 +68,10 @@ def test_check_bosonic_flavor(capsys, bell_file):
 
 
 def test_check_invalid_state_exits_1(capsys, tmp_path, bell_file):
-    obj = json.load(open(bell_file))
+    obj = json.loads(Path(bell_file).read_text())
     obj["matrix"]["re"][0][0] = 0.4  # trace now 0.9
     bad = tmp_path / "bad.json"
-    json.dump(obj, open(bad, "w"))
+    bad.write_text(json.dumps(obj))
     code, out, err = _run(capsys, ["check", str(bad), "--k", "2"])
     assert code == 1
     assert "trace deviates by 1.0e-01" in err
@@ -83,11 +83,11 @@ def test_check_invalid_state_exits_1(capsys, tmp_path, bell_file):
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-inf"])
 def test_tol_flags_refuse_non_finite_and_negative_values(capsys, tmp_path, bell_file, tol):
-    obj = json.load(open(bell_file))
+    obj = json.loads(Path(bell_file).read_text())
     obj["matrix"]["re"][0][0] = -0.5  # eigenvalue below zero: invalid at any sane tolerance
     obj["matrix"]["re"][1][1] = 1.0
     bad = tmp_path / "bad.json"
-    json.dump(obj, open(bad, "w"))
+    bad.write_text(json.dumps(obj))
     for argv in (
         ["check", str(bad), "--k", "2", f"--tol={tol}"],
         ["check", bell_file, "--k", "2", f"--tol={tol}"],
@@ -517,3 +517,21 @@ def test_load_state_validates(tmp_path):
     path.write_text(json.dumps({"dims": [2], "matrix": {"re": [[1.0]], "im": [[0.0]]}}))
     with pytest.raises(LayoutError):
         load_state(str(path))
+
+
+@pytest.mark.parametrize("dims", [[2.9, 2.9], [2.0, 2.0], "22", [True, 4], ["2", "2"]], ids=repr)
+def test_check_refuses_dims_that_are_not_integers(capsys, tmp_path, bell_file, dims):
+    # each used to be truncated by int() and run as (2, 2), or (1, 4), with exit 0
+    obj = json.loads(Path(bell_file).read_text())
+    obj["dims"] = dims
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = _run(capsys, ["check", str(bad), "--k", "2"])
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: factor dimensions must be integers"), err
+
+
+def test_density_matrix_accepts_numpy_integer_dims():
+    rho = DensityMatrix(np.eye(4) / 4, np.array([2, 2]))
+    assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)

@@ -1,5 +1,6 @@
 """Feasibility oracle: projections and end-to-end decisions."""
 
+import dataclasses
 import math
 import time
 
@@ -8,6 +9,7 @@ import pytest
 
 from helpers import (
     DENSE_CHECK_SIDE,
+    block_isometries,
     brute_force_permutation_average,
     certificate_holds,
     dense_dual_check,
@@ -60,6 +62,9 @@ from symext.oracle import (
     _weyl_isometry,
 )
 
+
+# the default budget, for Dykstra run alone
+MAX_ITERS = OracleConfig().max_iters
 
 # three Newton steps leave it undecided: Newton decides it at step 6
 NEWTON_UNDECIDED_AT_3 = ExtensionProblem(bell_state((0.5, 0.3, 0.15, 0.05)), 3, SYMMETRIC)
@@ -360,7 +365,7 @@ def test_face_projector_annihilates_kernel_placements():
     blocks = _face_blocks(_extension_blocks(2, 2, 2, SYMMETRIC), kernel)
     # every face block annihilates the kernel vector placed on either B slot
     v = kernel[:, 0]
-    for iso in blocks.isos:
+    for iso in block_isometries(blocks):
         face = iso @ iso.conj().T
         for w_idx in range(2):
             w = np.zeros(2)
@@ -374,7 +379,7 @@ def test_face_projector_annihilates_kernel_placements():
 def _compress(x, blocks):
     """Flat blocks sqrt(m) V^dag Sym(x) V of a full-space matrix."""
     z = project_permutation_invariant(x, blocks.dims)
-    return np.concatenate([math.sqrt(m) * (v.conj().T @ z @ v).ravel() for v, m in zip(blocks.isos, blocks.weights)])
+    return np.concatenate([math.sqrt(m) * (v.conj().T @ z @ v).ravel() for v, m in zip(block_isometries(blocks), blocks.weights)])
 
 
 def _block_affine(blocks, x, target):
@@ -394,15 +399,16 @@ def test_structured_projector_matches_closed_form_for_full_rank():
         assert np.max(np.abs(_block_affine(blocks, x, target) - project_invariant_marginal(x, dims, target))) < 1e-10
 
 
-@pytest.mark.parametrize(
-    "rho,k",
-    [
-        (bell_state([0.0, 0.5, 0.3, 0.2]), 2),
-        (bell_state([0.4, 0.3, 0.3, 0.0]), 3),
-        (bell_state([0.35, 0.65, 0.0, 0.0]), 3),
-        (werner_state(3, 1.0), 2),
-    ],
-)
+# rank-deficient marginals and the stop reason of their symmetric solve
+RANK_DEFICIENT = [
+    (bell_state([0.0, 0.5, 0.3, 0.2]), 2, "feasible-gap"),
+    (bell_state([0.4, 0.3, 0.3, 0.0]), 3, "feasible-gap"),
+    (bell_state([0.35, 0.65, 0.0, 0.0]), 3, "face-reach"),
+    (werner_state(3, 1.0), 2, "feasible-gap"),
+]
+
+
+@pytest.mark.parametrize("rho,k", [case[:2] for case in RANK_DEFICIENT])
 def test_block_face_projection_matches_dense_reference(rho, k):
     rng = np.random.default_rng(62 + k)
     d_a, d_b = rho.dims
@@ -414,14 +420,41 @@ def test_block_face_projection_matches_dense_reference(rho, k):
     assert np.max(np.abs(_block_affine(blocks, x, rho) - dense)) < 1e-10
 
 
+@pytest.mark.parametrize("rho,k,stop", RANK_DEFICIENT)
+def test_face_blocks_store_the_placements_of_their_isometries(rho, k, stop):
+    # a face block is stored as its parent's placements times null(R V); each
+    # must equal the placement of the face isometry V null(R V), rebuilt here
+    # by moving B_i next to A on the full tensor
+    d_a, d_b = rho.dims
+    dims = (d_a,) + (d_b,) * k
+    parent = _extension_blocks(d_a, d_b, k, SYMMETRIC)
+    blocks = _face_blocks(parent, _state_kernel(rho))
+    assert blocks.placed
+    for placed, iso in zip(blocks.placed, block_isometries(blocks)):
+        s = iso.shape[1]
+        assert placed.shape == (k, d_a * d_b, d_b ** (k - 1), s) and not placed.flags.writeable
+        assert np.max(np.abs(iso.conj().T @ iso - np.eye(s))) < 1e-12
+        # inside one block of the flavor: V null(R V) for that block's V
+        assert min(np.max(np.abs(v @ (v.conj().T @ iso) - iso)) for v in block_isometries(parent)) < 1e-12
+        for i in range(1, k + 1):
+            rebuilt = np.moveaxis(iso.reshape(dims + (s,)), i, 1).reshape(d_a * d_b, -1, s)
+            assert np.max(np.abs(placed[i - 1] - rebuilt)) < 1e-14
+    # and the face-reach certificate reads its residual off those placements
+    res = oracle_feasibility(ExtensionProblem(rho, k, SYMMETRIC))
+    assert res.stop_reason == stop
+    if stop == "face-reach":
+        assert res.certificate["marginal_residual"] == pytest.approx(res.residual, rel=1e-12)
+        assert res.certificate["dual_trace"] == pytest.approx(-res.certificate["marginal_residual"] ** 2, rel=1e-12)
+
+
 @pytest.mark.parametrize("d_a,d_b,k", [(2, 2, 3), (2, 2, 5), (2, 3, 3), (3, 3, 2), (2, 3, 4)])
 def test_blocks_are_an_isometry_of_invariant_operators(d_a, d_b, k):
     rng = np.random.default_rng(63 + k)
     dims = (d_a,) + (d_b,) * k
     blocks = _extension_blocks(d_a, d_b, k, SYMMETRIC)
     # one copy per shape: Weyl isometries times Specht multiplicities fill B^k
-    assert sum(m * v.shape[1] for m, v in zip(blocks.weights, blocks.isos)) == d_a * d_b**k
-    for v in blocks.isos:
+    assert sum(m * v.shape[1] for m, v in zip(blocks.weights, block_isometries(blocks))) == d_a * d_b**k
+    for v in block_isometries(blocks):
         assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) < 1e-12
     x = project_permutation_invariant(_random_hermitian(d_a * d_b**k, rng), dims)
     flat = _compress(x, blocks)
@@ -527,10 +560,13 @@ def test_oracle_bell_soundness_full_grid():
 def test_oracle_resource_guard_and_config():
     with pytest.raises(ResourceLimitError):
         oracle_feasibility(ExtensionProblem(maximally_mixed([2, 2]), 8, SYMMETRIC))
-    with pytest.raises(ValidationError):
-        OracleConfig(tol_feasible=1e-5, tol_gap=1e-6)
-    with pytest.raises(ValidationError):
-        OracleConfig(max_iters=0)
+    # the budget is the one setting: an integer >= 1, refused as a ValidationError otherwise
+    assert [f.name for f in dataclasses.fields(OracleConfig)] == ["max_iters"]
+    assert (OracleConfig.tol_feasible, OracleConfig.tol_gap, OracleConfig.dim_limit) == (1e-7, 1e-6, 256)
+    assert OracleConfig(max_iters=np.int64(7)).max_iters == 7
+    for bad in (0, -1, 2.5, 3.0, float("nan"), float("inf"), True, "5", None):
+        with pytest.raises(ValidationError, match="max_iters must be an integer >= 1"):
+            OracleConfig(max_iters=bad)
     cfg = OracleConfig(max_iters=3)
     res = oracle_feasibility(NEWTON_UNDECIDED_AT_3, cfg)
     assert res.status == UNDECIDED
@@ -539,15 +575,15 @@ def test_oracle_resource_guard_and_config():
 
 
 def test_check_reach_refuses_wide_spaces_in_bounded_time():
-    _check_reach(2, 2, 7, SYMMETRIC, 256)
-    _check_reach(2, 2, 127, BOSONIC, 256)
+    _check_reach(2, 2, 7, SYMMETRIC)
+    _check_reach(2, 2, 127, BOSONIC)
     for d_a, d_b, k, flavor in [(2, 2, 8, SYMMETRIC), (2, 2, 128, BOSONIC), (2, 3, 5, SYMMETRIC)]:
         with pytest.raises(ResourceLimitError, match="exceeds the limit 256"):
-            _check_reach(d_a, d_b, k, flavor, 256)
+            _check_reach(d_a, d_b, k, flavor)
     # a huge k is refused without forming d_B^k
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError, match=r"side 2\*3\^1000000000 exceeds"):
-        _check_reach(2, 3, 10**9, SYMMETRIC, 256)
+        _check_reach(2, 3, 10**9, SYMMETRIC)
     assert time.perf_counter() - start < 0.1
 
 
@@ -623,7 +659,7 @@ def test_oracle_matches_golden_statuses_and_iterations():
         if res.stop_reason == "face-reach":
             assert iterations == res.iterations == res.newton_steps == 0
             continue
-        dykstra = _run_dykstra(_solve_blocks(problem), problem.marginal, OracleConfig())
+        dykstra = _run_dykstra(_solve_blocks(problem), problem.marginal, MAX_ITERS)
         assert dykstra.status == status, (state, k, flavor)
         if (state, k, flavor) in GOLDEN_CERTIFIED_ITERATIONS:
             assert dykstra.stop_reason == "dual-certificate"
@@ -682,11 +718,11 @@ def test_oracle_stop_reasons_and_telemetry():
     assert oracle_feasibility(ExtensionProblem(werner_state(2, -0.5), 3, BOSONIC)).block_sides == (8,)
     # Dykstra tests the certificate every CERTIFY_EVERY iterations, first at that iteration
     problem = ExtensionProblem(werner_state(2, -0.5), 3, SYMMETRIC)
-    res = _run_dykstra(_solve_blocks(problem), problem.marginal, OracleConfig())
+    res = _run_dykstra(_solve_blocks(problem), problem.marginal, MAX_ITERS)
     assert (res.stop_reason, res.iterations) == ("dual-certificate", CERTIFY_EVERY)
     # a run longer than the trace is down-sampled: the GOLDEN Werner d=3 psi=-0.9 k=2 solve
     problem = ExtensionProblem(werner_state(3, -0.9), 2, SYMMETRIC)
-    res = _run_dykstra(_solve_blocks(problem), problem.marginal, OracleConfig())
+    res = _run_dykstra(_solve_blocks(problem), problem.marginal, MAX_ITERS)
     assert res.status == FEASIBLE and res.iterations > GAP_TRACE_POINTS
     assert len(res.gap_trace) == GAP_TRACE_POINTS
     assert res.gap_trace[0][0] == 1 and res.gap_trace[-1] == (res.iterations, res.residual)
@@ -738,7 +774,7 @@ def test_exact_boundary_states_are_never_infeasible(rho, k):
         problem = ExtensionProblem(state, k, SYMMETRIC)
         assert oracle_feasibility(problem).status != INFEASIBLE
         assert oracle_feasibility(problem, OracleConfig(max_iters=NEWTON_STEPS)).status != INFEASIBLE
-        assert _run_dykstra(_solve_blocks(problem), state, OracleConfig()).status != INFEASIBLE
+        assert _run_dykstra(_solve_blocks(problem), state, MAX_ITERS).status != INFEASIBLE
 
 
 def test_oracle_decides_random_states():

@@ -2,11 +2,10 @@
 
 The oracle decides extendability with a semismooth Newton method on the
 dual of the projection onto the symmetric extension candidates with the
-right marginal, and falls back to Dykstra projections between the PSD cone
-and that affine set when Newton has not decided; rank-deficient marginals
-get a facial-reduction step first.  Infeasible always carries a checked dual
-certificate.  The oracle never contradicts the analytic criteria, and on
-Bell-diagonal states at k = 2 it reproduces the exact extendability region.
+right marginal; rank-deficient marginals get a facial-reduction step first.
+Infeasible always carries a checked dual certificate.  The oracle never
+contradicts the analytic criteria, and on Bell-diagonal states at k = 2 it
+reproduces the exact extendability region.
 """
 
 import numpy as np
@@ -31,21 +30,20 @@ points = [
 ]
 
 print("Bell-diagonal states, k = 2:")
-print("  p1     p2     p3     p4     criterion      exact  oracle       newton  iters")
+print("  p1     p2     p3     p4     criterion      exact  oracle       newton")
 for p in points:
     verdict = bosonic_extension_verdict(ExtensionProblem(bell_state(p), 2, BOSONIC))
     oracle = oracle_feasibility(ExtensionProblem(bell_state(p), 2, SYMMETRIC))
     print(
         f"  {p[0]:.3f}  {p[1]:.3f}  {p[2]:.3f}  {p[3]:.3f}  "
-        f"{verdict.status:<13} {str(bell_exact_2ext(p)):<5}  {oracle.status:<11}  {oracle.newton_steps:<6}  {oracle.iterations}"
+        f"{verdict.status:<13} {str(bell_exact_2ext(p)):<5}  {oracle.status:<11}  {oracle.iterations}"
     )
 
 print("\nnotes:")
 print("  - the boundary point (3/4, 1/12, 1/12, 1/12) is extendable and sits on")
 print("    both the polytope face and the exact boundary")
-print("  - newton counts the Newton steps on the dual and iters the Dykstra")
-print("    iterations after them; a row with steps and 0 iters is Newton's alone")
+print("  - newton counts the Newton steps on the dual, the oracle's only iteration")
 print("  - the 0.8 and 1.0 rows have singular marginals whose support face")
-print("    cannot reproduce them: Infeasible before either method runs")
+print("    cannot reproduce them: Infeasible before any Newton step")
 print("  - the last point has a singular marginal too; the oracle decides it")
 print("    on its support face instead of stalling on the tangent geometry")

@@ -21,6 +21,7 @@ from .errors import LayoutError, ValidationError
 from .linalg import (
     DensityMatrix,
     _check_extension_layout,
+    _checked_int,
     _occupation_isometry,
     _ptrace_mat,
     _ptranspose_mat,
@@ -54,8 +55,7 @@ class ExtensionProblem:
     def __post_init__(self):
         if len(self.marginal.dims) != 2:
             raise LayoutError(f"extension problems need a bipartite marginal, got layout {self.marginal.dims}")
-        if self.k < 1:
-            raise ValidationError(f"extension count must be >= 1, got {self.k}")
+        object.__setattr__(self, "k", _checked_int(self.k, "extension count", 1))
         if self.flavor not in (SYMMETRIC, BOSONIC):
             raise ValidationError(f"flavor must be '{SYMMETRIC}' or '{BOSONIC}', got {self.flavor!r}")
 
@@ -94,8 +94,7 @@ def _derived_mats(mats: np.ndarray, dims: tuple[int, int], k: int, flavor: str, 
 
 def _derived_state(rho_ab: DensityMatrix, k: int, flavor: str) -> DensityMatrix:
     _require_bipartite(rho_ab)
-    if k < 1:
-        raise ValidationError(f"extension count must be >= 1, got {k}")
+    k = _checked_int(k, "extension count", 1)
     mat = _derived_mats(rho_ab.mat[None], rho_ab.dims, k, flavor, rho_ab.tol)[0]
     return DensityMatrix(mat, rho_ab.dims, tol=rho_ab.tol)
 
@@ -115,12 +114,9 @@ def generalized_coefficients(k: int, d: int, r: int) -> np.ndarray:
 
     p_s = C(k, s) C(d + r - 1, r - s) / C(d + k + r - 1, r); they sum to one.
     """
-    if r < 1:
-        raise ValidationError(f"need r >= 1, got {r}")
+    k, d, r = _checked_int(k, "k", 1), _checked_int(d, "d", 2), _checked_int(r, "r", 1)
     if k < r:
         raise ValidationError(f"need k >= r, got k={k}, r={r}")
-    if d < 2:
-        raise ValidationError(f"need d >= 2, got {d}")
     denom = math.comb(d + k + r - 1, r)
     return np.array([math.comb(k, s) * math.comb(d + r - 1, r - s) / denom for s in range(r + 1)])
 
@@ -138,6 +134,7 @@ def generalized_hat(rho: DensityMatrix, k: int) -> DensityMatrix:
     """
     dims = rho.dims
     d_a, d_b, r = _check_extension_layout(dims)
+    k = _checked_int(k, "k", 1)
     if k < r:
         raise ValidationError(f"need k >= r, got k={k}, r={r}")
     # I_A x V compresses onto A x Sym^r(B); it is real, so its adjoint is its transpose

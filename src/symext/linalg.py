@@ -72,6 +72,17 @@ def _checked_tol(tol: float) -> float:
     return tol
 
 
+def _checked_int(value, what: str, least: int) -> int:
+    """An integer setting as an int; bools, floats, strings, None and values below least raise ValidationError.
+
+    numpy integers pass.  Concrete types, not numbers.Integral: an abstract
+    check costs about 0.5 us, and ExtensionProblem runs this per verdict.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _validate_stack(mats: np.ndarray, tol: float) -> np.ndarray:
     """Run DensityMatrix's checks on every matrix of an (N, n, n) stack; return their Hermitian parts.
 

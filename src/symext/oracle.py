@@ -2,26 +2,20 @@
 
 Decides k-symmetric / k-bosonic extendability at desk scale as the
 projection of the origin onto the permutation-invariant PSD extension
-candidates with the prescribed marginal.  A semismooth Newton method on the
-dual (Qi & Sun, SIMAX 2006; Malick, SIMAX 2004) runs first, for at most
-NEWTON_STEPS steps.  When it has not decided, Dykstra-corrected projections
-between the PSD cone and the affine set of candidates take over from the
-start; their inter-set gap converges to the distance between the two sets
-and vanishes exactly when an extension exists.  Both paths stop Feasible
-when a PSD point lies within TOL_FEASIBLE of the affine set.
+candidates with the prescribed marginal, by a semismooth Newton method on
+the dual (Qi & Sun, SIMAX 2006; Malick, SIMAX 2004).  It stops Feasible
+when a PSD point lies within TOL_FEASIBLE of the affine set of candidates.
 
 Infeasible is a checked proof, never a stalled gap.  By SDP duality
 (Doherty, Parrilo & Spedalieri, PRA 69, 022308, 2004) no extension exists
 exactly when some Hermitian W on AB has a PSD lift
-(1/k) sum_i W_{AB_i} (x) I on the extension space and Tr(W rho) < 0.  Both
-paths hold a candidate W: Newton's dual point, negated, and Dykstra's
-w = gpinv (amap(y) - rho), whose lift is the difference y - x of the PSD
-and the affine iterate, tested every CERTIFY_EVERY iterations.  The oracle
-shifts W by the multiple of the identity that makes its lift PSD on every
-block and stops once Tr(W' rho) <= -TOL_GAP ||W'||_2, a margin that
-rounding on a boundary marginal cannot fake.  Stop reasons:
-``feasible-gap`` (Feasible), ``dual-certificate`` and ``face-reach``
-(Infeasible), ``max-iters`` and ``linalg-error`` (Undecided).
+(1/k) sum_i W_{AB_i} (x) I on the extension space and Tr(W rho) < 0.  The
+candidate W is Newton's dual point, negated.  The oracle shifts W by the
+multiple of the identity that makes its lift PSD on every block and stops
+once Tr(W' rho) <= -TOL_GAP ||W'||_2, a margin that rounding on a boundary
+marginal cannot fake.  Stop reasons: ``feasible-gap`` (Feasible),
+``dual-certificate`` and ``face-reach`` (Infeasible), ``max-iters`` and
+``linalg-error`` (Undecided).
 
 The iteration runs on isotypic blocks, not on the full space.  By
 Schur-Weyl duality a permutation-invariant operator on A (x) B^(x)k is
@@ -30,25 +24,32 @@ at most d_B rows, m_lambda its Specht dimension (the number of standard
 Young tableaux of shape lambda) and M_lambda acting on one copy
 C^{d_A} (x) V_lambda, embedded by an isometry.  Each block is stored as
 sqrt(m_lambda) M_lambda: with that weighting the map from blocks to X is an
-isometry, so Dykstra on the blocks is Dykstra on X, up to rounding, while
-every eigensolve has the side of one block.  The bosonic flavor keeps the
-single block lambda = (k) (the symmetric subspace, weight 1); the symmetric
-flavor keeps every lambda.
+isometry, so the projection on the blocks is the projection of X, up to
+rounding, while every eigensolve has the side of one block.  The bosonic
+flavor keeps the single block lambda = (k) (the symmetric subspace,
+weight 1); the symmetric flavor keeps every lambda.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar, Mapping
 
 import numpy as np
 
 from .criteria import BOSONIC, SYMMETRIC, ExtensionProblem
-from .errors import LayoutError, ResourceLimitError, ValidationError
-from .linalg import DIM_GUARD, DensityMatrix, _check_extension_layout, _occupation_isometry, _ptrace_mat, hermitize
+from .errors import LayoutError, ResourceLimitError
+from .linalg import (
+    DIM_GUARD,
+    DensityMatrix,
+    _check_extension_layout,
+    _checked_int,
+    _occupation_isometry,
+    _ptrace_mat,
+    hermitize,
+)
 
 FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
@@ -57,15 +58,9 @@ UNDECIDED = "Undecided"
 # Why an oracle run stopped.
 STOP_FEASIBLE_GAP = "feasible-gap"  # the gap fell to TOL_FEASIBLE
 STOP_DUAL_CERTIFICATE = "dual-certificate"  # a checked dual witness proves infeasibility
-STOP_MAX_ITERS = "max-iters"  # the iteration budget ran out
+STOP_MAX_ITERS = "max-iters"  # the step budget ran out, or the line search found no descent
 STOP_FACE_REACH = "face-reach"  # the forced support face cannot reproduce the marginal
-STOP_LINALG_ERROR = "linalg-error"  # eigh and the SVD fallback of project_psd both failed
-
-# Iterations between two checks of the dual witness.
-CERTIFY_EVERY = 25
-
-# Most semismooth Newton steps on the dual before Dykstra takes over.
-NEWTON_STEPS = 30
+STOP_LINALG_ERROR = "linalg-error"  # an eigensolve or the Newton system failed
 
 # Entries per temporary when the Newton Hessian is built in chunks of columns.
 HESSIAN_CHUNK = 1 << 16
@@ -76,8 +71,8 @@ GAP_TRACE_POINTS = 64
 # Feasible when a PSD point lies within this distance of the affine set.
 TOL_FEASIBLE = 1e-7
 
-# The line between a real gap and rounding: the least gap at which Dykstra
-# certifies, the least face-reach residual and the certificate's margin.
+# The line between a real gap and rounding: the least face-reach residual
+# and the certificate's margin.
 TOL_GAP = 1e-6
 
 # Widest extension space side the oracle admits.
@@ -90,17 +85,16 @@ RANK_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """The oracle's one setting, its iteration budget; the tolerances and the side limit are fixed."""
+    """The oracle's one setting, its budget of Newton steps; the tolerances and the side limit are fixed."""
 
-    max_iters: int = 5000
+    max_iters: int = 30
 
     tol_feasible: ClassVar[float] = TOL_FEASIBLE
     tol_gap: ClassVar[float] = TOL_GAP
     dim_limit: ClassVar[int] = DIM_LIMIT
 
     def __post_init__(self):
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
-            raise ValidationError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        _checked_int(self.max_iters, "max_iters", 1)
 
 
 @dataclass(frozen=True)
@@ -109,20 +103,19 @@ class OracleResult:
 
     Feasible means a PSD point sits within TOL_FEASIBLE of the constraint
     set (stop reason ``feasible-gap``).  Infeasible means a checked dual
-    certificate (``dual-certificate`` from Newton or Dykstra, ``face-reach``
+    certificate (``dual-certificate`` from Newton's dual point, ``face-reach``
     when the forced support face cannot reproduce the marginal):
     ``dual_witness`` is the Hermitian W' on AB, and the certificate reports
     ``dual_trace`` = Tr(W' rho), ``dual_min_eig``, the smallest eigenvalue of
     its lift (1/k) sum_i W'_{AB_i} (x) I on the span of the blocks, and
     ``certified``, true when Tr(W' rho) <= -TOL_GAP ||W'||_2.  Undecided
-    means both budgets ran out (``max-iters``) or Dykstra's PSD projection
-    failed (``linalg-error``).
+    means the steps ran out or the line search found no descent
+    (``max-iters``), or an eigensolve failed (``linalg-error``).
 
-    ``iterations`` and ``gap_trace`` are Dykstra's: 0 and empty when Newton
-    decided.  ``gap_trace`` holds the inter-set gap as (iteration, gap)
-    pairs, down-sampled to at most GAP_TRACE_POINTS and always ending with
-    the last iteration.  ``newton_steps`` counts the Newton steps run first,
-    and ``block_sides`` are the sides of the blocks both ran on.
+    ``iterations`` counts the Newton steps, 0 for ``face-reach``.
+    ``gap_trace`` holds the gap tested at each step as (step, gap) pairs,
+    down-sampled to at most GAP_TRACE_POINTS and always ending with the last
+    step, and ``block_sides`` are the sides of the blocks Newton ran on.
     """
 
     status: str
@@ -133,7 +126,6 @@ class OracleResult:
     block_sides: tuple[int, ...] = ()
     gap_trace: tuple[tuple[int, float], ...] = ()
     dual_witness: np.ndarray | None = field(default=None, compare=False)
-    newton_steps: int = 0
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:
@@ -311,13 +303,9 @@ class _Blocks:
         """Least-norm flat iterate whose marginal is deficit, when one exists: amap^+ deficit."""
         return self.adjoint(_matvec(self.gpinv, deficit))
 
-    def dual(self, flat: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """gpinv (amap(flat) - target): amap^dag of it is flat minus its affine projection."""
-        return _matvec(self.gpinv, self.marginal(flat) - target)
-
     def project_affine(self, flat: np.ndarray, target: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the flat iterates whose marginal is target."""
-        return flat - self.adjoint(self.dual(flat, target))
+        return flat - self.correction(self.marginal(flat) - target)
 
     def placed_marginal(self, flat: np.ndarray) -> np.ndarray:
         """The AB marginal of X, contracted from the isometries instead of through amap.
@@ -421,7 +409,7 @@ def _face_blocks(blocks: _Blocks, kernel: np.ndarray) -> _Blocks:
     return _make_blocks(blocks.dims, placed, weights)
 
 
-# --- the iteration --------------------------------------------------------------
+# --- verdicts and certificates ---------------------------------------------------
 
 
 def _gap_trace(gaps: list[float]) -> tuple[tuple[int, float], ...]:
@@ -491,46 +479,10 @@ def _verdict(blocks: _Blocks, rho: DensityMatrix, status: str, stop: str,
     )
 
 
-def _run_dykstra(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleResult:
-    target = rho.mat.ravel()
-    # the projection of any start in the range of amap^dag, rho (x) I among them
-    x = blocks.correction(target)
-    p = np.zeros_like(x)
-    gaps: list[float] = []
-    status, stop = UNDECIDED, STOP_MAX_ITERS
-    y = x
-    gap = float("inf")
-    witness = None
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        try:
-            y = np.concatenate([project_psd(b).ravel() for b in blocks.split(x + p)])
-        except np.linalg.LinAlgError:
-            # undecided, not a failure: report the iterations completed before it
-            iterations -= 1
-            stop = STOP_LINALG_ERROR
-            break
-        p = x + p - y
-        w = blocks.dual(y, target)
-        z = blocks.adjoint(w)  # y - x, PSD in the limit of an infeasible problem
-        x = y - z
-        gap = float(np.linalg.norm(x - y))
-        gaps.append(gap)
-        if gap <= TOL_FEASIBLE:
-            status, stop = FEASIBLE, STOP_FEASIBLE_GAP
-            break
-        if iterations % CERTIFY_EVERY == 0 and gap >= TOL_GAP:
-            witness = _shifted_witness(blocks, w, z)
-            if _certifies(witness, rho):
-                status, stop = INFEASIBLE, STOP_DUAL_CERTIFICATE
-                break
-    return _verdict(blocks, rho, status, stop, y, x, gap, witness, iterations=iterations, gap_trace=_gap_trace(gaps))
-
-
 # --- semismooth Newton on the dual ----------------------------------------------
 #
-# The projection of the origin onto {X PSD : amap(X) = rho}, which Dykstra
-# also computes, is X = P+(amap^dag w) at the minimum of the dual
+# The projection of the origin onto {X PSD : amap(X) = rho} is
+# X = P+(amap^dag w) at the minimum of the dual
 # theta(w) = 1/2 ||P+(amap^dag w)||^2 - <w, rho>, with gradient
 # amap P+(amap^dag w) - rho.  theta has only n_AB^2 variables and is
 # strongly semismooth, so Newton's method with the generalized Hessian
@@ -581,32 +533,38 @@ def _newton_hessian(blocks: _Blocks, parts) -> np.ndarray:
     return hess
 
 
-def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> tuple[OracleResult | None, int]:
-    """The verdict of at most min(NEWTON_STEPS, max_iters) Newton steps, or None, and the steps taken.
+def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleResult:
+    """The verdict of at most max_iters Newton steps.
 
     Step j tests the dual point w: Feasible when X = P+(amap^dag w) lies
     within TOL_FEASIBLE of its affine projection, Infeasible when -w, shifted,
-    passes the certificate test; otherwise it moves w by a Newton step damped
-    by an Armijo line search.  w starts where Dykstra does, at
-    amap^dag w = amap^+ rho.  A failed eigensolve or a line search that finds
-    no descent ends the run undecided.
+    passes the certificate test; otherwise, before the last step, it moves w
+    by a Newton step damped by an Armijo line search.  w starts at gpinv rho,
+    where amap^dag w = amap^+ rho.  The run ends Undecided when the steps run
+    out or the line search finds no descent (``max-iters``) and when an
+    eigensolve fails (``linalg-error``), reporting the last point it tested.
     """
     target = rho.mat.ravel()
     n_ab = blocks.dims[0] * blocks.dims[1]
     w = _matvec(blocks.gpinv, target)
-    steps = 0
+    gaps: list[float] = []
+    status, stop, witness = UNDECIDED, STOP_MAX_ITERS, None
     try:
         z, parts, y, theta = _dual_point(blocks, w, target)
-        for steps in range(1, min(NEWTON_STEPS, max_iters) + 1):
+        for step in range(1, max_iters + 1):
             c = blocks.correction(blocks.marginal(y) - target)  # y minus its affine projection
+            x = y - c
             gap = float(np.linalg.norm(c))
+            gaps.append(gap)
             if gap <= TOL_FEASIBLE:
-                return _verdict(blocks, rho, FEASIBLE, STOP_FEASIBLE_GAP, y, y - c, gap, None,
-                                iterations=0, newton_steps=steps), steps
+                status, stop = FEASIBLE, STOP_FEASIBLE_GAP
+                break
             witness = _shifted_witness(blocks, -w, -z)
             if _certifies(witness, rho):
-                return _verdict(blocks, rho, INFEASIBLE, STOP_DUAL_CERTIFICATE, y, y - c, gap, witness,
-                                iterations=0, newton_steps=steps), steps
+                status, stop = INFEASIBLE, STOP_DUAL_CERTIFICATE
+                break
+            if step == max_iters:
+                break
             # the gradient's part in the range of amap: the rest is the
             # marginal's residual off a support face, which no w changes
             grad = blocks.marginal(c)
@@ -621,12 +579,15 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> tuple[Or
                     break
                 alpha /= 2
             else:
-                break  # no descent along d: the solve is Dykstra's
+                break  # no descent along d
             w = w + alpha * d
             z, parts, y, theta = trial
     except np.linalg.LinAlgError:
-        pass  # Dykstra's projection has an SVD fallback; Newton needs the eigenvectors
-    return None, steps
+        stop = STOP_LINALG_ERROR
+        if not gaps:  # no point tested: report the start's lift at an unknown gap
+            x = y = blocks.adjoint(w)
+            gap = math.inf
+    return _verdict(blocks, rho, status, stop, y, x, gap, witness, iterations=len(gaps), gap_trace=_gap_trace(gaps))
 
 
 def _check_reach(d_a: int, d_b: int, k: int, flavor: str) -> None:
@@ -645,19 +606,16 @@ def _check_reach(d_a: int, d_b: int, k: int, flavor: str) -> None:
 def oracle_feasibility(problem: ExtensionProblem, cfg: OracleConfig | None = None) -> OracleResult:
     """Decide extendability numerically, independent of the derived-state criteria.
 
-    Newton's method on the dual runs first, for at most
-    min(NEWTON_STEPS, max_iters) steps, and Dykstra, for at most max_iters
-    iterations, when Newton has not decided.  Feasible (stop reason
-    ``feasible-gap``): a PSD point sits within TOL_FEASIBLE of the
-    constraint set.  Infeasible: a checked dual certificate, a Hermitian W'
-    on AB whose lift is PSD on the blocks and whose trace against the
+    Newton's method on the dual runs for at most max_iters steps.  Feasible
+    (stop reason ``feasible-gap``): a PSD point sits within TOL_FEASIBLE of
+    the constraint set.  Infeasible: a checked dual certificate, a Hermitian
+    W' on AB whose lift is PSD on the blocks and whose trace against the
     marginal is at most -TOL_GAP ||W'||_2.  It comes from Newton's dual
-    point at every step, or from Dykstra every CERTIFY_EVERY iterations while
-    the gap is at or above TOL_GAP (``dual-certificate``), or from the
+    point, tested at every step (``dual-certificate``), or from the
     marginal's residual when the support face forced by its kernel cannot
-    reproduce it at all (``face-reach``).  Undecided: both budgets ran out
-    (``max-iters``, expected within about TOL_GAP of the feasibility
-    boundary), or both eigensolver paths of Dykstra's PSD projection failed
+    reproduce it at all (``face-reach``).  Undecided: the steps ran out or
+    the line search found no descent (``max-iters``, expected within about
+    TOL_GAP of the feasibility boundary), or an eigensolve failed
     (``linalg-error``, ``min_eig`` NaN).
     """
     max_iters = (cfg or OracleConfig()).max_iters
@@ -680,7 +638,4 @@ def oracle_feasibility(problem: ExtensionProblem, cfg: OracleConfig | None = Non
             witness = _shifted_witness(blocks, -residual, blocks.adjoint(-residual))
             return _verdict(blocks, rho, INFEASIBLE, STOP_FACE_REACH, x, x, deficit, witness, iterations=0)
 
-    result, steps = _run_newton(blocks, rho, max_iters)
-    if result is None:
-        result = replace(_run_dykstra(blocks, rho, max_iters), newton_steps=steps)
-    return result
+    return _run_newton(blocks, rho, max_iters)

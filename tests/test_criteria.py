@@ -204,6 +204,33 @@ def test_symmetric_verdict_routing():
         symmetric_extension_verdict(ExtensionProblem(bell_state([1, 0, 0, 0]), 2, BOSONIC))
 
 
+def test_extension_counts_must_be_integers():
+    rho = bell_state([0.7, 0.1, 0.1, 0.1])
+    bad = (2.5, 3.0, True, "3", None, 0, np.int64(0))
+    integer = "must be an integer >= 1"
+    for k in bad:
+        with pytest.raises(ValidationError, match=f"extension count {integer}"):
+            ExtensionProblem(rho, k)
+        for derived in (tilde_state, hat_state, definetti_gap):
+            with pytest.raises(ValidationError, match=f"extension count {integer}"):
+                derived(rho, k)
+        with pytest.raises(ValidationError, match=f"k {integer}"):
+            generalized_hat(rho, k)
+        with pytest.raises(ValidationError, match=f"k {integer}"):
+            generalized_coefficients(k, 2, 1)
+        with pytest.raises(ValidationError, match=f"r {integer}"):
+            generalized_coefficients(3, 2, k)
+    for d in (2.5, True, "2", None, 1):
+        with pytest.raises(ValidationError, match="d must be an integer >= 2"):
+            generalized_coefficients(3, d, 1)
+    # numpy integers are integers, stored as int
+    problem = ExtensionProblem(rho, np.int64(3))
+    assert type(problem.k) is int and problem == ExtensionProblem(rho, 3)
+    assert symmetric_extension_verdict(problem).witness["k"] == 3.0
+    assert np.array_equal(tilde_state(rho, np.int64(3)).mat, tilde_state(rho, 3).mat)
+    assert np.array_equal(generalized_coefficients(np.int64(3), np.int64(2), np.int64(1)), generalized_coefficients(3, 2, 1))
+
+
 def test_separable_states_never_violated():
     rng = np.random.default_rng(25)
     for _ in range(10):

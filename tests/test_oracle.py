@@ -48,23 +48,17 @@ from symext import (
 import symext.oracle as oracle_mod
 from symext.linalg import _occupation_isometry, _ptrace_mat, hermitize
 from symext.oracle import (
-    CERTIFY_EVERY,
     GAP_TRACE_POINTS,
-    NEWTON_STEPS,
     _check_reach,
     _dual_point,
     _extension_blocks,
     _face_blocks,
     _newton_hessian,
-    _run_dykstra,
     _specht_dim,
     _state_kernel,
     _weyl_isometry,
 )
 
-
-# the default budget, for Dykstra run alone
-MAX_ITERS = OracleConfig().max_iters
 
 # three Newton steps leave it undecided: Newton decides it at step 6
 NEWTON_UNDECIDED_AT_3 = ExtensionProblem(bell_state((0.5, 0.3, 0.15, 0.05)), 3, SYMMETRIC)
@@ -132,8 +126,8 @@ def test_oracle_undecided_when_psd_projection_fails(monkeypatch):
     real_eigh = np.linalg.eigh
 
     def eigh_failing_at(failing):
-        # call 1 is the marginal's kernel and call 2 Newton's first block;
-        # after Newton gives up, Dykstra makes one call per block (two) per iteration
+        # call 1 is the marginal's kernel, calls 2 and 3 the two blocks of
+        # Newton's start, and each trial point of a line search makes two more
         calls = []
 
         def eigh(*args, **kwargs):
@@ -144,28 +138,30 @@ def test_oracle_undecided_when_psd_projection_fails(monkeypatch):
 
         return eigh
 
-    # a failed eigensolve inside Newton hands the solve to Dykstra, which decides it
+    # a failure at Newton's start: no step tested, the start's lift reported
     monkeypatch.setattr(np.linalg, "eigh", eigh_failing_at(lambda n: n == 2))
     res = oracle_feasibility(problem)
-    assert (res.status, res.stop_reason, res.newton_steps) == (FEASIBLE, "feasible-gap", 0)
-    assert res.iterations > 0 and res.gap_trace[-1] == (res.iterations, res.residual)
-
-    def failing_svd(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    # then Dykstra's eigensolver and its SVD fallback fail from iteration 5
-    monkeypatch.setattr(np.linalg, "eigh", eigh_failing_at(lambda n: n == 2 or n > 2 + 2 * 4))
-    monkeypatch.setattr(np.linalg, "svd", failing_svd)
-    res = oracle_feasibility(problem)
-    assert (res.status, res.stop_reason, res.iterations, res.newton_steps) == (UNDECIDED, "linalg-error", 4, 0)
-    assert res.gap_trace[-1] == (4, res.residual) and len(res.gap_trace) == 4
+    assert (res.status, res.stop_reason, res.iterations, res.gap_trace) == (UNDECIDED, "linalg-error", 0, ())
+    assert res.residual == math.inf and res.dual_witness is None
     assert math.isnan(res.certificate["min_eig"])
-    assert res.certificate["marginal_residual"] < 1.0
+    assert res.certificate["marginal_residual"] < 1e-12
 
-    # a failure later in Newton keeps the steps it completed
+    # a failure in the first line search keeps the step it tested
     monkeypatch.setattr(np.linalg, "eigh", eigh_failing_at(lambda n: n >= 4))
     res = oracle_feasibility(problem)
-    assert (res.status, res.stop_reason, res.iterations, res.newton_steps) == (UNDECIDED, "linalg-error", 0, 1)
+    assert (res.status, res.stop_reason, res.iterations) == (UNDECIDED, "linalg-error", 1)
+    assert res.gap_trace == ((1, res.residual),) and res.residual > OracleConfig.tol_feasible
+    assert math.isnan(res.certificate["min_eig"])
+    assert res.certificate["marginal_residual"] < 1.0
+    monkeypatch.setattr(np.linalg, "eigh", real_eigh)
+
+    # and so does a failed Newton system
+    def failing_solve(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    res = oracle_feasibility(problem)
+    assert (res.status, res.stop_reason, res.iterations, res.gap_trace) == (UNDECIDED, "linalg-error", 1, ((1, res.residual),))
 
 
 def test_projections_nonexpansive():
@@ -560,6 +556,9 @@ def test_oracle_bell_soundness_full_grid():
 def test_oracle_resource_guard_and_config():
     with pytest.raises(ResourceLimitError):
         oracle_feasibility(ExtensionProblem(maximally_mixed([2, 2]), 8, SYMMETRIC))
+    # a numpy k is stored as int: 2 ** np.int64(64) would wrap to 0 and pass the guard
+    with pytest.raises(ResourceLimitError, match="exceeds the limit"):
+        oracle_feasibility(ExtensionProblem(maximally_mixed([2, 2]), np.int64(64), SYMMETRIC))
     # the budget is the one setting: an integer >= 1, refused as a ValidationError otherwise
     assert [f.name for f in dataclasses.fields(OracleConfig)] == ["max_iters"]
     assert (OracleConfig.tol_feasible, OracleConfig.tol_gap, OracleConfig.dim_limit) == (1e-7, 1e-6, 256)
@@ -587,47 +586,33 @@ def test_check_reach_refuses_wide_spaces_in_bounded_time():
     assert time.perf_counter() - start < 0.1
 
 
-# (state, k, flavor) -> (status, iterations), recorded with the dense
-# full-space oracle that the block iteration replaced
+# (state, k, flavor) -> (status, Newton steps).  The statuses were recorded
+# with the dense full-space oracle that the block iteration replaced;
+# face-reach solves take no step.
 GOLDEN = [
-    (("werner", 2, -0.2), 3, SYMMETRIC, FEASIBLE, 29),
-    (("werner", 2, -0.5), 3, SYMMETRIC, INFEASIBLE, 109),
-    (("werner", 2, -0.8), 2, SYMMETRIC, INFEASIBLE, 57),
-    (("werner", 2, -0.3), 2, SYMMETRIC, FEASIBLE, 67),
-    (("werner", 2, -0.8), 4, SYMMETRIC, INFEASIBLE, 102),
-    (("werner", 3, -0.9), 2, SYMMETRIC, FEASIBLE, 2004),
+    (("werner", 2, -0.2), 3, SYMMETRIC, FEASIBLE, 2),
+    (("werner", 2, -0.5), 3, SYMMETRIC, INFEASIBLE, 1),
+    (("werner", 2, -0.8), 2, SYMMETRIC, INFEASIBLE, 1),
+    (("werner", 2, -0.3), 2, SYMMETRIC, FEASIBLE, 2),
+    (("werner", 2, -0.8), 4, SYMMETRIC, INFEASIBLE, 1),
+    (("werner", 3, -0.9), 2, SYMMETRIC, FEASIBLE, 3),
     (("werner", 3, 0.2), 3, SYMMETRIC, FEASIBLE, 1),
-    (("werner", 2, -0.8), 5, SYMMETRIC, INFEASIBLE, 140),
-    (("bell", (0.7, 0.1, 0.1, 0.1)), 2, SYMMETRIC, FEASIBLE, 73),
-    (("bell", (0.5, 0.3, 0.15, 0.05)), 3, SYMMETRIC, FEASIBLE, 280),
+    (("werner", 2, -0.8), 5, SYMMETRIC, INFEASIBLE, 1),
+    (("bell", (0.7, 0.1, 0.1, 0.1)), 2, SYMMETRIC, FEASIBLE, 2),
+    (("bell", (0.5, 0.3, 0.15, 0.05)), 3, SYMMETRIC, FEASIBLE, 6),
     (("bell", (0.0, 1 / 9, 3 / 9, 5 / 9)), 2, SYMMETRIC, FEASIBLE, 1),
     (("bell", (0.8, 0.2, 0.0, 0.0)), 2, SYMMETRIC, INFEASIBLE, 0),
     (("werner", 2, -1.0), 3, SYMMETRIC, INFEASIBLE, 0),
     (("bell", (0.4, 0.3, 0.3, 0.0)), 3, SYMMETRIC, FEASIBLE, 1),
     (("werner", 3, 1.0), 2, SYMMETRIC, FEASIBLE, 1),
-    (("werner", 2, -0.8), 4, BOSONIC, INFEASIBLE, 50),
+    (("werner", 2, -0.8), 4, BOSONIC, INFEASIBLE, 1),
     (("werner", 2, 0.3), 6, BOSONIC, FEASIBLE, 1),
     (("bell", (0.7, 0.1, 0.1, 0.1)), 2, BOSONIC, FEASIBLE, 1),
-    (("werner", 3, -0.9), 3, BOSONIC, INFEASIBLE, 50),
+    (("werner", 3, -0.9), 3, BOSONIC, INFEASIBLE, 1),
     (("bell", (0.35, 0.65, 0.0, 0.0)), 2, BOSONIC, INFEASIBLE, 0),
     (("werner", 2, -1.0), 2, BOSONIC, INFEASIBLE, 0),
     (("bell", (0.4, 0.3, 0.3, 0.0)), 3, BOSONIC, FEASIBLE, 1),
 ]
-
-
-# (state, k, flavor) -> iterations of the GOLDEN Infeasible solves that
-# iterate, now that they stop on a checked dual certificate.  GOLDEN's counts
-# for them came from a rule that waited for the gap to stay flat for 50
-# iterations; every one is now proven at the first check.  Feasible and
-# face-reach counts are GOLDEN's.
-GOLDEN_CERTIFIED_ITERATIONS = {
-    (("werner", 2, -0.5), 3, SYMMETRIC): 25,
-    (("werner", 2, -0.8), 2, SYMMETRIC): 25,
-    (("werner", 2, -0.8), 4, SYMMETRIC): 25,
-    (("werner", 2, -0.8), 5, SYMMETRIC): 25,
-    (("werner", 2, -0.8), 4, BOSONIC): 25,
-    (("werner", 3, -0.9), 3, BOSONIC): 25,
-}
 
 
 def _golden_problem(state, k, flavor):
@@ -644,29 +629,15 @@ def _solve_blocks(problem):
 
 
 def test_oracle_matches_golden_statuses_and_iterations():
-    # statuses through the oracle, Newton first; iteration counts from
-    # Dykstra alone on the same blocks, which Newton leaves unchanged
-    iterating_infeasible = {(state, k, flavor) for state, k, flavor, status, its in GOLDEN if status == INFEASIBLE and its}
-    assert iterating_infeasible == set(GOLDEN_CERTIFIED_ITERATIONS)
-    for state, k, flavor, status, iterations in GOLDEN:
+    for state, k, flavor, status, steps in GOLDEN:
         problem = _golden_problem(state, k, flavor)
         res = oracle_feasibility(problem)
-        assert res.status == status, (state, k, flavor)
+        assert (res.status, res.iterations) == (status, steps), (state, k, flavor)
         if status == INFEASIBLE:
+            assert res.stop_reason == ("dual-certificate" if steps else "face-reach")
             assert certificate_holds(res, problem), (state, k, flavor)
         else:
             assert res.dual_witness is None and "certified" not in res.certificate
-        if res.stop_reason == "face-reach":
-            assert iterations == res.iterations == res.newton_steps == 0
-            continue
-        dykstra = _run_dykstra(_solve_blocks(problem), problem.marginal, MAX_ITERS)
-        assert dykstra.status == status, (state, k, flavor)
-        if (state, k, flavor) in GOLDEN_CERTIFIED_ITERATIONS:
-            assert dykstra.stop_reason == "dual-certificate"
-            assert dykstra.iterations == GOLDEN_CERTIFIED_ITERATIONS[state, k, flavor] <= iterations
-            assert certificate_holds(dykstra, problem), (state, k, flavor)
-        else:
-            assert dykstra.iterations == iterations, (state, k, flavor, dykstra.iterations)
 
 
 def test_dual_witness_reads_the_same_on_the_blocks_and_densely():
@@ -704,33 +675,32 @@ def test_oracle_stop_reasons_and_telemetry():
             assert res.gap_trace[0][0] == 1 and res.gap_trace[-1] == (res.iterations, res.residual)
         else:
             assert res.gap_trace == ()
-    # the face check runs neither method; max_iters caps the Newton steps and then the Dykstra iterations
-    assert (res.stop_reason, res.newton_steps, res.iterations) == ("face-reach", 0, 0)
+    # the face check takes no Newton step; max_iters caps the steps
+    assert (res.stop_reason, res.iterations) == ("face-reach", 0)
     res = oracle_feasibility(NEWTON_UNDECIDED_AT_3, OracleConfig(max_iters=3))
-    assert (res.newton_steps, res.iterations) == (3, 3)
+    assert res.iterations == 3 and [i for i, _ in res.gap_trace] == [1, 2, 3]
     res = oracle_feasibility(NEWTON_UNDECIDED_AT_3)
-    assert (res.status, res.stop_reason, res.newton_steps, res.iterations) == (FEASIBLE, "feasible-gap", 6, 0)
-    # Newton decides without a Dykstra iteration
+    assert (res.status, res.stop_reason, res.iterations) == (FEASIBLE, "feasible-gap", 6)
+    # the trace holds the gap tested at each step, the last one the verdict's
     res = oracle_feasibility(ExtensionProblem(werner_state(2, -0.5), 3, SYMMETRIC))
-    assert (res.iterations, res.gap_trace, res.newton_steps) == (0, (), 1)
+    assert (res.iterations, res.gap_trace) == (1, ((1, res.residual),))
     # one block per shape: lambda = (3) and (2, 1) for qubits, each times d_A = 2
     assert res.block_sides == (8, 4)
     assert oracle_feasibility(ExtensionProblem(werner_state(2, -0.5), 3, BOSONIC)).block_sides == (8,)
-    # Dykstra tests the certificate every CERTIFY_EVERY iterations, first at that iteration
-    problem = ExtensionProblem(werner_state(2, -0.5), 3, SYMMETRIC)
-    res = _run_dykstra(_solve_blocks(problem), problem.marginal, MAX_ITERS)
-    assert (res.stop_reason, res.iterations) == ("dual-certificate", CERTIFY_EVERY)
-    # a run longer than the trace is down-sampled: the GOLDEN Werner d=3 psi=-0.9 k=2 solve
-    problem = ExtensionProblem(werner_state(3, -0.9), 2, SYMMETRIC)
-    res = _run_dykstra(_solve_blocks(problem), problem.marginal, MAX_ITERS)
-    assert res.status == FEASIBLE and res.iterations > GAP_TRACE_POINTS
+    # within tol_gap of the Werner k=3 threshold no certificate has the margin:
+    # Newton spends its default budget of 30 steps
+    problem = ExtensionProblem(werner_state(2, -1 / 3 - 1e-6), 3, SYMMETRIC)
+    res = oracle_feasibility(problem)
+    assert OracleConfig().max_iters == 30
+    assert (res.status, res.stop_reason, res.iterations) == (UNDECIDED, "max-iters", 30)
+    assert len(res.gap_trace) == 30 and res.gap_trace[-1] == (30, res.residual)
+    assert res.dual_witness is None and "certified" not in res.certificate
+    # a run longer than the trace is down-sampled, first and last step kept
+    res = oracle_feasibility(problem, OracleConfig(max_iters=GAP_TRACE_POINTS + 36))
+    assert (res.status, res.stop_reason, res.iterations) == (UNDECIDED, "max-iters", GAP_TRACE_POINTS + 36)
     assert len(res.gap_trace) == GAP_TRACE_POINTS
     assert res.gap_trace[0][0] == 1 and res.gap_trace[-1] == (res.iterations, res.residual)
-    # within tol_gap of the Werner k=3 threshold no certificate has the margin:
-    # Newton spends its budget and Dykstra its iterations
-    res = oracle_feasibility(ExtensionProblem(werner_state(2, -1 / 3 - 1e-6), 3, SYMMETRIC), OracleConfig(max_iters=200))
-    assert (res.status, res.stop_reason, res.newton_steps, res.iterations) == (UNDECIDED, "max-iters", NEWTON_STEPS, 200)
-    assert len(res.gap_trace) == GAP_TRACE_POINTS and res.gap_trace[-1] == (200, res.residual)
+    assert all(a[0] < b[0] for a, b in zip(res.gap_trace, res.gap_trace[1:]))
 
 
 @pytest.mark.parametrize("rho,k", [(werner_state(2, -0.4), 3), (bell_state([0.5, 0.3, 0.2, 0.0]), 2), (werner_state(3, 0.1), 2)])
@@ -768,13 +738,12 @@ def _local_frame(rho, rng):
 def test_exact_boundary_states_are_never_infeasible(rho, k):
     # both sit exactly on the boundary of the extendable set, where a dual
     # trace can be negative only by rounding; the certificate's margin must
-    # refuse it, on Newton's and on Dykstra's path, in any local frame
+    # refuse it in any local frame, also after more than the default steps
     rng = np.random.default_rng(66)
     for state in [rho] + [_local_frame(rho, rng) for _ in range(4)]:
         problem = ExtensionProblem(state, k, SYMMETRIC)
         assert oracle_feasibility(problem).status != INFEASIBLE
-        assert oracle_feasibility(problem, OracleConfig(max_iters=NEWTON_STEPS)).status != INFEASIBLE
-        assert _run_dykstra(_solve_blocks(problem), state, MAX_ITERS).status != INFEASIBLE
+        assert oracle_feasibility(problem, OracleConfig(max_iters=100)).status != INFEASIBLE
 
 
 def test_oracle_decides_random_states():

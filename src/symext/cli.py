@@ -59,14 +59,11 @@ _CHUNK_ENTRIES = 4096
 # Work guards: werner-sweep and definetti build states of side d^2 at most
 # this large, and every sweep and the definetti table print at most this
 # many rows.  werner-sweep has 2 / psi-step + 1 rows, so its smallest step
-# is 1e-6.  A definetti row costs eigensolves of the state's side, so its
-# table may hold at most rows x side^3 of _MAX_DEFINETTI_WORK, the work of
-# the longest two-qubit table (side 4).  volume draws at most _MAX_SAMPLES
-# points, about 100 s at 10 M points a second.
+# is 1e-6.  volume draws at most _MAX_SAMPLES points, about 100 s at 10 M
+# points a second.
 _MAX_SIDE = 256
 _MAX_ROWS = 2_000_001
 _WERNER_MIN_STEP = 2.0 / (_MAX_ROWS - 1)
-_MAX_DEFINETTI_WORK = _MAX_ROWS * 4**3
 _MAX_SAMPLES = 1_000_000_000
 
 
@@ -78,14 +75,6 @@ def _require_rows(flag: str, rows: int) -> None:
 def _require_side(d: int) -> None:
     if d * d > _MAX_SIDE:
         raise ResourceLimitError(f"--d {d} gives states of side {d * d}, above the limit {_MAX_SIDE}")
-
-
-def _require_definetti_work(k_max: int, side: int) -> None:
-    if k_max * side**3 > _MAX_DEFINETTI_WORK:
-        raise ResourceLimitError(
-            f"--k-max {k_max} at state side {side} gives {k_max * side**3} rows x side^3, "
-            f"above the limit {_MAX_DEFINETTI_WORK}"
-        )
 
 
 def _bell_hat_ppt_flags(p: np.ndarray, k: int) -> np.ndarray:
@@ -126,7 +115,7 @@ def state_to_obj(rho: DensityMatrix) -> dict:
     }
 
 
-def state_from_obj(obj: dict, tol: float = 1e-10) -> DensityMatrix:
+def state_from_obj(obj: dict, tol: float = HERM_TOL) -> DensityMatrix:
     try:
         dims = list(obj["dims"])
         re = np.asarray(obj["matrix"]["re"], dtype=float)
@@ -138,7 +127,7 @@ def state_from_obj(obj: dict, tol: float = 1e-10) -> DensityMatrix:
     return DensityMatrix(re + 1j * im, dims, tol=tol)
 
 
-def load_state(path: str, tol: float = 1e-10) -> DensityMatrix:
+def load_state(path: str, tol: float = HERM_TOL) -> DensityMatrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -384,9 +373,12 @@ def _cmd_consistency_sweep(args, out: IO[str]) -> int:
 
 
 def _definetti_rows(rho: DensityMatrix, k_max: int):
+    """Rows k = 1..k_max from one trace norm: the gap and the bound both scale as 1/(d_B^2 + k)."""
+    gap, bound = definetti_gap(rho, 1)
+    d_b2 = rho.dims[1] ** 2
     for k in range(1, k_max + 1):
-        gap, bound = definetti_gap(rho, k)
-        yield [str(k), _fmt(gap), _fmt(bound)]
+        scale = (d_b2 + 1) / (d_b2 + k)
+        yield [str(k), _fmt(gap * scale), _fmt(bound * scale)]
 
 
 def _cmd_definetti(args, out: IO[str]) -> int:
@@ -398,12 +390,10 @@ def _cmd_definetti(args, out: IO[str]) -> int:
         rho = load_state(args.state, tol=args.tol)
         if len(rho.dims) != 2:
             raise CliInputError(f"state must be bipartite, got layout {rho.dims}")
-        _require_definetti_work(args.k_max, rho.mat.shape[0])
     else:
         if args.d < 1:
             raise CliInputError(f"--d must be at least 1, got {args.d}")
         _require_side(args.d)
-        _require_definetti_work(args.k_max, args.d * args.d)
         rng = np.random.Generator(np.random.Philox(args.seed))
         rho = random_density((args.d, args.d), rng)
     _write_rows(["k", "gap", "bound"], _definetti_rows(rho, args.k_max), out)
@@ -422,12 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("state", help="path to a JSON state file")
     check.add_argument("--k", type=int, required=True, help="extension count")
     check.add_argument("--flavor", choices=(SYMMETRIC, BOSONIC), default=SYMMETRIC)
-    check.add_argument("--tol", type=float, default=1e-10, help="state validation tolerance")
+    check.add_argument("--tol", type=float, default=HERM_TOL, help="state validation tolerance")
     check.set_defaults(func=_cmd_check)
 
     cons = sub.add_parser("consistency", help="joint-consistency verdict for two or more marginals")
     cons.add_argument("states", nargs="+", help="paths to JSON state files sharing the A factor")
-    cons.add_argument("--tol", type=float, default=1e-10)
+    cons.add_argument("--tol", type=float, default=HERM_TOL)
     cons.set_defaults(func=_cmd_consistency)
 
     bell = sub.add_parser("bell-sweep", help="criteria over the Bell-diagonal simplex grid")
@@ -459,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     definetti.add_argument("--k-max", dest="k_max", type=int, default=10)
     definetti.add_argument("--state", default=None, help="optional JSON state file")
     definetti.add_argument("--seed", type=int, default=2026, help="seed for the random state when no file is given")
-    definetti.add_argument("--tol", type=float, default=1e-10)
+    definetti.add_argument("--tol", type=float, default=HERM_TOL)
     definetti.set_defaults(func=_cmd_definetti)
 
     for p in (bell, werner, csweep, definetti):

@@ -235,13 +235,17 @@ def bosonic_extension_verdict(problem: ExtensionProblem) -> CriterionVerdict:
 def definetti_gap(rho_ab: DensityMatrix, k: int) -> DefinettiGap:
     """Trace-norm distance to the tilde state and its closed-form bound 2 d_B^2 / (d_B^2 + k).
 
-    The gap never exceeds the bound, which shrinks like 1/k: highly
-    extendable states sit close to a separable state.
+    rho - tilde = d_B (d_B rho - rho_A x I) / (d_B^2 + k), so the gap is
+    d_B ||d_B rho - rho_A x I||_1 / (d_B^2 + k): the gap and the bound both
+    scale as 1/(d_B^2 + k), and their ratio does not depend on k.  The gap
+    never exceeds the bound: highly extendable states sit close to a
+    separable state.
     """
     _, d_b = _require_bipartite(rho_ab)
-    gap = trace_norm(rho_ab.mat - tilde_state(rho_ab, k).mat)
-    bound = 2 * d_b**2 / (d_b**2 + k)
-    return DefinettiGap(gap=gap, bound=float(bound))
+    k = _checked_int(k, "extension count", 1)
+    lifted = np.kron(partial_trace(rho_ab, [0]).mat, np.eye(d_b))
+    gap = d_b * trace_norm(d_b * rho_ab.mat - lifted) / (d_b**2 + k)
+    return DefinettiGap(gap=gap, bound=2 * d_b**2 / (d_b**2 + k))
 
 
 def sufficient_separability(sigma: DensityMatrix) -> bool:

@@ -16,6 +16,7 @@ from .errors import LayoutError, MarginalMismatchError, ValidationError
 from .linalg import (
     DensityMatrix,
     _as_stack,
+    _checked_int,
     _entropies,
     _first,
     _reduced_stack,
@@ -115,8 +116,7 @@ def bell_ssa(p: Sequence[float]) -> bool:
 
 def _werner_mats(d: int, psis: np.ndarray) -> np.ndarray:
     """Werner matrices for each parameter of a 1-D array, not yet validated as states."""
-    if d < 2:
-        raise ValidationError(f"need local dimension >= 2, got {d}")
+    d = _checked_int(d, "local dimension", 2)
     i = _first(~((-1.0 <= psis) & (psis <= 1.0)))
     if i is not None:
         raise ValidationError(f"parameter must lie in [-1, 1], got {psis[i]}")
@@ -138,23 +138,31 @@ def werner_state(d: int, psi: float) -> DensityMatrix:
     return DensityMatrix(_werner_mats(d, np.array([psi], dtype=float))[0], (d, d))
 
 
+def _werner_counts(d: int, k: int) -> tuple[int, int]:
+    return _checked_int(d, "local dimension", 2), _checked_int(k, "extension count", 1)
+
+
 def werner_tilde_psi(d: int, k: int, psi: float) -> float:
     """Parameter of the tilde state of a Werner state: (d + k psi) / (d^2 + k)."""
+    d, k = _werner_counts(d, k)
     return (d + k * psi) / (d**2 + k)
 
 
 def werner_hat_psi(d: int, k: int, psi: float) -> float:
     """Parameter of the hat state of a Werner state: (1 + k psi) / (d + k)."""
+    d, k = _werner_counts(d, k)
     return (1 + k * psi) / (d + k)
 
 
 def werner_tilde_threshold(d: int, k: int) -> float:
     """Below -d/k the tilde criterion proves a Werner state has no k-symmetric extension."""
+    d, k = _werner_counts(d, k)
     return -d / k
 
 
 def werner_exact_threshold(d: int, k: int) -> float:
     """Known necessary and sufficient k-symmetric extendability threshold -(d-1)/k."""
+    d, k = _werner_counts(d, k)
     return -(d - 1) / k
 
 

@@ -305,6 +305,7 @@ def _check_permutation(pi: Sequence[int], k: int) -> tuple[int, ...]:
 
 def permutation_operator(d: int, k: int, pi: Sequence[int]) -> np.ndarray:
     """Unitary reordering tensor factors: the factor at position m moves to position pi[m]."""
+    d, k = _checked_int(d, "local dimension", 1), _checked_int(k, "factor count", 1)
     pi = _check_permutation(pi, k)
     size = d**k
     if size > DIM_GUARD:
@@ -365,8 +366,7 @@ def symmetric_projector(d: int, r: int) -> np.ndarray:
     Built as V V^dag from the occupation-number isometry V, without the
     permutation sum.  Idempotent, Hermitian, with trace C(d + r - 1, r).
     """
-    if d < 1 or r < 1:
-        raise ValidationError(f"need d >= 1 and r >= 1, got d={d}, r={r}")
+    d, r = _checked_int(d, "local dimension", 1), _checked_int(r, "factor count", 1)
     iso = _occupation_isometry(d, r).astype(complex)
     return iso @ iso.T
 

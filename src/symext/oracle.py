@@ -65,9 +65,6 @@ STOP_LINALG_ERROR = "linalg-error"  # an eigensolve or the Newton system failed
 # Entries per temporary when the Newton Hessian is built in chunks of columns.
 HESSIAN_CHUNK = 1 << 16
 
-# Most (iteration, gap) points kept from a run's gap trajectory.
-GAP_TRACE_POINTS = 64
-
 # Feasible when a PSD point lies within this distance of the affine set.
 TOL_FEASIBLE = 1e-7
 
@@ -114,8 +111,7 @@ class OracleResult:
 
     ``iterations`` counts the Newton steps, 0 for ``face-reach``.
     ``gap_trace`` holds the gap tested at each step as (step, gap) pairs,
-    down-sampled to at most GAP_TRACE_POINTS and always ending with the last
-    step, and ``block_sides`` are the sides of the blocks Newton ran on.
+    and ``block_sides`` are the sides of the blocks Newton ran on.
     """
 
     status: str
@@ -412,15 +408,6 @@ def _face_blocks(blocks: _Blocks, kernel: np.ndarray) -> _Blocks:
 # --- verdicts and certificates ---------------------------------------------------
 
 
-def _gap_trace(gaps: list[float]) -> tuple[tuple[int, float], ...]:
-    n = len(gaps)
-    if n <= GAP_TRACE_POINTS:
-        idx = range(n)
-    else:
-        idx = [i * (n - 1) // (GAP_TRACE_POINTS - 1) for i in range(GAP_TRACE_POINTS)]
-    return tuple((i + 1, gaps[i]) for i in idx)
-
-
 def _shifted_witness(blocks: _Blocks, w: np.ndarray, z: np.ndarray) -> np.ndarray:
     """W' = W + t I for the flattened W = w with z = amap^dag w, t the least shift that makes the lift PSD.
 
@@ -457,7 +444,6 @@ def _verdict(blocks: _Blocks, rho: DensityMatrix, status: str, stop: str,
     certificate = {
         "marginal_residual": float(np.linalg.norm(blocks.placed_marginal(y) - rho.mat)),
         "min_eig": float("nan") if stop == STOP_LINALG_ERROR else blocks.min_eig(x),
-        "gap_estimate": gap,
     }
     if status != INFEASIBLE:
         witness = None
@@ -587,7 +573,8 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleRe
         if not gaps:  # no point tested: report the start's lift at an unknown gap
             x = y = blocks.adjoint(w)
             gap = math.inf
-    return _verdict(blocks, rho, status, stop, y, x, gap, witness, iterations=len(gaps), gap_trace=_gap_trace(gaps))
+    return _verdict(blocks, rho, status, stop, y, x, gap, witness,
+                    iterations=len(gaps), gap_trace=tuple(enumerate(gaps, 1)))
 
 
 def _check_reach(d_a: int, d_b: int, k: int, flavor: str) -> None:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import symext.cli as cli
+import symext.criteria as criteria
 from symext import DensityMatrix, bell_state, maximally_mixed, random_density, werner_state
 from symext.cli import dump_state, load_state, main, state_from_obj, state_to_obj
 
@@ -347,9 +348,6 @@ def test_werner_sweep_work_guards_admit_their_limits(capsys, monkeypatch):
         ["consistency-sweep", "--grid", "4000000"],
         ["definetti", "--d", "17"],
         ["definetti", "--d", "100", "--k-max", "1"],
-        ["definetti", "--d", "16", "--k-max", "8"],
-        ["definetti", "--d", "16", "--k-max", "2000001"],
-        ["definetti", "--d", "3", "--k-max", "175584"],
         ["definetti", "--k-max", "2000002"],
         ["definetti", "--k-max", "1000000000"],
         ["volume", "--which", "exact", "--samples", "1000000001", "--seed", "1"],
@@ -388,24 +386,23 @@ def test_row_and_side_guards_admit_their_limits(capsys, monkeypatch):
     code, out, _ = _run(capsys, ["definetti", "--k-max", "2000001"])
     assert code == 0
     assert out.splitlines()[1:] == ["2000001"]
-    # the definetti work guard counts rows x side^3: 7 rows at side 256, 175583 at side 9
-    for d, k_max in ((16, 7), (3, 175583)):
-        code, out, _ = _run(capsys, ["definetti", "--d", str(d), "--k-max", str(k_max)])
-        assert code == 0
-        assert out.splitlines()[1:] == [str(k_max)]
 
 
-def test_definetti_work_guard_reads_the_state_side(capsys, monkeypatch, tmp_path):
-    # a --state file of side 16 admits 31250 rows and refuses one more before any output
-    path = str(tmp_path / "state.json")
-    dump_state(random_density([4, 4], np.random.default_rng(5)), path)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["definetti", "--d", "16", "--k-max", "8"],
+        ["definetti", "--d", "16", "--k-max", "2000001"],
+        ["definetti", "--d", "3", "--k-max", "175584"],
+    ],
+    ids=" ".join,
+)
+def test_definetti_side_and_row_caps_bound_a_table_alone(capsys, monkeypatch, argv):
+    # a table costs one trace norm whatever its length, so no rows x side work guard refuses it
     monkeypatch.setattr(cli, "_definetti_rows", lambda rho, k_max: iter([[str(k_max)]]))
-    code, out, _ = _run(capsys, ["definetti", "--k-max", "31250", "--state", path])
-    assert (code, out.splitlines()[1:]) == (0, ["31250"])
-    code, out, err = _run(capsys, ["definetti", "--k-max", "31251", "--state", path])
-    assert (code, out) == (2, "")
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("resource limit:")
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert out.splitlines()[1:] == [argv[-1]]
 
 
 def test_volume_sample_cap_admits_its_limit(capsys, monkeypatch):
@@ -417,19 +414,35 @@ def test_volume_sample_cap_admits_its_limit(capsys, monkeypatch):
 
 
 def test_definetti_streams_its_rows(capsys, monkeypatch):
-    # each row is written before the next is computed: a failure at k = 3
-    # leaves the header and the first two rows on stdout
-    real_gap = cli.definetti_gap
+    # each row is written before the next is formatted: a failure while
+    # formatting row 3 leaves the header and the first two rows on stdout
+    real_fmt = cli._fmt
+    calls = []
 
-    def gap_failing_at_3(rho, k):
-        if k == 3:
+    def fmt_failing_at_row_3(x):
+        calls.append(x)
+        if len(calls) == 5:  # two values a row
             raise cli.ValidationError("stop at k = 3")
-        return real_gap(rho, k)
+        return real_fmt(x)
 
-    monkeypatch.setattr(cli, "definetti_gap", gap_failing_at_3)
+    monkeypatch.setattr(cli, "_fmt", fmt_failing_at_row_3)
     code, out, err = _run(capsys, ["definetti", "--d", "2", "--k-max", "5"])
     assert code == 1 and "stop at k = 3" in err
     assert [line.split(",")[0] for line in out.splitlines()] == ["k", "1", "2"]
+
+
+def test_definetti_table_takes_one_trace_norm(capsys, monkeypatch):
+    real_trace_norm = criteria.trace_norm
+    calls = []
+
+    def counting_trace_norm(m, *args):
+        calls.append(m.shape)
+        return real_trace_norm(m, *args)
+
+    monkeypatch.setattr(criteria, "trace_norm", counting_trace_norm)
+    code, out, _ = _run(capsys, ["definetti", "--k-max", "1000"])
+    assert code == 0 and len(out.splitlines()) == 1001
+    assert calls == [(4, 4)]
 
 
 def test_werner_sweep_with_oracle(capsys):

@@ -30,9 +30,12 @@ from symext import (
     sufficient_separability,
     symmetric_extension_verdict,
     tilde_state,
+    trace_norm,
+    werner_exact_threshold,
     werner_hat_psi,
     werner_state,
     werner_tilde_psi,
+    werner_tilde_threshold,
 )
 from symext.criteria import _derived_mats, _derived_min_pt_eigs, _min_pt_eigs, _ppt_passes
 from symext.linalg import _validate_stack
@@ -204,9 +207,18 @@ def test_symmetric_verdict_routing():
         symmetric_extension_verdict(ExtensionProblem(bell_state([1, 0, 0, 0]), 2, BOSONIC))
 
 
+# the Werner closed forms as functions of (d, k)
+WERNER_CLOSED_FORMS = (
+    werner_tilde_threshold,
+    werner_exact_threshold,
+    lambda d, k: werner_tilde_psi(d, k, 0.1),
+    lambda d, k: werner_hat_psi(d, k, 0.1),
+)
+
+
 def test_extension_counts_must_be_integers():
     rho = bell_state([0.7, 0.1, 0.1, 0.1])
-    bad = (2.5, 3.0, True, "3", None, 0, np.int64(0))
+    bad = (2.5, 3.0, True, "3", None, 0, -2, np.int64(0))
     integer = "must be an integer >= 1"
     for k in bad:
         with pytest.raises(ValidationError, match=f"extension count {integer}"):
@@ -220,9 +232,15 @@ def test_extension_counts_must_be_integers():
             generalized_coefficients(k, 2, 1)
         with pytest.raises(ValidationError, match=f"r {integer}"):
             generalized_coefficients(3, 2, k)
+        for werner in WERNER_CLOSED_FORMS:
+            with pytest.raises(ValidationError, match=f"extension count {integer}"):
+                werner(2, k)
     for d in (2.5, True, "2", None, 1):
         with pytest.raises(ValidationError, match="d must be an integer >= 2"):
             generalized_coefficients(3, d, 1)
+        for werner in WERNER_CLOSED_FORMS + (lambda d, k: werner_state(d, 0.1),):
+            with pytest.raises(ValidationError, match="local dimension must be an integer >= 2"):
+                werner(d, 2)
     # numpy integers are integers, stored as int
     problem = ExtensionProblem(rho, np.int64(3))
     assert type(problem.k) is int and problem == ExtensionProblem(rho, 3)
@@ -291,6 +309,18 @@ def test_definetti_gap_values():
         k = int(rng.integers(1, 8))
         result = definetti_gap(random_density((2, d_b), rng), k)
         assert result.gap <= result.bound + 1e-12
+
+
+def test_definetti_gap_is_the_direct_subtraction():
+    # the closed form against the trace norm of rho minus its tilde state
+    rng = np.random.default_rng(29)
+    for dims in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        rho = random_density(dims, rng)
+        for k in range(1, 51):
+            direct = trace_norm(rho.mat - tilde_state(rho, k).mat)
+            result = definetti_gap(rho, k)
+            assert abs(result.gap - direct) <= 1e-12 * direct
+            assert result.bound == 2 * dims[1] ** 2 / (dims[1] ** 2 + k)
 
 
 def test_separability_conditions():

@@ -257,6 +257,9 @@ def test_permutation_operator_basics():
     assert np.allclose(cycle @ cycle @ cycle, np.eye(8))
     with pytest.raises(ValidationError):
         permutation_operator(2, 3, (0, 0, 1))
+    for d, k in ((2.5, 2), (2, 2.0), (0, 2)):
+        with pytest.raises(ValidationError):
+            permutation_operator(d, k, (1, 0))
     with pytest.raises(ResourceLimitError):
         permutation_operator(2, 13, tuple(range(13)))
 
@@ -305,8 +308,9 @@ def test_symmetric_projector_at_the_guard():
 def test_symmetric_projector_guard():
     with pytest.raises(ResourceLimitError):
         symmetric_projector(2, 13)
-    with pytest.raises(ValidationError):
-        symmetric_projector(2, 0)
+    for d, r in ((2, 0), (2, 2.5), (2.0, 2), (True, 2)):
+        with pytest.raises(ValidationError):
+            symmetric_projector(d, r)
 
 
 def test_twirl_pure_power():

@@ -48,7 +48,6 @@ from symext import (
 import symext.oracle as oracle_mod
 from symext.linalg import _occupation_isometry, _ptrace_mat, hermitize
 from symext.oracle import (
-    GAP_TRACE_POINTS,
     _check_reach,
     _dual_point,
     _extension_blocks,
@@ -671,8 +670,8 @@ def test_oracle_stop_reasons_and_telemetry():
         res = oracle_feasibility(problem, cfg)
         assert (res.status, res.stop_reason) == (status, reason)
         if res.iterations:
-            assert len(res.gap_trace) <= GAP_TRACE_POINTS
-            assert res.gap_trace[0][0] == 1 and res.gap_trace[-1] == (res.iterations, res.residual)
+            assert [i for i, _ in res.gap_trace] == list(range(1, res.iterations + 1))
+            assert res.gap_trace[-1] == (res.iterations, res.residual)
         else:
             assert res.gap_trace == ()
     # the face check takes no Newton step; max_iters caps the steps
@@ -695,12 +694,12 @@ def test_oracle_stop_reasons_and_telemetry():
     assert (res.status, res.stop_reason, res.iterations) == (UNDECIDED, "max-iters", 30)
     assert len(res.gap_trace) == 30 and res.gap_trace[-1] == (30, res.residual)
     assert res.dual_witness is None and "certified" not in res.certificate
-    # a run longer than the trace is down-sampled, first and last step kept
-    res = oracle_feasibility(problem, OracleConfig(max_iters=GAP_TRACE_POINTS + 36))
-    assert (res.status, res.stop_reason, res.iterations) == (UNDECIDED, "max-iters", GAP_TRACE_POINTS + 36)
-    assert len(res.gap_trace) == GAP_TRACE_POINTS
-    assert res.gap_trace[0][0] == 1 and res.gap_trace[-1] == (res.iterations, res.residual)
-    assert all(a[0] < b[0] for a, b in zip(res.gap_trace, res.gap_trace[1:]))
+    # a longer run keeps one point per step, from the first gap to the verdict's
+    first_gap = res.gap_trace[0]
+    res = oracle_feasibility(problem, OracleConfig(max_iters=100))
+    assert (res.status, res.stop_reason, res.iterations) == (UNDECIDED, "max-iters", 100)
+    assert [i for i, _ in res.gap_trace] == list(range(1, 101))
+    assert res.gap_trace[0] == first_gap and res.gap_trace[-1] == (100, res.residual)
 
 
 @pytest.mark.parametrize("rho,k", [(werner_state(2, -0.4), 3), (bell_state([0.5, 0.3, 0.2, 0.0]), 2), (werner_state(3, 0.1), 2)])

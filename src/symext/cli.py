@@ -4,15 +4,19 @@ Verdicts print as JSON on stdout; sweeps print CSV with a fixed header and
 lexicographic grid order, so output is byte-stable and diffable.  Monte
 Carlo commands use the counter-based Philox generator, fully determined by
 the --seed flag.  Exit codes: 0 = evaluated (whatever the verdict),
-1 = input or validation error, 2 = resource guard.
+1 = input or validation error, 2 = resource guard, 141 = the reader of
+stdout closed it early (as for a process that SIGPIPE ends).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import io
 import itertools
 import json
 import math
+import os
 import sys
 from typing import IO, Sequence
 
@@ -48,6 +52,7 @@ from .oracle import _check_reach, oracle_feasibility
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_RESOURCE = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 MC_BATCH = 1_000_000
 
@@ -155,6 +160,36 @@ def _fmt(x: float) -> str:
 def _emit_json(obj: dict, out: IO[str]) -> None:
     out.write(json.dumps(obj, sort_keys=True))
     out.write("\n")
+
+
+class _OutFile:
+    """The --out file, opened (and truncated) at the first write.
+
+    Every guard and input check runs before a command writes its first line,
+    so a refused command leaves an existing file untouched and creates none.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self.fh: IO[str] | None = None
+
+    def write(self, s: str) -> int:
+        try:
+            if self.fh is None:
+                self.fh = open(self.path, "w", encoding="utf-8", newline="")
+            return self.fh.write(s)
+        except OSError as err:
+            raise self._error(err) from err
+
+    def close(self) -> None:
+        if self.fh is not None:
+            try:
+                self.fh.close()
+            except OSError as err:  # the final flush, e.g. a full disk
+                raise self._error(err) from err
+
+    def _error(self, err: OSError) -> CliInputError:
+        return CliInputError(f"cannot write {self.path}: {err}")
 
 
 def _write_rows(header: Sequence[str], rows, out: IO[str]) -> None:
@@ -404,7 +439,13 @@ def _cmd_definetti(args, out: IO[str]) -> int:
 # Parser wiring.
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The symext argument parser, built on the first call and shared after it.
+
+    Each ``parse_args`` returns a new namespace, so the parser holds no state
+    between calls; callers must not add arguments to it.
+    """
     parser = _Parser(prog="symext", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -459,20 +500,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        out_path = getattr(args, "out", None)
-        if out_path is not None:
-            with open(out_path, "w", encoding="utf-8", newline="") as fh:
-                return args.func(args, fh)
-        return args.func(args, sys.stdout)
+        args = build_parser().parse_args(argv)
+        if getattr(args, "out", None) is None:
+            code = args.func(args, sys.stdout)
+            sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+            return code
+        out = _OutFile(args.out)
+        try:
+            return args.func(args, out)
+        finally:
+            out.close()
     except (CliInputError, ValidationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceLimitError as err:
         print(f"resource limit: {err}", file=sys.stderr)
         return EXIT_RESOURCE
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Point the stdout
+        # descriptor at devnull so the interpreter's final flush of the
+        # buffered rows stays quiet: the Python docs' SIGPIPE recipe.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, io.UnsupportedOperation):
+            return EXIT_PIPE  # not a real file: no descriptor to touch
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -1,7 +1,12 @@
 """Command-line interface: formats, determinism, and the exit-code contract."""
 
+import functools
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -521,6 +526,138 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert out == ""
     content = out_path.read_text()
     assert content.startswith("p1,p2,p3,")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["bell-sweep", "--grid", "300"], 2),
+        (["bell-sweep", "--grid", "3", "--criteria", "bogus"], 1),
+        (["werner-sweep", "--d", "2", "--k", "8", "--with-oracle"], 2),
+        (["werner-sweep", "--d", "1"], 1),
+        (["consistency-sweep", "--grid", "1415"], 2),
+        (["definetti", "--k-max", "0"], 1),
+        (["definetti", "--k-max", "2", "--tol", "nan"], 1),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_refused_command_leaves_out_file_alone(capsys, tmp_path, argv, code):
+    # --out is opened at the first write, after every guard and input check
+    keep = tmp_path / "keep.csv"
+    keep.write_bytes(b"keep\r\n")
+    new = tmp_path / "new.csv"
+    for path in (keep, new):
+        got, out, err = _run(capsys, argv + ["--out", str(path)])
+        assert (got, out, len(err.splitlines())) == (code, "", 1)
+    assert keep.read_bytes() == b"keep\r\n"
+    assert not new.exists()
+
+
+@pytest.mark.parametrize(
+    "where",
+    [
+        "missing-dir",
+        "directory",
+        pytest.param("/dev/full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")),
+    ],
+)
+def test_unwritable_out_path_exits_1(capsys, tmp_path, where):
+    # /dev/full opens, then fails with ENOSPC when the rows are flushed
+    path = {"missing-dir": str(tmp_path / "missing" / "x.csv"), "directory": str(tmp_path)}.get(where, where)
+    code, out, err = _run(capsys, ["bell-sweep", "--grid", "3", "--out", path])
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {path}: "), err
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch, bell_file):
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser.__wrapped__))
+    codes = [
+        _run(capsys, argv)[0]
+        for argv in (
+            ["check", bell_file, "--k", "2"],
+            ["bell-sweep", "--grid", "3"],
+            ["check", bell_file],
+            ["consistency", bell_file, bell_file],
+        )
+    ]
+    assert codes == [0, 0, 1, 0]
+    commands = ("check", "consistency", "bell-sweep", "werner-sweep", "volume", "consistency-sweep", "definetti")
+    assert built == ["symext"] + [f"symext {name}" for name in commands]
+
+
+def test_calls_on_the_shared_parser_share_no_state(capsys, tmp_path, bell_file):
+    check = ["check", bell_file, "--k", "2"]
+    _, first, _ = _run(capsys, check)
+    # a check after a sweep to --out writes to stdout, and leaves the file as it was
+    sweep = tmp_path / "sweep.csv"
+    assert _run(capsys, ["bell-sweep", "--grid", "3", "--out", str(sweep)])[:2] == (0, "")
+    written = sweep.read_bytes()
+    assert _run(capsys, check) == (0, first, "")
+    assert sweep.read_bytes() == written
+    # a call after a usage error, a command error or a validation error reads as a first call
+    for failing in (
+        ["check", bell_file, "--k", "two"],
+        ["check", bell_file, "--flavor", "bogus", "--k", "2"],
+        ["bell-sweep", "--grid", "3", "--criteria", "bogus"],
+        ["check", bell_file, "--k", "2", "--tol", "nan"],
+    ):
+        assert _run(capsys, failing)[:2] == (1, "")
+        assert _run(capsys, check) == (0, first, "")
+    # --flavor and --tol fall back to their defaults when a later call omits them
+    assert json.loads(_run(capsys, check + ["--flavor", "bosonic"])[1])["flavor"] == "bosonic"
+    assert json.loads(_run(capsys, check)[1])["flavor"] == "symmetric"
+    obj = json.loads(Path(bell_file).read_text())
+    obj["matrix"]["re"][0][0] = 0.4  # trace 0.9: valid only at the looser tolerance
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert _run(capsys, ["check", str(bad), "--k", "2", "--tol", "0.2"])[0] == 0
+    assert _run(capsys, ["check", str(bad), "--k", "2"])[0] == 1
+
+
+def test_broken_pipe_leaves_descriptors_of_a_fileless_stdout_alone(monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, s):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    class NoDescriptors:
+        def __getattr__(self, name):
+            raise AssertionError(f"os.{name} was called")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    monkeypatch.setattr(cli, "os", NoDescriptors())
+    assert main(["bell-sweep", "--grid", "3"]) == cli.EXIT_PIPE
+
+
+def test_reader_closing_stdout_early_ends_quietly():
+    # `symext definetti ... | head -1`: no BrokenPipeError traceback, and the documented exit code
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "symext.cli", "definetti", "--d", "2", "--k-max", "200000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"k,gap,bound\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == cli.EXIT_PIPE
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+        proc.stderr.close()
+    assert err == b""
 
 
 def test_load_state_validates(tmp_path):

@@ -82,6 +82,12 @@ def _require_side(d: int) -> None:
         raise ResourceLimitError(f"--d {d} gives states of side {d * d}, above the limit {_MAX_SIDE}")
 
 
+def _require_seed(seed: int) -> None:
+    # Philox takes only seeds >= 0
+    if seed < 0:
+        raise CliInputError(f"--seed must be at least 0, got {seed}")
+
+
 def _bell_hat_ppt_flags(p: np.ndarray, k: int) -> np.ndarray:
     """Where the bosonic extension verdict (the hat-state PPT test) of each Bell-diagonal state is Inconclusive."""
     return _ppt_passes(_derived_min_pt_eigs(_validate_stack(_bell_mats(p), HERM_TOL), (2, 2), k, BOSONIC, HERM_TOL))
@@ -349,6 +355,7 @@ def _volume_membership(which: str, u: np.ndarray) -> np.ndarray:
 
 
 def _cmd_volume(args, out: IO[str]) -> int:
+    _require_seed(args.seed)
     if args.samples < 10_000:
         raise CliInputError(f"--samples must be at least 10000, got {args.samples}")
     if args.samples > _MAX_SAMPLES:
@@ -420,6 +427,7 @@ def _cmd_definetti(args, out: IO[str]) -> int:
     if args.k_max < 1:
         raise CliInputError(f"--k-max must be at least 1, got {args.k_max}")
     _checked_tol(args.tol)
+    _require_seed(args.seed)
     _require_rows(f"--k-max {args.k_max}", args.k_max)
     if args.state is not None:
         rho = load_state(args.state, tol=args.tol)

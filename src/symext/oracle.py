@@ -62,9 +62,6 @@ STOP_MAX_ITERS = "max-iters"  # the step budget ran out, or the line search foun
 STOP_FACE_REACH = "face-reach"  # the forced support face cannot reproduce the marginal
 STOP_LINALG_ERROR = "linalg-error"  # an eigensolve or the Newton system failed
 
-# Entries per temporary when the Newton Hessian is built in chunks of columns.
-HESSIAN_CHUNK = 1 << 16
-
 # Feasible when a PSD point lies within this distance of the affine set.
 TOL_FEASIBLE = 1e-7
 
@@ -408,17 +405,14 @@ def _face_blocks(blocks: _Blocks, kernel: np.ndarray) -> _Blocks:
 # --- verdicts and certificates ---------------------------------------------------
 
 
-def _shifted_witness(blocks: _Blocks, w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """W' = W + t I for the flattened W = w with z = amap^dag w, t the least shift that makes the lift PSD.
+def _shifted_witness(blocks: _Blocks, w: np.ndarray, low: float) -> np.ndarray:
+    """W' = W + t I for the flattened W = w whose lift has smallest eigenvalue low on the blocks.
 
-    amap^dag maps the identity to sqrt(m_b) I on block b, so the lift of W'
-    is PSD on every block for t = max(0, max_b -lambda_min(Z_b) / sqrt(m_b)),
-    that is max(0, -min_eig(z)).  Any extension X then has
-    Tr(W' rho) = <amap^dag W', X> >= 0, so Tr(W' rho) < 0 proves there is none.
+    amap^dag maps I to sqrt(m_b) I on block b, so the lift of W' is PSD for t = max(0, -low).  Any
+    extension X then has Tr(W' rho) = <amap^dag W', X> >= 0, so Tr(W' rho) < 0 proves there is none.
     """
     n_ab = blocks.dims[0] * blocks.dims[1]
-    t = max(0.0, -blocks.min_eig(z))
-    return hermitize(w.reshape(n_ab, n_ab)) + t * np.eye(n_ab)
+    return hermitize(w.reshape(n_ab, n_ab)) + max(0.0, -low) * np.eye(n_ab)
 
 
 def _certifies(witness: np.ndarray, rho: DensityMatrix) -> bool:
@@ -478,11 +472,10 @@ def _verdict(blocks: _Blocks, rho: DensityMatrix, status: str, stop: str,
 
 
 def _dual_point(blocks: _Blocks, w: np.ndarray, target: np.ndarray):
-    """(z, parts, y, theta) at w: z = amap^dag w, the eigendecomposition of each block of z, y = P+(z), theta(w)."""
-    z = blocks.adjoint(w)
-    parts = [np.linalg.eigh(hermitize(b)) for b in blocks.split(z)]
+    """(parts, y, theta) at w: the eigendecomposition of each block of z = amap^dag w, y = P+(z), theta(w)."""
+    parts = [np.linalg.eigh(hermitize(b)) for b in blocks.split(blocks.adjoint(w))]
     y = np.concatenate([((v * np.maximum(lam, 0.0)) @ v.conj().T).ravel() for lam, v in parts])
-    return z, parts, y, 0.5 * float(np.vdot(y, y).real) - float(np.vdot(w, target).real)
+    return parts, y, 0.5 * float(np.vdot(y, y).real) - float(np.vdot(w, target).real)
 
 
 def _jacobian_weights(lam: np.ndarray) -> np.ndarray:
@@ -496,26 +489,24 @@ def _jacobian_weights(lam: np.ndarray) -> np.ndarray:
 
 
 def _newton_hessian(blocks: _Blocks, parts) -> np.ndarray:
-    """The generalized Hessian amap J amap^dag, one block and a bounded chunk of its columns at a time.
+    """The generalized Hessian amap J amap^dag in closed form: sum_b conj(C_b) diag(vec omega_b) C_b^T.
 
-    Column j of amap^dag, the lift G_j of the j-th unit matrix, is the
-    conjugated j-th row of amap, and column j of the Hessian is amap J(G_j),
-    with J(G) = V (omega o V^dag G V) V^dag on a block with eigenvectors V.
-    A chunk of columns holds at most HESSIAN_CHUNK entries per temporary, so
-    the temporaries stay small next to amap, which has n_AB^2 s^2 entries.
+    Column j of amap^dag is G_j = conj(A_j), for A_j the j-th row of amap's
+    block-b columns read as an s x s matrix, and J(G) = V (omega o V^dag G V) V^dag
+    on a block with eigenvectors V; row j of C_b holds the entries of V^dag G_j V.
     """
     m = blocks.amap.shape[0]
     hess = np.zeros((m, m), dtype=complex)
     off = 0
     for (lam, v), s in zip(parts, blocks.sides):
-        amap_b = blocks.amap[:, off : off + s * s]
+        # amap's block-b columns, stored as rows of amap^T: A_j[p, q] at [p, (q, j)]
+        run = blocks.amap[:, off : off + s * s].T.reshape(s, s * m)
         off += s * s
-        omega = _jacobian_weights(lam)
-        step = max(1, HESSIAN_CHUNK // (s * s))
-        for j in range(0, m, step):
-            lifts = amap_b[j : j + step].conj().reshape(-1, s, s)
-            jac = v @ (omega * (v.conj().T @ lifts @ v)) @ v.conj().T
-            hess[:, j : j + step] += _matvec(amap_b, np.ascontiguousarray(jac.reshape(-1, s * s).T))
+        # conj(C_b): V^T A_j conj(V), from (V^T A_j)[a, q] stored at [q, (j, a)]
+        conj_c = (_matvec(run.T, v).reshape(s, m * s).T @ v.conj()).reshape(m, s * s)
+        weighted = conj_c.conj()
+        weighted *= _jacobian_weights(lam).ravel()
+        hess += conj_c @ weighted.T
     return hess
 
 
@@ -536,7 +527,7 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleRe
     gaps: list[float] = []
     status, stop, witness = UNDECIDED, STOP_MAX_ITERS, None
     try:
-        z, parts, y, theta = _dual_point(blocks, w, target)
+        parts, y, theta = _dual_point(blocks, w, target)
         for step in range(1, max_iters + 1):
             c = blocks.correction(blocks.marginal(y) - target)  # y minus its affine projection
             x = y - c
@@ -545,7 +536,9 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleRe
             if gap <= TOL_FEASIBLE:
                 status, stop = FEASIBLE, STOP_FEASIBLE_GAP
                 break
-            witness = _shifted_witness(blocks, -w, -z)
+            # the lift of -w has the negated spectra of the blocks of amap^dag w
+            low = min((-lam[-1] / math.sqrt(m) for m, (lam, _) in zip(blocks.weights, parts)), default=math.inf)
+            witness = _shifted_witness(blocks, -w, low)
             if _certifies(witness, rho):
                 status, stop = INFEASIBLE, STOP_DUAL_CERTIFICATE
                 break
@@ -561,13 +554,13 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleRe
             alpha = 1.0
             for _ in range(30):
                 trial = _dual_point(blocks, w + alpha * d, target)
-                if trial[3] <= theta + 1e-4 * alpha * slope:
+                if trial[2] <= theta + 1e-4 * alpha * slope:
                     break
                 alpha /= 2
             else:
                 break  # no descent along d
             w = w + alpha * d
-            z, parts, y, theta = trial
+            parts, y, theta = trial
     except np.linalg.LinAlgError:
         stop = STOP_LINALG_ERROR
         if not gaps:  # no point tested: report the start's lift at an unknown gap
@@ -578,12 +571,17 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleRe
 
 
 def _check_reach(d_a: int, d_b: int, k: int, flavor: str) -> None:
-    """Refuse an extension space of side above DIM_LIMIT before any work on it.
+    """Refuse before any work a layout whose extension space side, or whose n_AB^2, exceeds DIM_LIMIT.
 
-    The space is A (x) B^(x)k, or A (x) Sym^k(B) for the bosonic flavor.
+    The space is A (x) B^(x)k, or A (x) Sym^k(B) for the bosonic flavor; the Gram matrix and Newton's
+    Hessian are n_AB^2 x n_AB^2.  A one-dimensional B is refused: a state on A (x) C^1 is its own extension.
     """
-    if flavor == SYMMETRIC and d_b > 1 and k > DIM_LIMIT:
-        # d_B^k > 2^k > DIM_LIMIT, a power too large to be worth forming
+    if d_b < 2:
+        raise LayoutError(f"the extended factor B must have dimension at least 2, got {d_b}")
+    if (d_a * d_b) ** 2 > DIM_LIMIT:
+        raise ResourceLimitError(f"dual side ({d_a}*{d_b})^2 = {(d_a * d_b) ** 2} exceeds the limit {DIM_LIMIT}")
+    if flavor == SYMMETRIC and k > DIM_LIMIT:
+        # d_B^k >= 2^k > DIM_LIMIT, a power too large to be worth forming
         raise ResourceLimitError(f"extension space side {d_a}*{d_b}^{k} exceeds the limit {DIM_LIMIT}")
     side = d_a * (d_b**k if flavor == SYMMETRIC else math.comb(d_b + k - 1, k))
     if side > DIM_LIMIT:
@@ -622,7 +620,7 @@ def oracle_feasibility(problem: ExtensionProblem, cfg: OracleConfig | None = Non
             # no candidate on the forced support face matches the marginal:
             # the residual is orthogonal to the range of amap, so W = -residual
             # has amap^dag W = 0 and Tr(W rho) = -deficit^2
-            witness = _shifted_witness(blocks, -residual, blocks.adjoint(-residual))
+            witness = _shifted_witness(blocks, -residual, blocks.min_eig(blocks.adjoint(-residual)))
             return _verdict(blocks, rho, INFEASIBLE, STOP_FACE_REACH, x, x, deficit, witness, iterations=0)
 
     return _run_newton(blocks, rho, max_iters)

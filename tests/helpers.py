@@ -114,6 +114,23 @@ def block_isometries(blocks):
     return [p[0].reshape(-1, p.shape[-1]) for p in blocks.placed]
 
 
+def column_hessian(blocks, parts):
+    """Newton's Hessian amap J amap^dag, one column at a time from the blocks' eigendecompositions.
+
+    Column j is amap J(G_j), with G_j = amap^dag e_j the lift of the j-th
+    unit matrix and J(G) = V (omega o V^dag G V) V^dag on each block.
+    """
+    from symext.oracle import _jacobian_weights
+
+    m = blocks.amap.shape[0]
+    hess = np.zeros((m, m), dtype=complex)
+    for j in range(m):
+        lifts = blocks.split(blocks.adjoint(np.eye(m, dtype=complex)[j]))
+        jac = [v @ (_jacobian_weights(lam) * (v.conj().T @ g @ v)) @ v.conj().T for (lam, v), g in zip(parts, lifts)]
+        hess[:, j] = blocks.marginal(np.concatenate([x.ravel() for x in jac]))
+    return hess
+
+
 # Extension sides up to which a dual witness is also checked on the full space.
 DENSE_CHECK_SIDE = 64
 

@@ -311,6 +311,9 @@ def test_linspace_chunks_reproduce_linspace(n, size):
         ["werner-sweep", "--psi-step", "9.9e-7", "--with-oracle"],
         ["werner-sweep", "--d", "2", "--k", "8", "--with-oracle"],
         ["werner-sweep", "--d", "2", "--k", "1000000000", "--with-oracle"],
+        # the oracle's Gram matrix and Hessian are d^4 x d^4
+        ["werner-sweep", "--d", "16", "--k", "1", "--with-oracle"],
+        ["werner-sweep", "--d", "5", "--k", "2", "--with-oracle"],
     ],
     ids=" ".join,
 )
@@ -408,6 +411,26 @@ def test_definetti_side_and_row_caps_bound_a_table_alone(capsys, monkeypatch, ar
     code, out, _ = _run(capsys, argv)
     assert code == 0
     assert out.splitlines()[1:] == [argv[-1]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["volume", "--which", "simplex", "--samples", "10000", "--seed", "-1"],
+        ["definetti", "--d", "2", "--k-max", "3", "--seed", "-5"],
+    ],
+    ids=" ".join,
+)
+def test_negative_seed_exits_1(capsys, tmp_path, argv):
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --seed must be at least 0")
+    # definetti checks --seed also when --state makes it unused, as it does --tol
+    if argv[0] == "definetti":
+        path = tmp_path / "bell.json"
+        dump_state(bell_state([0.7, 0.1, 0.1, 0.1]), path)
+        assert _run(capsys, argv + ["--state", str(path)])[0] == 1
 
 
 def test_volume_sample_cap_admits_its_limit(capsys, monkeypatch):
@@ -534,6 +557,8 @@ def test_out_flag_writes_file(tmp_path, capsys):
         (["bell-sweep", "--grid", "300"], 2),
         (["bell-sweep", "--grid", "3", "--criteria", "bogus"], 1),
         (["werner-sweep", "--d", "2", "--k", "8", "--with-oracle"], 2),
+        (["werner-sweep", "--d", "16", "--k", "1", "--with-oracle"], 2),
+        (["werner-sweep", "--d", "5", "--k", "2", "--with-oracle"], 2),
         (["werner-sweep", "--d", "1"], 1),
         (["consistency-sweep", "--grid", "1415"], 2),
         (["definetti", "--k-max", "0"], 1),

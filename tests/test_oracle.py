@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from helpers import (
     block_isometries,
     brute_force_permutation_average,
     certificate_holds,
+    column_hessian,
     dense_dual_check,
     dense_face_affine_projection,
     lift_blocks,
@@ -26,6 +28,7 @@ from symext import (
     ExtensionProblem,
     FEASIBLE,
     INFEASIBLE,
+    LayoutError,
     OracleConfig,
     ResourceLimitError,
     UNDECIDED,
@@ -585,6 +588,42 @@ def test_check_reach_refuses_wide_spaces_in_bounded_time():
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize(
+    "d_a,d_b,k,flavor,error",
+    [
+        # the Gram matrix and Newton's Hessian are n_AB^2 x n_AB^2
+        (16, 16, 1, SYMMETRIC, ResourceLimitError),
+        (8, 8, 1, SYMMETRIC, ResourceLimitError),
+        (5, 5, 2, SYMMETRIC, ResourceLimitError),
+        (5, 5, 2, BOSONIC, ResourceLimitError),
+        # a one-dimensional B never widens the space, whatever k
+        (2, 1, 63, SYMMETRIC, LayoutError),
+        (2, 1, 10**9, SYMMETRIC, LayoutError),
+        (2, 1, 10**9, BOSONIC, LayoutError),
+    ],
+)
+def test_check_reach_refuses_wide_duals_and_a_trivial_b(d_a, d_b, k, flavor, error):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(error):
+            _check_reach(d_a, d_b, k, flavor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.1
+    assert peak < 1 << 20
+
+
+def test_check_reach_admits_its_widest_layouts():
+    # n_AB^2 = 256 with an extension side of 256, 240, 256 and 243
+    for d_a, d_b, k, flavor in [(4, 4, 3, SYMMETRIC), (2, 8, 3, BOSONIC), (1, 16, 2, SYMMETRIC), (3, 3, 4, SYMMETRIC)]:
+        _check_reach(d_a, d_b, k, flavor)
+    # d_B = 1 raised numpy's 64-axis limit from the block set-up at k = 63
+    with pytest.raises(LayoutError, match="at least 2"):
+        oracle_feasibility(ExtensionProblem(maximally_mixed([2, 1]), 63))
+
+
 # (state, k, flavor) -> (status, Newton steps).  The statuses were recorded
 # with the dense full-space oracle that the block iteration replaced;
 # face-reach solves take no step.
@@ -702,31 +741,66 @@ def test_oracle_stop_reasons_and_telemetry():
     assert res.gap_trace[0] == first_gap and res.gap_trace[-1] == (100, res.residual)
 
 
-@pytest.mark.parametrize("rho,k", [(werner_state(2, -0.4), 3), (bell_state([0.5, 0.3, 0.2, 0.0]), 2), (werner_state(3, 0.1), 2)])
-def test_newton_hessian_is_the_derivative_of_the_gradient(rho, k, monkeypatch):
-    # amap J amap^dag d against central differences of amap P+(amap^dag w),
-    # at a random Hermitian w where the lift has no zero eigenvalue
-    rng = np.random.default_rng(68 + k)
-    blocks = _solve_blocks(ExtensionProblem(rho, k, SYMMETRIC))
-    target = rho.mat.ravel()
-    n_ab = rho.mat.shape[0]
-    w, d = (_random_hermitian(n_ab, rng).ravel() for _ in range(2))
-    _, parts, _, _ = _dual_point(blocks, w, target)
-    assert min(float(np.min(np.abs(lam))) for lam, _ in parts) > 1e-3
-    grad = lambda v: blocks.marginal(_dual_point(blocks, v, target)[2])
-    eps = 1e-6
-    numeric = (grad(w + eps * d) - grad(w - eps * d)) / (2 * eps)
-    hess = _newton_hessian(blocks, parts)
-    assert np.max(np.abs(hess @ d - numeric)) < 1e-6
-    # built one column at a time, it is the same matrix
-    monkeypatch.setattr(oracle_mod, "HESSIAN_CHUNK", 1)
-    assert np.max(np.abs(_newton_hessian(blocks, parts) - hess)) < 1e-12
+def test_newton_eigensolves_each_block_once_per_dual_point(monkeypatch):
+    # the witness shift reads the spectra of Newton's dual point, so the
+    # only eigvalsh calls left are the verdict's min_eig, one per block,
+    # whatever the step count
+    oracle_feasibility(NEWTON_UNDECIDED_AT_3)  # builds and caches the blocks
+    counts = {"eigvalsh": 0, "eigh": 0, "dual points": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    monkeypatch.setattr(oracle_mod, "_dual_point", counting("dual points", oracle_mod._dual_point))
+    for cfg, steps in ((OracleConfig(max_iters=3), 3), (None, 6)):
+        counts.update(dict.fromkeys(counts, 0))
+        res = oracle_feasibility(NEWTON_UNDECIDED_AT_3, cfg)
+        assert res.iterations == steps and res.block_sides == (8, 4)
+        assert counts["eigvalsh"] == 2
+        # one eigh per block at each dual point, plus the marginal's kernel test
+        assert counts["dual points"] >= steps
+        assert counts["eigh"] == 2 * counts["dual points"] + 1
 
 
 def _local_frame(rho, rng):
     """rho in a random local frame U_A (x) U_B: extendable exactly when rho is."""
     u = np.kron(*(np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0] for d in rho.dims))
     return DensityMatrix(hermitize(u @ rho.mat @ u.conj().T), rho.dims)
+
+
+@pytest.mark.parametrize(
+    "rho,k",
+    [
+        (werner_state(2, -0.4), 3),
+        (bell_state([0.5, 0.3, 0.2, 0.0]), 2),
+        (werner_state(3, 0.1), 2),
+        (_local_frame(bell_state([0.5, 0.3, 0.2, 0.0]), np.random.default_rng(69)), 2),
+    ],
+)
+def test_newton_hessian_is_the_derivative_of_the_gradient(rho, k):
+    # amap J amap^dag d against central differences of amap P+(amap^dag w),
+    # at a random Hermitian w where the lift has no zero eigenvalue
+    rng = np.random.default_rng(68 + k)
+    blocks = _solve_blocks(ExtensionProblem(rho, k, SYMMETRIC))
+    # the rotated Bell state's complex kernel gives its face blocks, and amap, complex entries
+    assert (np.max(np.abs(np.imag(blocks.amap))) > 1e-3) == bool(np.any(rho.mat.imag))
+    target = rho.mat.ravel()
+    n_ab = rho.mat.shape[0]
+    w, d = (_random_hermitian(n_ab, rng).ravel() for _ in range(2))
+    parts, _, _ = _dual_point(blocks, w, target)
+    assert min(float(np.min(np.abs(lam))) for lam, _ in parts) > 1e-3
+    grad = lambda v: blocks.marginal(_dual_point(blocks, v, target)[1])
+    eps = 1e-6
+    numeric = (grad(w + eps * d) - grad(w - eps * d)) / (2 * eps)
+    hess = _newton_hessian(blocks, parts)
+    assert np.max(np.abs(hess @ d - numeric)) < 1e-6
+    # the closed form is the matrix whose column j is amap J(G_j)
+    assert np.max(np.abs(hess - column_hessian(blocks, parts))) < 1e-12
 
 
 @pytest.mark.parametrize(

@@ -34,8 +34,12 @@ DIM_GUARD = 4096
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (M + M^dag) / 2, of one matrix or of each matrix of a stack."""
-    return (m + m.conj().swapaxes(-1, -2)) / 2
+    """Return the Hermitian part (M + M^dag) / 2, of one matrix or of each matrix of a stack.
+
+    Halving first is exact for normal floats and keeps the sum of finite entries finite.
+    """
+    half = m / 2
+    return half + half.conj().swapaxes(-1, -2)
 
 
 def _hermiticity_defects(m: np.ndarray) -> np.ndarray:
@@ -96,15 +100,18 @@ def _validate_stack(mats: np.ndarray, tol: float) -> np.ndarray:
     finite = np.isfinite(mats)
     stop = None if finite.all() else _first(~finite.all(axis=(1, 2)))
     mats = mats[:stop]
-    defects = _hermiticity_defects(mats)
-    deviation = np.abs(mats.diagonal(axis1=1, axis2=2).sum(axis=-1) - 1.0)
+    # finite entries near the float limit can overflow the defect and the
+    # trace to inf, or to nan; the checks below are written to fail on nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects = _hermiticity_defects(mats)
+        deviation = np.abs(mats.diagonal(axis1=1, axis2=2).sum(axis=-1) - 1.0)
     herm = hermitize(mats)
     lo = np.linalg.eigvalsh(herm)[:, 0]
-    i = _first((defects > tol) | (deviation > tol) | (lo < -10 * tol))
+    i = _first(~((defects <= tol) & (deviation <= tol) & (lo >= -10 * tol)))
     if i is not None:
-        if defects[i] > tol:
+        if not defects[i] <= tol:
             raise ValidationError(f"state is not Hermitian: max |M - M^dag| entry {defects[i]:.1e}")
-        if deviation[i] > tol:
+        if not deviation[i] <= tol:
             raise ValidationError(f"trace deviates by {deviation[i]:.1e}")
         raise ValidationError(f"minimal eigenvalue {lo[i]:.3e} is below the PSD tolerance -{10 * tol:.0e}")
     if stop is not None:

@@ -260,7 +260,10 @@ class _Blocks:
     Block b holds N_b = sqrt(m_b) V_b^dag X V_b for the isometry V_b into
     A (x) B^(x)k; the iterate is the flat concatenation of the N_b.  V_b is
     stored placed: placed[b][i - 1] is V_b with B_i moved next to A, as
-    (A B_i, the other B factors in order, column), for i = 1..k.  amap maps
+    (A B_i, the other B factors in order, column).  Only the distinct
+    placements are stored: all k for a block whose columns B_1..B_k permute,
+    one (i = 1) for lambda = (k), whose columns are symmetric in them, so that
+    every sum over placements averages over len(placed[b]).  amap maps
     the iterate to the flattened AB marginal of
     X = sum_b sqrt(m_b) Sym(V_b N_b V_b^dag), and gpinv is the pseudoinverse
     of its Gram matrix amap amap^dag, so that amap^dag gpinv is the
@@ -304,15 +307,17 @@ class _Blocks:
         """The AB marginal of X, contracted from the isometries instead of through amap.
 
         The AB_1 marginal of Sym(Y) is the average over i of the (A, B_i)
-        marginal of Y, each one contraction of a placement of V_b with N_b.
+        marginal of Y: per block, one contraction of N_b with its stored
+        placements of V_b, all at once.
         """
-        n_ab, k = self.dims[0] * self.dims[1], len(self.dims) - 1
+        n_ab = self.dims[0] * self.dims[1]
         out = np.zeros((n_ab, n_ab), dtype=complex)
-        for placed, m, blk in zip(self.placed, self.weights, self.split(flat)):
-            s = placed.shape[-1]
-            for p in placed:
-                out += math.sqrt(m) * ((p.reshape(-1, s) @ blk).reshape(n_ab, -1) @ p.reshape(n_ab, -1).conj().T)
-        return out / k
+        for p, m, blk in zip(self.placed, self.weights, self.split(flat)):
+            # rows (A B_i, placement, other B factors); a view when one placement is stored
+            v = p.swapaxes(0, 1).reshape(n_ab, -1)
+            vn = (v.reshape(-1, blk.shape[0]) @ blk).reshape(n_ab, -1)
+            out += math.sqrt(m) / len(p) * (vn @ v.conj().T)
+        return out
 
     def min_eig(self, flat: np.ndarray) -> float:
         """Smallest eigenvalue of X on the span of the blocks; X vanishes outside it.
@@ -325,18 +330,18 @@ class _Blocks:
 
 
 def _make_blocks(dims, placed, weights) -> _Blocks:
-    n_ab, k = dims[0] * dims[1], len(dims) - 1
+    n_ab = dims[0] * dims[1]
     # amap^T, so that each block's columns of amap are one contiguous run
     amap_t = np.empty((sum(p.shape[-1] ** 2 for p in placed), n_ab * n_ab), dtype=np.result_type(float, *placed))
     off = 0
     for p, m in zip(placed, weights):
         s = p.shape[-1]
-        # sum over i of the trace over the B factors other than B_i of V N V^dag
+        # sum over the placements of the trace over the B factors other than B_i of V N V^dag
         u = p.transpose(1, 3, 0, 2).reshape(n_ab * s, -1)
         uu = (u @ u.conj().T).reshape(n_ab, s, n_ab, s)
         run = amap_t[off : off + s * s]
         run.reshape(s, s, n_ab, n_ab)[...] = uu.transpose(1, 3, 0, 2)
-        run *= math.sqrt(m) / k
+        run *= math.sqrt(m) / len(p)
         off += s * s
     amap = amap_t.T
     # the pseudoinverse is taken through the n_AB^2 x n_AB^2 Gram matrix
@@ -356,7 +361,9 @@ def _extension_blocks(d_a: int, d_b: int, k: int, flavor: str) -> _Blocks:
     placed = []
     for s in shapes:
         t = np.kron(np.eye(d_a), _weyl_isometry(d_b, s)).reshape(dims + (-1,))
-        placed.append(np.stack([t.transpose(order).reshape(d_a * d_b, d_b ** (k - 1), -1) for order in orders]))
+        # lambda = (k) spans symmetric columns, so its k placements are one array
+        distinct = orders[:1] if len(s) == 1 else orders
+        placed.append(np.stack([t.transpose(order).reshape(d_a * d_b, d_b ** (k - 1), -1) for order in distinct]))
     return _make_blocks(dims, placed, [_specht_dim(s) for s in shapes])
 
 
@@ -369,7 +376,8 @@ def _extension_blocks(d_a: int, d_b: int, k: int, flavor: str) -> _Blocks:
 # face restores linear convergence for rank-deficient marginals, where the
 # feasible set would otherwise touch the PSD cone tangentially.  The face is
 # permutation invariant, so it meets each block in a subspace of that block:
-# V_b becomes V_b null(R V_b), with R the kernel rows over all k placements.
+# V_b becomes V_b null(R V_b), with R the kernel rows over all k placements;
+# the stored placements give the same rows, since the others repeat them.
 # A placement only permutes the rows of V_b, so the face block is stored as
 # the placed V_b times null(R V_b).
 
@@ -393,11 +401,11 @@ def _nullspace(rows: np.ndarray) -> np.ndarray:
 def _face_blocks(blocks: _Blocks, kernel: np.ndarray) -> _Blocks:
     placed, weights = [], []
     for p, m in zip(blocks.placed, blocks.weights):
-        k, n_ab, rest, s = p.shape
-        # R V, rows ordered (placement, kernel vector, other B factors)
-        null = _nullspace((kernel.conj().T @ p.reshape(k, n_ab, -1)).reshape(-1, s))
+        count, n_ab, rest, s = p.shape
+        # R V, rows ordered (stored placement, kernel vector, other B factors)
+        null = _nullspace((kernel.conj().T @ p.reshape(count, n_ab, -1)).reshape(-1, s))
         if null.shape[1]:
-            placed.append((p.reshape(-1, s) @ null).reshape(k, n_ab, rest, -1))
+            placed.append((p.reshape(-1, s) @ null).reshape(count, n_ab, rest, -1))
             weights.append(m)
     return _make_blocks(blocks.dims, placed, weights)
 
@@ -574,7 +582,9 @@ def _check_reach(d_a: int, d_b: int, k: int, flavor: str) -> None:
     """Refuse before any work a layout whose extension space side, or whose n_AB^2, exceeds DIM_LIMIT.
 
     The space is A (x) B^(x)k, or A (x) Sym^k(B) for the bosonic flavor; the Gram matrix and Newton's
-    Hessian are n_AB^2 x n_AB^2.  A one-dimensional B is refused: a state on A (x) C^1 is its own extension.
+    Hessian are n_AB^2 x n_AB^2.  Both flavors build their block isometries with d_B^k rows, so d_B^k
+    beyond DIM_GUARD is refused too.  A one-dimensional B is refused: a state on A (x) C^1 is its own
+    extension.
     """
     if d_b < 2:
         raise LayoutError(f"the extended factor B must have dimension at least 2, got {d_b}")
@@ -586,6 +596,9 @@ def _check_reach(d_a: int, d_b: int, k: int, flavor: str) -> None:
     side = d_a * (d_b**k if flavor == SYMMETRIC else math.comb(d_b + k - 1, k))
     if side > DIM_LIMIT:
         raise ResourceLimitError(f"extension space side {side} exceeds the limit {DIM_LIMIT}")
+    # the side bounds k by DIM_LIMIT, so the power is small
+    if d_b**k > DIM_GUARD:
+        raise ResourceLimitError(f"block isometries on B^(x)k of dimension {d_b}^{k} exceed the guard {DIM_GUARD}")
 
 
 def oracle_feasibility(problem: ExtensionProblem, cfg: OracleConfig | None = None) -> OracleResult:

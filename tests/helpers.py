@@ -114,6 +114,25 @@ def block_isometries(blocks):
     return [p[0].reshape(-1, p.shape[-1]) for p in blocks.placed]
 
 
+def rebuilt_placements(iso, dims):
+    """The k placements of an isometry on A B_1 ... B_k, each moving B_i next to A on the full tensor."""
+    d_a, d_b, k = dims[0], dims[1], len(dims) - 1
+    s = iso.shape[1]
+    return [np.moveaxis(iso.reshape(tuple(dims) + (s,)), i, 1).reshape(d_a * d_b, -1, s) for i in range(1, k + 1)]
+
+
+def placed_amap(blocks):
+    """The marginal map from all k rebuilt placements of each block: sqrt(m_b)/k sum_i Tr_rest(P_i N P_i^dag)."""
+    import math
+
+    n_ab, k = blocks.dims[0] * blocks.dims[1], len(blocks.dims) - 1
+    cols = [np.zeros((n_ab * n_ab, 0))]
+    for v, m in zip(block_isometries(blocks), blocks.weights):
+        ps = np.stack(rebuilt_placements(v, blocks.dims))
+        cols.append((math.sqrt(m) / k * np.einsum("iart,ibru->abtu", ps, ps.conj())).reshape(n_ab * n_ab, -1))
+    return np.hstack(cols)
+
+
 def column_hessian(blocks, parts):
     """Newton's Hessian amap J amap^dag, one column at a time from the blocks' eigendecompositions.
 

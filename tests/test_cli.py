@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,18 @@ def test_check_invalid_state_exits_1(capsys, tmp_path, bell_file):
     # but a looser --tol accepts it
     code, out, err = _run(capsys, ["check", str(bad), "--k", "2", "--tol", "0.2"])
     assert code == 0
+
+
+def test_check_refuses_huge_finite_entries_in_one_line(capsys, tmp_path, bell_file):
+    obj = json.loads(Path(bell_file).read_text())
+    obj["matrix"]["re"][0][3] = obj["matrix"]["re"][3][0] = 1e308
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(obj))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["check", str(bad), "--k", "2"])
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: minimal eigenvalue -1.000e+308 is below the PSD tolerance -1e-09"]
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-inf"])

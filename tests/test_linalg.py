@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from symext import (
     von_neumann_entropy,
     werner_state,
 )
-from symext.linalg import _entropies, _ptrace_mat, _ptranspose_mat, _trace_norms, _validate_stack
+from symext.linalg import _entropies, _ptrace_mat, _ptranspose_mat, _trace_norms, _validate_stack, hermitize
 
 
 def test_density_matrix_validation():
@@ -58,6 +59,9 @@ BROKEN_STATES = {
     "not Hermitian": np.array([[0.5, 1e-3], [0.0, 0.5]], dtype=complex),
     "trace": np.eye(2, dtype=complex) * 0.45,
     "eigenvalue": np.diag([1.5, -0.5]).astype(complex),
+    # finite entries whose sums overflow: M + M^dag, and the trace
+    "huge off-diagonal": np.array([[0.5, 1e308], [1e308, 0.5]], dtype=complex),
+    "huge entries": np.full((2, 2), 1e308, dtype=complex),
 }
 
 
@@ -75,6 +79,30 @@ def test_validate_stack_reports_the_first_failing_state(kind):
     out = _validate_stack(stack[:3], 1e-10)
     for mat, got in zip(stack[:3], out):
         assert np.array_equal(got, DensityMatrix(mat).mat)
+
+
+@pytest.mark.parametrize(
+    "mat,message",
+    [
+        (np.array([[0.5, 1e308], [1e308, 0.5]]), "minimal eigenvalue -1.000e+308 is below the PSD tolerance -1e-09"),
+        (np.full((4, 4), 1e308), "trace deviates by inf"),
+        (np.array([[0.5, 1e308], [-1e308, 0.5]]), "state is not Hermitian: max |M - M^dag| entry inf"),
+        (np.diag([1e308, 1e308, -1e308, -1e308]), "trace deviates by nan"),
+    ],
+)
+def test_density_matrix_refuses_huge_finite_entries_quietly(mat, message):
+    # sums of such entries overflow; the overflow must refuse the state, with no warning and no raw LinAlgError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as err:
+            DensityMatrix(mat)
+    assert str(err.value) == message
+
+
+def test_hermitize_halves_first_bit_exactly():
+    rng = np.random.default_rng(13)
+    m = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+    assert np.array_equal(hermitize(m), (m + m.conj().swapaxes(-1, -2)) / 2)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -1e-12])

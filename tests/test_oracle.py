@@ -17,7 +17,9 @@ from helpers import (
     dense_dual_check,
     dense_face_affine_projection,
     lift_blocks,
+    placed_amap,
     random_separable,
+    rebuilt_placements,
 )
 from symext import (
     BOSONIC,
@@ -418,31 +420,65 @@ def test_block_face_projection_matches_dense_reference(rho, k):
     assert np.max(np.abs(_block_affine(blocks, x, rho) - dense)) < 1e-10
 
 
+def _assert_stored_placements(blocks):
+    """Each stored placement is the one rebuilt from the full tensor, and they stand for all k.
+
+    A block stores all k placements, or one when every rebuilt placement
+    equals it; amap then matches the map built from all k.
+    """
+    d_a, d_b, k = blocks.dims[0], blocks.dims[1], len(blocks.dims) - 1
+    for placed, iso in zip(blocks.placed, block_isometries(blocks)):
+        s = iso.shape[1]
+        assert placed.shape in [(count, d_a * d_b, d_b ** (k - 1), s) for count in (1, k)]
+        assert not placed.flags.writeable
+        rebuilt = rebuilt_placements(iso, blocks.dims)
+        for i, p in enumerate(placed):
+            assert np.max(np.abs(p - rebuilt[i])) < 1e-14
+        if len(placed) == 1:
+            assert max(np.max(np.abs(p - placed[0])) for p in rebuilt) < 1e-14
+    assert np.max(np.abs(blocks.amap - placed_amap(blocks))) < 1e-12
+
+
 @pytest.mark.parametrize("rho,k,stop", RANK_DEFICIENT)
 def test_face_blocks_store_the_placements_of_their_isometries(rho, k, stop):
     # a face block is stored as its parent's placements times null(R V); each
-    # must equal the placement of the face isometry V null(R V), rebuilt here
-    # by moving B_i next to A on the full tensor
+    # must equal the placement of the face isometry V null(R V), rebuilt by
+    # moving B_i next to A on the full tensor
     d_a, d_b = rho.dims
-    dims = (d_a,) + (d_b,) * k
     parent = _extension_blocks(d_a, d_b, k, SYMMETRIC)
     blocks = _face_blocks(parent, _state_kernel(rho))
     assert blocks.placed
-    for placed, iso in zip(blocks.placed, block_isometries(blocks)):
+    _assert_stored_placements(parent)
+    _assert_stored_placements(blocks)
+    for iso in block_isometries(blocks):
         s = iso.shape[1]
-        assert placed.shape == (k, d_a * d_b, d_b ** (k - 1), s) and not placed.flags.writeable
         assert np.max(np.abs(iso.conj().T @ iso - np.eye(s))) < 1e-12
         # inside one block of the flavor: V null(R V) for that block's V
         assert min(np.max(np.abs(v @ (v.conj().T @ iso) - iso)) for v in block_isometries(parent)) < 1e-12
-        for i in range(1, k + 1):
-            rebuilt = np.moveaxis(iso.reshape(dims + (s,)), i, 1).reshape(d_a * d_b, -1, s)
-            assert np.max(np.abs(placed[i - 1] - rebuilt)) < 1e-14
     # and the face-reach certificate reads its residual off those placements
     res = oracle_feasibility(ExtensionProblem(rho, k, SYMMETRIC))
     assert res.stop_reason == stop
     if stop == "face-reach":
         assert res.certificate["marginal_residual"] == pytest.approx(res.residual, rel=1e-12)
         assert res.certificate["dual_trace"] == pytest.approx(-res.certificate["marginal_residual"] ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("flavor", [SYMMETRIC, BOSONIC])
+@pytest.mark.parametrize(
+    "rho,k",
+    [(werner_state(2, 0.3), 3), (bell_state([0.4, 0.3, 0.3, 0.0]), 3), (werner_state(3, 0.2), 4), (werner_state(3, 1.0), 2)],
+)
+def test_symmetric_block_is_stored_once(rho, k, flavor):
+    # lambda = (k) has columns symmetric in B_1..B_k: its k placements are one
+    # array, stored once; every other block keeps all k, plain or on a face
+    d_a, d_b = rho.dims
+    blocks = _extension_blocks(d_a, d_b, k, flavor)
+    counts = [len(p) for p in blocks.placed]
+    assert counts == ([1] if flavor == BOSONIC else [1] + [k] * (len(counts) - 1))
+    _assert_stored_placements(blocks)
+    kernel = _state_kernel(rho)
+    if kernel is not None:
+        _assert_stored_placements(_face_blocks(blocks, kernel))
 
 
 @pytest.mark.parametrize("d_a,d_b,k", [(2, 2, 3), (2, 2, 5), (2, 3, 3), (3, 3, 2), (2, 3, 4)])
@@ -466,7 +502,14 @@ def test_blocks_are_an_isometry_of_invariant_operators(d_a, d_b, k):
 
 
 @pytest.mark.parametrize(
-    "rho,k,flavor", [(bell_state([0.4, 0.3, 0.3, 0.0]), 3, SYMMETRIC), (werner_state(2, 0.3), 4, BOSONIC)]
+    "rho,k,flavor",
+    [
+        (bell_state([0.4, 0.3, 0.3, 0.0]), 3, SYMMETRIC),
+        (werner_state(2, 0.3), 4, BOSONIC),
+        (werner_state(2, 0.3), 5, BOSONIC),
+        (maximally_mixed([2, 3]), 3, BOSONIC),
+        (bell_state([0.4, 0.3, 0.3, 0.0]), 3, BOSONIC),
+    ],
 )
 def test_certificate_reads_the_lifted_operator(rho, k, flavor):
     # on any flat iterate: the lifted spectrum is the block spectra, each
@@ -577,15 +620,22 @@ def test_oracle_resource_guard_and_config():
 
 def test_check_reach_refuses_wide_spaces_in_bounded_time():
     _check_reach(2, 2, 7, SYMMETRIC)
-    _check_reach(2, 2, 127, BOSONIC)
+    _check_reach(2, 2, 12, BOSONIC)
     for d_a, d_b, k, flavor in [(2, 2, 8, SYMMETRIC), (2, 2, 128, BOSONIC), (2, 3, 5, SYMMETRIC)]:
         with pytest.raises(ResourceLimitError, match="exceeds the limit 256"):
             _check_reach(d_a, d_b, k, flavor)
+    # the bosonic side stays small, but the block isometries have d_B^k rows
+    for d_a, d_b, k in [(2, 2, 13), (1, 3, 8), (2, 4, 7)]:
+        with pytest.raises(ResourceLimitError, match=rf"dimension {d_b}\^{k} exceed the guard 4096"):
+            _check_reach(d_a, d_b, k, BOSONIC)
+    with pytest.raises(ResourceLimitError, match=r"dimension 2\^13 exceed the guard 4096"):
+        oracle_feasibility(ExtensionProblem(maximally_mixed([2, 2]), 13, BOSONIC))
     # a huge k is refused without forming d_B^k
-    start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match=r"side 2\*3\^1000000000 exceeds"):
-        _check_reach(2, 3, 10**9, SYMMETRIC)
-    assert time.perf_counter() - start < 0.1
+    for flavor, message in [(SYMMETRIC, r"side 2\*3\^1000000000 exceeds"), (BOSONIC, "exceeds the limit 256")]:
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=message):
+            _check_reach(2, 3, 10**9, flavor)
+        assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize(

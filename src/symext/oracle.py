@@ -269,6 +269,13 @@ class _Blocks:
     of its Gram matrix amap amap^dag, so that amap^dag gpinv is the
     Moore-Penrose inverse of amap.  Both are real unless a face reduction
     made the isometries complex.
+
+    On the face of a rank-deficient marginal, frame is the n_AB x r basis F
+    of its range, and every placement is stored row-compressed as F^dag p:
+    the face annihilates the kernel on each (A, B_i), so F F^dag p = p.  amap
+    then maps onto the r^2 entries of F^dag (marginal) F, and the duals of
+    Newton live there too; compress and expand move between them and AB.
+    Full-rank blocks have frame None and work on all n_AB^2 entries.
     """
 
     dims: tuple[int, ...]
@@ -276,10 +283,25 @@ class _Blocks:
     weights: tuple[int, ...]
     amap: np.ndarray
     gpinv: np.ndarray
+    frame: np.ndarray | None
 
     @property
     def sides(self) -> tuple[int, ...]:
         return tuple(p.shape[-1] for p in self.placed)
+
+    @property
+    def rank(self) -> int:
+        """Side r of the duals: the rank of the marginal on a face, n_AB otherwise."""
+        return self.dims[0] * self.dims[1] if self.frame is None else self.frame.shape[1]
+
+    def compress(self, op: np.ndarray) -> np.ndarray:
+        """The flattened F^dag op F of an operator on AB; op itself, flattened, off a face."""
+        return op.ravel() if self.frame is None else (self.frame.conj().T @ op @ self.frame).ravel()
+
+    def expand(self, flat: np.ndarray) -> np.ndarray:
+        """The operator F w F^dag on AB of a flattened r x r matrix w."""
+        w = flat.reshape(self.rank, self.rank)
+        return w if self.frame is None else self.frame @ w @ self.frame.conj().T
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
         out, off = [], 0
@@ -292,7 +314,7 @@ class _Blocks:
         return _matvec(self.amap, flat)
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
-        """amap^dag w: the blocks of the lift (1/k) sum_i W_{AB_i} (x) I of a flattened W on AB."""
+        """amap^dag w: the blocks of the lift (1/k) sum_i W_{AB_i} (x) I of W = expand(w)."""
         return _rmatvec(self.amap, w)
 
     def correction(self, deficit: np.ndarray) -> np.ndarray:
@@ -308,16 +330,16 @@ class _Blocks:
 
         The AB_1 marginal of Sym(Y) is the average over i of the (A, B_i)
         marginal of Y: per block, one contraction of N_b with its stored
-        placements of V_b, all at once.
+        placements of V_b, all at once, then lifted back to AB through the frame.
         """
-        n_ab = self.dims[0] * self.dims[1]
-        out = np.zeros((n_ab, n_ab), dtype=complex)
+        r = self.rank
+        out = np.zeros((r, r), dtype=complex)
         for p, m, blk in zip(self.placed, self.weights, self.split(flat)):
             # rows (A B_i, placement, other B factors); a view when one placement is stored
-            v = p.swapaxes(0, 1).reshape(n_ab, -1)
-            vn = (v.reshape(-1, blk.shape[0]) @ blk).reshape(n_ab, -1)
+            v = p.swapaxes(0, 1).reshape(r, -1)
+            vn = (v.reshape(-1, blk.shape[0]) @ blk).reshape(r, -1)
             out += math.sqrt(m) / len(p) * (vn @ v.conj().T)
-        return out
+        return self.expand(out)
 
     def min_eig(self, flat: np.ndarray) -> float:
         """Smallest eigenvalue of X on the span of the blocks; X vanishes outside it.
@@ -329,26 +351,27 @@ class _Blocks:
         return min((float(np.linalg.eigvalsh(hermitize(blk))[0]) / math.sqrt(m) for m, blk in blocks), default=math.inf)
 
 
-def _make_blocks(dims, placed, weights) -> _Blocks:
-    n_ab = dims[0] * dims[1]
+def _make_blocks(dims, placed, weights, frame=None) -> _Blocks:
+    # the placements have r rows per B factor: n_AB, or the frame's rank on a face
+    r = dims[0] * dims[1] if frame is None else frame.shape[1]
     # amap^T, so that each block's columns of amap are one contiguous run
-    amap_t = np.empty((sum(p.shape[-1] ** 2 for p in placed), n_ab * n_ab), dtype=np.result_type(float, *placed))
+    amap_t = np.empty((sum(p.shape[-1] ** 2 for p in placed), r * r), dtype=np.result_type(float, *placed))
     off = 0
     for p, m in zip(placed, weights):
         s = p.shape[-1]
         # sum over the placements of the trace over the B factors other than B_i of V N V^dag
-        u = p.transpose(1, 3, 0, 2).reshape(n_ab * s, -1)
-        uu = (u @ u.conj().T).reshape(n_ab, s, n_ab, s)
+        u = p.transpose(1, 3, 0, 2).reshape(r * s, -1)
+        uu = (u @ u.conj().T).reshape(r, s, r, s)
         run = amap_t[off : off + s * s]
-        run.reshape(s, s, n_ab, n_ab)[...] = uu.transpose(1, 3, 0, 2)
+        run.reshape(s, s, r, r)[...] = uu.transpose(1, 3, 0, 2)
         run *= math.sqrt(m) / len(p)
         off += s * s
     amap = amap_t.T
-    # the pseudoinverse is taken through the n_AB^2 x n_AB^2 Gram matrix
+    # the pseudoinverse is taken through the r^2 x r^2 Gram matrix
     gpinv = np.linalg.pinv(amap @ amap.conj().T, rcond=RANK_RTOL, hermitian=True)
-    for arr in (*placed, amap, gpinv):
+    for arr in (*placed, amap, gpinv) + (() if frame is None else (frame,)):
         arr.setflags(write=False)
-    return _Blocks(tuple(dims), tuple(placed), tuple(weights), amap, gpinv)
+    return _Blocks(tuple(dims), tuple(placed), tuple(weights), amap, gpinv, frame)
 
 
 @lru_cache(maxsize=None)
@@ -379,16 +402,19 @@ def _extension_blocks(d_a: int, d_b: int, k: int, flavor: str) -> _Blocks:
 # V_b becomes V_b null(R V_b), with R the kernel rows over all k placements;
 # the stored placements give the same rows, since the others repeat them.
 # A placement only permutes the rows of V_b, so the face block is stored as
-# the placed V_b times null(R V_b).
+# the placed V_b times null(R V_b).  Its A B_i rows lie in the range of the
+# marginal, so it is stored compressed onto the range basis F, and the dual
+# shrinks with it (Borwein & Wolkowicz, 1981): every marginal the face can
+# reach is F h F^dag for a Hermitian h of side r = rank(rho).
 
 KERNEL_TOL = 1e-12
 
 
-def _state_kernel(rho: DensityMatrix) -> np.ndarray | None:
-    """Kernel basis of the marginal as columns, or None when full rank."""
+def _state_kernel(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray] | None:
+    """Kernel and range bases of the marginal as columns, from one eigensolve, or None when full rank."""
     eigs, vecs = np.linalg.eigh(rho.mat)
-    cols = vecs[:, eigs <= KERNEL_TOL]
-    return cols if cols.shape[1] else None
+    null = eigs <= KERNEL_TOL
+    return (vecs[:, null], vecs[:, ~null]) if null.any() else None
 
 
 def _nullspace(rows: np.ndarray) -> np.ndarray:
@@ -398,33 +424,35 @@ def _nullspace(rows: np.ndarray) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def _face_blocks(blocks: _Blocks, kernel: np.ndarray) -> _Blocks:
+def _face_blocks(blocks: _Blocks, kernel: np.ndarray, frame: np.ndarray) -> _Blocks:
     placed, weights = [], []
     for p, m in zip(blocks.placed, blocks.weights):
         count, n_ab, rest, s = p.shape
+        rows = p.reshape(count, n_ab, -1)
         # R V, rows ordered (stored placement, kernel vector, other B factors)
-        null = _nullspace((kernel.conj().T @ p.reshape(count, n_ab, -1)).reshape(-1, s))
+        null = _nullspace((kernel.conj().T @ rows).reshape(-1, s))
         if null.shape[1]:
-            placed.append((p.reshape(-1, s) @ null).reshape(count, n_ab, rest, -1))
+            # K^dag V null(R V) = 0, so F^dag loses nothing of the face placement
+            placed.append(((frame.conj().T @ rows).reshape(-1, s) @ null).reshape(count, frame.shape[1], rest, -1))
             weights.append(m)
-    return _make_blocks(blocks.dims, placed, weights)
+    return _make_blocks(blocks.dims, placed, weights, frame)
 
 
 # --- verdicts and certificates ---------------------------------------------------
 
 
-def _shifted_witness(blocks: _Blocks, w: np.ndarray, low: float) -> np.ndarray:
-    """W' = W + t I for the flattened W = w whose lift has smallest eigenvalue low on the blocks.
+def _shifted_witness(op: np.ndarray, low: float) -> np.ndarray:
+    """W' = W + t I for the operator W = op on AB whose lift has smallest eigenvalue low on the blocks.
 
-    amap^dag maps I to sqrt(m_b) I on block b, so the lift of W' is PSD for t = max(0, -low).  Any
-    extension X then has Tr(W' rho) = <amap^dag W', X> >= 0, so Tr(W' rho) < 0 proves there is none.
+    amap^dag maps I to sqrt(m_b) I on block b (on a face, I and F F^dag have the same lift), so the
+    lift of W' is PSD for t = max(0, -low).  Any extension X then has Tr(W' rho) = <amap^dag W', X>
+    >= 0, so Tr(W' rho) < 0 proves there is none.
     """
-    n_ab = blocks.dims[0] * blocks.dims[1]
-    return hermitize(w.reshape(n_ab, n_ab)) + max(0.0, -low) * np.eye(n_ab)
+    return hermitize(op) + max(0.0, -low) * np.eye(len(op))
 
 
-def _certifies(witness: np.ndarray, rho: DensityMatrix) -> bool:
-    """The certificate test: Tr(W' rho) < 0 and Tr(W' rho) <= -TOL_GAP ||W'||_2.
+def _dual_test(witness: np.ndarray, rho: DensityMatrix) -> tuple[float, bool]:
+    """Tr(W' rho) and the certificate test: Tr(W' rho) < 0 and Tr(W' rho) <= -TOL_GAP ||W'||_2.
 
     |Tr(W' (sigma - rho))| <= ||W'||_2 ||sigma - rho||_1, so a witness that
     passes also proves that no sigma within trace norm TOL_GAP of rho
@@ -432,29 +460,30 @@ def _certifies(witness: np.ndarray, rho: DensityMatrix) -> bool:
     rounding, it fails.
     """
     trace = float(np.vdot(witness, rho.mat).real)
-    return trace < 0 and trace <= -TOL_GAP * float(np.linalg.norm(witness, 2))
+    return trace, trace < 0 and trace <= -TOL_GAP * float(np.linalg.norm(witness, 2))
 
 
-def _verdict(blocks: _Blocks, rho: DensityMatrix, status: str, stop: str,
-             y: np.ndarray, x: np.ndarray, gap: float, witness: np.ndarray | None, **telemetry) -> OracleResult:
+def _verdict(blocks: _Blocks, rho: DensityMatrix, status: str, stop: str, y: np.ndarray, x: np.ndarray,
+             gap: float, dual: tuple[np.ndarray, float, bool] | None, **telemetry) -> OracleResult:
     """The result of a run that ended at the PSD point y with affine projection x.
 
-    An Infeasible result also reports Tr(W' rho), the smallest eigenvalue of
-    the lift of W' and the certificate test, all read from W' itself.
+    An Infeasible result comes with dual = (W', Tr(W' rho), certificate test),
+    as the run computed them, and also reports the smallest eigenvalue of the
+    lift of W', read from W' itself.
     """
     # checked on the placed isometries and the blocks, independently of amap
     certificate = {
         "marginal_residual": float(np.linalg.norm(blocks.placed_marginal(y) - rho.mat)),
         "min_eig": float("nan") if stop == STOP_LINALG_ERROR else blocks.min_eig(x),
     }
-    if status != INFEASIBLE:
-        witness = None
-    else:
+    witness = None
+    if dual is not None:
+        witness, trace, certified = dual
         witness.setflags(write=False)
         certificate.update(
-            dual_trace=float(np.vdot(witness, rho.mat).real),
-            dual_min_eig=blocks.min_eig(blocks.adjoint(witness.ravel())),
-            certified=_certifies(witness, rho),
+            dual_trace=trace,
+            dual_min_eig=blocks.min_eig(blocks.adjoint(blocks.compress(witness))),
+            certified=certified,
         )
     return OracleResult(
         status=status,
@@ -472,7 +501,8 @@ def _verdict(blocks: _Blocks, rho: DensityMatrix, status: str, stop: str,
 # The projection of the origin onto {X PSD : amap(X) = rho} is
 # X = P+(amap^dag w) at the minimum of the dual
 # theta(w) = 1/2 ||P+(amap^dag w)||^2 - <w, rho>, with gradient
-# amap P+(amap^dag w) - rho.  theta has only n_AB^2 variables and is
+# amap P+(amap^dag w) - rho.  theta has only n_AB^2 variables, r^2 on the
+# face of a rank-r marginal, where rho stands for F^dag rho F, and is
 # strongly semismooth, so Newton's method with the generalized Hessian
 # amap J amap^dag and an Armijo line search converges quadratically (Qi &
 # Sun, SIMAX 28, 360, 2006; Malick, SIMAX 26, 272, 2004).  For an infeasible
@@ -525,15 +555,16 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleRe
     within TOL_FEASIBLE of its affine projection, Infeasible when -w, shifted,
     passes the certificate test; otherwise, before the last step, it moves w
     by a Newton step damped by an Armijo line search.  w starts at gpinv rho,
-    where amap^dag w = amap^+ rho.  The run ends Undecided when the steps run
-    out or the line search finds no descent (``max-iters``) and when an
-    eigensolve fails (``linalg-error``), reporting the last point it tested.
+    where amap^dag w = amap^+ rho; on a face w and rho are r x r, read in the
+    frame, and the witness is lifted back to AB.  The run ends Undecided when
+    the steps run out or the line search finds no descent (``max-iters``) and
+    when an eigensolve fails (``linalg-error``), reporting the last point it
+    tested.
     """
-    target = rho.mat.ravel()
-    n_ab = blocks.dims[0] * blocks.dims[1]
+    target = blocks.compress(rho.mat)
     w = _matvec(blocks.gpinv, target)
     gaps: list[float] = []
-    status, stop, witness = UNDECIDED, STOP_MAX_ITERS, None
+    status, stop, dual = UNDECIDED, STOP_MAX_ITERS, None
     try:
         parts, y, theta = _dual_point(blocks, w, target)
         for step in range(1, max_iters + 1):
@@ -546,9 +577,10 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleRe
                 break
             # the lift of -w has the negated spectra of the blocks of amap^dag w
             low = min((-lam[-1] / math.sqrt(m) for m, (lam, _) in zip(blocks.weights, parts)), default=math.inf)
-            witness = _shifted_witness(blocks, -w, low)
-            if _certifies(witness, rho):
-                status, stop = INFEASIBLE, STOP_DUAL_CERTIFICATE
+            witness = _shifted_witness(blocks.expand(-w), low)
+            trace, certified = _dual_test(witness, rho)
+            if certified:
+                status, stop, dual = INFEASIBLE, STOP_DUAL_CERTIFICATE, (witness, trace, certified)
                 break
             if step == max_iters:
                 break
@@ -557,7 +589,7 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleRe
             grad = blocks.marginal(c)
             hess = _newton_hessian(blocks, parts)
             d = np.linalg.solve(hess + 1e-10 * np.eye(len(grad)), -grad)
-            d = hermitize(d.reshape(n_ab, n_ab)).ravel()
+            d = hermitize(d.reshape(blocks.rank, blocks.rank)).ravel()
             slope = float(np.vdot(grad, d).real)
             alpha = 1.0
             for _ in range(30):
@@ -574,7 +606,7 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleRe
         if not gaps:  # no point tested: report the start's lift at an unknown gap
             x = y = blocks.adjoint(w)
             gap = math.inf
-    return _verdict(blocks, rho, status, stop, y, x, gap, witness,
+    return _verdict(blocks, rho, status, stop, y, x, gap, dual,
                     iterations=len(gaps), gap_trace=tuple(enumerate(gaps, 1)))
 
 
@@ -582,7 +614,7 @@ def _check_reach(d_a: int, d_b: int, k: int, flavor: str) -> None:
     """Refuse before any work a layout whose extension space side, or whose n_AB^2, exceeds DIM_LIMIT.
 
     The space is A (x) B^(x)k, or A (x) Sym^k(B) for the bosonic flavor; the Gram matrix and Newton's
-    Hessian are n_AB^2 x n_AB^2.  Both flavors build their block isometries with d_B^k rows, so d_B^k
+    Hessian are at most n_AB^2 x n_AB^2.  Both flavors build their block isometries with d_B^k rows, so d_B^k
     beyond DIM_GUARD is refused too.  A one-dimensional B is refused: a state on A (x) C^1 is its own
     extension.
     """
@@ -622,18 +654,19 @@ def oracle_feasibility(problem: ExtensionProblem, cfg: OracleConfig | None = Non
     _check_reach(d_a, d_b, problem.k, problem.flavor)
     blocks = _extension_blocks(d_a, d_b, problem.k, problem.flavor)
 
-    kernel = _state_kernel(rho)
-    if kernel is not None:
-        blocks = _face_blocks(blocks, kernel)
-        target = rho.mat.ravel()
-        x = blocks.correction(target)
-        residual = target - blocks.marginal(x)
+    face = _state_kernel(rho)
+    if face is not None:
+        blocks = _face_blocks(blocks, *face)
+        x = blocks.correction(blocks.compress(rho.mat))
+        # read on all of AB, so that the marginal's part below KERNEL_TOL on its kernel counts
+        residual = rho.mat - blocks.expand(blocks.marginal(x))
         deficit = float(np.linalg.norm(residual))
         if deficit >= TOL_GAP:
             # no candidate on the forced support face matches the marginal:
             # the residual is orthogonal to the range of amap, so W = -residual
             # has amap^dag W = 0 and Tr(W rho) = -deficit^2
-            witness = _shifted_witness(blocks, -residual, blocks.min_eig(blocks.adjoint(-residual)))
-            return _verdict(blocks, rho, INFEASIBLE, STOP_FACE_REACH, x, x, deficit, witness, iterations=0)
+            witness = _shifted_witness(-residual, blocks.min_eig(blocks.adjoint(blocks.compress(-residual))))
+            dual = (witness, *_dual_test(witness, rho))
+            return _verdict(blocks, rho, INFEASIBLE, STOP_FACE_REACH, x, x, deficit, dual, iterations=0)
 
     return _run_newton(blocks, rho, max_iters)

@@ -109,9 +109,23 @@ def lift_blocks(blocks, flat):
     return out
 
 
+def lifted_placements(blocks, placed):
+    """A block's stored placements with their A B_i rows lifted back to AB: F p on a face of frame F, p off one."""
+    return placed if blocks.frame is None else np.einsum("ar,irts->iats", blocks.frame, placed)
+
+
 def block_isometries(blocks):
-    """Each block's isometry V_b as (A B_1 ... B_k, column): its first placement, which moves no factor."""
-    return [p[0].reshape(-1, p.shape[-1]) for p in blocks.placed]
+    """Each block's isometry V_b as (A B_1 ... B_k, column): its first placement, which moves no factor, lifted to AB."""
+    return [lifted_placements(blocks, p)[0].reshape(-1, p.shape[-1]) for p in blocks.placed]
+
+
+def compress_rows(blocks, amap):
+    """A map onto flattened operators on AB, followed by F^dag (.) F on a face of frame F."""
+    f = blocks.frame
+    if f is None:
+        return amap
+    n_ab, r = f.shape
+    return np.einsum("ar,abc,bs->rsc", f.conj(), amap.reshape(n_ab, n_ab, -1), f).reshape(r * r, -1)
 
 
 def rebuilt_placements(iso, dims):
@@ -122,7 +136,10 @@ def rebuilt_placements(iso, dims):
 
 
 def placed_amap(blocks):
-    """The marginal map from all k rebuilt placements of each block: sqrt(m_b)/k sum_i Tr_rest(P_i N P_i^dag)."""
+    """The marginal map from all k rebuilt placements of each block: sqrt(m_b)/k sum_i Tr_rest(P_i N P_i^dag).
+
+    On a face its rows are compressed onto the frame like amap's, F^dag (.) F.
+    """
     import math
 
     n_ab, k = blocks.dims[0] * blocks.dims[1], len(blocks.dims) - 1
@@ -130,7 +147,7 @@ def placed_amap(blocks):
     for v, m in zip(block_isometries(blocks), blocks.weights):
         ps = np.stack(rebuilt_placements(v, blocks.dims))
         cols.append((math.sqrt(m) / k * np.einsum("iart,ibru->abtu", ps, ps.conj())).reshape(n_ab * n_ab, -1))
-    return np.hstack(cols)
+    return compress_rows(blocks, np.hstack(cols))
 
 
 def column_hessian(blocks, parts):

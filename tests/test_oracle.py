@@ -14,9 +14,11 @@ from helpers import (
     brute_force_permutation_average,
     certificate_holds,
     column_hessian,
+    compress_rows,
     dense_dual_check,
     dense_face_affine_projection,
     lift_blocks,
+    lifted_placements,
     placed_amap,
     random_separable,
     rebuilt_placements,
@@ -57,6 +59,7 @@ from symext.oracle import (
     _dual_point,
     _extension_blocks,
     _face_blocks,
+    _make_blocks,
     _newton_hessian,
     _specht_dim,
     _state_kernel,
@@ -71,6 +74,12 @@ NEWTON_UNDECIDED_AT_3 = ExtensionProblem(bell_state((0.5, 0.3, 0.15, 0.05)), 3, 
 def _random_hermitian(n, rng):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (g + g.conj().T) / 2
+
+
+def _local_frame(rho, rng):
+    """rho in a random local frame U_A (x) U_B: extendable exactly when rho is."""
+    u = np.kron(*(np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0] for d in rho.dims))
+    return DensityMatrix(hermitize(u @ rho.mat @ u.conj().T), rho.dims)
 
 
 def test_project_psd():
@@ -360,9 +369,12 @@ def test_oracle_rank_deficient_marginals():
 
 def test_face_projector_annihilates_kernel_placements():
     rho = bell_state([0.0, 0.5, 0.3, 0.2])
-    kernel = _state_kernel(rho)
-    assert kernel is not None and kernel.shape[1] == 1
-    blocks = _face_blocks(_extension_blocks(2, 2, 2, SYMMETRIC), kernel)
+    face = _state_kernel(rho)
+    assert face is not None and face[0].shape[1] == 1
+    kernel, frame = face
+    # the range basis completes the kernel's
+    assert frame.shape == (4, 3) and np.max(np.abs(kernel.conj().T @ frame)) < 1e-15
+    blocks = _face_blocks(_extension_blocks(2, 2, 2, SYMMETRIC), kernel, frame)
     # every face block annihilates the kernel vector placed on either B slot
     v = kernel[:, 0]
     for iso in block_isometries(blocks):
@@ -384,7 +396,7 @@ def _compress(x, blocks):
 
 def _block_affine(blocks, x, target):
     v = _compress(x, blocks)
-    return lift_blocks(blocks, blocks.project_affine(v, target.mat.ravel()))
+    return lift_blocks(blocks, blocks.project_affine(v, blocks.compress(target.mat)))
 
 
 def test_structured_projector_matches_closed_form_for_full_rank():
@@ -413,8 +425,8 @@ def test_block_face_projection_matches_dense_reference(rho, k):
     rng = np.random.default_rng(62 + k)
     d_a, d_b = rho.dims
     dims = (d_a,) + (d_b,) * k
-    kernel = _state_kernel(rho)
-    blocks = _face_blocks(_extension_blocks(d_a, d_b, k, SYMMETRIC), kernel)
+    kernel, frame = _state_kernel(rho)
+    blocks = _face_blocks(_extension_blocks(d_a, d_b, k, SYMMETRIC), kernel, frame)
     x = _random_hermitian(d_a * d_b**k, rng)
     dense = dense_face_affine_projection(x, dims, kernel, rho.mat)
     assert np.max(np.abs(_block_affine(blocks, x, rho) - dense)) < 1e-10
@@ -424,13 +436,15 @@ def _assert_stored_placements(blocks):
     """Each stored placement is the one rebuilt from the full tensor, and they stand for all k.
 
     A block stores all k placements, or one when every rebuilt placement
-    equals it; amap then matches the map built from all k.
+    equals it; amap then matches the map built from all k.  A face block
+    stores r rows per placement, lifted back to AB through its frame.
     """
     d_a, d_b, k = blocks.dims[0], blocks.dims[1], len(blocks.dims) - 1
-    for placed, iso in zip(blocks.placed, block_isometries(blocks)):
+    for stored, iso in zip(blocks.placed, block_isometries(blocks)):
         s = iso.shape[1]
+        assert stored.shape[1] == blocks.rank and not stored.flags.writeable
+        placed = lifted_placements(blocks, stored)
         assert placed.shape in [(count, d_a * d_b, d_b ** (k - 1), s) for count in (1, k)]
-        assert not placed.flags.writeable
         rebuilt = rebuilt_placements(iso, blocks.dims)
         for i, p in enumerate(placed):
             assert np.max(np.abs(p - rebuilt[i])) < 1e-14
@@ -446,7 +460,7 @@ def test_face_blocks_store_the_placements_of_their_isometries(rho, k, stop):
     # moving B_i next to A on the full tensor
     d_a, d_b = rho.dims
     parent = _extension_blocks(d_a, d_b, k, SYMMETRIC)
-    blocks = _face_blocks(parent, _state_kernel(rho))
+    blocks = _face_blocks(parent, *_state_kernel(rho))
     assert blocks.placed
     _assert_stored_placements(parent)
     _assert_stored_placements(blocks)
@@ -466,6 +480,41 @@ def test_face_blocks_store_the_placements_of_their_isometries(rho, k, stop):
 @pytest.mark.parametrize("flavor", [SYMMETRIC, BOSONIC])
 @pytest.mark.parametrize(
     "rho,k",
+    [case[:2] for case in RANK_DEFICIENT]
+    + [
+        (werner_state(4, -1.0), 2),
+        (werner_state(4, 1.0), 2),
+        (_local_frame(bell_state([0.6, 0.0, 0.21, 0.19]), np.random.default_rng(69)), 3),
+    ],
+)
+def test_face_blocks_solve_on_the_range_of_the_marginal(rho, k, flavor):
+    # a face stores its placements as F^dag p for the range basis F of rho,
+    # so amap reads the r^2 entries of F^dag (marginal) F: it is the map of
+    # the uncompressed placements under F^dag (.) F, and loses nothing of it
+    d_a, d_b = rho.dims
+    n_ab = d_a * d_b
+    parent = _extension_blocks(d_a, d_b, k, flavor)
+    assert parent.frame is None and parent.rank == n_ab and parent.amap.shape[0] == n_ab * n_ab
+    kernel, frame = _state_kernel(rho)
+    r = frame.shape[1]
+    assert kernel.shape[1] + r == n_ab
+    blocks = _face_blocks(parent, kernel, frame)
+    assert blocks.frame is frame and blocks.rank == r
+    assert blocks.amap.shape[0] == r * r and blocks.gpinv.shape == (r * r, r * r)
+    full = _make_blocks(blocks.dims, [lifted_placements(blocks, p) for p in blocks.placed], blocks.weights)
+    assert full.amap.shape == (n_ab * n_ab, blocks.amap.shape[1])
+    assert np.max(np.abs(blocks.amap - compress_rows(blocks, full.amap)), initial=0.0) < 1e-12
+    # every column of the uncompressed map is F (column) F^dag
+    lifted = np.einsum("ar,rsc,bs->abc", frame, blocks.amap.reshape(r, r, -1), frame.conj()).reshape(n_ab * n_ab, -1)
+    assert np.max(np.abs(full.amap - lifted), initial=0.0) < 1e-12
+    # compress and expand move between AB and the r x r duals
+    h = _random_hermitian(r, np.random.default_rng(70)).ravel()
+    assert np.max(np.abs(blocks.compress(blocks.expand(h)) - h)) < 1e-12
+
+
+@pytest.mark.parametrize("flavor", [SYMMETRIC, BOSONIC])
+@pytest.mark.parametrize(
+    "rho,k",
     [(werner_state(2, 0.3), 3), (bell_state([0.4, 0.3, 0.3, 0.0]), 3), (werner_state(3, 0.2), 4), (werner_state(3, 1.0), 2)],
 )
 def test_symmetric_block_is_stored_once(rho, k, flavor):
@@ -476,9 +525,9 @@ def test_symmetric_block_is_stored_once(rho, k, flavor):
     counts = [len(p) for p in blocks.placed]
     assert counts == ([1] if flavor == BOSONIC else [1] + [k] * (len(counts) - 1))
     _assert_stored_placements(blocks)
-    kernel = _state_kernel(rho)
-    if kernel is not None:
-        _assert_stored_placements(_face_blocks(blocks, kernel))
+    face = _state_kernel(rho)
+    if face is not None:
+        _assert_stored_placements(_face_blocks(blocks, *face))
 
 
 @pytest.mark.parametrize("d_a,d_b,k", [(2, 2, 3), (2, 2, 5), (2, 3, 3), (3, 3, 2), (2, 3, 4)])
@@ -509,16 +558,21 @@ def test_blocks_are_an_isometry_of_invariant_operators(d_a, d_b, k):
         (werner_state(2, 0.3), 5, BOSONIC),
         (maximally_mixed([2, 3]), 3, BOSONIC),
         (bell_state([0.4, 0.3, 0.3, 0.0]), 3, BOSONIC),
+        (werner_state(3, 1.0), 2, SYMMETRIC),
+        (werner_state(4, -1.0), 2, SYMMETRIC),
+        (_local_frame(bell_state([0.6, 0.0, 0.21, 0.19]), np.random.default_rng(69)), 3, SYMMETRIC),
     ],
 )
 def test_certificate_reads_the_lifted_operator(rho, k, flavor):
     # on any flat iterate: the lifted spectrum is the block spectra, each
-    # m_b times, plus zeros off the span of the blocks
+    # m_b times, plus zeros off the span of the blocks; on a face the
+    # marginal is read on r rows and lifted back to AB through the frame
     rng = np.random.default_rng(65 + k)
     d_a, d_b = rho.dims
     blocks = _extension_blocks(d_a, d_b, k, flavor)
     if _state_kernel(rho) is not None:
-        blocks = _face_blocks(blocks, _state_kernel(rho))
+        blocks = _face_blocks(blocks, *_state_kernel(rho))
+        assert blocks.rank < d_a * d_b
     flat = np.concatenate([_random_hermitian(s, rng).ravel() for s in blocks.sides])
     big = lift_blocks(blocks, flat)
     spectra = [np.repeat(np.linalg.eigvalsh(b) / math.sqrt(m), m) for m, b in zip(blocks.weights, blocks.split(flat))]
@@ -700,11 +754,36 @@ GOLDEN = [
     (("bell", (0.35, 0.65, 0.0, 0.0)), 2, BOSONIC, INFEASIBLE, 0),
     (("werner", 2, -1.0), 2, BOSONIC, INFEASIBLE, 0),
     (("bell", (0.4, 0.3, 0.3, 0.0)), 3, BOSONIC, FEASIBLE, 1),
+    # rank-deficient marginals whose Newton system shrinks to the r^2 entries
+    # of their range, recorded with the n_AB^2 dual: Werner psi = -1 (r = 3
+    # at d = 3, 6 at d = 4) and psi = 1 (r = 6 and 10), and a rank-3 Bell
+    # state in a local frame drawn from a seed, whose range basis is complex
+    (("werner", 3, -1.0), 2, SYMMETRIC, FEASIBLE, 1),
+    (("werner", 3, -1.0), 3, SYMMETRIC, INFEASIBLE, 0),
+    (("werner", 3, 1.0), 3, SYMMETRIC, FEASIBLE, 1),
+    (("werner", 3, -1.0), 4, SYMMETRIC, INFEASIBLE, 0),
+    (("werner", 3, 1.0), 4, SYMMETRIC, FEASIBLE, 1),
+    (("werner", 3, -1.0), 2, BOSONIC, INFEASIBLE, 0),
+    (("werner", 3, 1.0), 2, BOSONIC, FEASIBLE, 1),
+    (("werner", 3, -1.0), 3, BOSONIC, INFEASIBLE, 0),
+    (("werner", 3, 1.0), 3, BOSONIC, FEASIBLE, 1),
+    (("werner", 3, -1.0), 4, BOSONIC, INFEASIBLE, 0),
+    (("werner", 3, 1.0), 4, BOSONIC, FEASIBLE, 1),
+    (("werner", 4, -1.0), 2, SYMMETRIC, FEASIBLE, 1),
+    (("werner", 4, 1.0), 2, SYMMETRIC, FEASIBLE, 1),
+    (("werner", 4, -1.0), 2, BOSONIC, INFEASIBLE, 0),
+    (("werner", 4, 1.0), 2, BOSONIC, FEASIBLE, 1),
+    (("rotated bell", (0.6, 0.0, 0.21, 0.19), 69), 3, SYMMETRIC, FEASIBLE, 4),
 ]
 
 
 def _golden_problem(state, k, flavor):
-    rho = werner_state(*state[1:]) if state[0] == "werner" else bell_state(state[1])
+    if state[0] == "werner":
+        rho = werner_state(*state[1:])
+    elif state[0] == "bell":
+        rho = bell_state(state[1])
+    else:
+        rho = _local_frame(bell_state(state[1]), np.random.default_rng(state[2]))
     return ExtensionProblem(rho, k, flavor)
 
 
@@ -712,8 +791,8 @@ def _solve_blocks(problem):
     """The blocks oracle_feasibility iterates on: the flavor's, on the forced support face of a singular marginal."""
     d_a, d_b = problem.marginal.dims
     blocks = _extension_blocks(d_a, d_b, problem.k, problem.flavor)
-    kernel = _state_kernel(problem.marginal)
-    return blocks if kernel is None else _face_blocks(blocks, kernel)
+    face = _state_kernel(problem.marginal)
+    return blocks if face is None else _face_blocks(blocks, *face)
 
 
 def test_oracle_matches_golden_statuses_and_iterations():
@@ -817,31 +896,28 @@ def test_newton_eigensolves_each_block_once_per_dual_point(monkeypatch):
         assert counts["eigh"] == 2 * counts["dual points"] + 1
 
 
-def _local_frame(rho, rng):
-    """rho in a random local frame U_A (x) U_B: extendable exactly when rho is."""
-    u = np.kron(*(np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0] for d in rho.dims))
-    return DensityMatrix(hermitize(u @ rho.mat @ u.conj().T), rho.dims)
-
-
 @pytest.mark.parametrize(
     "rho,k",
     [
         (werner_state(2, -0.4), 3),
         (bell_state([0.5, 0.3, 0.2, 0.0]), 2),
         (werner_state(3, 0.1), 2),
+        (werner_state(3, 1.0), 2),
         (_local_frame(bell_state([0.5, 0.3, 0.2, 0.0]), np.random.default_rng(69)), 2),
     ],
 )
 def test_newton_hessian_is_the_derivative_of_the_gradient(rho, k):
     # amap J amap^dag d against central differences of amap P+(amap^dag w),
-    # at a random Hermitian w where the lift has no zero eigenvalue
+    # at a random Hermitian w where the lift has no zero eigenvalue; on a face
+    # w has the side r of the marginal's range
     rng = np.random.default_rng(68 + k)
     blocks = _solve_blocks(ExtensionProblem(rho, k, SYMMETRIC))
-    # the rotated Bell state's complex kernel gives its face blocks, and amap, complex entries
+    # the rotated Bell state's complex frame gives its face blocks, and amap, complex entries
     assert (np.max(np.abs(np.imag(blocks.amap))) > 1e-3) == bool(np.any(rho.mat.imag))
-    target = rho.mat.ravel()
-    n_ab = rho.mat.shape[0]
-    w, d = (_random_hermitian(n_ab, rng).ravel() for _ in range(2))
+    r = int(np.sum(np.linalg.eigvalsh(rho.mat) > 1e-12))
+    assert blocks.rank == r and blocks.amap.shape[0] == r * r
+    target = blocks.compress(rho.mat)
+    w, d = (_random_hermitian(r, rng).ravel() for _ in range(2))
     parts, _, _ = _dual_point(blocks, w, target)
     assert min(float(np.min(np.abs(lam))) for lam, _ in parts) > 1e-3
     grad = lambda v: blocks.marginal(_dual_point(blocks, v, target)[1])
@@ -851,6 +927,32 @@ def test_newton_hessian_is_the_derivative_of_the_gradient(rho, k):
     assert np.max(np.abs(hess @ d - numeric)) < 1e-6
     # the closed form is the matrix whose column j is amap J(G_j)
     assert np.max(np.abs(hess - column_hessian(blocks, parts))) < 1e-12
+
+
+def test_certificate_test_runs_once_per_witness(monkeypatch):
+    # the verdict reports the trace and the margin test of the step that found
+    # W', so each witness is tested once: at every step Newton does not stop
+    # Feasible, and once for the face-reach witness
+    calls = []
+    real_test = oracle_mod._dual_test
+
+    def counting(witness, rho):
+        calls.append(None)
+        return real_test(witness, rho)
+
+    monkeypatch.setattr(oracle_mod, "_dual_test", counting)
+    cases = [
+        (ExtensionProblem(werner_state(2, -0.5), 3, SYMMETRIC), INFEASIBLE, 1),
+        (ExtensionProblem(bell_state([0.8, 0.2, 0, 0]), 2, SYMMETRIC), INFEASIBLE, 1),
+        (NEWTON_UNDECIDED_AT_3, FEASIBLE, 5),
+    ]
+    for problem, status, tests in cases:
+        calls.clear()
+        res = oracle_feasibility(problem)
+        assert res.status == status and len(calls) == tests
+        if status == INFEASIBLE:
+            assert res.certificate["dual_trace"] == float(np.vdot(res.dual_witness, problem.marginal.mat).real)
+            assert res.certificate["certified"] is True
 
 
 @pytest.mark.parametrize(

@@ -169,16 +169,29 @@ class DensityMatrix:
         return f"DensityMatrix(dims={self._dims})"
 
 
+def _checked_side(dims: Sequence[int]) -> int:
+    """Side of a layout a state is built on: integer dimensions >= 1 whose product is at most DIM_GUARD."""
+    side = math.prod(_checked_int(d, "factor dimension", 1) for d in dims)
+    if side > DIM_GUARD:
+        raise ResourceLimitError(f"state side {side} exceeds the guard {DIM_GUARD}")
+    return side
+
+
 def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
     """I/d on the given layout."""
-    side = math.prod(dims)
+    side = _checked_side(dims)
     return DensityMatrix(np.eye(side, dtype=complex) / side, dims)
 
 
 def pure_state(vec: np.ndarray, dims: Sequence[int] | None = None) -> DensityMatrix:
     """Projector |v><v| / <v|v> on the given layout."""
     vec = np.asarray(vec, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(vec)
+    # NaN or inf entries, or squares whose sum overflows, leave a norm that is not
+    # finite: refused here, before the division below would warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(vec)
+    if not math.isfinite(norm):
+        raise ValidationError(f"cannot normalize a vector of norm {norm}")
     if norm < 1e-14:
         raise ValidationError("cannot normalize a zero vector")
     vec = vec / norm
@@ -187,7 +200,7 @@ def pure_state(vec: np.ndarray, dims: Sequence[int] | None = None) -> DensityMat
 
 def random_density(dims: Sequence[int], rng: np.random.Generator) -> DensityMatrix:
     """Full-rank random state from the Ginibre ensemble."""
-    side = math.prod(dims)
+    side = _checked_side(dims)
     g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     rho = g @ g.conj().T
     return DensityMatrix(rho / np.trace(rho).real, dims)

@@ -241,15 +241,15 @@ def _weyl_isometry(d: int, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v for a complex vector or C-ordered matrix v; a real a is not cast to complex."""
-    if np.iscomplexobj(a):
+    """a @ v for a vector or C-ordered matrix v; a real a is not cast to complex for a complex v."""
+    if np.iscomplexobj(a) or not np.iscomplexobj(v):
         return a @ v
     pairs = v.view(float).reshape(len(v), 2 * math.prod(v.shape[1:]))
     return (a @ pairs).view(complex).reshape((a.shape[0],) + v.shape[1:])
 
 
 def _rmatvec(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """a^dag @ w for a complex vector w, without copying a."""
+    """a^dag @ w for a vector w, without copying a."""
     return _matvec(a.T, w.conj()).conj()
 
 
@@ -267,8 +267,8 @@ class _Blocks:
     the iterate to the flattened AB marginal of
     X = sum_b sqrt(m_b) Sym(V_b N_b V_b^dag), and gpinv is the pseudoinverse
     of its Gram matrix amap amap^dag, so that amap^dag gpinv is the
-    Moore-Penrose inverse of amap.  Both are real unless a face reduction
-    made the isometries complex.
+    Moore-Penrose inverse of amap.  Both are real unless the face of a
+    complex marginal made the isometries complex.
 
     On the face of a rank-deficient marginal, frame is the n_AB x r basis F
     of its range, and every placement is stored row-compressed as F^dag p:
@@ -333,7 +333,7 @@ class _Blocks:
         placements of V_b, all at once, then lifted back to AB through the frame.
         """
         r = self.rank
-        out = np.zeros((r, r), dtype=complex)
+        out = np.zeros((r, r), dtype=np.result_type(flat, *self.placed))
         for p, m, blk in zip(self.placed, self.weights, self.split(flat)):
             # rows (A B_i, placement, other B factors); a view when one placement is stored
             v = p.swapaxes(0, 1).reshape(r, -1)
@@ -410,16 +410,29 @@ def _extension_blocks(d_a: int, d_b: int, k: int, flavor: str) -> _Blocks:
 KERNEL_TOL = 1e-12
 
 
+def _solve_matrix(rho: DensityMatrix) -> np.ndarray:
+    """The marginal as the solve reads it: its real part when its imaginary part is exactly zero.
+
+    The block isometries are real, so a real marginal keeps its kernel and frame, the face blocks, the
+    dual point, the Newton system and the witness in float64; any other marginal runs in complex.
+    """
+    mat = rho.mat
+    return mat if mat.imag.any() else mat.real
+
+
 def _state_kernel(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray] | None:
     """Kernel and range bases of the marginal as columns, from one eigensolve, or None when full rank."""
-    eigs, vecs = np.linalg.eigh(rho.mat)
+    eigs, vecs = np.linalg.eigh(_solve_matrix(rho))
     null = eigs <= KERNEL_TOL
     return (vecs[:, null], vecs[:, ~null]) if null.any() else None
 
 
 def _nullspace(rows: np.ndarray) -> np.ndarray:
-    # vh is square either way; a full U for tall rows would only cost memory
-    _, svals, vh = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
+    # tall rows have the singular values and right singular vectors of their
+    # s x s factor R, and a U that would only be discarded
+    if rows.shape[0] > rows.shape[1]:
+        rows = np.linalg.qr(rows, mode="r")
+    _, svals, vh = np.linalg.svd(rows)
     rank = int(np.sum(svals > RANK_RTOL * svals[0])) if svals.size else 0
     return vh[rank:].conj().T
 
@@ -534,7 +547,7 @@ def _newton_hessian(blocks: _Blocks, parts) -> np.ndarray:
     on a block with eigenvectors V; row j of C_b holds the entries of V^dag G_j V.
     """
     m = blocks.amap.shape[0]
-    hess = np.zeros((m, m), dtype=complex)
+    hess = np.zeros((m, m), dtype=np.result_type(blocks.amap, *(v for _, v in parts)))
     off = 0
     for (lam, v), s in zip(parts, blocks.sides):
         # amap's block-b columns, stored as rows of amap^T: A_j[p, q] at [p, (q, j)]
@@ -542,8 +555,8 @@ def _newton_hessian(blocks: _Blocks, parts) -> np.ndarray:
         off += s * s
         # conj(C_b): V^T A_j conj(V), from (V^T A_j)[a, q] stored at [q, (j, a)]
         conj_c = (_matvec(run.T, v).reshape(s, m * s).T @ v.conj()).reshape(m, s * s)
-        weighted = conj_c.conj()
-        weighted *= _jacobian_weights(lam).ravel()
+        # conj() of a real array is the array itself: scaling it in place would scale conj_c too
+        weighted = conj_c.conj() * _jacobian_weights(lam).ravel()
         hess += conj_c @ weighted.T
     return hess
 
@@ -561,7 +574,7 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleRe
     when an eigensolve fails (``linalg-error``), reporting the last point it
     tested.
     """
-    target = blocks.compress(rho.mat)
+    target = blocks.compress(_solve_matrix(rho))
     w = _matvec(blocks.gpinv, target)
     gaps: list[float] = []
     status, stop, dual = UNDECIDED, STOP_MAX_ITERS, None
@@ -657,9 +670,10 @@ def oracle_feasibility(problem: ExtensionProblem, cfg: OracleConfig | None = Non
     face = _state_kernel(rho)
     if face is not None:
         blocks = _face_blocks(blocks, *face)
-        x = blocks.correction(blocks.compress(rho.mat))
+        mat = _solve_matrix(rho)
+        x = blocks.correction(blocks.compress(mat))
         # read on all of AB, so that the marginal's part below KERNEL_TOL on its kernel counts
-        residual = rho.mat - blocks.expand(blocks.marginal(x))
+        residual = mat - blocks.expand(blocks.marginal(x))
         deficit = float(np.linalg.norm(residual))
         if deficit >= TOL_GAP:
             # no candidate on the forced support face matches the marginal:

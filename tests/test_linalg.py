@@ -119,6 +119,37 @@ def test_density_matrix_zero_tolerance_accepts_exact_states():
         DensityMatrix(np.diag([0.5, 0.5 + 1e-15]), (2,), tol=0.0)
 
 
+def _refused_quietly(error, build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as err:
+            build()
+    return str(err.value)
+
+
+def test_maximally_mixed_refuses_a_dimension_that_is_not_an_integer():
+    message = _refused_quietly(ValidationError, lambda: maximally_mixed([2.5, 2]))
+    assert message == "factor dimension must be an integer >= 1, got 2.5"
+
+
+def test_random_density_refuses_a_dimension_that_is_not_an_integer():
+    message = _refused_quietly(ValidationError, lambda: random_density([2.5, 2], np.random.default_rng(0)))
+    assert message == "factor dimension must be an integer >= 1, got 2.5"
+
+
+def test_maximally_mixed_refuses_a_side_beyond_the_guard():
+    # the side 10^12 is refused before any allocation
+    message = _refused_quietly(ResourceLimitError, lambda: maximally_mixed([10**6, 10**6]))
+    assert message == "state side 1000000000000 exceeds the guard 4096"
+    assert _refused_quietly(ResourceLimitError, lambda: random_density([64, 65], np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("vec", [[np.nan, 1, 0, 0], [np.inf, 1, 0, 0], [1e308, 1e308, 0, 0]])
+def test_pure_state_refuses_a_vector_without_a_finite_norm(vec):
+    # the norm is checked before the division, which would warn
+    assert _refused_quietly(ValidationError, lambda: pure_state(vec, (2, 2))).startswith("cannot normalize")
+
+
 def test_stacked_partial_trace_transpose_norm_and_entropy_match_single():
     rng = np.random.default_rng(12)
     dims = (2, 3, 2)

@@ -61,6 +61,8 @@ from symext.oracle import (
     _face_blocks,
     _make_blocks,
     _newton_hessian,
+    _nullspace,
+    _solve_matrix,
     _specht_dim,
     _state_kernel,
     _weyl_isometry,
@@ -807,6 +809,100 @@ def test_oracle_matches_golden_statuses_and_iterations():
             assert res.dual_witness is None and "certified" not in res.certificate
 
 
+def _eigh_dtypes(monkeypatch):
+    """The dtypes of the matrices np.linalg.eigh is called on, from here on."""
+    seen = []
+    real_eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return seen
+
+
+def test_real_marginals_solve_in_real_arithmetic_with_the_complex_verdicts(monkeypatch):
+    # every real GOLDEN marginal and the Werner psi = +-1 faces, solved once
+    # in float64 and once with the realness decision forced to complex: the
+    # same verdict, stop reason, steps and blocks, and the same certificate
+    # up to rounding
+    problems = [_golden_problem(state, k, flavor) for state, k, flavor, _, _ in GOLDEN]
+    problems += [
+        ExtensionProblem(werner_state(d, psi), k, flavor)
+        for d in (2, 3)
+        for psi in (-1.0, 1.0)
+        for k in (2, 3)
+        for flavor in (SYMMETRIC, BOSONIC)
+    ]
+    real = [p for p in problems if not p.marginal.mat.imag.any()]
+    assert len(real) == len(problems) - 1  # all but the rotated Bell state
+    seen = _eigh_dtypes(monkeypatch)
+    solved = []
+    for problem in real:
+        seen.clear()
+        res = oracle_feasibility(problem)
+        # no complex eigensolve: not the kernel test, nor any block of any step
+        assert seen and all(dt == np.float64 for dt in seen), problem
+        if res.dual_witness is not None:
+            assert res.dual_witness.dtype == np.float64
+        solved.append(res)
+    monkeypatch.setattr(oracle_mod, "_solve_matrix", lambda rho: rho.mat)
+    for problem, res in zip(real, solved):
+        seen.clear()
+        ref = oracle_feasibility(problem)
+        assert np.complex128 in seen
+        assert (res.status, res.stop_reason, res.iterations, res.block_sides) == (
+            ref.status, ref.stop_reason, ref.iterations, ref.block_sides), problem
+        assert res.certificate.keys() == ref.certificate.keys()
+        for key, value in ref.certificate.items():
+            if key == "certified":
+                assert res.certificate[key] is value
+            elif not (math.isnan(value) and math.isnan(res.certificate[key])):
+                assert res.certificate[key] == pytest.approx(value, rel=0, abs=1e-12), (problem, key)
+        if ref.dual_witness is not None:
+            assert np.max(np.abs(res.dual_witness - ref.dual_witness)) < 1e-12
+
+
+def test_complex_marginals_still_solve_in_complex_arithmetic(monkeypatch):
+    # a Bell state in a random local frame has a complex marginal: its kernel
+    # test, its blocks and its witness stay complex, full rank or on a face
+    rng = np.random.default_rng(69)
+    seen = _eigh_dtypes(monkeypatch)
+    for p, k in [((0.6, 0.0, 0.21, 0.19), 3), ((0.5, 0.3, 0.15, 0.05), 2), ((0.8, 0.2, 0.0, 0.0), 2)]:
+        problem = ExtensionProblem(_local_frame(bell_state(p), rng), k, SYMMETRIC)
+        assert problem.marginal.mat.imag.any()
+        seen.clear()
+        res = oracle_feasibility(problem)
+        assert seen and all(dt == np.complex128 for dt in seen), p
+        if res.dual_witness is not None:
+            assert res.dual_witness.dtype == np.complex128
+
+
+def test_face_null_spaces_match_the_plain_svd():
+    # _nullspace takes the SVD of the s x s factor of a QR of tall rows: on
+    # every GOLDEN face it keeps the dimensions a plain SVD of the rows gives
+    faces = 0
+    for state, k, flavor, _, _ in GOLDEN:
+        rho = _golden_problem(state, k, flavor).marginal
+        face = _state_kernel(rho)
+        if face is None:
+            continue
+        kernel = face[0]
+        d_a, d_b = rho.dims
+        for p in _extension_blocks(d_a, d_b, k, flavor).placed:
+            count, n_ab, _, s = p.shape
+            rows = (kernel.conj().T @ p.reshape(count, n_ab, -1)).reshape(-1, s)
+            svals = np.linalg.svd(rows, compute_uv=False)
+            rank = int(np.sum(svals > oracle_mod.RANK_RTOL * svals[0]))
+            null = _nullspace(rows)
+            assert null.shape == (s, s - rank), (state, k, flavor)
+            assert np.max(np.abs(null.conj().T @ null - np.eye(s - rank)), initial=0.0) < 1e-12
+            assert np.max(np.abs(rows @ null), initial=0.0) < 1e-12
+            faces += 1
+    assert faces > 30
+
+
 def test_dual_witness_reads_the_same_on_the_blocks_and_densely():
     # the certificate's smallest eigenvalue, read on the blocks through amap^dag,
     # is the dense lift's on the flavor space and the forced face
@@ -896,16 +992,30 @@ def test_newton_eigensolves_each_block_once_per_dual_point(monkeypatch):
         assert counts["eigh"] == 2 * counts["dual points"] + 1
 
 
-@pytest.mark.parametrize(
-    "rho,k",
-    [
-        (werner_state(2, -0.4), 3),
-        (bell_state([0.5, 0.3, 0.2, 0.0]), 2),
-        (werner_state(3, 0.1), 2),
-        (werner_state(3, 1.0), 2),
-        (_local_frame(bell_state([0.5, 0.3, 0.2, 0.0]), np.random.default_rng(69)), 2),
-    ],
-)
+HESSIAN_CASES = [
+    (werner_state(2, -0.4), 3),
+    (bell_state([0.5, 0.3, 0.2, 0.0]), 2),
+    (werner_state(3, 0.1), 2),
+    (werner_state(3, 1.0), 2),
+    (_local_frame(bell_state([0.5, 0.3, 0.2, 0.0]), np.random.default_rng(69)), 2),
+]
+
+
+def _checked_hessian(blocks, target, w, d):
+    """Newton's Hessian at w, checked against central differences of the gradient along d and column by column."""
+    parts, _, _ = _dual_point(blocks, w, target)
+    assert min(float(np.min(np.abs(lam))) for lam, _ in parts) > 1e-3
+    grad = lambda v: blocks.marginal(_dual_point(blocks, v, target)[1])
+    eps = 1e-6
+    numeric = (grad(w + eps * d) - grad(w - eps * d)) / (2 * eps)
+    hess = _newton_hessian(blocks, parts)
+    assert np.max(np.abs(hess @ d - numeric)) < 1e-6
+    # the closed form is the matrix whose column j is amap J(G_j)
+    assert np.max(np.abs(hess - column_hessian(blocks, parts))) < 1e-12
+    return hess
+
+
+@pytest.mark.parametrize("rho,k", HESSIAN_CASES)
 def test_newton_hessian_is_the_derivative_of_the_gradient(rho, k):
     # amap J amap^dag d against central differences of amap P+(amap^dag w),
     # at a random Hermitian w where the lift has no zero eigenvalue; on a face
@@ -916,17 +1026,22 @@ def test_newton_hessian_is_the_derivative_of_the_gradient(rho, k):
     assert (np.max(np.abs(np.imag(blocks.amap))) > 1e-3) == bool(np.any(rho.mat.imag))
     r = int(np.sum(np.linalg.eigvalsh(rho.mat) > 1e-12))
     assert blocks.rank == r and blocks.amap.shape[0] == r * r
-    target = blocks.compress(rho.mat)
     w, d = (_random_hermitian(r, rng).ravel() for _ in range(2))
-    parts, _, _ = _dual_point(blocks, w, target)
-    assert min(float(np.min(np.abs(lam))) for lam, _ in parts) > 1e-3
-    grad = lambda v: blocks.marginal(_dual_point(blocks, v, target)[1])
-    eps = 1e-6
-    numeric = (grad(w + eps * d) - grad(w - eps * d)) / (2 * eps)
-    hess = _newton_hessian(blocks, parts)
-    assert np.max(np.abs(hess @ d - numeric)) < 1e-6
-    # the closed form is the matrix whose column j is amap J(G_j)
-    assert np.max(np.abs(hess - column_hessian(blocks, parts))) < 1e-12
+    _checked_hessian(blocks, blocks.compress(rho.mat), w, d)
+
+
+@pytest.mark.parametrize("rho,k", [case for case in HESSIAN_CASES if not case[0].mat.imag.any()])
+def test_newton_hessian_is_real_on_real_marginals(rho, k):
+    # a real marginal gives real blocks, a real target and, at a real
+    # symmetric w, real eigenvectors: the Hessian is float64.  conj() of a
+    # real array is the array itself, so scaling conj(C_b) in place would
+    # scale C_b too, and the Hessian would fail both checks
+    rng = np.random.default_rng(72 + k)
+    blocks = _solve_blocks(ExtensionProblem(rho, k, SYMMETRIC))
+    target = blocks.compress(_solve_matrix(rho))
+    assert blocks.amap.dtype == target.dtype == np.float64
+    w, d = (_random_hermitian(blocks.rank, rng).real.ravel() for _ in range(2))
+    assert _checked_hessian(blocks, target, w, d).dtype == np.float64
 
 
 def test_certificate_test_runs_once_per_witness(monkeypatch):

@@ -82,12 +82,6 @@ def _require_side(d: int) -> None:
         raise ResourceLimitError(f"--d {d} gives states of side {d * d}, above the limit {_MAX_SIDE}")
 
 
-def _require_seed(seed: int) -> None:
-    # Philox takes only seeds >= 0
-    if seed < 0:
-        raise CliInputError(f"--seed must be at least 0, got {seed}")
-
-
 def _bell_hat_ppt_flags(p: np.ndarray, k: int) -> np.ndarray:
     """Where the bosonic extension verdict (the hat-state PPT test) of each Bell-diagonal state is Inconclusive."""
     return _ppt_passes(_derived_min_pt_eigs(_validate_stack(_bell_mats(p), HERM_TOL), (2, 2), k, BOSONIC, HERM_TOL))
@@ -112,6 +106,38 @@ class _Parser(argparse.ArgumentParser):
     # resource guard here; route usage errors to the input-error exit instead.
     def error(self, message):
         raise CliInputError(message)
+
+
+def _flag_type(kind, ok, refusal: str = ""):
+    """An argparse type= function: kind parses a flag's text, and a value v is refused unless ok(v).
+
+    The refusal is a CliInputError, refusal.format(v) or the words of a ValidationError from ok.  argparse
+    passes it through, but rewords a ValueError as it does text kind cannot parse ("invalid int value").
+    """
+
+    def typed(text: str):
+        value = kind(text)
+        try:
+            if ok(value):
+                return value
+        except ValidationError as err:
+            raise CliInputError(err) from None
+        raise CliInputError(refusal.format(value))
+
+    typed.__name__ = kind.__name__
+    return typed
+
+
+def _at_least(flag: str, least: int):
+    return _flag_type(int, lambda value: value >= least, f"{flag} must be at least {least}, got {{}}")
+
+
+def _criteria(text: str) -> tuple[str, ...]:
+    names = tuple(name.strip() for name in text.split(","))
+    for name in names:
+        if name not in BELL_CRITERIA:
+            raise CliInputError(f"unknown criterion {name!r}; choose from {', '.join(BELL_CRITERIA)}")
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +237,7 @@ def _write_rows(header: Sequence[str], rows, out: IO[str]) -> None:
 def _cmd_check(args, out: IO[str]) -> int:
     rho = load_state(args.state, tol=args.tol)
     problem = ExtensionProblem(rho, args.k, args.flavor)
-    if args.flavor == SYMMETRIC:
-        verdict = symmetric_extension_verdict(problem)
-    else:
-        verdict = bosonic_extension_verdict(problem)
+    verdict = (symmetric_extension_verdict if args.flavor == SYMMETRIC else bosonic_extension_verdict)(problem)
     _emit_json(
         {
             "criterion": verdict.criterion,
@@ -291,16 +314,8 @@ def _bell_rows(n: int, k: int, flags):
 
 
 def _cmd_bell_sweep(args, out: IO[str]) -> int:
-    if args.grid < 2:
-        raise CliInputError(f"--grid must be at least 2, got {args.grid}")
-    if args.k < 1:
-        raise CliInputError(f"--k must be at least 1, got {args.k}")
     _require_rows(f"--grid {args.grid}", math.comb(args.grid + 2, 3))
-    criteria = tuple(name.strip() for name in args.criteria.split(","))
-    for name in criteria:
-        if name not in BELL_CRITERIA:
-            raise CliInputError(f"unknown criterion {name!r}; choose from {', '.join(BELL_CRITERIA)}")
-    columns = [(header, flag) for name, header, flag in BELL_COLUMNS if name in criteria]
+    columns = [(header, flag) for name, header, flag in BELL_COLUMNS if name in args.criteria]
     header = ["p1", "p2", "p3"] + [h for h, _ in columns]
     _write_rows(header, _bell_rows(args.grid, args.k, [flag for _, flag in columns]), out)
     return EXIT_OK
@@ -327,12 +342,6 @@ def _werner_rows(d: int, k: int, n: int, with_oracle: bool):
 
 
 def _cmd_werner_sweep(args, out: IO[str]) -> int:
-    if args.d < 2:
-        raise CliInputError(f"--d must be at least 2, got {args.d}")
-    if args.k < 1:
-        raise CliInputError(f"--k must be at least 1, got {args.k}")
-    if not 0 < args.psi_step <= 1:
-        raise CliInputError(f"--psi-step must lie in (0, 1], got {args.psi_step}")
     _require_side(args.d)
     if args.psi_step < _WERNER_MIN_STEP:
         raise ResourceLimitError(f"--psi-step {args.psi_step} is below the sweep limit {_WERNER_MIN_STEP:g}")
@@ -355,9 +364,6 @@ def _volume_membership(which: str, u: np.ndarray) -> np.ndarray:
 
 
 def _cmd_volume(args, out: IO[str]) -> int:
-    _require_seed(args.seed)
-    if args.samples < 10_000:
-        raise CliInputError(f"--samples must be at least 10000, got {args.samples}")
     if args.samples > _MAX_SAMPLES:
         raise ResourceLimitError(f"--samples {args.samples} is above the limit {_MAX_SAMPLES}")
     rng = np.random.Generator(np.random.Philox(args.seed))
@@ -405,10 +411,6 @@ def _consistency_rows(n: int):
 
 
 def _cmd_consistency_sweep(args, out: IO[str]) -> int:
-    if args.family != "werner":
-        raise CliInputError(f"unsupported family {args.family!r}")
-    if args.grid < 2:
-        raise CliInputError(f"--grid must be at least 2, got {args.grid}")
     _require_rows(f"--grid {args.grid}", args.grid**2)
     _write_rows(["psi1", "psi2", "pentagon", "ckw", "ssa"], _consistency_rows(args.grid), out)
     return EXIT_OK
@@ -424,21 +426,14 @@ def _definetti_rows(rho: DensityMatrix, k_max: int):
 
 
 def _cmd_definetti(args, out: IO[str]) -> int:
-    if args.k_max < 1:
-        raise CliInputError(f"--k-max must be at least 1, got {args.k_max}")
-    _checked_tol(args.tol)
-    _require_seed(args.seed)
     _require_rows(f"--k-max {args.k_max}", args.k_max)
     if args.state is not None:
         rho = load_state(args.state, tol=args.tol)
         if len(rho.dims) != 2:
             raise CliInputError(f"state must be bipartite, got layout {rho.dims}")
     else:
-        if args.d < 1:
-            raise CliInputError(f"--d must be at least 1, got {args.d}")
         _require_side(args.d)
-        rng = np.random.Generator(np.random.Philox(args.seed))
-        rho = random_density((args.d, args.d), rng)
+        rho = random_density((args.d, args.d), np.random.Generator(np.random.Philox(args.seed)))
     _write_rows(["k", "gap", "bound"], _definetti_rows(rho, args.k_max), out)
     return EXIT_OK
 
@@ -456,49 +451,52 @@ def build_parser() -> argparse.ArgumentParser:
     """
     parser = _Parser(prog="symext", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    tol = _flag_type(float, lambda tol: _checked_tol(tol) >= 0)  # _checked_tol raises outside its domain
+    grid, k, seed = _at_least("--grid", 2), _at_least("--k", 1), _at_least("--seed", 0)  # Philox takes seeds >= 0
+    psi_step = _flag_type(float, lambda step: 0 < step <= 1, "--psi-step must lie in (0, 1], got {}")
 
     check = sub.add_parser("check", help="extendability verdict for one state file")
     check.add_argument("state", help="path to a JSON state file")
     check.add_argument("--k", type=int, required=True, help="extension count")
     check.add_argument("--flavor", choices=(SYMMETRIC, BOSONIC), default=SYMMETRIC)
-    check.add_argument("--tol", type=float, default=HERM_TOL, help="state validation tolerance")
+    check.add_argument("--tol", type=tol, default=HERM_TOL, help="state validation tolerance")
     check.set_defaults(func=_cmd_check)
 
     cons = sub.add_parser("consistency", help="joint-consistency verdict for two or more marginals")
     cons.add_argument("states", nargs="+", help="paths to JSON state files sharing the A factor")
-    cons.add_argument("--tol", type=float, default=HERM_TOL)
+    cons.add_argument("--tol", type=tol, default=HERM_TOL)
     cons.set_defaults(func=_cmd_consistency)
 
     bell = sub.add_parser("bell-sweep", help="criteria over the Bell-diagonal simplex grid")
-    bell.add_argument("--grid", type=int, default=20, help="ticks per axis")
-    bell.add_argument("--k", type=int, default=2)
-    bell.add_argument("--criteria", default=",".join(BELL_CRITERIA))
+    bell.add_argument("--grid", type=grid, default=20, help="ticks per axis")
+    bell.add_argument("--k", type=k, default=2)
+    bell.add_argument("--criteria", type=_criteria, default=",".join(BELL_CRITERIA))
     bell.set_defaults(func=_cmd_bell_sweep)
 
     werner = sub.add_parser("werner-sweep", help="derived-state PPT flags along the Werner family")
-    werner.add_argument("--d", type=int, default=2)
-    werner.add_argument("--k", type=int, default=2)
-    werner.add_argument("--psi-step", type=float, default=0.01)
+    werner.add_argument("--d", type=_at_least("--d", 2), default=2)
+    werner.add_argument("--k", type=k, default=2)
+    werner.add_argument("--psi-step", type=psi_step, default=0.01)
     werner.add_argument("--with-oracle", action="store_true", help="append the feasibility oracle status")
     werner.set_defaults(func=_cmd_werner_sweep)
 
     volume = sub.add_parser("volume", help="Monte Carlo volume of a Bell-diagonal region")
     volume.add_argument("--which", choices=("polytope", "exact", "simplex"), required=True)
-    volume.add_argument("--samples", type=int, required=True)
-    volume.add_argument("--seed", type=int, required=True)
+    volume.add_argument("--samples", type=_at_least("--samples", 10_000), required=True)
+    volume.add_argument("--seed", type=seed, required=True)
     volume.set_defaults(func=_cmd_volume)
 
     csweep = sub.add_parser("consistency-sweep", help="pentagon/CKW/SSA flags over Werner pairs")
-    csweep.add_argument("--family", default="werner")
-    csweep.add_argument("--grid", type=int, default=100)
+    csweep.add_argument("--family", choices=("werner",), default="werner")
+    csweep.add_argument("--grid", type=grid, default=100)
     csweep.set_defaults(func=_cmd_consistency_sweep)
 
     definetti = sub.add_parser("definetti", help="distance-to-derived-state gap and bound per k")
-    definetti.add_argument("--d", type=int, default=2)
-    definetti.add_argument("--k-max", dest="k_max", type=int, default=10)
+    definetti.add_argument("--d", type=_at_least("--d", 1), default=2)
+    definetti.add_argument("--k-max", dest="k_max", type=_at_least("--k-max", 1), default=10)
     definetti.add_argument("--state", default=None, help="optional JSON state file")
-    definetti.add_argument("--seed", type=int, default=2026, help="seed for the random state when no file is given")
-    definetti.add_argument("--tol", type=float, default=HERM_TOL)
+    definetti.add_argument("--seed", type=seed, default=2026, help="seed for the random state when no file is given")
+    definetti.add_argument("--tol", type=tol, default=HERM_TOL)
     definetti.set_defaults(func=_cmd_definetti)
 
     for p in (bell, werner, csweep, definetti):

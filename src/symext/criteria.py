@@ -134,14 +134,11 @@ def generalized_hat(rho: DensityMatrix, k: int) -> DensityMatrix:
     """
     dims = rho.dims
     d_a, d_b, r = _check_extension_layout(dims)
-    k = _checked_int(k, "k", 1)
-    if k < r:
-        raise ValidationError(f"need k >= r, got k={k}, r={r}")
+    weights = generalized_coefficients(k, d_b, r)
     # I_A x V compresses onto A x Sym^r(B); it is real, so its adjoint is its transpose
     iso = np.kron(np.eye(d_a), _occupation_isometry(d_b, r))
     if r >= 2:
         _require_symmetric_support(rho.mat, iso, "B factors are")
-    weights = generalized_coefficients(k, d_b, r)
     d_r = math.comb(d_b + r - 1, r)
     m = iso.shape[1]
     comp = np.zeros((m, m), dtype=complex)

@@ -59,13 +59,16 @@ def _require_square(m: np.ndarray, what: str) -> np.ndarray:
     return m
 
 
-def _require_hermitian_stack(ms: np.ndarray, tol: float, what: str = "matrix") -> np.ndarray:
-    """Raise for the first matrix of the stack whose Hermiticity defect exceeds tol."""
-    defects = _hermiticity_defects(ms)
-    i = _first(defects > tol)
+def _hermitian_spectra(ms: np.ndarray, tol: float) -> np.ndarray:
+    """Ascending spectra of a stack; a non-finite entry or a Hermiticity defect above tol raises ValidationError."""
+    if not np.isfinite(ms).all():
+        raise ValidationError("matrix contains non-finite entries")
+    with np.errstate(over="ignore"):  # entries near the float limit overflow the defect to inf, which fails
+        defects = _hermiticity_defects(ms)
+    i = _first(~(defects <= tol))
     if i is not None:
-        raise ValidationError(f"{what} is not Hermitian: max |M - M^dag| entry {defects[i]:.1e}")
-    return ms
+        raise ValidationError(f"matrix is not Hermitian: max |M - M^dag| entry {defects[i]:.1e}")
+    return np.linalg.eigvalsh(hermitize(ms))
 
 
 def _checked_tol(tol: float) -> float:
@@ -279,8 +282,7 @@ def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
 
 def hermitian_eigs(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
     """Real spectrum of a Hermitian matrix, ascending."""
-    ms = _require_hermitian_stack(_require_square(m, "matrix")[None], tol)
-    return np.linalg.eigvalsh(hermitize(ms[0]))
+    return _hermitian_spectra(_require_square(m, "matrix")[None], tol)[0]
 
 
 def trace_norm(m: np.ndarray, tol: float = HERM_TOL) -> float:
@@ -289,9 +291,12 @@ def trace_norm(m: np.ndarray, tol: float = HERM_TOL) -> float:
 
 
 def _trace_norms(ms: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
-    """Trace norm of each Hermitian matrix of a stack."""
-    ms = _require_hermitian_stack(ms, tol)
-    return np.sum(np.abs(np.linalg.eigvalsh(hermitize(ms))), axis=-1)
+    """Trace norm of each Hermitian matrix of a stack; a norm beyond the float range raises ValidationError."""
+    with np.errstate(over="ignore"):
+        norms = np.sum(np.abs(_hermitian_spectra(ms, tol)), axis=-1)
+    if not np.isfinite(norms).all():
+        raise ValidationError("trace norm overflows the float range")
+    return norms
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -316,20 +321,20 @@ def _entropies(mats: np.ndarray) -> np.ndarray:
     return -np.sum(eigs * np.log2(np.where(eigs > ENTROPY_CLAMP, eigs, 1.0)), axis=-1)
 
 
-def _check_permutation(pi: Sequence[int], k: int) -> tuple[int, ...]:
-    pi = tuple(int(i) for i in pi)
-    if sorted(pi) != list(range(k)):
-        raise ValidationError(f"permutation {pi} is not a bijection on 0..{k - 1}")
-    return pi
+def _checked_power(d: int, k: int, what: str) -> int:
+    """d^k for k factors of dimension d, refused above DIM_GUARD; k is compared with log2(DIM_GUARD) first."""
+    if k > DIM_GUARD.bit_length() - 1 or d**k > DIM_GUARD:
+        raise ResourceLimitError(f"{what} on dimension {d}^{k} exceeds the guard {DIM_GUARD}")
+    return d**k
 
 
 def permutation_operator(d: int, k: int, pi: Sequence[int]) -> np.ndarray:
     """Unitary reordering tensor factors: the factor at position m moves to position pi[m]."""
     d, k = _checked_int(d, "local dimension", 1), _checked_int(k, "factor count", 1)
-    pi = _check_permutation(pi, k)
-    size = d**k
-    if size > DIM_GUARD:
-        raise ResourceLimitError(f"permutation operator on dimension {size} exceeds the guard {DIM_GUARD}")
+    size = _checked_power(d, k, "permutation operator")
+    pi = tuple(int(i) for i in pi)
+    if sorted(pi) != list(range(k)):
+        raise ValidationError(f"permutation {pi} is not a bijection on 0..{k - 1}")
     digits = np.array(list(np.ndindex((d,) * k)), dtype=np.intp)
     out_digits = np.empty_like(digits)
     for m in range(k):
@@ -358,13 +363,12 @@ def _occupation_isometry(d: int, k: int) -> np.ndarray:
     Column j is the normalized sum of the words that sort to the j-th sorted
     word; V V^dag is the symmetric projector (1/k!) sum of all W_pi.
     """
-    if d**k > DIM_GUARD:
-        raise ResourceLimitError(f"symmetric subspace on dimension {d**k} exceeds the guard {DIM_GUARD}")
+    size = _checked_power(d, k, "symmetric subspace")
     groups: dict[tuple[int, ...], list[int]] = {}
     for idx, word in enumerate(np.ndindex((d,) * k)):
         groups.setdefault(tuple(sorted(word)), []).append(idx)
     keys = sorted(groups)
-    iso = np.zeros((d**k, len(keys)))
+    iso = np.zeros((size, len(keys)))
     for col, key in enumerate(keys):
         rows = groups[key]
         iso[rows, col] = 1.0 / math.sqrt(len(rows))

@@ -46,6 +46,7 @@ from .linalg import (
     DensityMatrix,
     _check_extension_layout,
     _checked_int,
+    _checked_power,
     _occupation_isometry,
     _ptrace_mat,
     hermitize,
@@ -227,13 +228,12 @@ def _weyl_isometry(d: int, shape: tuple[int, ...]) -> np.ndarray:
     k = sum(shape)
     if len(shape) == 1:
         return _occupation_isometry(d, k)
-    if d**k > DIM_GUARD:
-        raise ResourceLimitError(f"isotypic basis on dimension {d**k} exceeds the guard {DIM_GUARD}")
+    size = _checked_power(d, k, "isotypic basis")
     contents = [c - r for r, row in enumerate(shape) for c in range(row)]
-    basis = np.eye(d**k)
+    basis = np.eye(size)
     for j in range(1, k):
         t = basis.reshape((d,) * k + (-1,))
-        jm = sum(np.swapaxes(t, i, j) for i in range(j)).reshape(d**k, -1)
+        jm = sum(np.swapaxes(t, i, j) for i in range(j)).reshape(size, -1)
         w, u = np.linalg.eigh(basis.T @ jm)
         basis = basis @ u[:, np.abs(w - contents[j]) < 0.5]  # the eigenvalues are integers
     basis.setflags(write=False)

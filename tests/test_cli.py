@@ -1,5 +1,6 @@
 """Command-line interface: formats, determinism, and the exit-code contract."""
 
+import argparse
 import functools
 import hashlib
 import io
@@ -218,6 +219,60 @@ def test_sweep_rejects_bad_k_and_d_before_output(capsys, argv):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_numeric_flags_declare_their_domains():
+    # every int and float flag is parsed by a type that checks its domain; check --k is the
+    # one exception, since ExtensionProblem checks the extension count
+    (sub,) = [action for action in cli.build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    plain = [
+        (command, action.option_strings[0])
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+        if action.type in (int, float)
+    ]
+    assert plain == [("check", "--k")]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bell-sweep", "--grid", "1"], "--grid must be at least 2, got 1"),
+        (["bell-sweep", "--k", "0"], "--k must be at least 1, got 0"),
+        (["bell-sweep", "--k", "2.5"], "argument --k: invalid int value: '2.5'"),
+        (["bell-sweep", "--grid", "300", "--criteria", "bogus"], "unknown criterion 'bogus'; choose from"),
+        (["werner-sweep", "--d", "1"], "--d must be at least 2, got 1"),
+        (["werner-sweep", "--k", "-1"], "--k must be at least 1, got -1"),
+        (["werner-sweep", "--psi-step", "0"], "--psi-step must lie in (0, 1], got 0.0"),
+        (["werner-sweep", "--psi-step", "1.5"], "--psi-step must lie in (0, 1], got 1.5"),
+        (["werner-sweep", "--psi-step", "nan"], "--psi-step must lie in (0, 1], got nan"),
+        (["werner-sweep", "--psi-step", "abc"], "argument --psi-step: invalid float value: 'abc'"),
+        (["volume", "--which", "exact", "--samples", "9999", "--seed", "1"], "--samples must be at least 10000"),
+        (["volume", "--which", "exact", "--samples", "10000", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        (["consistency-sweep", "--grid", "1"], "--grid must be at least 2, got 1"),
+        (["consistency-sweep", "--family", "bogus"], "argument --family: invalid choice: 'bogus'"),
+        (["definetti", "--k-max", "0"], "--k-max must be at least 1, got 0"),
+        (["definetti", "--d", "0"], "--d must be at least 1, got 0"),
+        # --d is checked also when --state makes it unused, as --seed and --tol are
+        (["definetti", "--d", "0", "--state", "STATE"], "--d must be at least 1, got 0"),
+        # a domain error wins over the row guard
+        (["definetti", "--k-max", "3000000", "--d", "0"], "--d must be at least 1, got 0"),
+        (["definetti", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        (["definetti", "--tol", "inf"], "tolerance must be finite and >= 0, got inf"),
+        (["check", "STATE", "--k", "2", "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
+        (["consistency", "STATE", "STATE", "--tol=-1"], "tolerance must be finite and >= 0, got -1.0"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+)
+def test_flag_domains_are_checked_while_parsing(capsys, bell_file, argv, message):
+    argv = [bell_file if arg == "STATE" else arg for arg in argv]
+    with pytest.raises(cli.CliInputError) as err:
+        cli.build_parser().parse_args(argv)
+    assert str(err.value).startswith(message)
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: " + message)
 
 
 @pytest.mark.parametrize("case", SWEEP_DIGESTS, ids=lambda case: " ".join(case["argv"]))

@@ -1,9 +1,14 @@
 """Core tensor-space linear algebra."""
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,6 +298,64 @@ def test_trace_norm():
     assert trace_norm(rho.mat - rho.mat) == 0.0
     bell = bell_state([1, 0, 0, 0])
     assert abs(trace_norm(bell.mat - np.eye(4) / 4) - 1.5) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "m",
+    [np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0]), np.array([[0.0, 1e308], [-1e308, 0.0]])],
+    ids=["nan", "inf", "defect-overflow"],
+)
+def test_trace_norm_and_eigs_refuse_non_finite_entries_and_defects(m):
+    # NaN passed the defect test once, and read as zero in the spectrum
+    for f in (trace_norm, hermitian_eigs):
+        message = _refused_quietly(ValidationError, lambda: f(m))
+        assert message == "matrix contains non-finite entries" or message.startswith("matrix is not Hermitian")
+
+
+def test_trace_norm_refuses_a_sum_beyond_the_float_range():
+    m = np.diag([1e308, 1e308])
+    assert _refused_quietly(ValidationError, lambda: trace_norm(m)) == "trace norm overflows the float range"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hermitian_eigs(m).tolist() == [1e308, 1e308]
+
+
+# Runs one call in a child process capped at 1 GB of address space, so that a guard that
+# forms d**k, range(k) or k numpy axes first fails here instead of exhausting the machine.
+_GUARD_PROBE = """
+import json, resource, sys, time, warnings
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+warnings.simplefilter("error")
+import symext
+name, args = json.loads(sys.argv[1])
+start = time.perf_counter()
+try:
+    getattr(symext, name)(*args)
+except symext.ResourceLimitError as err:
+    print(json.dumps([time.perf_counter() - start, str(err)]))
+"""
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("symmetric_projector", [2, 10**6]),
+        ("symmetric_projector", [2, 10**9]),
+        ("symmetric_projector", [1, 10**8]),
+        ("permutation_operator", [2, 10**8, [0]]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else ",".join(map(str, v)),
+)
+def test_factor_count_guard_refuses_before_any_power_or_range(name, args):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    probe = [sys.executable, "-c", _GUARD_PROBE, json.dumps([name, args])]
+    proc = subprocess.run(probe, capture_output=True, text=True, timeout=30, env=env)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    elapsed, message = json.loads(proc.stdout)
+    assert elapsed < 0.1
+    assert message.endswith(f"on dimension {args[0]}^{args[1]} exceeds the guard 4096")
 
 
 def test_von_neumann_entropy():

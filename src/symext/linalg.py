@@ -403,6 +403,7 @@ def twirl_channel(rho_sym: DensityMatrix, d: int) -> np.ndarray:
     inputs supported on the symmetric subspace this equals the normalization
     of tr(rho) I + k rho_B, where rho_B is the single-factor marginal.
     """
+    d = _checked_int(d, "local dimension", 1)
     dims = rho_sym.dims
     k = len(dims)
     if any(dim != d for dim in dims):

@@ -42,7 +42,6 @@ import numpy as np
 from .criteria import BOSONIC, SYMMETRIC, ExtensionProblem
 from .errors import LayoutError, ResourceLimitError
 from .linalg import (
-    DIM_GUARD,
     DensityMatrix,
     _check_extension_layout,
     _checked_int,
@@ -248,11 +247,6 @@ def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a @ pairs).view(complex).reshape((a.shape[0],) + v.shape[1:])
 
 
-def _rmatvec(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """a^dag @ w for a vector w, without copying a."""
-    return _matvec(a.T, w.conj()).conj()
-
-
 @dataclass(frozen=True)
 class _Blocks:
     """Weighted blocks of one extension layout and their marginal map.
@@ -314,16 +308,12 @@ class _Blocks:
         return _matvec(self.amap, flat)
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
-        """amap^dag w: the blocks of the lift (1/k) sum_i W_{AB_i} (x) I of W = expand(w)."""
-        return _rmatvec(self.amap, w)
+        """amap^dag w: the blocks of the lift (1/k) sum_i W_{AB_i} (x) I of W = expand(w); amap is not copied."""
+        return _matvec(self.amap.T, w.conj()).conj()
 
     def correction(self, deficit: np.ndarray) -> np.ndarray:
         """Least-norm flat iterate whose marginal is deficit, when one exists: amap^+ deficit."""
         return self.adjoint(_matvec(self.gpinv, deficit))
-
-    def project_affine(self, flat: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto the flat iterates whose marginal is target."""
-        return flat - self.correction(self.marginal(flat) - target)
 
     def placed_marginal(self, flat: np.ndarray) -> np.ndarray:
         """The AB marginal of X, contracted from the isometries instead of through amap.
@@ -454,26 +444,19 @@ def _face_blocks(blocks: _Blocks, kernel: np.ndarray, frame: np.ndarray) -> _Blo
 # --- verdicts and certificates ---------------------------------------------------
 
 
-def _shifted_witness(op: np.ndarray, low: float) -> np.ndarray:
-    """W' = W + t I for the operator W = op on AB whose lift has smallest eigenvalue low on the blocks.
+def _checked_witness(op: np.ndarray, low: float, rho: DensityMatrix) -> tuple[np.ndarray, float, bool]:
+    """(W', Tr(W' rho), test) for W' = W + t I, the operator W = op on AB shifted by t = max(0, -low).
 
-    amap^dag maps I to sqrt(m_b) I on block b (on a face, I and F F^dag have the same lift), so the
-    lift of W' is PSD for t = max(0, -low).  Any extension X then has Tr(W' rho) = <amap^dag W', X>
-    >= 0, so Tr(W' rho) < 0 proves there is none.
+    low is the smallest eigenvalue of the lift of W on the blocks.  amap^dag maps I to sqrt(m_b) I on
+    block b (on a face, I and F F^dag have the same lift), so the lift of W' is PSD, any extension X has
+    Tr(W' rho) = <amap^dag W', X> >= 0, and Tr(W' rho) < 0 proves there is none.  The test asks for
+    Tr(W' rho) < 0 and Tr(W' rho) <= -TOL_GAP ||W'||_2: as |Tr(W' (sigma - rho))| <= ||W'||_2
+    ||sigma - rho||_1, a witness that passes also proves that no sigma within trace norm TOL_GAP of rho
+    extends.  On a boundary marginal, whose trace can be negative only by rounding, it fails.
     """
-    return hermitize(op) + max(0.0, -low) * np.eye(len(op))
-
-
-def _dual_test(witness: np.ndarray, rho: DensityMatrix) -> tuple[float, bool]:
-    """Tr(W' rho) and the certificate test: Tr(W' rho) < 0 and Tr(W' rho) <= -TOL_GAP ||W'||_2.
-
-    |Tr(W' (sigma - rho))| <= ||W'||_2 ||sigma - rho||_1, so a witness that
-    passes also proves that no sigma within trace norm TOL_GAP of rho
-    extends.  On a boundary marginal, whose trace can be negative only by
-    rounding, it fails.
-    """
+    witness = hermitize(op) + max(0.0, -low) * np.eye(len(op))
     trace = float(np.vdot(witness, rho.mat).real)
-    return trace, trace < 0 and trace <= -TOL_GAP * float(np.linalg.norm(witness, 2))
+    return witness, trace, trace < 0 and trace <= -TOL_GAP * float(np.linalg.norm(witness, 2))
 
 
 def _verdict(blocks: _Blocks, rho: DensityMatrix, status: str, stop: str, y: np.ndarray, x: np.ndarray,
@@ -562,23 +545,38 @@ def _newton_hessian(blocks: _Blocks, parts) -> np.ndarray:
 
 
 def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleResult:
-    """The verdict of at most max_iters Newton steps.
+    """The verdict of at most max_iters Newton steps, the only path from blocks to a verdict.
 
-    Step j tests the dual point w: Feasible when X = P+(amap^dag w) lies
-    within TOL_FEASIBLE of its affine projection, Infeasible when -w, shifted,
-    passes the certificate test; otherwise, before the last step, it moves w
-    by a Newton step damped by an Armijo line search.  w starts at gpinv rho,
-    where amap^dag w = amap^+ rho; on a face w and rho are r x r, read in the
-    frame, and the witness is lifted back to AB.  The run ends Undecided when
-    the steps run out or the line search finds no descent (``max-iters``) and
-    when an eigensolve fails (``linalg-error``), reporting the last point it
-    tested.
+    On a face the run first tests the reach of amap: when amap amap^+ rho
+    misses rho by TOL_GAP or more, the residual is the witness and the run
+    ends Infeasible before any step (``face-reach``).  Step j tests the dual
+    point w: Feasible when X = P+(amap^dag w) lies within TOL_FEASIBLE of its
+    affine projection, Infeasible when -w, shifted, passes the certificate
+    test; otherwise, before the last step, it moves w by a Newton step
+    damped by an Armijo line search.  w starts at gpinv rho, where amap^dag w
+    = amap^+ rho; on a face w and rho are r x r, read in the frame, and the
+    witness is lifted back to AB.  The run ends Undecided when the steps run
+    out or the line search finds no descent (``max-iters``) and when an
+    eigensolve fails, in the reach test too (``linalg-error``), reporting the
+    last point it tested.
     """
-    target = blocks.compress(_solve_matrix(rho))
+    mat = _solve_matrix(rho)
+    target = blocks.compress(mat)
     w = _matvec(blocks.gpinv, target)
     gaps: list[float] = []
     status, stop, dual = UNDECIDED, STOP_MAX_ITERS, None
     try:
+        if blocks.frame is not None:  # off a face amap is onto: every marginal is reached
+            x = blocks.adjoint(w)  # amap^+ rho
+            # read on all of AB, so that the marginal's part below KERNEL_TOL on its kernel counts
+            residual = mat - blocks.expand(blocks.marginal(x))
+            deficit = float(np.linalg.norm(residual))
+            if deficit >= TOL_GAP:
+                # the residual is orthogonal to the range of amap, so W = -residual
+                # has amap^dag W = 0 and Tr(W rho) = -deficit^2
+                low = blocks.min_eig(blocks.adjoint(blocks.compress(-residual)))
+                return _verdict(blocks, rho, INFEASIBLE, STOP_FACE_REACH, x, x, deficit,
+                                _checked_witness(-residual, low, rho), iterations=0)
         parts, y, theta = _dual_point(blocks, w, target)
         for step in range(1, max_iters + 1):
             c = blocks.correction(blocks.marginal(y) - target)  # y minus its affine projection
@@ -590,10 +588,9 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleRe
                 break
             # the lift of -w has the negated spectra of the blocks of amap^dag w
             low = min((-lam[-1] / math.sqrt(m) for m, (lam, _) in zip(blocks.weights, parts)), default=math.inf)
-            witness = _shifted_witness(blocks.expand(-w), low)
-            trace, certified = _dual_test(witness, rho)
-            if certified:
-                status, stop, dual = INFEASIBLE, STOP_DUAL_CERTIFICATE, (witness, trace, certified)
+            candidate = _checked_witness(blocks.expand(-w), low, rho)
+            if candidate[2]:
+                status, stop, dual = INFEASIBLE, STOP_DUAL_CERTIFICATE, candidate
                 break
             if step == max_iters:
                 break
@@ -641,9 +638,7 @@ def _check_reach(d_a: int, d_b: int, k: int, flavor: str) -> None:
     side = d_a * (d_b**k if flavor == SYMMETRIC else math.comb(d_b + k - 1, k))
     if side > DIM_LIMIT:
         raise ResourceLimitError(f"extension space side {side} exceeds the limit {DIM_LIMIT}")
-    # the side bounds k by DIM_LIMIT, so the power is small
-    if d_b**k > DIM_GUARD:
-        raise ResourceLimitError(f"block isometries on B^(x)k of dimension {d_b}^{k} exceed the guard {DIM_GUARD}")
+    _checked_power(d_b, k, "block isometries on B^(x)k")
 
 
 def oracle_feasibility(problem: ExtensionProblem, cfg: OracleConfig | None = None) -> OracleResult:
@@ -670,17 +665,4 @@ def oracle_feasibility(problem: ExtensionProblem, cfg: OracleConfig | None = Non
     face = _state_kernel(rho)
     if face is not None:
         blocks = _face_blocks(blocks, *face)
-        mat = _solve_matrix(rho)
-        x = blocks.correction(blocks.compress(mat))
-        # read on all of AB, so that the marginal's part below KERNEL_TOL on its kernel counts
-        residual = mat - blocks.expand(blocks.marginal(x))
-        deficit = float(np.linalg.norm(residual))
-        if deficit >= TOL_GAP:
-            # no candidate on the forced support face matches the marginal:
-            # the residual is orthogonal to the range of amap, so W = -residual
-            # has amap^dag W = 0 and Tr(W rho) = -deficit^2
-            witness = _shifted_witness(-residual, blocks.min_eig(blocks.adjoint(blocks.compress(-residual))))
-            dual = (witness, *_dual_test(witness, rho))
-            return _verdict(blocks, rho, INFEASIBLE, STOP_FACE_REACH, x, x, deficit, dual, iterations=0)
-
     return _run_newton(blocks, rho, max_iters)

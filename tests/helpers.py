@@ -109,6 +109,11 @@ def lift_blocks(blocks, flat):
     return out
 
 
+def project_affine(blocks, flat, target):
+    """Orthogonal projection of a flat block iterate onto those whose marginal is target."""
+    return flat - blocks.correction(blocks.marginal(flat) - target)
+
+
 def lifted_placements(blocks, placed):
     """A block's stored placements with their A B_i rows lifted back to AB: F p on a face of frame F, p off one."""
     return placed if blocks.frame is None else np.einsum("ar,irts->iats", blocks.frame, placed)

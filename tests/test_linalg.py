@@ -481,3 +481,12 @@ def test_twirl_rejects_unsupported_state():
         twirl_channel(maximally_mixed([2, 3]), 2)
     with pytest.raises(ResourceLimitError):
         twirl_channel(maximally_mixed([17, 17]), 17)
+
+
+def test_twirl_refuses_a_dimension_that_is_not_an_integer():
+    # 2.0 == 2 and True == 1 would pass the layout comparison
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rho, d in ((maximally_mixed([2, 2]), 2.0), (maximally_mixed([1, 1]), True)):
+            with pytest.raises(ValidationError, match="local dimension must be an integer"):
+                twirl_channel(rho, d)

@@ -20,6 +20,7 @@ from helpers import (
     lift_blocks,
     lifted_placements,
     placed_amap,
+    project_affine,
     random_separable,
     rebuilt_placements,
 )
@@ -179,6 +180,45 @@ def test_oracle_undecided_when_psd_projection_fails(monkeypatch):
     assert (res.status, res.stop_reason, res.iterations, res.gap_trace) == (UNDECIDED, "linalg-error", 1, ((1, res.residual),))
 
 
+def test_oracle_undecided_when_the_face_reach_eigensolve_fails(monkeypatch):
+    # the reach test is the first act of the Newton run, inside its
+    # linalg-error handling: a failed eigensolve of the witness shift ends
+    # Undecided at the start's lift instead of escaping as a raw error
+    problem = ExtensionProblem(bell_state((0.8, 0.2, 0, 0)), 2, SYMMETRIC)
+    assert oracle_feasibility(problem).stop_reason == "face-reach"
+
+    def failing_eigvalsh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+    res = oracle_feasibility(problem)
+    assert (res.status, res.stop_reason, res.iterations, res.gap_trace) == (UNDECIDED, "linalg-error", 0, ())
+    assert res.residual == math.inf and res.dual_witness is None and "certified" not in res.certificate
+    assert math.isnan(res.certificate["min_eig"])
+    # the start's lift amap^+ rho, whose marginal misses rho by the face-reach deficit
+    blocks = _solve_blocks(problem)
+    start = blocks.correction(blocks.compress(_solve_matrix(problem.marginal)))
+    missed = float(np.linalg.norm(blocks.placed_marginal(start) - problem.marginal.mat))
+    assert missed >= OracleConfig.tol_gap
+    assert abs(res.certificate["marginal_residual"] - missed) < 1e-12
+
+
+def test_amap_is_onto_off_a_face():
+    # the reach test runs only on a face: the full-rank blocks of every
+    # layout GOLDEN and the benchmark solve reproduce any marginal
+    rng = np.random.default_rng(73)
+    layouts = [(2, k, SYMMETRIC) for k in range(2, 6)] + [(3, k, SYMMETRIC) for k in (2, 3)]
+    layouts += [(2, k, BOSONIC) for k in range(2, 9)] + [(3, k, BOSONIC) for k in range(2, 5)]
+    for d, k, flavor in layouts:
+        blocks = _extension_blocks(d, d, k, flavor)
+        assert blocks.frame is None
+        for _ in range(3):
+            rho = random_density((d, d), rng)
+            assert rho.mat.imag.any() and _state_kernel(rho) is None
+            reached = blocks.expand(blocks.marginal(blocks.correction(blocks.compress(rho.mat))))
+            assert np.linalg.norm(rho.mat - reached) < 1e-12, (d, k, flavor)
+
+
 def test_projections_nonexpansive():
     rng = np.random.default_rng(52)
     dims = (2, 2, 2)
@@ -260,7 +300,7 @@ def test_bosonic_affine_projection():
     target = random_density((d_a, d_b), rng)
     side = blocks.sides[0]
     y = _random_hermitian(side, rng).ravel()
-    project = lambda v: blocks.project_affine(v, target.mat.ravel())
+    project = lambda v: project_affine(blocks, v, target.mat.ravel())
     py = project(y)
     # marginal satisfied through the lift
     assert np.max(np.abs(_ptrace_mat(lift_blocks(blocks, py), dims_full, [0, 1]) - target.mat)) < 1e-10
@@ -398,7 +438,7 @@ def _compress(x, blocks):
 
 def _block_affine(blocks, x, target):
     v = _compress(x, blocks)
-    return lift_blocks(blocks, blocks.project_affine(v, blocks.compress(target.mat)))
+    return lift_blocks(blocks, project_affine(blocks, v, blocks.compress(target.mat)))
 
 
 def test_structured_projector_matches_closed_form_for_full_rank():
@@ -682,9 +722,9 @@ def test_check_reach_refuses_wide_spaces_in_bounded_time():
             _check_reach(d_a, d_b, k, flavor)
     # the bosonic side stays small, but the block isometries have d_B^k rows
     for d_a, d_b, k in [(2, 2, 13), (1, 3, 8), (2, 4, 7)]:
-        with pytest.raises(ResourceLimitError, match=rf"dimension {d_b}\^{k} exceed the guard 4096"):
+        with pytest.raises(ResourceLimitError, match=rf"dimension {d_b}\^{k} exceeds the guard 4096"):
             _check_reach(d_a, d_b, k, BOSONIC)
-    with pytest.raises(ResourceLimitError, match=r"dimension 2\^13 exceed the guard 4096"):
+    with pytest.raises(ResourceLimitError, match=r"dimension 2\^13 exceeds the guard 4096"):
         oracle_feasibility(ExtensionProblem(maximally_mixed([2, 2]), 13, BOSONIC))
     # a huge k is refused without forming d_B^k
     for flavor, message in [(SYMMETRIC, r"side 2\*3\^1000000000 exceeds"), (BOSONIC, "exceeds the limit 256")]:
@@ -1049,13 +1089,13 @@ def test_certificate_test_runs_once_per_witness(monkeypatch):
     # W', so each witness is tested once: at every step Newton does not stop
     # Feasible, and once for the face-reach witness
     calls = []
-    real_test = oracle_mod._dual_test
+    real_test = oracle_mod._checked_witness
 
-    def counting(witness, rho):
+    def counting(op, low, rho):
         calls.append(None)
-        return real_test(witness, rho)
+        return real_test(op, low, rho)
 
-    monkeypatch.setattr(oracle_mod, "_dual_test", counting)
+    monkeypatch.setattr(oracle_mod, "_checked_witness", counting)
     cases = [
         (ExtensionProblem(werner_state(2, -0.5), 3, SYMMETRIC), INFEASIBLE, 1),
         (ExtensionProblem(bell_state([0.8, 0.2, 0, 0]), 2, SYMMETRIC), INFEASIBLE, 1),

@@ -91,7 +91,12 @@ def _checked_int(value, what: str, least: int) -> int:
 
 
 def _validate_stack(mats: np.ndarray, tol: float) -> np.ndarray:
-    """Run DensityMatrix's checks on every matrix of an (N, n, n) stack; return their Hermitian parts.
+    """The Hermitian parts of an (N, n, n) stack that passes DensityMatrix's checks; see _validated_spectra."""
+    return _validated_spectra(mats, tol)[0]
+
+
+def _validated_spectra(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Run DensityMatrix's checks on every matrix of a stack; return their Hermitian parts and smallest eigenvalues.
 
     The checks, in DensityMatrix's order: finite entries, Hermiticity defect
     <= tol, |trace - 1| <= tol, smallest eigenvalue >= -10 tol.  On failure
@@ -119,7 +124,7 @@ def _validate_stack(mats: np.ndarray, tol: float) -> np.ndarray:
         raise ValidationError(f"minimal eigenvalue {lo[i]:.3e} is below the PSD tolerance -{10 * tol:.0e}")
     if stop is not None:
         raise ValidationError("state matrix contains non-finite entries")
-    return herm
+    return herm, lo
 
 
 class DensityMatrix:
@@ -146,7 +151,7 @@ class DensityMatrix:
             raise LayoutError(f"factor dimensions must be >= 1, got {dims}")
         if math.prod(dims) != side:
             raise LayoutError(f"layout {dims} implies side {math.prod(dims)}, matrix side is {side}")
-        self._mat = _validate_stack(mat[None], tol)[0]
+        (self._mat,), (self._min_eig,) = _validated_spectra(mat[None], tol)  # the oracle reads full rank off _min_eig
         self._mat.setflags(write=False)
         self._dims = dims
         self._tol = float(tol)

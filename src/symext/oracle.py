@@ -278,15 +278,9 @@ class _Blocks:
     amap: np.ndarray
     gpinv: np.ndarray
     frame: np.ndarray | None
-
-    @property
-    def sides(self) -> tuple[int, ...]:
-        return tuple(p.shape[-1] for p in self.placed)
-
-    @property
-    def rank(self) -> int:
-        """Side r of the duals: the rank of the marginal on a face, n_AB otherwise."""
-        return self.dims[0] * self.dims[1] if self.frame is None else self.frame.shape[1]
+    rank: int  # side r of the duals: the rank of the marginal on a face, n_AB otherwise
+    sides: tuple[int, ...]
+    offsets: tuple[int, ...]  # where each block's run starts in the flat iterate, then its length
 
     def compress(self, op: np.ndarray) -> np.ndarray:
         """The flattened F^dag op F of an operator on AB; op itself, flattened, off a face."""
@@ -298,11 +292,8 @@ class _Blocks:
         return w if self.frame is None else self.frame @ w @ self.frame.conj().T
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
-        out, off = [], 0
-        for s in self.sides:
-            out.append(flat[off : off + s * s].reshape(s, s))
-            off += s * s
-        return out
+        runs = zip(self.offsets, self.offsets[1:], self.sides)
+        return [flat[..., a:b].reshape(flat.shape[:-1] + (s, s)) for a, b, s in runs]
 
     def marginal(self, flat: np.ndarray) -> np.ndarray:
         return _matvec(self.amap, flat)
@@ -331,37 +322,41 @@ class _Blocks:
             out += math.sqrt(m) / len(p) * (vn @ v.conj().T)
         return self.expand(out)
 
-    def min_eig(self, flat: np.ndarray) -> float:
-        """Smallest eigenvalue of X on the span of the blocks; X vanishes outside it.
+    def min_eig(self, *flats: np.ndarray) -> np.ndarray:
+        """Smallest eigenvalue of each X on the span of the blocks, one eigensolve per block for all of them.
 
-        On that span X is the direct sum of I_{m_b} (x) M_b, with M_b = N_b / sqrt(m_b).
+        X vanishes off that span; on it X is the direct sum of I_{m_b} (x) M_b, with M_b = N_b / sqrt(m_b).
         The span of no blocks is empty, and the minimum over it infinite.
         """
-        blocks = zip(self.weights, self.split(flat))
-        return min((float(np.linalg.eigvalsh(hermitize(blk))[0]) / math.sqrt(m) for m, blk in blocks), default=math.inf)
+        lows = np.full(len(flats), math.inf)
+        for m, blk in zip(self.weights, self.split(np.array(flats))):
+            np.minimum(lows, np.linalg.eigvalsh(hermitize(blk))[:, 0] / math.sqrt(m), out=lows)
+        return lows
 
 
 def _make_blocks(dims, placed, weights, frame=None) -> _Blocks:
     # the placements have r rows per B factor: n_AB, or the frame's rank on a face
     r = dims[0] * dims[1] if frame is None else frame.shape[1]
+    sides = tuple(p.shape[-1] for p in placed)
+    offsets = tuple(np.cumsum([0, *(s * s for s in sides)]).tolist())
     # amap^T, so that each block's columns of amap are one contiguous run
-    amap_t = np.empty((sum(p.shape[-1] ** 2 for p in placed), r * r), dtype=np.result_type(float, *placed))
-    off = 0
-    for p, m in zip(placed, weights):
-        s = p.shape[-1]
+    amap_t = np.empty((offsets[-1], r * r), dtype=np.result_type(float, *placed))
+    for p, m, s, off in zip(placed, weights, sides, offsets):
         # sum over the placements of the trace over the B factors other than B_i of V N V^dag
         u = p.transpose(1, 3, 0, 2).reshape(r * s, -1)
         uu = (u @ u.conj().T).reshape(r, s, r, s)
         run = amap_t[off : off + s * s]
         run.reshape(s, s, r, r)[...] = uu.transpose(1, 3, 0, 2)
         run *= math.sqrt(m) / len(p)
-        off += s * s
     amap = amap_t.T
-    # the pseudoinverse is taken through the r^2 x r^2 Gram matrix
-    gpinv = np.linalg.pinv(amap @ amap.conj().T, rcond=RANK_RTOL, hermitian=True)
+    # the pseudoinverse is taken through the r^2 x r^2 Gram matrix; it is PSD, so the eigenvalues
+    # above RANK_RTOL times the largest are the singular values pinv would keep
+    lam, vecs = np.linalg.eigh(amap @ amap.conj().T)
+    keep = lam > RANK_RTOL * lam[-1]
+    gpinv = (vecs[:, keep] / lam[keep]) @ vecs[:, keep].conj().T
     for arr in (*placed, amap, gpinv) + (() if frame is None else (frame,)):
         arr.setflags(write=False)
-    return _Blocks(tuple(dims), tuple(placed), tuple(weights), amap, gpinv, frame)
+    return _Blocks(tuple(dims), tuple(placed), tuple(weights), amap, gpinv, frame, r, sides, offsets)
 
 
 @lru_cache(maxsize=None)
@@ -412,6 +407,8 @@ def _solve_matrix(rho: DensityMatrix) -> np.ndarray:
 
 def _state_kernel(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray] | None:
     """Kernel and range bases of the marginal as columns, from one eigensolve, or None when full rank."""
+    if rho._min_eig > 2 * KERNEL_TOL:  # validation's smallest eigenvalue, clear of the cut by more than rounding
+        return None
     eigs, vecs = np.linalg.eigh(_solve_matrix(rho))
     null = eigs <= KERNEL_TOL
     return (vecs[:, null], vecs[:, ~null]) if null.any() else None
@@ -456,7 +453,7 @@ def _checked_witness(op: np.ndarray, low: float, rho: DensityMatrix) -> tuple[np
     """
     witness = hermitize(op) + max(0.0, -low) * np.eye(len(op))
     trace = float(np.vdot(witness, rho.mat).real)
-    return witness, trace, trace < 0 and trace <= -TOL_GAP * float(np.linalg.norm(witness, 2))
+    return witness, trace, trace < 0 and trace <= -TOL_GAP * float(np.linalg.svd(witness, compute_uv=False)[0])
 
 
 def _verdict(blocks: _Blocks, rho: DensityMatrix, status: str, stop: str, y: np.ndarray, x: np.ndarray,
@@ -465,22 +462,20 @@ def _verdict(blocks: _Blocks, rho: DensityMatrix, status: str, stop: str, y: np.
 
     An Infeasible result comes with dual = (W', Tr(W' rho), certificate test),
     as the run computed them, and also reports the smallest eigenvalue of the
-    lift of W', read from W' itself.
+    lift of W', read from W' itself in the eigensolves that read min_eig of x.
     """
+    lifts = () if dual is None else (blocks.adjoint(blocks.compress(dual[0])),)
     # checked on the placed isometries and the blocks, independently of amap
+    lows = [math.nan] if stop == STOP_LINALG_ERROR else blocks.min_eig(x, *lifts)
     certificate = {
         "marginal_residual": float(np.linalg.norm(blocks.placed_marginal(y) - rho.mat)),
-        "min_eig": float("nan") if stop == STOP_LINALG_ERROR else blocks.min_eig(x),
+        "min_eig": float(lows[0]),
     }
     witness = None
     if dual is not None:
         witness, trace, certified = dual
         witness.setflags(write=False)
-        certificate.update(
-            dual_trace=trace,
-            dual_min_eig=blocks.min_eig(blocks.adjoint(blocks.compress(witness))),
-            certified=certified,
-        )
+        certificate.update(dual_trace=trace, dual_min_eig=float(lows[1]), certified=certified)
     return OracleResult(
         status=status,
         residual=gap,
@@ -531,11 +526,9 @@ def _newton_hessian(blocks: _Blocks, parts) -> np.ndarray:
     """
     m = blocks.amap.shape[0]
     hess = np.zeros((m, m), dtype=np.result_type(blocks.amap, *(v for _, v in parts)))
-    off = 0
-    for (lam, v), s in zip(parts, blocks.sides):
+    for (lam, v), s, off in zip(parts, blocks.sides, blocks.offsets):
         # amap's block-b columns, stored as rows of amap^T: A_j[p, q] at [p, (q, j)]
         run = blocks.amap[:, off : off + s * s].T.reshape(s, s * m)
-        off += s * s
         # conj(C_b): V^T A_j conj(V), from (V^T A_j)[a, q] stored at [q, (j, a)]
         conj_c = (_matvec(run.T, v).reshape(s, m * s).T @ v.conj()).reshape(m, s * s)
         # conj() of a real array is the array itself: scaling it in place would scale conj_c too
@@ -557,8 +550,8 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleRe
     = amap^+ rho; on a face w and rho are r x r, read in the frame, and the
     witness is lifted back to AB.  The run ends Undecided when the steps run
     out or the line search finds no descent (``max-iters``) and when an
-    eigensolve fails, in the reach test too (``linalg-error``), reporting the
-    last point it tested.
+    eigensolve fails, in the reach test or the certificate's readbacks too
+    (``linalg-error``), reporting the last point it tested.
     """
     mat = _solve_matrix(rho)
     target = blocks.compress(mat)
@@ -574,7 +567,7 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleRe
             if deficit >= TOL_GAP:
                 # the residual is orthogonal to the range of amap, so W = -residual
                 # has amap^dag W = 0 and Tr(W rho) = -deficit^2
-                low = blocks.min_eig(blocks.adjoint(blocks.compress(-residual)))
+                low = blocks.min_eig(blocks.adjoint(blocks.compress(-residual)))[0]
                 return _verdict(blocks, rho, INFEASIBLE, STOP_FACE_REACH, x, x, deficit,
                                 _checked_witness(-residual, low, rho), iterations=0)
         parts, y, theta = _dual_point(blocks, w, target)
@@ -611,13 +604,14 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleRe
                 break  # no descent along d
             w = w + alpha * d
             parts, y, theta = trial
+        return _verdict(blocks, rho, status, stop, y, x, gap, dual,
+                        iterations=len(gaps), gap_trace=tuple(enumerate(gaps, 1)))
     except np.linalg.LinAlgError:
-        stop = STOP_LINALG_ERROR
         if not gaps:  # no point tested: report the start's lift at an unknown gap
             x = y = blocks.adjoint(w)
             gap = math.inf
-    return _verdict(blocks, rho, status, stop, y, x, gap, dual,
-                    iterations=len(gaps), gap_trace=tuple(enumerate(gaps, 1)))
+        return _verdict(blocks, rho, UNDECIDED, STOP_LINALG_ERROR, y, x, gap, None,
+                        iterations=len(gaps), gap_trace=tuple(enumerate(gaps, 1)))
 
 
 def _check_reach(d_a: int, d_b: int, k: int, flavor: str) -> None:

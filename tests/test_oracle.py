@@ -142,8 +142,9 @@ def test_oracle_undecided_when_psd_projection_fails(monkeypatch):
     real_eigh = np.linalg.eigh
 
     def eigh_failing_at(failing):
-        # call 1 is the marginal's kernel, calls 2 and 3 the two blocks of
-        # Newton's start, and each trial point of a line search makes two more
+        # calls 1 and 2 are the two blocks of Newton's start, and each trial
+        # point of a line search makes two more; the full-rank marginal takes
+        # no kernel eigensolve
         calls = []
 
         def eigh(*args, **kwargs):
@@ -201,6 +202,33 @@ def test_oracle_undecided_when_the_face_reach_eigensolve_fails(monkeypatch):
     missed = float(np.linalg.norm(blocks.placed_marginal(start) - problem.marginal.mat))
     assert missed >= OracleConfig.tol_gap
     assert abs(res.certificate["marginal_residual"] - missed) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "problem,reason",
+    [
+        (ExtensionProblem(werner_state(2, -0.3), 3, SYMMETRIC), "feasible-gap"),
+        (ExtensionProblem(werner_state(2, -0.5), 3, SYMMETRIC), "dual-certificate"),
+    ],
+    ids=["feasible", "dual-certificate"],
+)
+def test_oracle_undecided_when_the_certificate_eigensolve_fails(monkeypatch, problem, reason):
+    # the readbacks of min_eig and dual_min_eig are inside the run's
+    # linalg-error handling: on a full-rank solve, whose steps take only eigh,
+    # a failed eigvalsh ends Undecided at the last tested point
+    ref = oracle_feasibility(problem)
+    assert ref.stop_reason == reason and ref.iterations >= 1
+
+    def failing_eigvalsh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+    res = oracle_feasibility(problem)
+    assert (res.status, res.stop_reason) == (UNDECIDED, "linalg-error")
+    assert (res.iterations, res.residual, res.gap_trace) == (ref.iterations, ref.residual, ref.gap_trace)
+    assert res.dual_witness is None and "certified" not in res.certificate
+    assert math.isnan(res.certificate["min_eig"])
+    assert res.certificate["marginal_residual"] == ref.certificate["marginal_residual"]
 
 
 def test_amap_is_onto_off_a_face():
@@ -943,6 +971,57 @@ def test_face_null_spaces_match_the_plain_svd():
     assert faces > 30
 
 
+# the (d, k, flavor) of every full-rank block set the oracle benchmark workloads solve on, d_A = d_B = d
+WORKLOAD_LAYOUTS = [(2, k, SYMMETRIC) for k in range(2, 6)] + [(3, k, SYMMETRIC) for k in (2, 3)]
+WORKLOAD_LAYOUTS += [(2, k, BOSONIC) for k in range(2, 9)] + [(3, k, BOSONIC) for k in range(2, 5)]
+
+
+def _near_face_band():
+    """Werner d=3 at psi = -1 and 1 and d=2 at psi = 1, each mixed with eps I/n for eps = 0 and 1e-14 to 1e-4."""
+    out = []
+    for d, psi in ((3, -1.0), (3, 1.0), (2, 1.0)):
+        rho = werner_state(d, psi)
+        n = rho.side
+        for eps in [0.0] + [10 ** (e / 2) for e in range(-28, -7)]:
+            out.append(DensityMatrix((1 - eps) * rho.mat + eps * np.eye(n) / n, rho.dims))
+    return out
+
+
+def test_full_rank_test_reads_the_validation_spectrum():
+    # a marginal whose validated smallest eigenvalue is above 2 KERNEL_TOL skips
+    # the kernel eigensolve; every marginal still gets the decision, and the
+    # kernel and frame widths, of a plain eigh of the matrix the solve reads
+    marginals = [_golden_problem(state, k, flavor).marginal for state, k, flavor, _, _ in GOLDEN] + _near_face_band()
+    skipped = checked_full = 0
+    for rho in marginals:
+        eigs = np.linalg.eigh(_solve_matrix(rho))[0]
+        null = int(np.sum(eigs <= oracle_mod.KERNEL_TOL))
+        face = _state_kernel(rho)
+        if null == 0:
+            assert face is None, rho
+            skipped += rho._min_eig > 2 * oracle_mod.KERNEL_TOL
+            checked_full += rho._min_eig <= 2 * oracle_mod.KERNEL_TOL
+        else:
+            assert (face[0].shape[1], face[1].shape[1]) == (null, rho.side - null)
+    # the band crosses the switch: eigenvalues eps/n between KERNEL_TOL and twice it take the eigensolve
+    assert skipped > 20 and checked_full > 0
+
+
+def test_gram_pseudoinverse_matches_pinv():
+    # gpinv from one eigh of the PSD Gram matrix, cut at RANK_RTOL times its
+    # largest eigenvalue, is pinv's on every workload layout and GOLDEN face
+    blocks_sets = [_extension_blocks(d, d, k, flavor) for d, k, flavor in WORKLOAD_LAYOUTS]
+    blocks_sets += [_solve_blocks(_golden_problem(state, k, flavor)) for state, k, flavor, _, _ in GOLDEN]
+    faces = 0
+    for blocks in blocks_sets:
+        faces += blocks.frame is not None
+        gram = blocks.amap @ blocks.amap.conj().T
+        ref = np.linalg.pinv(gram, rcond=oracle_mod.RANK_RTOL, hermitian=True)
+        assert blocks.gpinv.dtype == ref.dtype
+        assert np.max(np.abs(blocks.gpinv - ref)) < 1e-12, (blocks.dims, blocks.sides)
+    assert faces == 24
+
+
 def test_dual_witness_reads_the_same_on_the_blocks_and_densely():
     # the certificate's smallest eigenvalue, read on the blocks through amap^dag,
     # is the dense lift's on the flavor space and the forced face
@@ -1007,29 +1086,51 @@ def test_oracle_stop_reasons_and_telemetry():
 
 
 def test_newton_eigensolves_each_block_once_per_dual_point(monkeypatch):
-    # the witness shift reads the spectra of Newton's dual point, so the
-    # only eigvalsh calls left are the verdict's min_eig, one per block,
-    # whatever the step count
-    oracle_feasibility(NEWTON_UNDECIDED_AT_3)  # builds and caches the blocks
+    # the witness shift reads the spectra of Newton's dual point, and the
+    # verdict reads min_eig of x and dual_min_eig of W' from one eigvalsh
+    # per block, whatever the step count; a full-rank marginal takes no
+    # kernel eigensolve, its validation spectrum settles full rank
+    face = ExtensionProblem(werner_state(3, 1.0), 2, SYMMETRIC)
+    cases = [
+        (NEWTON_UNDECIDED_AT_3, OracleConfig(max_iters=3), UNDECIDED, 3),
+        (NEWTON_UNDECIDED_AT_3, None, FEASIBLE, 6),
+        (ExtensionProblem(werner_state(2, -0.5), 3, SYMMETRIC), None, INFEASIBLE, 1),
+        (face, None, FEASIBLE, 1),
+    ]
+    for problem, _, _, _ in cases:
+        oracle_feasibility(problem)  # builds and caches the blocks
     counts = {"eigvalsh": 0, "eigh": 0, "dual points": 0}
+    eigh_inputs = []
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
             counts[name] += 1
+            if name == "eigh":
+                eigh_inputs.append(args[0])
             return fn(*args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     monkeypatch.setattr(oracle_mod, "_dual_point", counting("dual points", oracle_mod._dual_point))
-    for cfg, steps in ((OracleConfig(max_iters=3), 3), (None, 6)):
+    for problem, cfg, status, steps in cases:
         counts.update(dict.fromkeys(counts, 0))
-        res = oracle_feasibility(NEWTON_UNDECIDED_AT_3, cfg)
-        assert res.iterations == steps and res.block_sides == (8, 4)
-        assert counts["eigvalsh"] == 2
-        # one eigh per block at each dual point, plus the marginal's kernel test
+        eigh_inputs.clear()
+        res = oracle_feasibility(problem, cfg)
+        assert (res.status, res.iterations) == (status, steps)
+        blocks = len(res.block_sides)
+        assert counts["eigvalsh"] == blocks
         assert counts["dual points"] >= steps
-        assert counts["eigh"] == 2 * counts["dual points"] + 1
+        mat = _solve_matrix(problem.marginal)
+        kernel_tests = sum(a.shape == mat.shape and np.array_equal(a, mat) for a in eigh_inputs)
+        if problem is face:
+            # one eigh per block at each dual point, plus the marginal's kernel
+            # test and the Gram pseudoinverse of the face blocks
+            assert kernel_tests == 1 and res.block_sides != _extension_blocks(3, 3, 2, SYMMETRIC).sides
+            assert counts["eigh"] == blocks * counts["dual points"] + 2
+        else:
+            assert res.block_sides == (8, 4)
+            assert kernel_tests == 0 and counts["eigh"] == blocks * counts["dual points"]
 
 
 HESSIAN_CASES = [

@@ -26,7 +26,7 @@ from .criteria import (
 )
 from .errors import LayoutError, MarginalMismatchError, ValidationError
 from .families import A_MARGINAL_TOL
-from .linalg import DensityMatrix, _as_stack, _reduced_stack, _trace_distances, _validate_stack
+from .linalg import DensityMatrix, _as_stack, _reduced_stack, _trace_distances
 
 MARGINAL_MISMATCH = "marginal-mismatch"
 
@@ -96,7 +96,7 @@ def _consistency_min_pt_eigs(stacks) -> tuple[np.ndarray, np.ndarray]:
     tol = max(t for _, _, t in stacks)
     spreads = _a_marginal_spreads(stacks)
     agree = spreads <= A_MARGINAL_TOL
-    avg = _validate_stack(sum(mats[agree] for mats, _, _ in stacks) / k, tol)
+    avg = sum(mats[agree] for mats, _, _ in stacks) / k  # a mean of validated states is valid
     lo = np.full(len(agree), np.nan)
     lo[agree] = _derived_min_pt_eigs(avg, dims, k, _derived_flavor(dims, k, SYMMETRIC), tol)
     return spreads, lo

@@ -27,7 +27,6 @@ from .linalg import (
     _ptranspose_mat,
     _reduced_stack,
     _require_symmetric_support,
-    _validate_stack,
     hermitize,
     partial_trace,
     trace_norm,
@@ -80,16 +79,24 @@ def _require_bipartite(rho: DensityMatrix) -> tuple[int, int]:
     return rho.dims
 
 
+def _lift(scale, mats: np.ndarray, c, reduced: np.ndarray, d_b: int) -> np.ndarray:
+    """scale * mats + c * (reduced x I_B) of one matrix or a stack, adding c * reduced into each diagonal block."""
+    out = np.multiply(scale, mats, order="C")  # C order, so the reshape below is a view
+    out.reshape(out.shape[:-2] + (reduced.shape[-1], d_b) * 2)[..., range(d_b), :, range(d_b)] += c * reduced
+    return out
+
+
 def _derived_mats(mats: np.ndarray, dims: tuple[int, int], k: int, flavor: str, tol: float) -> np.ndarray:
-    """Tilde (symmetric) or hat (bosonic) matrices of a stack of bipartite states, not yet validated.
+    """Tilde (symmetric) or hat (bosonic) matrices of a stack of validated bipartite states, valid by construction.
 
     The A marginals are validated as :func:`partial_trace` validates them.
+    As positive mixtures of rho and rho_A x I, both are exactly Hermitian with
+    trace Tr rho, and rho, rho_A >= -10 tol give lambda_min >= -10 tol times
+    (k + d_B) / (k + d_B^2) (tilde) or (k + 1) / (k + d_B) (hat).  Rounding can
+    cross a bound without margin, |Tr rho - 1| = tol or PSD at d_B = 1, by an ulp.
     """
-    d_b = dims[1]
-    lifted = np.kron(_reduced_stack(mats, dims, [0], tol), np.eye(d_b))
-    if flavor == SYMMETRIC:
-        return (d_b * lifted + k * mats) / (d_b**2 + k)
-    return (lifted + k * mats) / (d_b + k)
+    c = dims[1] if flavor == SYMMETRIC else 1
+    return _lift(k, mats, c, _reduced_stack(mats, dims, [0], tol), dims[1]) / (c * dims[1] + k)
 
 
 def _derived_state(rho_ab: DensityMatrix, k: int, flavor: str) -> DensityMatrix:
@@ -172,12 +179,8 @@ def _derived_flavor(dims, k: int, flavor: str) -> str:
 
 
 def _derived_min_pt_eigs(mats: np.ndarray, dims: tuple[int, int], k: int, flavor: str, tol: float) -> np.ndarray:
-    """Smallest partial-transpose eigenvalue of the tilde (symmetric) or hat (bosonic) state of each state of a stack.
-
-    Each derived state is validated as :func:`tilde_state` and
-    :func:`hat_state` validate theirs.
-    """
-    return _min_pt_eigs(_validate_stack(_derived_mats(mats, dims, k, flavor, tol), tol), dims)
+    """Smallest partial-transpose eigenvalue of the tilde (symmetric) or hat (bosonic) state of each stacked state."""
+    return _min_pt_eigs(_derived_mats(mats, dims, k, flavor, tol), dims)
 
 
 def _ppt_verdict(lo: float, dims, criterion: str, **extra: float) -> CriterionVerdict:
@@ -240,22 +243,19 @@ def definetti_gap(rho_ab: DensityMatrix, k: int) -> DefinettiGap:
     """
     _, d_b = _require_bipartite(rho_ab)
     k = _checked_int(k, "extension count", 1)
-    lifted = np.kron(partial_trace(rho_ab, [0]).mat, np.eye(d_b))
-    gap = d_b * trace_norm(d_b * rho_ab.mat - lifted) / (d_b**2 + k)
+    gap = d_b * trace_norm(_lift(d_b, rho_ab.mat, -1, partial_trace(rho_ab, [0]).mat, d_b)) / (d_b**2 + k)
     return DefinettiGap(gap=gap, bound=2 * d_b**2 / (d_b**2 + k))
 
 
 def sufficient_separability(sigma: DensityMatrix) -> bool:
     """True when (d_B + 1) sigma - sigma_A x I is PSD, which certifies separability."""
     _, d_b = _require_bipartite(sigma)
-    sigma_a = partial_trace(sigma, [0])
-    m = (d_b + 1) * sigma.mat - np.kron(sigma_a.mat, np.eye(d_b))
+    m = _lift(d_b + 1, sigma.mat, -1, partial_trace(sigma, [0]).mat, d_b)
     return float(np.linalg.eigvalsh(hermitize(m))[0]) >= -PPT_VIOLATION_TOL
 
 
 def necessary_separability(sigma: DensityMatrix) -> bool:
     """True when sigma_A x I - sigma is PSD; every separable state passes."""
     _, d_b = _require_bipartite(sigma)
-    sigma_a = partial_trace(sigma, [0])
-    m = np.kron(sigma_a.mat, np.eye(d_b)) - sigma.mat
+    m = _lift(-1, sigma.mat, 1, partial_trace(sigma, [0]).mat, d_b)
     return float(np.linalg.eigvalsh(hermitize(m))[0]) >= -PPT_VIOLATION_TOL

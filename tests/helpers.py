@@ -226,3 +226,28 @@ def certificate_holds(res, problem) -> bool:
         return True
     low, trace = dense_dual_check(problem, res.dual_witness)
     return low >= -1e-12 and trace < 0
+
+
+def kron_derived_mats(mats, dims, k, flavor, tol):
+    """Tilde or hat matrices of a stack by the Kronecker formula: the reference for the in-place lift."""
+    from symext.criteria import SYMMETRIC
+    from symext.linalg import _reduced_stack
+
+    d_b = dims[1]
+    lifted = np.kron(_reduced_stack(mats, dims, [0], tol), np.eye(d_b))
+    if flavor == SYMMETRIC:
+        return (d_b * lifted + k * mats) / (d_b**2 + k)
+    return (lifted + k * mats) / (d_b + k)
+
+
+def kron_separability_mats(rho):
+    """d_B rho - rho_A x I, (d_B + 1) rho - rho_A x I and rho_A x I - rho by the Kronecker formula.
+
+    These are the matrices definetti_gap, sufficient_separability and
+    necessary_separability read, in that order.
+    """
+    from symext import partial_trace
+
+    d_b = rho.dims[1]
+    lifted = np.kron(partial_trace(rho, [0]).mat, np.eye(d_b))
+    return d_b * rho.mat - lifted, (d_b + 1) * rho.mat - lifted, lifted - rho.mat

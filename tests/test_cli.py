@@ -362,6 +362,17 @@ def test_sweeps_eigensolve_bounded_chunks_and_build_no_state_per_row(capsys, mon
         assert len(sizes) < rows
 
 
+def test_werner_sweep_chunk_runs_five_eigensolves(capsys, monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: calls.append(a.shape) or eigvalsh(a, *args))
+    code, out, _ = _run(capsys, ["werner-sweep", "--d", "2", "--k", "3", "--psi-step", "0.02"])
+    assert code == 0 and len(out.splitlines()) == 102 <= cli._chunk_size(4) + 1
+    # the input stack, then rho_A and one partial transpose for each of the tilde and hat columns;
+    # the derived states are not validated again
+    assert calls == [(101, 4, 4), (101, 2, 2), (101, 4, 4), (101, 2, 2), (101, 4, 4)]
+
+
 @pytest.mark.parametrize("n", [2, 3, 25, 101, 201, 1001])
 @pytest.mark.parametrize("size", [1, 7, 256])
 def test_linspace_chunks_reproduce_linspace(n, size):

@@ -6,7 +6,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_bosonic_marginal, random_separable, random_symmetric_supported
+from helpers import (
+    kron_derived_mats,
+    kron_separability_mats,
+    random_bosonic_marginal,
+    random_separable,
+    random_symmetric_supported,
+)
 from symext import (
     BOSONIC,
     INCONCLUSIVE,
@@ -37,8 +43,8 @@ from symext import (
     werner_tilde_psi,
     werner_tilde_threshold,
 )
-from symext.criteria import _derived_mats, _derived_min_pt_eigs, _min_pt_eigs, _ppt_passes
-from symext.linalg import _validate_stack
+from symext.criteria import _derived_mats, _derived_min_pt_eigs, _lift, _min_pt_eigs, _ppt_passes
+from symext.linalg import _hermiticity_defects, _reduced_stack, _validate_stack, _validated_spectra
 
 
 def test_tilde_fixed_point():
@@ -368,3 +374,131 @@ def test_stacked_derived_states_match_batch_of_one(dims):
         lo = _min_pt_eigs(stack, dims, cut)
         for i, rho in enumerate(states):
             assert abs(lo[i] - ppt_test(rho, cut).witness["min_pt_eig"]) < 1e-12
+
+
+def _random_stack(dims, n, rng, dtype):
+    """n validated Ginibre states on a bipartite layout, as a real or complex stack."""
+    side = dims[0] * dims[1]
+    g = rng.standard_normal((n, side, side))
+    if dtype is complex:
+        g = g + 1j * rng.standard_normal((n, side, side))
+    mats = g @ g.conj().swapaxes(1, 2)
+    return _validate_stack(mats / np.trace(mats, axis1=1, axis2=2).real[:, None, None], 1e-10)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("dims", [(d_a, d_b) for d_a in range(1, 5) for d_b in range(1, 5)], ids=str)
+def test_derived_states_match_the_kronecker_formula_bit_for_bit(dims, dtype):
+    # the in-place lift adds the same terms in another order: addition commutes, and x + 0 = x
+    rng = np.random.default_rng(dims[0] * 10 + dims[1])
+    for n in (1, 7, 256):
+        stack = _random_stack(dims, n, rng, dtype)
+        for k in (1, 2, 3, 10):
+            for flavor in (SYMMETRIC, BOSONIC):
+                reference = kron_derived_mats(stack, dims, k, flavor, 1e-10)
+                derived = _derived_mats(stack, dims, k, flavor, 1e-10)
+                assert derived.dtype == reference.dtype and np.array_equal(derived, reference)
+                # the verdict kernel matches the reference validated again, as it once was
+                expected = _min_pt_eigs(_validate_stack(reference, 1e-10), dims)
+                assert np.array_equal(_derived_min_pt_eigs(stack, dims, k, flavor, 1e-10), expected)
+
+
+@pytest.mark.parametrize("dims", [(d_a, d_b) for d_a in range(1, 5) for d_b in range(1, 5)], ids=str)
+def test_separability_lifts_match_the_kronecker_formula_bit_for_bit(dims):
+    rng = np.random.default_rng(100 + dims[0] * 10 + dims[1])
+    d_b = dims[1]
+    for _ in range(5):
+        rho = random_density(dims, rng)
+        gap_mat, sufficient_mat, necessary_mat = kron_separability_mats(rho)
+        rho_a = partial_trace(rho, [0]).mat
+        assert np.array_equal(_lift(d_b, rho.mat, -1, rho_a, d_b), gap_mat)
+        assert np.array_equal(_lift(d_b + 1, rho.mat, -1, rho_a, d_b), sufficient_mat)
+        assert np.array_equal(_lift(-1, rho.mat, 1, rho_a, d_b), necessary_mat)
+        for k in (1, 3, 50):
+            assert definetti_gap(rho, k).gap == d_b * trace_norm(gap_mat) / (d_b**2 + k)
+        assert sufficient_separability(rho) == (np.linalg.eigvalsh(sufficient_mat)[0] >= -1e-9)
+        assert necessary_separability(rho) == (np.linalg.eigvalsh(necessary_mat)[0] >= -1e-9)
+
+
+EDGE_TOL = 1e-10
+
+
+def _unitary(n, rng):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _spectrum(n, rng, total, low=None):
+    """A random spectrum of n entries summing to ``total``; with ``low`` given and n > 1, its smallest entry is low."""
+    spec = rng.random(n) + 0.01
+    if low is None or n == 1:
+        return spec * (total / spec.sum())
+    spec[0] = 0.0
+    spec *= (total - low) / spec.sum()
+    spec[0] = low
+    return spec
+
+
+def _edge_states(dims, rng, n):
+    """Stacks of n states that validation admits at its edges, by name.
+
+    rho at lambda_min = -10 tol; rho_A at its own -10 tol edge, with rho =
+    rho_A x I / d_B; both at once, with rho = rho_A x |b><b|; and
+    Tr rho = 1 + tol or 1 - tol.  Candidates lie within rounding of an edge,
+    so about half are refused; only admitted states are kept.
+    """
+    d_a, d_b = dims
+    side = d_a * d_b
+    edge = -10 * EDGE_TOL
+
+    def draw(name):
+        if name in ("rho_A", "both"):
+            frame = np.kron(_unitary(d_a, rng), _unitary(d_b, rng))
+            b = np.eye(d_b) / d_b if name == "rho_A" else np.diag(np.eye(d_b)[0])
+            return frame @ np.kron(np.diag(_spectrum(d_a, rng, 1.0, edge)), b) @ frame.conj().T
+        u = _unitary(side, rng)
+        total = {"trace+": 1.0 + EDGE_TOL, "trace-": 1.0 - EDGE_TOL}.get(name, 1.0)
+        spec = _spectrum(side, rng, total, edge if name == "rho" else None)
+        return (u * spec) @ u.conj().T
+
+    stacks = {}
+    for name in ("rho", "rho_A", "both", "trace+", "trace-"):
+        kept = []
+        while len(kept) < n:
+            try:
+                mat = _validated_spectra(draw(name)[None], EDGE_TOL)[0]
+                _reduced_stack(mat, dims, [0], EDGE_TOL)
+            except ValidationError:
+                continue
+            kept.append(mat[0])
+        stacks[name] = np.array(kept)
+    return stacks
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 1), (3, 1)])
+def test_derived_states_of_edge_states_pass_validation(dims):
+    # the bound in _derived_mats: the validation they no longer get could not fire, except by
+    # rounding where the bound has no margin: |Tr rho - 1| = tol, and the PSD bound at d_B = 1
+    eps = np.finfo(float).eps
+    for name, stack in _edge_states(dims, np.random.default_rng(sum(dims)), 30).items():
+        for k in (1, 2, 10, 10**6):
+            for flavor in (SYMMETRIC, BOSONIC):
+                derived = _derived_mats(stack, dims, k, flavor, EDGE_TOL)
+                if name.startswith("trace") or dims[1] == 1:
+                    assert not _hermiticity_defects(derived).any()
+                    deviation = np.abs(np.trace(derived, axis1=1, axis2=2) - 1)
+                    assert deviation.max() <= EDGE_TOL + 4 * eps
+                    assert np.linalg.eigvalsh(derived)[:, 0].min() >= -10 * EDGE_TOL - 4 * eps
+                else:
+                    _validated_spectra(derived, EDGE_TOL)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_extension_verdict_runs_two_eigensolves(monkeypatch, dims):
+    problem = ExtensionProblem(random_density(dims, np.random.default_rng(30)), 3)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: calls.append(a.shape) or eigvalsh(a, *args))
+    symmetric_extension_verdict(problem)
+    # one for rho_A, one for the derived state's partial transpose; the derived state is not validated again
+    assert len(calls) == 2

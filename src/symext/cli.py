@@ -35,6 +35,7 @@ from .criteria import (
 )
 from .errors import ResourceLimitError, ValidationError
 from .families import (
+    _a_marginal_spreads,
     _bell_exact_flags,
     _bell_mats,
     _bell_polytope_flags,
@@ -42,11 +43,22 @@ from .families import (
     _check_bell_rows,
     _ckw_holds,
     _concurrences,
+    _require_a_agreement,
     _ssa_flags,
     _werner_mats,
     werner_exact_threshold,
 )
-from .linalg import HERM_TOL, DensityMatrix, _checked_tol, _validate_stack, random_density
+from .linalg import (
+    HERM_TOL,
+    DensityMatrix,
+    _checked_tol,
+    _entropies,
+    _exact_real,
+    _reduced_stack,
+    _spectral_entropies,
+    _validated_spectra,
+    random_density,
+)
 from .oracle import _check_reach, oracle_feasibility
 
 EXIT_OK = 0
@@ -82,9 +94,15 @@ def _require_side(d: int) -> None:
         raise ResourceLimitError(f"--d {d} gives states of side {d * d}, above the limit {_MAX_SIDE}")
 
 
+def _family_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A sweep's stack of family states, validated in float64 when real: (Hermitian parts, ascending spectra)."""
+    return _validated_spectra(_exact_real(mats), HERM_TOL)
+
+
 def _bell_hat_ppt_flags(p: np.ndarray, k: int) -> np.ndarray:
     """Where the bosonic extension verdict (the hat-state PPT test) of each Bell-diagonal state is Inconclusive."""
-    return _ppt_passes(_derived_min_pt_eigs(_validate_stack(_bell_mats(p), HERM_TOL), (2, 2), k, BOSONIC, HERM_TOL))
+    mats, spectra = _family_stack(_bell_mats(p))
+    return _ppt_passes(_derived_min_pt_eigs(mats, (2, 2), k, BOSONIC, HERM_TOL, spectra[:, 0]))
 
 
 # bell-sweep columns in output order: (criterion, CSV header, flags from checked (N, 4) weights and k)
@@ -325,9 +343,10 @@ def _werner_rows(d: int, k: int, n: int, with_oracle: bool):
     exact_threshold = werner_exact_threshold(d, k)
     dims = (d, d)
     for psis in _linspace_chunks(n, _chunk_size(d * d)):
-        mats = _validate_stack(_werner_mats(d, psis), HERM_TOL)
-        tilde_ok = _ppt_passes(_derived_min_pt_eigs(mats, dims, k, SYMMETRIC, HERM_TOL)).tolist()
-        hat_ok = _ppt_passes(_derived_min_pt_eigs(mats, dims, k, BOSONIC, HERM_TOL)).tolist()
+        mats, spectra = _family_stack(_werner_mats(d, psis))
+        lo = spectra[:, 0]
+        tilde_ok = _ppt_passes(_derived_min_pt_eigs(mats, dims, k, SYMMETRIC, HERM_TOL, lo)).tolist()
+        hat_ok = _ppt_passes(_derived_min_pt_eigs(mats, dims, k, BOSONIC, HERM_TOL, lo)).tolist()
         for i, psi in enumerate(psis.tolist()):
             row = [
                 _fmt(psi),
@@ -389,22 +408,37 @@ def _cmd_volume(args, out: IO[str]) -> int:
     return EXIT_OK
 
 
+def _werner_pair_table(psis: np.ndarray):
+    """Per-state columns of consistency-sweep for two-qubit Werner states: each costs its states, not their pairs.
+
+    (validated states, smallest eigenvalues, A marginals, S(rho), S(rho_B),
+    concurrences); the reduced states are proven valid from the spectra.
+    """
+    dims = (2, 2)
+    mats, spectra = _family_stack(_werner_mats(2, psis))
+    lo = spectra[:, 0]
+    a = _reduced_stack(mats, dims, [0], HERM_TOL, lo)
+    s_b = _entropies(_reduced_stack(mats, dims, [1], HERM_TOL, lo))
+    return mats, lo, a, _spectral_entropies(spectra), s_b, _concurrences(mats)
+
+
 def _consistency_rows(n: int):
     dims = (2, 2)
     size = _chunk_size(4)
     grid = list(_linspace_chunks(n, size))
     labels = [_fmt(psi) for psis in grid for psi in psis.tolist()]
-    # the n Werner states, each built and validated once; the pairs index into them
-    pieces = [_validate_stack(_werner_mats(2, psis), HERM_TOL) for psis in grid]
-    concurrences = np.concatenate([_concurrences(piece) for piece in pieces])
-    mats = np.concatenate(pieces)
+    # the n Werner states, each built, validated and reduced once; the pairs index into them
+    mats, lo, a, s, s_b, concurrences = map(np.concatenate, zip(*map(_werner_pair_table, grid)))
     for chunk in _chunks(itertools.product(range(n), repeat=2), size):
-        i, j = np.array(chunk).T
-        a, b = (mats[i], dims, HERM_TOL), (mats[j], dims, HERM_TOL)
+        idx = np.array(chunk)
+        i, j = idx.T
+        spreads = _a_marginal_spreads(a, idx)  # read by both the pentagon and SSA
+        pentagon = _ppt_passes(_consistency_min_pt_eigs(mats, dims, HERM_TOL, lo, idx, spreads))
+        _require_a_agreement(spreads)
         flags = zip(
-            _ppt_passes(_consistency_min_pt_eigs([a, b])[1]).tolist(),
+            pentagon.tolist(),
             _ckw_holds(concurrences[i], concurrences[j], 1.0).tolist(),
-            _ssa_flags(a, b).tolist(),
+            _ssa_flags(s, s_b, idx).tolist(),
         )
         for (i1, i2), row in zip(chunk, flags):
             yield [labels[i1], labels[i2]] + [str(int(f)) for f in row]

@@ -10,7 +10,6 @@ criterion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -25,8 +24,8 @@ from .criteria import (
     _ppt_verdict,
 )
 from .errors import LayoutError, MarginalMismatchError, ValidationError
-from .families import A_MARGINAL_TOL
-from .linalg import DensityMatrix, _as_stack, _reduced_stack, _trace_distances
+from .families import A_MARGINAL_TOL, _a_marginal_spreads
+from .linalg import DensityMatrix, _reduced_of
 
 MARGINAL_MISMATCH = "marginal-mismatch"
 
@@ -60,13 +59,12 @@ class MarginalSet:
 
 def a_marginal_spread(ms: MarginalSet) -> float:
     """Largest pairwise trace distance between the A marginals."""
-    return float(_a_marginal_spreads([_as_stack(rho) for rho in ms.marginals])[0])
+    return float(_a_marginal_spreads(_a_table(ms), np.arange(ms.k)[None])[0])
 
 
-def _a_marginal_spreads(stacks) -> np.ndarray:
-    """:func:`a_marginal_spread` row by row over stacks given as (validated states, layout, tolerance)."""
-    reduced = [_reduced_stack(mats, dims, [0], tol) for mats, dims, tol in stacks]
-    return np.max([_trace_distances(a, b) for a, b in combinations(reduced, 2)], axis=0)
+def _a_table(ms: MarginalSet) -> np.ndarray:
+    """The A marginals of a set, each reduced at its own marginal's tolerance, in order."""
+    return np.concatenate([_reduced_of(rho, [0]) for rho in ms.marginals])
 
 
 def average_marginals(ms: MarginalSet) -> ExtensionProblem:
@@ -85,21 +83,24 @@ def average_marginals(ms: MarginalSet) -> ExtensionProblem:
     return ExtensionProblem(DensityMatrix(avg, ms.dims, tol=tol), ms.k, _derived_flavor(ms.dims, ms.k, SYMMETRIC))
 
 
-def _consistency_min_pt_eigs(stacks) -> tuple[np.ndarray, np.ndarray]:
-    """A-marginal spread and derived-state eigenvalue of :func:`consistency_verdict`, row by row over stacks.
+def _consistency_min_pt_eigs(mats, dims, tol: float, lo, idx: np.ndarray, spreads: np.ndarray) -> np.ndarray:
+    """Derived-state eigenvalue of :func:`consistency_verdict` for each row of an (N, k) index array into a table.
 
-    Stacks are given as for :func:`_a_marginal_spreads`.  Rows whose A
-    marginals disagree build no average; their NaN eigenvalue reads as Violated.
+    The table holds validated states ``mats`` on layout ``dims`` with smallest
+    eigenvalues ``lo``; ``spreads`` are the rows' A-marginal spreads.  Rows whose
+    A marginals disagree build no average; their NaN eigenvalue reads as
+    Violated.  The average of each row is a mean of validated states, so it is
+    valid, and lambda_min is concave, so the mean of its members' lo bounds its
+    own for :func:`_derived_mats`.
     """
-    k = len(stacks)
-    dims = stacks[0][1]
-    tol = max(t for _, _, t in stacks)
-    spreads = _a_marginal_spreads(stacks)
+    k = idx.shape[1]
     agree = spreads <= A_MARGINAL_TOL
-    avg = sum(mats[agree] for mats, _, _ in stacks) / k  # a mean of validated states is valid
-    lo = np.full(len(agree), np.nan)
-    lo[agree] = _derived_min_pt_eigs(avg, dims, k, _derived_flavor(dims, k, SYMMETRIC), tol)
-    return spreads, lo
+    rows = idx[agree].T
+    avg = sum(mats[row] for row in rows) / k
+    avg_lo = sum(lo[row] for row in rows) / k
+    out = np.full(len(agree), np.nan)
+    out[agree] = _derived_min_pt_eigs(avg, dims, k, _derived_flavor(dims, k, SYMMETRIC), tol, avg_lo)
+    return out
 
 
 def consistency_verdict(ms: MarginalSet) -> CriterionVerdict:
@@ -109,11 +110,16 @@ def consistency_verdict(ms: MarginalSet) -> CriterionVerdict:
     field records which rule fired: ``marginal-mismatch``,
     ``averaging+hat``, or ``averaging+tilde``.
     """
-    spreads, lo = _consistency_min_pt_eigs([_as_stack(rho) for rho in ms.marginals])
+    idx = np.arange(ms.k)[None]  # one row naming every marginal
+    spreads = _a_marginal_spreads(_a_table(ms), idx)
     if spreads[0] > A_MARGINAL_TOL:
         return CriterionVerdict(VIOLATED, MARGINAL_MISMATCH, {"a_marginal_trace_distance": float(spreads[0])})
+    mats = np.array([rho.mat for rho in ms.marginals])
+    lo = np.array([rho._min_eig for rho in ms.marginals])
+    tol = max(rho.tol for rho in ms.marginals)
+    pt_lo = _consistency_min_pt_eigs(mats, ms.dims, tol, lo, idx, spreads)
     rule = "averaging+hat" if _derived_flavor(ms.dims, ms.k, SYMMETRIC) == BOSONIC else "averaging+tilde"
-    return _ppt_verdict(float(lo[0]), ms.dims, rule, k=float(ms.k))
+    return _ppt_verdict(float(pt_lo[0]), ms.dims, rule, k=float(ms.k))
 
 
 def werner_pentagon(psi1: float, psi2: float) -> bool:

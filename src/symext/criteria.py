@@ -86,23 +86,24 @@ def _lift(scale, mats: np.ndarray, c, reduced: np.ndarray, d_b: int) -> np.ndarr
     return out
 
 
-def _derived_mats(mats: np.ndarray, dims: tuple[int, int], k: int, flavor: str, tol: float) -> np.ndarray:
+def _derived_mats(mats: np.ndarray, dims: tuple[int, int], k: int, flavor: str, tol: float, lo) -> np.ndarray:
     """Tilde (symmetric) or hat (bosonic) matrices of a stack of validated bipartite states, valid by construction.
 
-    The A marginals are validated as :func:`partial_trace` validates them.
+    lo holds the states' smallest eigenvalues; the A marginals are proven valid
+    from them, or else validated, by :func:`_reduced_stack`.
     As positive mixtures of rho and rho_A x I, both are exactly Hermitian with
     trace Tr rho, and rho, rho_A >= -10 tol give lambda_min >= -10 tol times
     (k + d_B) / (k + d_B^2) (tilde) or (k + 1) / (k + d_B) (hat).  Rounding can
     cross a bound without margin, |Tr rho - 1| = tol or PSD at d_B = 1, by an ulp.
     """
     c = dims[1] if flavor == SYMMETRIC else 1
-    return _lift(k, mats, c, _reduced_stack(mats, dims, [0], tol), dims[1]) / (c * dims[1] + k)
+    return _lift(k, mats, c, _reduced_stack(mats, dims, [0], tol, lo), dims[1]) / (c * dims[1] + k)
 
 
 def _derived_state(rho_ab: DensityMatrix, k: int, flavor: str) -> DensityMatrix:
     _require_bipartite(rho_ab)
     k = _checked_int(k, "extension count", 1)
-    mat = _derived_mats(rho_ab.mat[None], rho_ab.dims, k, flavor, rho_ab.tol)[0]
+    mat = _derived_mats(rho_ab.mat[None], rho_ab.dims, k, flavor, rho_ab.tol, rho_ab._min_eig)[0]
     return DensityMatrix(mat, rho_ab.dims, tol=rho_ab.tol)
 
 
@@ -178,9 +179,12 @@ def _derived_flavor(dims, k: int, flavor: str) -> str:
     return BOSONIC if flavor == BOSONIC or (tuple(dims) == (2, 2) and k == 2) else SYMMETRIC
 
 
-def _derived_min_pt_eigs(mats: np.ndarray, dims: tuple[int, int], k: int, flavor: str, tol: float) -> np.ndarray:
-    """Smallest partial-transpose eigenvalue of the tilde (symmetric) or hat (bosonic) state of each stacked state."""
-    return _min_pt_eigs(_derived_mats(mats, dims, k, flavor, tol), dims)
+def _derived_min_pt_eigs(mats: np.ndarray, dims: tuple[int, int], k: int, flavor: str, tol: float, lo) -> np.ndarray:
+    """Smallest partial-transpose eigenvalue of the tilde (symmetric) or hat (bosonic) state of each stacked state.
+
+    lo holds the states' smallest eigenvalues, as for :func:`_derived_mats`.
+    """
+    return _min_pt_eigs(_derived_mats(mats, dims, k, flavor, tol, lo), dims)
 
 
 def _ppt_verdict(lo: float, dims, criterion: str, **extra: float) -> CriterionVerdict:
@@ -209,7 +213,7 @@ def ppt_test(rho: DensityMatrix, cut: int = 1) -> CriterionVerdict:
 def _derived_verdict(problem: ExtensionProblem) -> CriterionVerdict:
     rho, k = problem.marginal, problem.k
     flavor = _derived_flavor(rho.dims, k, problem.flavor)
-    lo = float(_derived_min_pt_eigs(rho.mat[None], rho.dims, k, flavor, rho.tol)[0])
+    lo = float(_derived_min_pt_eigs(rho.mat[None], rho.dims, k, flavor, rho.tol, rho._min_eig)[0])
     return _ppt_verdict(lo, rho.dims, "hat-ppt" if flavor == BOSONIC else "tilde-ppt", k=float(k))
 
 

@@ -8,6 +8,7 @@ parameter inequalities.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -15,11 +16,10 @@ import numpy as np
 from .errors import LayoutError, MarginalMismatchError, ValidationError
 from .linalg import (
     DensityMatrix,
-    _as_stack,
     _checked_int,
     _entropies,
     _first,
-    _reduced_stack,
+    _reduced_of,
     _trace_distances,
     permutation_operator,
 )
@@ -166,6 +166,33 @@ def werner_exact_threshold(d: int, k: int) -> float:
     return -(d - 1) / k
 
 
+# the index array of one pair of states, the first two of a table
+_PAIR = np.array([[0, 1]])
+
+
+def _a_marginal_spreads(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Largest pairwise trace distance between the A marginals that each row of an (N, k) index array names in a."""
+    pairs = combinations(range(idx.shape[1]), 2)
+    return np.max([_trace_distances(a[idx[:, p]], a[idx[:, q]]) for p, q in pairs], axis=0)
+
+
+def _require_a_agreement(spreads: np.ndarray) -> None:
+    """Raise MarginalMismatchError for the first row whose A marginals differ by more than A_MARGINAL_TOL."""
+    i = _first(spreads > A_MARGINAL_TOL)
+    if i is not None:
+        raise MarginalMismatchError(f"A marginals differ: trace distance {spreads[i]:.3e}", spreads[i])
+
+
+def _ssa_flags(s: np.ndarray, s_b: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """:func:`ssa_check` row by row: S(AB) + S(AC) >= S(B) + S(C) for the (AB, AC) pairs an (N, 2) index array names.
+
+    s and s_b hold S(rho) and S(rho_B) of each state of a table; the caller has
+    checked the pairs' A marginals with :func:`_require_a_agreement`.
+    """
+    ab, ac = idx.T
+    return s[ab] + s[ac] >= s_b[ab] + s_b[ac] - SSA_SLACK
+
+
 def ssa_check(rho_ab: DensityMatrix, rho_ac: DensityMatrix) -> bool:
     """Entropy consistency test S(AB) + S(AC) >= S(B) + S(C) for a marginal pair.
 
@@ -176,21 +203,11 @@ def ssa_check(rho_ab: DensityMatrix, rho_ac: DensityMatrix) -> bool:
         raise LayoutError(f"both marginals must be bipartite, got {rho_ab.dims} and {rho_ac.dims}")
     if rho_ab.dims[0] != rho_ac.dims[0]:
         raise LayoutError(f"A dimensions differ: {rho_ab.dims[0]} vs {rho_ac.dims[0]}")
-    return bool(_ssa_flags(_as_stack(rho_ab), _as_stack(rho_ac))[0])
-
-
-def _ssa_flags(ab, ac) -> np.ndarray:
-    """:func:`ssa_check` row by row on two stacks, each given as (validated states, layout, tolerance)."""
-    (m_ab, dims_ab, tol_ab), (m_ac, dims_ac, tol_ac) = ab, ac
-    a_ab = _reduced_stack(m_ab, dims_ab, [0], tol_ab)
-    a_ac = _reduced_stack(m_ac, dims_ac, [0], tol_ac)
-    dist = _trace_distances(a_ab, a_ac)
-    i = _first(dist > A_MARGINAL_TOL)
-    if i is not None:
-        raise MarginalMismatchError(f"A marginals differ: trace distance {dist[i]:.3e}", dist[i])
-    s_b = _entropies(_reduced_stack(m_ab, dims_ab, [1], tol_ab))
-    s_c = _entropies(_reduced_stack(m_ac, dims_ac, [1], tol_ac))
-    return _entropies(m_ab) + _entropies(m_ac) >= s_b + s_c - SSA_SLACK
+    pair = (rho_ab, rho_ac)
+    _require_a_agreement(_a_marginal_spreads(np.concatenate([_reduced_of(rho, [0]) for rho in pair]), _PAIR))
+    s = np.concatenate([_entropies(rho.mat[None]) for rho in pair])
+    s_b = np.concatenate([_entropies(_reduced_of(rho, [1])) for rho in pair])
+    return bool(_ssa_flags(s, s_b, _PAIR)[0])
 
 
 def _concurrences(mats: np.ndarray) -> np.ndarray:

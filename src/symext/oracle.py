@@ -46,6 +46,7 @@ from .linalg import (
     _check_extension_layout,
     _checked_int,
     _checked_power,
+    _exact_real,
     _occupation_isometry,
     _ptrace_mat,
     hermitize,
@@ -401,8 +402,7 @@ def _solve_matrix(rho: DensityMatrix) -> np.ndarray:
     The block isometries are real, so a real marginal keeps its kernel and frame, the face blocks, the
     dual point, the Newton system and the witness in float64; any other marginal runs in complex.
     """
-    mat = rho.mat
-    return mat if mat.imag.any() else mat.real
+    return _exact_real(rho.mat)
 
 
 def _state_kernel(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray] | None:

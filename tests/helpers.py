@@ -231,10 +231,11 @@ def certificate_holds(res, problem) -> bool:
 def kron_derived_mats(mats, dims, k, flavor, tol):
     """Tilde or hat matrices of a stack by the Kronecker formula: the reference for the in-place lift."""
     from symext.criteria import SYMMETRIC
-    from symext.linalg import _reduced_stack
+    from symext.linalg import _ptrace_mat, _validate_stack, hermitize
 
     d_b = dims[1]
-    lifted = np.kron(_reduced_stack(mats, dims, [0], tol), np.eye(d_b))
+    # rho_A validated as partial_trace validates it, whatever rho's smallest eigenvalue proves
+    lifted = np.kron(_validate_stack(hermitize(_ptrace_mat(mats, dims, [0])), tol), np.eye(d_b))
     if flavor == SYMMETRIC:
         return (d_b * lifted + k * mats) / (d_b**2 + k)
     return (lifted + k * mats) / (d_b + k)

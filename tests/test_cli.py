@@ -362,15 +362,51 @@ def test_sweeps_eigensolve_bounded_chunks_and_build_no_state_per_row(capsys, mon
         assert len(sizes) < rows
 
 
-def test_werner_sweep_chunk_runs_five_eigensolves(capsys, monkeypatch):
+def _count_eigensolves(monkeypatch):
+    """Record (shape, dtype) of every np.linalg.eigvalsh call."""
     calls = []
     eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: calls.append(a.shape) or eigvalsh(a, *args))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: calls.append((a.shape, a.dtype)) or eigvalsh(a, *args))
+    return calls
+
+
+def test_werner_sweep_chunk_runs_three_eigensolves(capsys, monkeypatch):
+    calls = _count_eigensolves(monkeypatch)
     code, out, _ = _run(capsys, ["werner-sweep", "--d", "2", "--k", "3", "--psi-step", "0.02"])
     assert code == 0 and len(out.splitlines()) == 102 <= cli._chunk_size(4) + 1
-    # the input stack, then rho_A and one partial transpose for each of the tilde and hat columns;
-    # the derived states are not validated again
-    assert calls == [(101, 4, 4), (101, 2, 2), (101, 4, 4), (101, 2, 2), (101, 4, 4)]
+    # the input stack, then one partial transpose for each of the tilde and hat columns, all in float64:
+    # rho_A is proven valid from the input's spectra, and the derived states are valid by construction
+    assert calls == [((101, 4, 4), np.float64)] * 3
+
+
+def test_bell_sweep_chunk_runs_two_eigensolves(capsys, monkeypatch):
+    calls = _count_eigensolves(monkeypatch)
+    code, out, _ = _run(capsys, ["bell-sweep", "--grid", "9", "--k", "3"])
+    assert code == 0 and len(out.splitlines()) == 166 <= cli._chunk_size(4) + 1
+    # the input stack and the hat states' partial transpose, both in float64
+    assert calls == [((165, 4, 4), np.float64)] * 2
+
+
+def test_consistency_sweep_eigensolves_each_state_once(capsys, monkeypatch):
+    calls = _count_eigensolves(monkeypatch)
+    code, out, _ = _run(capsys, ["consistency-sweep", "--grid", "25"])
+    assert code == 0 and len(out.splitlines()) == 626
+    # per state: validation and S(rho_B); per chunk of 256 pairs: the A-marginal trace distances,
+    # read by the pentagon and SSA, and the averaged derived states' partial transpose
+    assert len(calls) <= 8
+    assert calls[:2] == [((25, 4, 4), np.float64), ((25, 2, 2), np.float64)]
+    assert all(dtype == np.float64 for _, dtype in calls)
+
+
+def test_reduced_state_past_the_proof_is_refused_by_the_cli(capsys, tmp_path):
+    # rho is admitted (lambda_min -0.9e-9) but rho_A is -1.8e-9 on |0>: d_B lambda_min(rho) is below
+    # -5 tol, so rho_A is validated and refused with the message it always had
+    path = tmp_path / "past.json"
+    dump_state(DensityMatrix(np.diag([-0.9e-9, -0.9e-9, 0.5 + 0.9e-9, 0.5 + 0.9e-9]), (2, 2)), str(path))
+    message = "error: minimal eigenvalue -1.800e-09 is below the PSD tolerance -1e-09\n"
+    for argv in (["check", str(path), "--k", "3"], ["check", str(path), "--k", "2", "--flavor", "bosonic"],
+                 ["consistency", str(path), str(path)]):
+        assert _run(capsys, argv) == (1, "", message)
 
 
 @pytest.mark.parametrize("n", [2, 3, 25, 101, 201, 1001])

@@ -27,8 +27,10 @@ from symext import (
     werner_pentagon,
     werner_state,
 )
-from symext.consistency import _a_marginal_spreads, _consistency_min_pt_eigs
+from symext.consistency import _consistency_min_pt_eigs
 from symext.criteria import _ppt_passes
+from symext.families import _a_marginal_spreads
+from symext.linalg import _reduced_stack
 
 
 def test_marginal_set_validation():
@@ -147,10 +149,12 @@ def test_stacked_consistency_matches_the_verdict(dims, k):
             rows.append([random_density(dims, rng) for _ in range(k)])
     if dims == (2, 2):
         rows.append([bell_state([1, 0, 0, 0])] * k)
-    stacks = [(np.array([row[j].mat for row in rows]), dims, 1e-10) for j in range(k)]
-    spreads = _a_marginal_spreads(stacks)
-    kernel_spreads, lo = _consistency_min_pt_eigs(stacks)
-    assert np.array_equal(kernel_spreads, spreads)
+    # one table of every state, and an (N, k) index array naming each row's marginals in it
+    mats = np.array([rho.mat for row in rows for rho in row])
+    min_eigs = np.array([rho._min_eig for row in rows for rho in row])
+    idx = np.arange(len(mats)).reshape(-1, k)
+    spreads = _a_marginal_spreads(_reduced_stack(mats, dims, [0], 1e-10, min_eigs), idx)
+    lo = _consistency_min_pt_eigs(mats, dims, 1e-10, min_eigs, idx, spreads)
     passes = _ppt_passes(lo)
     for i, row in enumerate(rows):
         ms = MarginalSet(row)

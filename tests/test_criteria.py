@@ -354,11 +354,12 @@ def test_stacked_derived_states_match_batch_of_one(dims):
     states += [DensityMatrix(np.outer(v, v.conj()) / np.vdot(v, v).real, dims)
                for v in rng.standard_normal((5, dims[0] * dims[1])) + 0j]
     stack = np.array([rho.mat for rho in states])
+    min_eigs = np.array([rho._min_eig for rho in states])
     for k in (1, 2, 5):
         for flavor, single in ((SYMMETRIC, tilde_state), (BOSONIC, hat_state)):
-            derived = _validate_stack(_derived_mats(stack, dims, k, flavor, 1e-10), 1e-10)
+            derived = _validate_stack(_derived_mats(stack, dims, k, flavor, 1e-10, min_eigs), 1e-10)
             lo = _min_pt_eigs(derived, dims)
-            kernel_lo = _derived_min_pt_eigs(stack, dims, k, flavor, 1e-10)
+            kernel_lo = _derived_min_pt_eigs(stack, dims, k, flavor, 1e-10, min_eigs)
             assert np.array_equal(kernel_lo, lo)
             passes = _ppt_passes(kernel_lo)
             for i, rho in enumerate(states):
@@ -377,13 +378,14 @@ def test_stacked_derived_states_match_batch_of_one(dims):
 
 
 def _random_stack(dims, n, rng, dtype):
-    """n validated Ginibre states on a bipartite layout, as a real or complex stack."""
+    """n validated Ginibre states on a bipartite layout, as a real or complex stack, and their smallest eigenvalues."""
     side = dims[0] * dims[1]
     g = rng.standard_normal((n, side, side))
     if dtype is complex:
         g = g + 1j * rng.standard_normal((n, side, side))
     mats = g @ g.conj().swapaxes(1, 2)
-    return _validate_stack(mats / np.trace(mats, axis1=1, axis2=2).real[:, None, None], 1e-10)
+    stack, spectra = _validated_spectra(mats / np.trace(mats, axis1=1, axis2=2).real[:, None, None], 1e-10)
+    return stack, spectra[:, 0]
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -392,15 +394,15 @@ def test_derived_states_match_the_kronecker_formula_bit_for_bit(dims, dtype):
     # the in-place lift adds the same terms in another order: addition commutes, and x + 0 = x
     rng = np.random.default_rng(dims[0] * 10 + dims[1])
     for n in (1, 7, 256):
-        stack = _random_stack(dims, n, rng, dtype)
+        stack, lo = _random_stack(dims, n, rng, dtype)
         for k in (1, 2, 3, 10):
             for flavor in (SYMMETRIC, BOSONIC):
                 reference = kron_derived_mats(stack, dims, k, flavor, 1e-10)
-                derived = _derived_mats(stack, dims, k, flavor, 1e-10)
+                derived = _derived_mats(stack, dims, k, flavor, 1e-10, lo)
                 assert derived.dtype == reference.dtype and np.array_equal(derived, reference)
                 # the verdict kernel matches the reference validated again, as it once was
                 expected = _min_pt_eigs(_validate_stack(reference, 1e-10), dims)
-                assert np.array_equal(_derived_min_pt_eigs(stack, dims, k, flavor, 1e-10), expected)
+                assert np.array_equal(_derived_min_pt_eigs(stack, dims, k, flavor, 1e-10, lo), expected)
 
 
 @pytest.mark.parametrize("dims", [(d_a, d_b) for d_a in range(1, 5) for d_b in range(1, 5)], ids=str)
@@ -466,12 +468,12 @@ def _edge_states(dims, rng, n):
         kept = []
         while len(kept) < n:
             try:
-                mat = _validated_spectra(draw(name)[None], EDGE_TOL)[0]
-                _reduced_stack(mat, dims, [0], EDGE_TOL)
+                mat, spectra = _validated_spectra(draw(name)[None], EDGE_TOL)
+                _reduced_stack(mat, dims, [0], EDGE_TOL, spectra[:, 0])
             except ValidationError:
                 continue
-            kept.append(mat[0])
-        stacks[name] = np.array(kept)
+            kept.append((mat[0], spectra[0, 0]))
+        stacks[name] = tuple(map(np.array, zip(*kept)))
     return stacks
 
 
@@ -480,10 +482,10 @@ def test_derived_states_of_edge_states_pass_validation(dims):
     # the bound in _derived_mats: the validation they no longer get could not fire, except by
     # rounding where the bound has no margin: |Tr rho - 1| = tol, and the PSD bound at d_B = 1
     eps = np.finfo(float).eps
-    for name, stack in _edge_states(dims, np.random.default_rng(sum(dims)), 30).items():
+    for name, (stack, lo) in _edge_states(dims, np.random.default_rng(sum(dims)), 30).items():
         for k in (1, 2, 10, 10**6):
             for flavor in (SYMMETRIC, BOSONIC):
-                derived = _derived_mats(stack, dims, k, flavor, EDGE_TOL)
+                derived = _derived_mats(stack, dims, k, flavor, EDGE_TOL, lo)
                 if name.startswith("trace") or dims[1] == 1:
                     assert not _hermiticity_defects(derived).any()
                     deviation = np.abs(np.trace(derived, axis1=1, axis2=2) - 1)
@@ -494,11 +496,81 @@ def test_derived_states_of_edge_states_pass_validation(dims):
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
-def test_extension_verdict_runs_two_eigensolves(monkeypatch, dims):
+def test_extension_verdict_runs_one_eigensolve(monkeypatch, dims):
     problem = ExtensionProblem(random_density(dims, np.random.default_rng(30)), 3)
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: calls.append(a.shape) or eigvalsh(a, *args))
     symmetric_extension_verdict(problem)
-    # one for rho_A, one for the derived state's partial transpose; the derived state is not validated again
-    assert len(calls) == 2
+    # only the derived state's partial transpose: rho_A is proven valid from rho's smallest eigenvalue,
+    # and the derived state is valid by construction
+    side = dims[0] * dims[1]
+    assert calls == [(1, side, side)]
+
+
+def _with_min_eig(dims, low, rng):
+    """A state on a bipartite layout with a random frame and smallest eigenvalue low."""
+    side = dims[0] * dims[1]
+    q, _ = np.linalg.qr(rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side)))
+    spec = rng.random(side) + 0.1
+    spec[0] = 0.0
+    spec *= (1.0 - low) / spec.sum()
+    spec[0] = low
+    return DensityMatrix((q * spec) @ q.conj().T, dims)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_reduced_state_is_solved_only_where_the_proof_does_not_reach(monkeypatch, dims):
+    # d_B lambda_min(rho) >= -5 tol proves rho_A >= -10 tol with room for rounding: no rho_A eigensolve.
+    # Past it, rho_A is validated as before (and here passes, since rho_A >= d_B lambda_min > -10 tol).
+    rng = np.random.default_rng(dims[0] * 10 + dims[1])
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: calls.append(a.shape[-1]) or eigvalsh(a, *args))
+    edge = -5e-10 / dims[1]
+    for scale, solves in [(0.0, 1), (0.5, 1), (0.999, 1), (1.001, 2), (1.9, 2)] + [(None, 1)] * 20:
+        low = rng.uniform(0.0, 0.01) if scale is None else scale * edge
+        rho = _with_min_eig(dims, low, rng)
+        assert scale is None or abs(rho._min_eig - low) < 1e-12
+        for flavor, verdict in ((SYMMETRIC, symmetric_extension_verdict), (BOSONIC, bosonic_extension_verdict)):
+            calls.clear()
+            verdict(ExtensionProblem(rho, 3, flavor))
+            assert len(calls) == solves and calls[-1] == rho.side
+            if solves == 2:
+                assert calls[0] == dims[0]
+    # at tol = 0 the proof leaves no room for rounding, so rho_A is validated
+    side = dims[0] * dims[1]
+    dyadic = np.diag([2.0**-i for i in range(1, side)] + [2.0 ** (1 - side)])  # trace exactly 1
+    problem = ExtensionProblem(DensityMatrix(dyadic, dims, tol=0.0), 3)
+    calls.clear()
+    symmetric_extension_verdict(problem)
+    assert calls == [dims[0], dims[0] * dims[1]]
+
+
+def test_reduced_state_past_the_proof_is_refused_everywhere():
+    from symext import MarginalSet, consistency_verdict, ssa_check
+
+    # eigenvalue -0.9e-9 at |00> and |01>: admitted, but rho_A is -1.8e-9 on |0>, and
+    # d_B lambda_min(rho) = -1.8e-9 is below -5 tol, so rho_A is validated and refused
+    rho = DensityMatrix(np.diag([-0.9e-9, -0.9e-9, 0.5 + 0.9e-9, 0.5 + 0.9e-9]), (2, 2))
+    assert rho._min_eig == -0.9e-9
+    good = werner_state(2, 0.3)
+    stack = [good, rho, good]
+    calls = [
+        lambda: symmetric_extension_verdict(ExtensionProblem(rho, 2)),
+        lambda: symmetric_extension_verdict(ExtensionProblem(rho, 3)),
+        lambda: bosonic_extension_verdict(ExtensionProblem(rho, 3, BOSONIC)),
+        lambda: tilde_state(rho, 3),
+        lambda: hat_state(rho, 3),
+        lambda: partial_trace(rho, [0]),
+        lambda: consistency_verdict(MarginalSet([rho, rho])),
+        lambda: consistency_verdict(MarginalSet([good, rho])),
+        lambda: ssa_check(good, rho),
+        # a sweep-style stack: the first failing state names the error
+        lambda: _derived_min_pt_eigs(
+            np.array([s.mat for s in stack]), (2, 2), 3, SYMMETRIC, 1e-10, np.array([s._min_eig for s in stack])
+        ),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match=r"^minimal eigenvalue -1\.800e-09 is below the PSD tolerance -1e-09$"):
+            call()

@@ -31,6 +31,7 @@ from symext import (
 )
 from symext.families import (
     _YY,
+    _a_marginal_spreads,
     _bell_exact_flags,
     _bell_mats,
     _bell_polytope_flags,
@@ -38,9 +39,11 @@ from symext.families import (
     _check_bell_probs,
     _check_bell_rows,
     _concurrences,
+    _require_a_agreement,
     _ssa_flags,
     _werner_mats,
 )
+from symext.linalg import _entropies, _reduced_stack
 
 
 def test_bell_vectors_orthonormal():
@@ -234,7 +237,12 @@ def test_stacked_werner_states_concurrence_and_ssa_match_single(d):
             lams = np.sort(np.sqrt(np.clip(np.linalg.eigvals(m).real, 0.0, None)))[::-1]
             assert abs(got - max(0.0, lams[0] - lams[1] - lams[2] - lams[3])) < 1e-12
             assert wootters_concurrence(rho) == got
-        flags = _ssa_flags((stack, (2, 2), 1e-10), (stack[::-1], (2, 2), 1e-10))
+        # the kernel on a table of the states, paired with the same table reversed
+        min_eigs = np.array([rho._min_eig for rho in states])
+        idx = np.column_stack([np.arange(len(states)), np.arange(len(states))[::-1]])
+        _require_a_agreement(_a_marginal_spreads(_reduced_stack(stack, (2, 2), [0], 1e-10, min_eigs), idx))
+        s_b = _entropies(_reduced_stack(stack, (2, 2), [1], 1e-10, min_eigs))
+        flags = _ssa_flags(_entropies(stack), s_b, idx)
         for rho_ab, rho_ac, got in zip(states, states[::-1], flags):
             s_b, s_c = (von_neumann_entropy(partial_trace(rho, [1])) for rho in (rho_ab, rho_ac))
             want = von_neumann_entropy(rho_ab) + von_neumann_entropy(rho_ac) >= s_b + s_c - 1e-9

@@ -94,15 +94,19 @@ def _require_side(d: int) -> None:
         raise ResourceLimitError(f"--d {d} gives states of side {d * d}, above the limit {_MAX_SIDE}")
 
 
-def _family_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A sweep's stack of family states, validated in float64 when real: (Hermitian parts, ascending spectra)."""
-    return _validated_spectra(_exact_real(mats), HERM_TOL)
+def _family_stack(mats: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A sweep's stack of family states, validated in float64 when real, reduced once.
+
+    Returns (Hermitian parts, ascending spectra, A marginals proven valid from the spectra).
+    """
+    mats, spectra = _validated_spectra(_exact_real(mats), HERM_TOL)
+    return mats, spectra, _reduced_stack(mats, dims, [0], HERM_TOL, spectra[:, 0])
 
 
 def _bell_hat_ppt_flags(p: np.ndarray, k: int) -> np.ndarray:
     """Where the bosonic extension verdict (the hat-state PPT test) of each Bell-diagonal state is Inconclusive."""
-    mats, spectra = _family_stack(_bell_mats(p))
-    return _ppt_passes(_derived_min_pt_eigs(mats, (2, 2), k, BOSONIC, HERM_TOL, spectra[:, 0]))
+    mats, _, a = _family_stack(_bell_mats(p), (2, 2))
+    return _ppt_passes(_derived_min_pt_eigs(mats, a, k, BOSONIC))
 
 
 # bell-sweep columns in output order: (criterion, CSV header, flags from checked (N, 4) weights and k)
@@ -343,10 +347,9 @@ def _werner_rows(d: int, k: int, n: int, with_oracle: bool):
     exact_threshold = werner_exact_threshold(d, k)
     dims = (d, d)
     for psis in _linspace_chunks(n, _chunk_size(d * d)):
-        mats, spectra = _family_stack(_werner_mats(d, psis))
-        lo = spectra[:, 0]
-        tilde_ok = _ppt_passes(_derived_min_pt_eigs(mats, dims, k, SYMMETRIC, HERM_TOL, lo)).tolist()
-        hat_ok = _ppt_passes(_derived_min_pt_eigs(mats, dims, k, BOSONIC, HERM_TOL, lo)).tolist()
+        mats, _, a = _family_stack(_werner_mats(d, psis), dims)  # one A marginal for both columns
+        tilde_ok = _ppt_passes(_derived_min_pt_eigs(mats, a, k, SYMMETRIC)).tolist()
+        hat_ok = _ppt_passes(_derived_min_pt_eigs(mats, a, k, BOSONIC)).tolist()
         for i, psi in enumerate(psis.tolist()):
             row = [
                 _fmt(psi),
@@ -411,15 +414,13 @@ def _cmd_volume(args, out: IO[str]) -> int:
 def _werner_pair_table(psis: np.ndarray):
     """Per-state columns of consistency-sweep for two-qubit Werner states: each costs its states, not their pairs.
 
-    (validated states, smallest eigenvalues, A marginals, S(rho), S(rho_B),
-    concurrences); the reduced states are proven valid from the spectra.
+    (validated states, A marginals, S(rho), S(rho_B), concurrences); the
+    reduced states are proven valid from the spectra.
     """
     dims = (2, 2)
-    mats, spectra = _family_stack(_werner_mats(2, psis))
-    lo = spectra[:, 0]
-    a = _reduced_stack(mats, dims, [0], HERM_TOL, lo)
-    s_b = _entropies(_reduced_stack(mats, dims, [1], HERM_TOL, lo))
-    return mats, lo, a, _spectral_entropies(spectra), s_b, _concurrences(mats)
+    mats, spectra, a = _family_stack(_werner_mats(2, psis), dims)
+    s_b = _entropies(_reduced_stack(mats, dims, [1], HERM_TOL, spectra[:, 0]))
+    return mats, a, _spectral_entropies(spectra), s_b, _concurrences(mats)
 
 
 def _consistency_rows(n: int):
@@ -428,12 +429,12 @@ def _consistency_rows(n: int):
     grid = list(_linspace_chunks(n, size))
     labels = [_fmt(psi) for psis in grid for psi in psis.tolist()]
     # the n Werner states, each built, validated and reduced once; the pairs index into them
-    mats, lo, a, s, s_b, concurrences = map(np.concatenate, zip(*map(_werner_pair_table, grid)))
+    mats, a, s, s_b, concurrences = map(np.concatenate, zip(*map(_werner_pair_table, grid)))
     for chunk in _chunks(itertools.product(range(n), repeat=2), size):
         idx = np.array(chunk)
         i, j = idx.T
         spreads = _a_marginal_spreads(a, idx)  # read by both the pentagon and SSA
-        pentagon = _ppt_passes(_consistency_min_pt_eigs(mats, dims, HERM_TOL, lo, idx, spreads))
+        pentagon = _ppt_passes(_consistency_min_pt_eigs(mats, dims, idx, spreads))
         _require_a_agreement(spreads)
         flags = zip(
             pentagon.tolist(),

@@ -25,7 +25,7 @@ from .criteria import (
 )
 from .errors import LayoutError, MarginalMismatchError, ValidationError
 from .families import A_MARGINAL_TOL, _a_marginal_spreads
-from .linalg import DensityMatrix, _reduced_of
+from .linalg import DensityMatrix, _ptrace_mat, _reduced_of, hermitize
 
 MARGINAL_MISMATCH = "marginal-mismatch"
 
@@ -83,23 +83,21 @@ def average_marginals(ms: MarginalSet) -> ExtensionProblem:
     return ExtensionProblem(DensityMatrix(avg, ms.dims, tol=tol), ms.k, _derived_flavor(ms.dims, ms.k, SYMMETRIC))
 
 
-def _consistency_min_pt_eigs(mats, dims, tol: float, lo, idx: np.ndarray, spreads: np.ndarray) -> np.ndarray:
+def _consistency_min_pt_eigs(mats, dims, idx: np.ndarray, spreads: np.ndarray) -> np.ndarray:
     """Derived-state eigenvalue of :func:`consistency_verdict` for each row of an (N, k) index array into a table.
 
-    The table holds validated states ``mats`` on layout ``dims`` with smallest
-    eigenvalues ``lo``; ``spreads`` are the rows' A-marginal spreads.  Rows whose
-    A marginals disagree build no average; their NaN eigenvalue reads as
-    Violated.  The average of each row is a mean of validated states, so it is
-    valid, and lambda_min is concave, so the mean of its members' lo bounds its
-    own for :func:`_derived_mats`.
+    The table holds validated states ``mats`` on layout ``dims``; ``spreads`` are
+    the rows' A-marginal spreads, from A marginals the caller has proven valid
+    or validated.  Rows whose A marginals disagree build no average; their NaN
+    eigenvalue reads as Violated.  The average of each row is a mean of valid
+    states, so it is valid, and its A marginal is the mean of its members'.
     """
     k = idx.shape[1]
     agree = spreads <= A_MARGINAL_TOL
-    rows = idx[agree].T
-    avg = sum(mats[row] for row in rows) / k
-    avg_lo = sum(lo[row] for row in rows) / k
+    avg = sum(mats[row] for row in idx[agree].T) / k
     out = np.full(len(agree), np.nan)
-    out[agree] = _derived_min_pt_eigs(avg, dims, k, _derived_flavor(dims, k, SYMMETRIC), tol, avg_lo)
+    a = hermitize(_ptrace_mat(avg, dims, [0]))
+    out[agree] = _derived_min_pt_eigs(avg, a, k, _derived_flavor(dims, k, SYMMETRIC))
     return out
 
 
@@ -115,9 +113,7 @@ def consistency_verdict(ms: MarginalSet) -> CriterionVerdict:
     if spreads[0] > A_MARGINAL_TOL:
         return CriterionVerdict(VIOLATED, MARGINAL_MISMATCH, {"a_marginal_trace_distance": float(spreads[0])})
     mats = np.array([rho.mat for rho in ms.marginals])
-    lo = np.array([rho._min_eig for rho in ms.marginals])
-    tol = max(rho.tol for rho in ms.marginals)
-    pt_lo = _consistency_min_pt_eigs(mats, ms.dims, tol, lo, idx, spreads)
+    pt_lo = _consistency_min_pt_eigs(mats, ms.dims, idx, spreads)
     rule = "averaging+hat" if _derived_flavor(ms.dims, ms.k, SYMMETRIC) == BOSONIC else "averaging+tilde"
     return _ppt_verdict(float(pt_lo[0]), ms.dims, rule, k=float(ms.k))
 

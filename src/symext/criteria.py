@@ -25,10 +25,9 @@ from .linalg import (
     _occupation_isometry,
     _ptrace_mat,
     _ptranspose_mat,
-    _reduced_stack,
+    _reduced_of,
     _require_symmetric_support,
     hermitize,
-    partial_trace,
     trace_norm,
 )
 
@@ -81,29 +80,32 @@ def _require_bipartite(rho: DensityMatrix) -> tuple[int, int]:
 
 def _lift(scale, mats: np.ndarray, c, reduced: np.ndarray, d_b: int) -> np.ndarray:
     """scale * mats + c * (reduced x I_B) of one matrix or a stack, adding c * reduced into each diagonal block."""
-    out = np.multiply(scale, mats, order="C")  # C order, so the reshape below is a view
-    out.reshape(out.shape[:-2] + (reduced.shape[-1], d_b) * 2)[..., range(d_b), :, range(d_b)] += c * reduced
+    out = scale * mats
+    add = c * reduced
+    for j in range(d_b):
+        out[..., j::d_b, j::d_b] += add
     return out
 
 
-def _derived_mats(mats: np.ndarray, dims: tuple[int, int], k: int, flavor: str, tol: float, lo) -> np.ndarray:
+def _derived_mats(mats: np.ndarray, a: np.ndarray, k: int, flavor: str) -> np.ndarray:
     """Tilde (symmetric) or hat (bosonic) matrices of a stack of validated bipartite states, valid by construction.
 
-    lo holds the states' smallest eigenvalues; the A marginals are proven valid
-    from them, or else validated, by :func:`_reduced_stack`.
+    a holds the states' A marginals, proven valid or validated by
+    :func:`_reduced_stack`; d_B is the ratio of the two sides.
     As positive mixtures of rho and rho_A x I, both are exactly Hermitian with
     trace Tr rho, and rho, rho_A >= -10 tol give lambda_min >= -10 tol times
     (k + d_B) / (k + d_B^2) (tilde) or (k + 1) / (k + d_B) (hat).  Rounding can
     cross a bound without margin, |Tr rho - 1| = tol or PSD at d_B = 1, by an ulp.
     """
-    c = dims[1] if flavor == SYMMETRIC else 1
-    return _lift(k, mats, c, _reduced_stack(mats, dims, [0], tol, lo), dims[1]) / (c * dims[1] + k)
+    d_b = mats.shape[-1] // a.shape[-1]
+    c = d_b if flavor == SYMMETRIC else 1
+    return _lift(k, mats, c, a, d_b) / (c * d_b + k)
 
 
 def _derived_state(rho_ab: DensityMatrix, k: int, flavor: str) -> DensityMatrix:
     _require_bipartite(rho_ab)
     k = _checked_int(k, "extension count", 1)
-    mat = _derived_mats(rho_ab.mat[None], rho_ab.dims, k, flavor, rho_ab.tol, rho_ab._min_eig)[0]
+    mat = _derived_mats(rho_ab.mat[None], _reduced_of(rho_ab, [0]), k, flavor)[0]
     return DensityMatrix(mat, rho_ab.dims, tol=rho_ab.tol)
 
 
@@ -179,12 +181,13 @@ def _derived_flavor(dims, k: int, flavor: str) -> str:
     return BOSONIC if flavor == BOSONIC or (tuple(dims) == (2, 2) and k == 2) else SYMMETRIC
 
 
-def _derived_min_pt_eigs(mats: np.ndarray, dims: tuple[int, int], k: int, flavor: str, tol: float, lo) -> np.ndarray:
+def _derived_min_pt_eigs(mats: np.ndarray, a: np.ndarray, k: int, flavor: str) -> np.ndarray:
     """Smallest partial-transpose eigenvalue of the tilde (symmetric) or hat (bosonic) state of each stacked state.
 
-    lo holds the states' smallest eigenvalues, as for :func:`_derived_mats`.
+    a holds the states' A marginals, as for :func:`_derived_mats`.
     """
-    return _min_pt_eigs(_derived_mats(mats, dims, k, flavor, tol, lo), dims)
+    d_a = a.shape[-1]
+    return _min_pt_eigs(_derived_mats(mats, a, k, flavor), (d_a, mats.shape[-1] // d_a))
 
 
 def _ppt_verdict(lo: float, dims, criterion: str, **extra: float) -> CriterionVerdict:
@@ -213,7 +216,7 @@ def ppt_test(rho: DensityMatrix, cut: int = 1) -> CriterionVerdict:
 def _derived_verdict(problem: ExtensionProblem) -> CriterionVerdict:
     rho, k = problem.marginal, problem.k
     flavor = _derived_flavor(rho.dims, k, problem.flavor)
-    lo = float(_derived_min_pt_eigs(rho.mat[None], rho.dims, k, flavor, rho.tol, rho._min_eig)[0])
+    lo = float(_derived_min_pt_eigs(rho.mat[None], _reduced_of(rho, [0]), k, flavor)[0])
     return _ppt_verdict(lo, rho.dims, "hat-ppt" if flavor == BOSONIC else "tilde-ppt", k=float(k))
 
 
@@ -247,19 +250,12 @@ def definetti_gap(rho_ab: DensityMatrix, k: int) -> DefinettiGap:
     """
     _, d_b = _require_bipartite(rho_ab)
     k = _checked_int(k, "extension count", 1)
-    gap = d_b * trace_norm(_lift(d_b, rho_ab.mat, -1, partial_trace(rho_ab, [0]).mat, d_b)) / (d_b**2 + k)
+    gap = d_b * trace_norm(_lift(d_b, rho_ab.mat, -1, _reduced_of(rho_ab, [0])[0], d_b)) / (d_b**2 + k)
     return DefinettiGap(gap=gap, bound=2 * d_b**2 / (d_b**2 + k))
 
 
 def sufficient_separability(sigma: DensityMatrix) -> bool:
     """True when (d_B + 1) sigma - sigma_A x I is PSD, which certifies separability."""
     _, d_b = _require_bipartite(sigma)
-    m = _lift(d_b + 1, sigma.mat, -1, partial_trace(sigma, [0]).mat, d_b)
-    return float(np.linalg.eigvalsh(hermitize(m))[0]) >= -PPT_VIOLATION_TOL
-
-
-def necessary_separability(sigma: DensityMatrix) -> bool:
-    """True when sigma_A x I - sigma is PSD; every separable state passes."""
-    _, d_b = _require_bipartite(sigma)
-    m = _lift(-1, sigma.mat, 1, partial_trace(sigma, [0]).mat, d_b)
+    m = _lift(d_b + 1, sigma.mat, -1, _reduced_of(sigma, [0])[0], d_b)
     return float(np.linalg.eigvalsh(hermitize(m))[0]) >= -PPT_VIOLATION_TOL

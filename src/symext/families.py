@@ -20,6 +20,7 @@ from .linalg import (
     _entropies,
     _first,
     _reduced_of,
+    _spectral_entropies,
     _trace_distances,
     permutation_operator,
 )
@@ -205,7 +206,7 @@ def ssa_check(rho_ab: DensityMatrix, rho_ac: DensityMatrix) -> bool:
         raise LayoutError(f"A dimensions differ: {rho_ab.dims[0]} vs {rho_ac.dims[0]}")
     pair = (rho_ab, rho_ac)
     _require_a_agreement(_a_marginal_spreads(np.concatenate([_reduced_of(rho, [0]) for rho in pair]), _PAIR))
-    s = np.concatenate([_entropies(rho.mat[None]) for rho in pair])
+    s = np.array([_spectral_entropies(rho._spectrum) for rho in pair])
     s_b = np.concatenate([_entropies(_reduced_of(rho, [1])) for rho in pair])
     return bool(_ssa_flags(s, s_b, _PAIR)[0])
 

@@ -92,11 +92,6 @@ def _checked_int(value, what: str, least: int) -> int:
     return int(value)
 
 
-def _validate_stack(mats: np.ndarray, tol: float) -> np.ndarray:
-    """The Hermitian parts of an (N, n, n) stack that passes DensityMatrix's checks; see _validated_spectra."""
-    return _validated_spectra(mats, tol)[0]
-
-
 def _exact_real(mats: np.ndarray) -> np.ndarray:
     """The real part of a matrix or stack whose imaginary part is exactly zero; any other input as it is.
 
@@ -163,9 +158,10 @@ class DensityMatrix:
         if math.prod(dims) != side:
             raise LayoutError(f"layout {dims} implies side {math.prod(dims)}, matrix side is {side}")
         herm, spectra = _validated_spectra(mat[None], tol)
-        self._mat = herm[0]
-        self._min_eig = spectra[0, 0]  # the oracle reads full rank off it, the criteria the reduced states' validity
+        self._mat, self._spectrum = herm[0], spectra[0]  # ascending, read by the entropies
+        self._min_eig = self._spectrum[0]  # the oracle reads full rank off it, the criteria rho_A's validity
         self._mat.setflags(write=False)
+        self._spectrum.setflags(write=False)
         self._dims = dims
         self._tol = float(tol)
 
@@ -281,7 +277,7 @@ def _reduced_stack(mats: np.ndarray, dims: Sequence[int], keep: Iterable[int], t
     spare = 5 * tol
     if spare >= 3 * traced * mats.shape[-1] * _EPS and np.all(traced * lo >= -spare):
         return reduced
-    return _validate_stack(reduced, tol)
+    return _validated_spectra(reduced, tol)[0]
 
 
 def _reduced_of(rho: DensityMatrix, keep: Iterable[int]) -> np.ndarray:
@@ -345,7 +341,7 @@ def _trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Spectral entropy in bits; eigenvalues below 1e-12 count as zero."""
-    return float(_entropies(rho.mat[None])[0])
+    return float(_spectral_entropies(rho._spectrum))
 
 
 def _entropies(mats: np.ndarray) -> np.ndarray:

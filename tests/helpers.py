@@ -231,14 +231,24 @@ def certificate_holds(res, problem) -> bool:
 def kron_derived_mats(mats, dims, k, flavor, tol):
     """Tilde or hat matrices of a stack by the Kronecker formula: the reference for the in-place lift."""
     from symext.criteria import SYMMETRIC
-    from symext.linalg import _ptrace_mat, _validate_stack, hermitize
+    from symext.linalg import _ptrace_mat, _validated_spectra, hermitize
 
     d_b = dims[1]
     # rho_A validated as partial_trace validates it, whatever rho's smallest eigenvalue proves
-    lifted = np.kron(_validate_stack(hermitize(_ptrace_mat(mats, dims, [0])), tol), np.eye(d_b))
+    lifted = np.kron(_validated_spectra(hermitize(_ptrace_mat(mats, dims, [0])), tol)[0], np.eye(d_b))
     if flavor == SYMMETRIC:
         return (d_b * lifted + k * mats) / (d_b**2 + k)
     return (lifted + k * mats) / (d_b + k)
+
+
+def necessary_separability(sigma):
+    """True when sigma_A x I - sigma is PSD; every separable state passes."""
+    from symext.criteria import PPT_VIOLATION_TOL, _lift, _require_bipartite
+    from symext.linalg import _reduced_of, hermitize
+
+    _, d_b = _require_bipartite(sigma)
+    m = _lift(-1, sigma.mat, 1, _reduced_of(sigma, [0])[0], d_b)
+    return float(np.linalg.eigvalsh(hermitize(m))[0]) >= -PPT_VIOLATION_TOL
 
 
 def kron_separability_mats(rho):

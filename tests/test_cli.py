@@ -379,6 +379,22 @@ def test_werner_sweep_chunk_runs_three_eigensolves(capsys, monkeypatch):
     assert calls == [((101, 4, 4), np.float64)] * 3
 
 
+@pytest.mark.parametrize("d, chunks", [(2, 1), (3, 5)])
+def test_werner_sweep_chunk_reduces_once(capsys, monkeypatch, d, chunks):
+    import symext.linalg as linalg
+
+    calls = _count_eigensolves(monkeypatch)
+    traced = []
+    ptrace = linalg._ptrace_mat
+    monkeypatch.setattr(linalg, "_ptrace_mat", lambda mat, *args: traced.append(mat.shape) or ptrace(mat, *args))
+    code, out, _ = _run(capsys, ["werner-sweep", "--d", str(d), "--k", "4", "--psi-step", "0.01"])
+    assert code == 0 and len(out.splitlines()) == 202
+    # one A marginal per chunk, read by both the tilde and the hat column, and three eigensolves:
+    # the input stack and one partial transpose per column
+    assert len(traced) == chunks and all(shape[1:] == (d * d, d * d) for shape in traced)
+    assert len(calls) == 3 * chunks
+
+
 def test_bell_sweep_chunk_runs_two_eigensolves(capsys, monkeypatch):
     calls = _count_eigensolves(monkeypatch)
     code, out, _ = _run(capsys, ["bell-sweep", "--grid", "9", "--k", "3"])

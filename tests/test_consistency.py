@@ -154,7 +154,7 @@ def test_stacked_consistency_matches_the_verdict(dims, k):
     min_eigs = np.array([rho._min_eig for row in rows for rho in row])
     idx = np.arange(len(mats)).reshape(-1, k)
     spreads = _a_marginal_spreads(_reduced_stack(mats, dims, [0], 1e-10, min_eigs), idx)
-    lo = _consistency_min_pt_eigs(mats, dims, 1e-10, min_eigs, idx, spreads)
+    lo = _consistency_min_pt_eigs(mats, dims, idx, spreads)
     passes = _ppt_passes(lo)
     for i, row in enumerate(rows):
         ms = MarginalSet(row)

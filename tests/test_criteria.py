@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     kron_derived_mats,
     kron_separability_mats,
+    necessary_separability,
     random_bosonic_marginal,
     random_separable,
     random_symmetric_supported,
@@ -29,7 +30,6 @@ from symext import (
     generalized_hat,
     hat_state,
     maximally_mixed,
-    necessary_separability,
     partial_trace,
     ppt_test,
     random_density,
@@ -44,7 +44,7 @@ from symext import (
     werner_tilde_threshold,
 )
 from symext.criteria import _derived_mats, _derived_min_pt_eigs, _lift, _min_pt_eigs, _ppt_passes
-from symext.linalg import _hermiticity_defects, _reduced_stack, _validate_stack, _validated_spectra
+from symext.linalg import _hermiticity_defects, _reduced_stack, _validated_spectra
 
 
 def test_tilde_fixed_point():
@@ -346,6 +346,21 @@ def test_separability_conditions():
         assert necessary_separability(random_separable((2, 2), rng))
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_definetti_gap_and_sufficient_separability_run_one_eigensolve(monkeypatch, dims):
+    rho = random_density(dims, np.random.default_rng(31))
+    side = dims[0] * dims[1]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: calls.append(a.shape) or eigvalsh(a, *args))
+    # rho_A is proven valid from rho's smallest eigenvalue: only the lifted matrix is solved
+    definetti_gap(rho, 3)
+    assert calls == [(1, side, side)]
+    calls.clear()
+    sufficient_separability(rho)
+    assert calls == [(side, side)]
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
 def test_stacked_derived_states_match_batch_of_one(dims):
     rng = np.random.default_rng(sum(dims))
@@ -355,11 +370,12 @@ def test_stacked_derived_states_match_batch_of_one(dims):
                for v in rng.standard_normal((5, dims[0] * dims[1])) + 0j]
     stack = np.array([rho.mat for rho in states])
     min_eigs = np.array([rho._min_eig for rho in states])
+    a = _reduced_stack(stack, dims, [0], 1e-10, min_eigs)
     for k in (1, 2, 5):
         for flavor, single in ((SYMMETRIC, tilde_state), (BOSONIC, hat_state)):
-            derived = _validate_stack(_derived_mats(stack, dims, k, flavor, 1e-10, min_eigs), 1e-10)
+            derived, _ = _validated_spectra(_derived_mats(stack, a, k, flavor), 1e-10)
             lo = _min_pt_eigs(derived, dims)
-            kernel_lo = _derived_min_pt_eigs(stack, dims, k, flavor, 1e-10, min_eigs)
+            kernel_lo = _derived_min_pt_eigs(stack, a, k, flavor)
             assert np.array_equal(kernel_lo, lo)
             passes = _ppt_passes(kernel_lo)
             for i, rho in enumerate(states):
@@ -395,14 +411,15 @@ def test_derived_states_match_the_kronecker_formula_bit_for_bit(dims, dtype):
     rng = np.random.default_rng(dims[0] * 10 + dims[1])
     for n in (1, 7, 256):
         stack, lo = _random_stack(dims, n, rng, dtype)
+        a = _reduced_stack(stack, dims, [0], 1e-10, lo)
         for k in (1, 2, 3, 10):
             for flavor in (SYMMETRIC, BOSONIC):
                 reference = kron_derived_mats(stack, dims, k, flavor, 1e-10)
-                derived = _derived_mats(stack, dims, k, flavor, 1e-10, lo)
+                derived = _derived_mats(stack, a, k, flavor)
                 assert derived.dtype == reference.dtype and np.array_equal(derived, reference)
                 # the verdict kernel matches the reference validated again, as it once was
-                expected = _min_pt_eigs(_validate_stack(reference, 1e-10), dims)
-                assert np.array_equal(_derived_min_pt_eigs(stack, dims, k, flavor, 1e-10, lo), expected)
+                expected = _min_pt_eigs(_validated_spectra(reference, 1e-10)[0], dims)
+                assert np.array_equal(_derived_min_pt_eigs(stack, a, k, flavor), expected)
 
 
 @pytest.mark.parametrize("dims", [(d_a, d_b) for d_a in range(1, 5) for d_b in range(1, 5)], ids=str)
@@ -483,9 +500,10 @@ def test_derived_states_of_edge_states_pass_validation(dims):
     # rounding where the bound has no margin: |Tr rho - 1| = tol, and the PSD bound at d_B = 1
     eps = np.finfo(float).eps
     for name, (stack, lo) in _edge_states(dims, np.random.default_rng(sum(dims)), 30).items():
+        a = _reduced_stack(stack, dims, [0], EDGE_TOL, lo)
         for k in (1, 2, 10, 10**6):
             for flavor in (SYMMETRIC, BOSONIC):
-                derived = _derived_mats(stack, dims, k, flavor, EDGE_TOL, lo)
+                derived = _derived_mats(stack, a, k, flavor)
                 if name.startswith("trace") or dims[1] == 1:
                     assert not _hermiticity_defects(derived).any()
                     deviation = np.abs(np.trace(derived, axis1=1, axis2=2) - 1)
@@ -556,6 +574,7 @@ def test_reduced_state_past_the_proof_is_refused_everywhere():
     assert rho._min_eig == -0.9e-9
     good = werner_state(2, 0.3)
     stack = [good, rho, good]
+    mats = np.array([s.mat for s in stack])
     calls = [
         lambda: symmetric_extension_verdict(ExtensionProblem(rho, 2)),
         lambda: symmetric_extension_verdict(ExtensionProblem(rho, 3)),
@@ -568,7 +587,7 @@ def test_reduced_state_past_the_proof_is_refused_everywhere():
         lambda: ssa_check(good, rho),
         # a sweep-style stack: the first failing state names the error
         lambda: _derived_min_pt_eigs(
-            np.array([s.mat for s in stack]), (2, 2), 3, SYMMETRIC, 1e-10, np.array([s._min_eig for s in stack])
+            mats, _reduced_stack(mats, (2, 2), [0], 1e-10, np.array([s._min_eig for s in stack])), 3, SYMMETRIC
         ),
     ]
     for call in calls:

@@ -154,6 +154,19 @@ def test_ssa_check_werner_pair_against_closed_form():
     assert not ssa_check(werner_state(2, -0.9), werner_state(2, -0.9))
 
 
+def test_ssa_check_of_two_werner_states_runs_three_eigensolves(monkeypatch):
+    pair = werner_state(2, -0.6), werner_state(2, 0.3)
+    # rho_B = I / 2 has one bit of entropy
+    expected = sum(float(-np.sum(p * np.log2(p))) for p in (np.linalg.eigvalsh(rho.mat) for rho in pair)) >= 2.0
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: calls.append(a.shape) or eigvalsh(a, *args))
+    assert ssa_check(*pair) == expected
+    # the A-marginal trace distance and S(rho_B) of each state: S(rho) is read off the validation
+    # spectrum, and rho_A is proven valid from its smallest eigenvalue
+    assert calls == [(1, 2, 2)] * 3
+
+
 def test_ssa_check_marginal_mismatch():
     from symext import pure_state
 

@@ -34,7 +34,7 @@ from symext import (
     von_neumann_entropy,
     werner_state,
 )
-from symext.linalg import _entropies, _ptrace_mat, _ptranspose_mat, _trace_norms, _validate_stack, hermitize
+from symext.linalg import _entropies, _ptrace_mat, _ptranspose_mat, _trace_norms, _validated_spectra, hermitize
 
 
 def test_density_matrix_validation():
@@ -78,10 +78,10 @@ def test_validate_stack_reports_the_first_failing_state(kind):
     # a later state that fails another check must not mask the fourth
     stack[4] = BROKEN_STATES["non-finite" if kind != "non-finite" else "eigenvalue"]
     with pytest.raises(ValidationError) as err:
-        _validate_stack(stack, 1e-10)
+        _validated_spectra(stack, 1e-10)
     assert str(err.value) == _error_alone(stack[3])
     # the valid prefix passes and comes back as its Hermitian parts
-    out = _validate_stack(stack[:3], 1e-10)
+    out, _ = _validated_spectra(stack[:3], 1e-10)
     for mat, got in zip(stack[:3], out):
         assert np.array_equal(got, DensityMatrix(mat).mat)
 
@@ -362,6 +362,20 @@ def test_von_neumann_entropy():
     assert abs(von_neumann_entropy(pure_state([1, 0, 0, 0], (2, 2)))) < 1e-12
     assert abs(von_neumann_entropy(maximally_mixed([2, 2])) - 2.0) < 1e-12
     assert abs(von_neumann_entropy(bell_state([0.5, 0.5, 0, 0])) - 1.0) < 1e-12
+
+
+def test_von_neumann_entropy_reads_the_validation_spectrum(monkeypatch):
+    rng = np.random.default_rng(61)
+    states = [random_density((2, 3), rng), pure_state(rng.standard_normal(4), (2, 2)), maximally_mixed([3])]
+    expected = [float(_entropies(rho.mat[None])[0]) for rho in states]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: calls.append(a.shape) or eigvalsh(a, *args))
+    # bit for bit the entropy of a fresh solve, from the spectrum DensityMatrix kept, which is read-only
+    assert [von_neumann_entropy(rho) for rho in states] == expected
+    assert calls == []
+    with pytest.raises(ValueError):
+        states[0]._spectrum[0] = 1.0
 
 
 def test_permutation_operator_basics():

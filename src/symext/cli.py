@@ -347,7 +347,7 @@ def _werner_rows(d: int, k: int, n: int, with_oracle: bool):
     exact_threshold = werner_exact_threshold(d, k)
     dims = (d, d)
     for psis in _linspace_chunks(n, _chunk_size(d * d)):
-        mats, _, a = _family_stack(_werner_mats(d, psis), dims)  # one A marginal for both columns
+        mats, spectra, a = _family_stack(_werner_mats(d, psis), dims)  # one A marginal for both columns
         tilde_ok = _ppt_passes(_derived_min_pt_eigs(mats, a, k, SYMMETRIC)).tolist()
         hat_ok = _ppt_passes(_derived_min_pt_eigs(mats, a, k, BOSONIC)).tolist()
         for i, psi in enumerate(psis.tolist()):
@@ -358,7 +358,8 @@ def _werner_rows(d: int, k: int, n: int, with_oracle: bool):
                 str(int(psi >= exact_threshold - 1e-12)),
             ]
             if with_oracle:
-                problem = ExtensionProblem(DensityMatrix(mats[i], dims), k, SYMMETRIC)
+                # validated above with its spectrum, at the tolerance DensityMatrix defaults to
+                problem = ExtensionProblem(DensityMatrix._proven(mats[i], dims, HERM_TOL, spectra[i]), k, SYMMETRIC)
                 row.append(oracle_feasibility(problem).status)
             yield row
 
@@ -452,20 +453,17 @@ def _cmd_consistency_sweep(args, out: IO[str]) -> int:
 
 
 def _definetti_rows(rho: DensityMatrix, k_max: int):
-    """Rows k = 1..k_max from one trace norm: the gap and the bound both scale as 1/(d_B^2 + k)."""
+    """Rows k = 1..k_max from one trace norm, taken before the header is written: gap and bound scale as 1/(d_B^2 + k)."""
     gap, bound = definetti_gap(rho, 1)
     d_b2 = rho.dims[1] ** 2
-    for k in range(1, k_max + 1):
-        scale = (d_b2 + 1) / (d_b2 + k)
-        yield [str(k), _fmt(gap * scale), _fmt(bound * scale)]
+    scales = ((k, (d_b2 + 1) / (d_b2 + k)) for k in range(1, k_max + 1))
+    return ([str(k), _fmt(gap * scale), _fmt(bound * scale)] for k, scale in scales)
 
 
 def _cmd_definetti(args, out: IO[str]) -> int:
     _require_rows(f"--k-max {args.k_max}", args.k_max)
     if args.state is not None:
         rho = load_state(args.state, tol=args.tol)
-        if len(rho.dims) != 2:
-            raise CliInputError(f"state must be bipartite, got layout {rho.dims}")
     else:
         _require_side(args.d)
         rho = random_density((args.d, args.d), np.random.Generator(np.random.Philox(args.seed)))

@@ -78,9 +78,9 @@ def average_marginals(ms: MarginalSet) -> ExtensionProblem:
     spread = a_marginal_spread(ms)
     if spread > A_MARGINAL_TOL:
         raise MarginalMismatchError(f"A marginals differ: trace distance {spread:.3e}", spread)
-    avg = sum(rho.mat for rho in ms.marginals) / ms.k
-    tol = max(rho.tol for rho in ms.marginals)
-    return ExtensionProblem(DensityMatrix(avg, ms.dims, tol=tol), ms.k, _derived_flavor(ms.dims, ms.k, SYMMETRIC))
+    # a mean of validated states is exactly Hermitian and meets their largest tolerance up to rounding
+    avg = DensityMatrix._proven(sum(rho.mat for rho in ms.marginals) / ms.k, ms.dims, max(r.tol for r in ms.marginals))
+    return ExtensionProblem(avg, ms.k, _derived_flavor(ms.dims, ms.k, SYMMETRIC))
 
 
 def _consistency_min_pt_eigs(mats, dims, idx: np.ndarray, spreads: np.ndarray) -> np.ndarray:

@@ -106,7 +106,7 @@ def _derived_state(rho_ab: DensityMatrix, k: int, flavor: str) -> DensityMatrix:
     _require_bipartite(rho_ab)
     k = _checked_int(k, "extension count", 1)
     mat = _derived_mats(rho_ab.mat[None], _reduced_of(rho_ab, [0]), k, flavor)[0]
-    return DensityMatrix(mat, rho_ab.dims, tol=rho_ab.tol)
+    return DensityMatrix._proven(mat, rho_ab.dims, rho_ab.tol)  # valid by the proof in _derived_mats
 
 
 def tilde_state(rho_ab: DensityMatrix, k: int) -> DensityMatrix:

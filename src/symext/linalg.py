@@ -134,7 +134,7 @@ def _validated_spectra(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.nda
 
 
 class DensityMatrix:
-    """Validated density matrix with an explicit tensor-factor layout.
+    """Density matrix with an explicit tensor-factor layout, validated unless a proof builds it (``_proven``).
 
     ``dims`` lists the factor dimensions in order as integers, e.g. ``(2, 2)``
     for two qubits (a float, a string or a bool is refused); their product
@@ -158,12 +158,21 @@ class DensityMatrix:
         if math.prod(dims) != side:
             raise LayoutError(f"layout {dims} implies side {math.prod(dims)}, matrix side is {side}")
         herm, spectra = _validated_spectra(mat[None], tol)
-        self._mat, self._spectrum = herm[0], spectra[0]  # ascending, read by the entropies
-        self._min_eig = self._spectrum[0]  # the oracle reads full rank off it, the criteria rho_A's validity
-        self._mat.setflags(write=False)
-        self._spectrum.setflags(write=False)
-        self._dims = dims
-        self._tol = float(tol)
+        self._hold(herm[0], dims, tol, spectra[0])
+
+    @classmethod
+    def _proven(cls, mat: np.ndarray, dims: Sequence[int], tol: float, spectrum: np.ndarray | None = None):
+        """A state valid by a proof its caller states, held unchecked; its spectrum is solved unless given."""
+        rho, mat = cls.__new__(cls), np.asarray(mat, dtype=complex)
+        rho._hold(mat, dims, tol, np.linalg.eigvalsh(mat) if spectrum is None else spectrum)
+        return rho
+
+    def _hold(self, mat: np.ndarray, dims: Sequence[int], tol: float, spectrum: np.ndarray) -> None:
+        """Set the fields: read-only matrix and ascending spectrum (read by the entropies), int dims, float tol."""
+        self._mat, self._spectrum, self._dims, self._tol = mat, spectrum, tuple(map(int, dims)), float(tol)
+        self._min_eig = spectrum[0]  # the oracle reads full rank off it, the criteria rho_A's validity
+        mat.setflags(write=False)
+        spectrum.setflags(write=False)
 
     @property
     def mat(self) -> np.ndarray:
@@ -195,9 +204,10 @@ def _checked_side(dims: Sequence[int]) -> int:
 
 
 def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
-    """I/d on the given layout."""
+    """I/d on the given layout, valid by construction: its spectrum is 1/d, d times, with no eigensolve."""
+    dims = tuple(dims)
     side = _checked_side(dims)
-    return DensityMatrix(np.eye(side, dtype=complex) / side, dims)
+    return DensityMatrix._proven(np.eye(side, dtype=complex) / side, dims, HERM_TOL, np.full(side, 1 / side))
 
 
 def pure_state(vec: np.ndarray, dims: Sequence[int] | None = None) -> DensityMatrix:
@@ -260,7 +270,7 @@ def _ptrace_mat(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
 
 
 def _reduced_stack(mats: np.ndarray, dims: Sequence[int], keep: Iterable[int], tol: float, lo) -> np.ndarray:
-    """Partial traces of a stack of states validated at tol with smallest eigenvalues lo, valid as partial_trace's.
+    """Partial traces of a stack of states validated at tol with smallest eigenvalues lo, each proven or validated.
 
     With d the product of the traced dimensions, <x|Tr_B rho|x> = sum_b <x b|rho|x b>
     >= d lambda_min(rho) for unit x.  So where d lo >= -5 tol for every state, each
@@ -269,7 +279,7 @@ def _reduced_stack(mats: np.ndarray, dims: Sequence[int], keep: Iterable[int], t
     partial trace and the reduced state's own eigensolve.  A partial trace of an
     exactly Hermitian matrix is exactly Hermitian, and its trace is Tr rho up to
     summation rounding.  Where the proof does not hold, the reduced states are
-    validated as :func:`partial_trace` validates them.
+    validated, with DensityMatrix's checks and messages.
     """
     keep = tuple(keep)
     reduced = hermitize(_ptrace_mat(mats, dims, keep))
@@ -286,10 +296,9 @@ def _reduced_of(rho: DensityMatrix, keep: Iterable[int]) -> np.ndarray:
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced state on the factors in ``keep``, kept in original order."""
+    """Reduced state on the factors in ``keep``, kept in original order; :func:`_reduced_stack` proves or validates it."""
     keep = sorted(_check_positions(keep, len(rho.dims), "keep"))
-    reduced = _ptrace_mat(rho.mat, rho.dims, keep)
-    return DensityMatrix(hermitize(reduced), tuple(rho.dims[i] for i in keep), tol=rho.tol)
+    return DensityMatrix._proven(_reduced_of(rho, keep)[0], tuple(rho.dims[i] for i in keep), rho.tol)
 
 
 def _ptranspose_mat(mat: np.ndarray, dims: Sequence[int], subsystem: int) -> np.ndarray:

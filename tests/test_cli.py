@@ -395,6 +395,26 @@ def test_werner_sweep_chunk_reduces_once(capsys, monkeypatch, d, chunks):
     assert len(calls) == 3 * chunks
 
 
+def test_werner_sweep_oracle_rows_are_not_validated_again(capsys, monkeypatch):
+    calls = _count_eigensolves(monkeypatch)
+    inside = []
+    oracle = cli.oracle_feasibility
+
+    def counted(problem):
+        before = len(calls)
+        result = oracle(problem)
+        inside.append(len(calls) - before)
+        return result
+
+    monkeypatch.setattr(cli, "oracle_feasibility", counted)
+    code, out, _ = _run(capsys, ["werner-sweep", "--d", "2", "--k", "3", "--with-oracle", "--psi-step", "0.1"])
+    assert code == 0 and len(out.splitlines()) == 22 and len(inside) == 21
+    # the chunk's three float64 eigensolves and the oracle's own: each row's state holds the spectrum
+    # its chunk was validated with, so no row solves it again
+    assert calls[:3] == [((21, 4, 4), np.float64)] * 3
+    assert len(calls) == 3 + sum(inside)
+
+
 def test_bell_sweep_chunk_runs_two_eigensolves(capsys, monkeypatch):
     calls = _count_eigensolves(monkeypatch)
     code, out, _ = _run(capsys, ["bell-sweep", "--grid", "9", "--k", "3"])
@@ -420,9 +440,12 @@ def test_reduced_state_past_the_proof_is_refused_by_the_cli(capsys, tmp_path):
     path = tmp_path / "past.json"
     dump_state(DensityMatrix(np.diag([-0.9e-9, -0.9e-9, 0.5 + 0.9e-9, 0.5 + 0.9e-9]), (2, 2)), str(path))
     message = "error: minimal eigenvalue -1.800e-09 is below the PSD tolerance -1e-09\n"
+    out = tmp_path / "out.csv"
+    out.write_text("kept\n")
     for argv in (["check", str(path), "--k", "3"], ["check", str(path), "--k", "2", "--flavor", "bosonic"],
-                 ["consistency", str(path), str(path)]):
+                 ["consistency", str(path), str(path)], ["definetti", "--state", str(path), "--out", str(out)]):
         assert _run(capsys, argv) == (1, "", message)
+    assert out.read_bytes() == b"kept\n"  # definetti refuses rho_A before it writes the header
 
 
 @pytest.mark.parametrize("n", [2, 3, 25, 101, 201, 1001])

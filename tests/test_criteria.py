@@ -513,6 +513,30 @@ def test_derived_states_of_edge_states_pass_validation(dims):
                     _validated_spectra(derived, EDGE_TOL)
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_states_built_from_trace_edge_states_are_never_refused(dims):
+    # tilde, hat, rho_A and the averaged marginal are valid by proof and not validated again; the
+    # validation they got refused about one call in seven here, by an ulp past |Tr - 1| = tol
+    from symext import MarginalSet, average_marginals
+
+    rng = np.random.default_rng(sum(dims) + 70)
+    edges = _edge_states(dims, rng, 12)
+    b_frame = np.kron(np.eye(dims[0]), _unitary(dims[1], rng))  # a unitary on B keeps rho_A
+    for name in ("trace+", "trace-"):
+        for mat in edges[name][0]:
+            rho = DensityMatrix(mat, dims, tol=EDGE_TOL)
+            built = [f(rho, k) for f in (tilde_state, hat_state) for k in (1, 2, 10)]
+            built += [partial_trace(rho, [0]), partial_trace(rho, [1])]
+            try:
+                twin = DensityMatrix(b_frame @ mat @ b_frame.conj().T, dims, tol=EDGE_TOL)
+            except ValidationError:  # rounding can carry the rotated trace past the edge
+                twin = rho
+            built += [average_marginals(MarginalSet(pair)).marginal for pair in ([rho, twin], [rho, twin, twin])]
+            for state in built:
+                assert state.tol == EDGE_TOL and state._min_eig == state._spectrum[0]
+                assert abs(np.trace(state.mat) - 1) <= EDGE_TOL + 8 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
 def test_extension_verdict_runs_one_eigensolve(monkeypatch, dims):
     problem = ExtensionProblem(random_density(dims, np.random.default_rng(30)), 3)

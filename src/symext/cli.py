@@ -100,7 +100,7 @@ def _family_stack(mats: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, 
     Returns (Hermitian parts, ascending spectra, A marginals proven valid from the spectra).
     """
     mats, spectra = _validated_spectra(_exact_real(mats), HERM_TOL)
-    return mats, spectra, _reduced_stack(mats, dims, [0], HERM_TOL, spectra[:, 0])
+    return mats, spectra, _reduced_stack(mats, dims, [0], HERM_TOL, spectra[:, 0])[0]
 
 
 def _bell_hat_ppt_flags(p: np.ndarray, k: int) -> np.ndarray:
@@ -420,7 +420,7 @@ def _werner_pair_table(psis: np.ndarray):
     """
     dims = (2, 2)
     mats, spectra, a = _family_stack(_werner_mats(2, psis), dims)
-    s_b = _entropies(_reduced_stack(mats, dims, [1], HERM_TOL, spectra[:, 0]))
+    s_b = _entropies(_reduced_stack(mats, dims, [1], HERM_TOL, spectra[:, 0])[0])
     return mats, a, _spectral_entropies(spectra), s_b, _concurrences(mats)
 
 

@@ -23,9 +23,9 @@ from .criteria import (
     _derived_min_pt_eigs,
     _ppt_verdict,
 )
-from .errors import LayoutError, MarginalMismatchError, ValidationError
-from .families import A_MARGINAL_TOL, _a_marginal_spreads
-from .linalg import DensityMatrix, _ptrace_mat, _reduced_of, hermitize
+from .errors import LayoutError, ValidationError
+from .families import A_MARGINAL_TOL, _a_marginal_spreads, _require_a_agreement
+from .linalg import DensityMatrix, _ptrace_mat, _reduced_of, _require_bipartite, hermitize
 
 MARGINAL_MISMATCH = "marginal-mismatch"
 
@@ -40,9 +40,7 @@ class MarginalSet:
         marginals = tuple(marginals)
         if len(marginals) < 2:
             raise ValidationError(f"need at least two marginals, got {len(marginals)}")
-        dims = marginals[0].dims
-        if len(dims) != 2:
-            raise LayoutError(f"marginals must be bipartite, got layout {dims}")
+        dims = _require_bipartite(marginals[0])
         for rho in marginals[1:]:
             if rho.dims != dims:
                 raise LayoutError(f"marginal layouts differ: {dims} vs {rho.dims}")
@@ -59,12 +57,13 @@ class MarginalSet:
 
 def a_marginal_spread(ms: MarginalSet) -> float:
     """Largest pairwise trace distance between the A marginals."""
-    return float(_a_marginal_spreads(_a_table(ms), np.arange(ms.k)[None])[0])
+    return float(_a_spreads(ms)[0])
 
 
-def _a_table(ms: MarginalSet) -> np.ndarray:
-    """The A marginals of a set, each reduced at its own marginal's tolerance, in order."""
-    return np.concatenate([_reduced_of(rho, [0]) for rho in ms.marginals])
+def _a_spreads(ms: MarginalSet) -> np.ndarray:
+    """A set's A-marginal spread as an array of one, each A marginal reduced at its own marginal's tolerance."""
+    a = np.concatenate([_reduced_of(rho, [0]) for rho in ms.marginals])
+    return _a_marginal_spreads(a, np.arange(ms.k)[None])
 
 
 def average_marginals(ms: MarginalSet) -> ExtensionProblem:
@@ -75,9 +74,7 @@ def average_marginals(ms: MarginalSet) -> ExtensionProblem:
     MarginalMismatchError when the A marginals disagree beyond tolerance,
     which is already a proof of inconsistency.
     """
-    spread = a_marginal_spread(ms)
-    if spread > A_MARGINAL_TOL:
-        raise MarginalMismatchError(f"A marginals differ: trace distance {spread:.3e}", spread)
+    _require_a_agreement(_a_spreads(ms))
     # a mean of validated states is exactly Hermitian and meets their largest tolerance up to rounding
     avg = DensityMatrix._proven(sum(rho.mat for rho in ms.marginals) / ms.k, ms.dims, max(r.tol for r in ms.marginals))
     return ExtensionProblem(avg, ms.k, _derived_flavor(ms.dims, ms.k, SYMMETRIC))
@@ -108,12 +105,11 @@ def consistency_verdict(ms: MarginalSet) -> CriterionVerdict:
     field records which rule fired: ``marginal-mismatch``,
     ``averaging+hat``, or ``averaging+tilde``.
     """
-    idx = np.arange(ms.k)[None]  # one row naming every marginal
-    spreads = _a_marginal_spreads(_a_table(ms), idx)
+    spreads = _a_spreads(ms)
     if spreads[0] > A_MARGINAL_TOL:
         return CriterionVerdict(VIOLATED, MARGINAL_MISMATCH, {"a_marginal_trace_distance": float(spreads[0])})
     mats = np.array([rho.mat for rho in ms.marginals])
-    pt_lo = _consistency_min_pt_eigs(mats, ms.dims, idx, spreads)
+    pt_lo = _consistency_min_pt_eigs(mats, ms.dims, np.arange(ms.k)[None], spreads)  # one row naming every marginal
     rule = "averaging+hat" if _derived_flavor(ms.dims, ms.k, SYMMETRIC) == BOSONIC else "averaging+tilde"
     return _ppt_verdict(float(pt_lo[0]), ms.dims, rule, k=float(ms.k))
 

@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import LayoutError, ValidationError
+from .errors import ValidationError
 from .linalg import (
     DensityMatrix,
     _check_extension_layout,
@@ -26,6 +26,7 @@ from .linalg import (
     _ptrace_mat,
     _ptranspose_mat,
     _reduced_of,
+    _require_bipartite,
     _require_symmetric_support,
     hermitize,
     trace_norm,
@@ -51,8 +52,7 @@ class ExtensionProblem:
     flavor: str = SYMMETRIC
 
     def __post_init__(self):
-        if len(self.marginal.dims) != 2:
-            raise LayoutError(f"extension problems need a bipartite marginal, got layout {self.marginal.dims}")
+        _require_bipartite(self.marginal)
         object.__setattr__(self, "k", _checked_int(self.k, "extension count", 1))
         if self.flavor not in (SYMMETRIC, BOSONIC):
             raise ValidationError(f"flavor must be '{SYMMETRIC}' or '{BOSONIC}', got {self.flavor!r}")
@@ -70,12 +70,6 @@ class CriterionVerdict:
 class DefinettiGap(NamedTuple):
     gap: float
     bound: float
-
-
-def _require_bipartite(rho: DensityMatrix) -> tuple[int, int]:
-    if len(rho.dims) != 2:
-        raise LayoutError(f"expected a bipartite layout, got {rho.dims}")
-    return rho.dims
 
 
 def _lift(scale, mats: np.ndarray, c, reduced: np.ndarray, d_b: int) -> np.ndarray:
@@ -192,7 +186,7 @@ def _derived_min_pt_eigs(mats: np.ndarray, a: np.ndarray, k: int, flavor: str) -
 
 def _ppt_verdict(lo: float, dims, criterion: str, **extra: float) -> CriterionVerdict:
     """Partial-transpose verdict ``criterion`` from the smallest eigenvalue on ``dims``, with ``extra`` witness keys."""
-    exact = len(dims) == 2 and tuple(sorted(dims)) in ((2, 2), (2, 3))
+    exact = tuple(sorted(dims)) in ((2, 2), (2, 3))  # the PPT test decides separability on these layouts
     witness = {"min_pt_eig": lo, "exact": 1.0 if exact else 0.0, **extra}
     if not _ppt_passes(lo):
         return CriterionVerdict(VIOLATED, criterion, witness)

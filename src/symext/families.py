@@ -20,6 +20,7 @@ from .linalg import (
     _entropies,
     _first,
     _reduced_of,
+    _require_bipartite,
     _spectral_entropies,
     _trace_distances,
     permutation_operator,
@@ -95,9 +96,7 @@ def _bell_exact_flags(p: np.ndarray) -> np.ndarray:
 
 
 def _bell_ssa_flags(p: np.ndarray) -> np.ndarray:
-    # weights at or below 1e-12 contribute 0 * log2(1); no log of zero is taken
-    entropy = -np.sum(p * np.log2(np.where(p > 1e-12, p, 1.0)), axis=1)
-    return entropy >= 1.0 - 1e-12
+    return _spectral_entropies(p) >= 1.0 - 1e-12
 
 
 def bell_polytope_condition(p: Sequence[float]) -> bool:
@@ -200,8 +199,8 @@ def ssa_check(rho_ab: DensityMatrix, rho_ac: DensityMatrix) -> bool:
     Both inputs must be bipartite with matching A marginals; a mismatch is
     already a proof of inconsistency and raises.
     """
-    if len(rho_ab.dims) != 2 or len(rho_ac.dims) != 2:
-        raise LayoutError(f"both marginals must be bipartite, got {rho_ab.dims} and {rho_ac.dims}")
+    _require_bipartite(rho_ab)
+    _require_bipartite(rho_ac)
     if rho_ab.dims[0] != rho_ac.dims[0]:
         raise LayoutError(f"A dimensions differ: {rho_ab.dims[0]} vs {rho_ac.dims[0]}")
     pair = (rho_ab, rho_ac)

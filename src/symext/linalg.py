@@ -30,8 +30,8 @@ SYM_SUPPORT_TOL = 1e-9
 _EPS = np.finfo(float).eps
 
 # Dense constructions on r factors (permutation operators, symmetric
-# projectors, twirls, the isotypic bases) hold matrices or isometries of side
-# d^r; refuse anything larger.
+# projectors, the isotypic bases) hold matrices or isometries of side d^r;
+# refuse anything larger.
 DIM_GUARD = 4096
 
 
@@ -269,7 +269,9 @@ def _ptrace_mat(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     return reduced.reshape(lead + (side, side))
 
 
-def _reduced_stack(mats: np.ndarray, dims: Sequence[int], keep: Iterable[int], tol: float, lo) -> np.ndarray:
+def _reduced_stack(
+    mats: np.ndarray, dims: Sequence[int], keep: Iterable[int], tol: float, lo
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Partial traces of a stack of states validated at tol with smallest eigenvalues lo, each proven or validated.
 
     With d the product of the traced dimensions, <x|Tr_B rho|x> = sum_b <x b|rho|x b>
@@ -279,26 +281,29 @@ def _reduced_stack(mats: np.ndarray, dims: Sequence[int], keep: Iterable[int], t
     partial trace and the reduced state's own eigensolve.  A partial trace of an
     exactly Hermitian matrix is exactly Hermitian, and its trace is Tr rho up to
     summation rounding.  Where the proof does not hold, the reduced states are
-    validated, with DensityMatrix's checks and messages.
+    validated, with DensityMatrix's checks and messages, and their ascending
+    spectra are returned with them so no caller solves them again; else None.
     """
     keep = tuple(keep)
     reduced = hermitize(_ptrace_mat(mats, dims, keep))
     traced = math.prod(dim for i, dim in enumerate(dims) if i not in keep)
     spare = 5 * tol
     if spare >= 3 * traced * mats.shape[-1] * _EPS and np.all(traced * lo >= -spare):
-        return reduced
-    return _validated_spectra(reduced, tol)[0]
+        return reduced, None
+    return _validated_spectra(reduced, tol)
 
 
 def _reduced_of(rho: DensityMatrix, keep: Iterable[int]) -> np.ndarray:
     """The reduced state of one validated state on the factors in keep, as a stack of one, by :func:`_reduced_stack`."""
-    return _reduced_stack(rho.mat[None], rho.dims, keep, rho.tol, rho._min_eig)
+    return _reduced_stack(rho.mat[None], rho.dims, keep, rho.tol, rho._min_eig)[0]
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the factors in ``keep``, kept in original order; :func:`_reduced_stack` proves or validates it."""
     keep = sorted(_check_positions(keep, len(rho.dims), "keep"))
-    return DensityMatrix._proven(_reduced_of(rho, keep)[0], tuple(rho.dims[i] for i in keep), rho.tol)
+    reduced, spectra = _reduced_stack(rho.mat[None], rho.dims, keep, rho.tol, rho._min_eig)
+    dims = tuple(rho.dims[i] for i in keep)
+    return DensityMatrix._proven(reduced[0], dims, rho.tol, None if spectra is None else spectra[0])
 
 
 def _ptranspose_mat(mat: np.ndarray, dims: Sequence[int], subsystem: int) -> np.ndarray:
@@ -388,6 +393,13 @@ def permutation_operator(d: int, k: int, pi: Sequence[int]) -> np.ndarray:
     return w
 
 
+def _require_bipartite(rho: DensityMatrix) -> tuple[int, int]:
+    """The layout (d_A, d_B) of a state on two factors; any other number of factors raises LayoutError."""
+    if len(rho.dims) != 2:
+        raise LayoutError(f"expected a bipartite layout, got {rho.dims}")
+    return rho.dims
+
+
 def _check_extension_layout(dims) -> tuple[int, int, int]:
     """(d_A, d_B, r) of a layout [d_A, d_B, ..., d_B] with r equal B factors."""
     dims = tuple(dims)
@@ -437,24 +449,3 @@ def symmetric_projector(d: int, r: int) -> np.ndarray:
     iso = _occupation_isometry(d, r).astype(complex)
     return iso @ iso.T
 
-
-def twirl_channel(rho_sym: DensityMatrix, d: int) -> np.ndarray:
-    """Collapse a symmetric k-factor state to one factor via the permutation-sum average.
-
-    Computes Tr over factors 2..k+1 of (I tensor rho) multiplied by the sum of
-    all permutation operators on k+1 factors, normalized to trace one.  For
-    inputs supported on the symmetric subspace this equals the normalization
-    of tr(rho) I + k rho_B, where rho_B is the single-factor marginal.
-    """
-    d = _checked_int(d, "local dimension", 1)
-    dims = rho_sym.dims
-    k = len(dims)
-    if any(dim != d for dim in dims):
-        raise LayoutError(f"all factors must have dimension {d}, got layout {dims}")
-    # the permutation sum is (k+1)! V V^dag; V as (first factor, the other k, column)
-    t = _occupation_isometry(d, k + 1).reshape(d, d**k, -1)
-    _require_symmetric_support(rho_sym.mat, _occupation_isometry(d, k), "state is")
-    # Tr_{2..k+1}[(I x rho) V V^dag] = sum_j T_j rho^T T_j^T, T_j = t[:, :, j]; V is real
-    out = np.tensordot(t, np.tensordot(rho_sym.mat.T, t, axes=(1, 1)), axes=([1, 2], [0, 2]))
-    out = hermitize(out)
-    return out / np.trace(out).real

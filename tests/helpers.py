@@ -262,3 +262,28 @@ def kron_separability_mats(rho):
     d_b = rho.dims[1]
     lifted = np.kron(partial_trace(rho, [0]).mat, np.eye(d_b))
     return d_b * rho.mat - lifted, (d_b + 1) * rho.mat - lifted, lifted - rho.mat
+
+
+def twirl_channel(rho_sym: DensityMatrix, d: int) -> np.ndarray:
+    """Collapse a symmetric k-factor state to one factor via the permutation-sum average.
+
+    Computes Tr over factors 2..k+1 of (I tensor rho) multiplied by the sum of
+    all permutation operators on k+1 factors, normalized to trace one.  For
+    inputs supported on the symmetric subspace this equals the normalization
+    of tr(rho) I + k rho_B, where rho_B is the single-factor marginal.
+    """
+    from symext import LayoutError
+    from symext.linalg import _checked_int, _occupation_isometry, _require_symmetric_support, hermitize
+
+    d = _checked_int(d, "local dimension", 1)
+    dims = rho_sym.dims
+    k = len(dims)
+    if any(dim != d for dim in dims):
+        raise LayoutError(f"all factors must have dimension {d}, got layout {dims}")
+    # the permutation sum is (k+1)! V V^dag; V as (first factor, the other k, column)
+    t = _occupation_isometry(d, k + 1).reshape(d, d**k, -1)
+    _require_symmetric_support(rho_sym.mat, _occupation_isometry(d, k), "state is")
+    # Tr_{2..k+1}[(I x rho) V V^dag] = sum_j T_j rho^T T_j^T, T_j = t[:, :, j]; V is real
+    out = np.tensordot(t, np.tensordot(rho_sym.mat.T, t, axes=(1, 1)), axes=([1, 2], [0, 2]))
+    out = hermitize(out)
+    return out / np.trace(out).real

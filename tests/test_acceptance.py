@@ -12,7 +12,7 @@ from contextlib import redirect_stdout
 
 import numpy as np
 
-from helpers import certificate_holds, random_symmetric_supported
+from helpers import certificate_holds, random_symmetric_supported, twirl_channel
 from symext import (
     BOSONIC,
     FEASIBLE,
@@ -37,7 +37,6 @@ from symext import (
     random_density,
     symmetric_extension_verdict,
     tilde_state,
-    twirl_channel,
     werner_hat_psi,
     werner_state,
     werner_tilde_psi,

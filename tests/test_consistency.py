@@ -153,7 +153,7 @@ def test_stacked_consistency_matches_the_verdict(dims, k):
     mats = np.array([rho.mat for row in rows for rho in row])
     min_eigs = np.array([rho._min_eig for row in rows for rho in row])
     idx = np.arange(len(mats)).reshape(-1, k)
-    spreads = _a_marginal_spreads(_reduced_stack(mats, dims, [0], 1e-10, min_eigs), idx)
+    spreads = _a_marginal_spreads(_reduced_stack(mats, dims, [0], 1e-10, min_eigs)[0], idx)
     lo = _consistency_min_pt_eigs(mats, dims, idx, spreads)
     passes = _ppt_passes(lo)
     for i, row in enumerate(rows):

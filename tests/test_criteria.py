@@ -22,6 +22,7 @@ from symext import (
     DensityMatrix,
     ExtensionProblem,
     LayoutError,
+    MarginalSet,
     ValidationError,
     bell_state,
     bosonic_extension_verdict,
@@ -33,6 +34,7 @@ from symext import (
     partial_trace,
     ppt_test,
     random_density,
+    ssa_check,
     sufficient_separability,
     symmetric_extension_verdict,
     tilde_state,
@@ -170,6 +172,7 @@ def test_generalized_hat_errors():
 
 
 def test_bipartite_layout_required():
+    # one helper refuses every input that is not on two factors, with one wording
     tri = maximally_mixed([2, 2, 2])
     for op in (
         lambda r: tilde_state(r, 2),
@@ -177,8 +180,11 @@ def test_bipartite_layout_required():
         lambda r: definetti_gap(r, 2),
         sufficient_separability,
         necessary_separability,
+        lambda r: ExtensionProblem(r, 2),
+        lambda r: MarginalSet([r, r]),
+        lambda r: ssa_check(r, r),
     ):
-        with pytest.raises(LayoutError):
+        with pytest.raises(LayoutError, match=r"^expected a bipartite layout, got \(2, 2, 2\)$"):
             op(tri)
 
 
@@ -370,7 +376,7 @@ def test_stacked_derived_states_match_batch_of_one(dims):
                for v in rng.standard_normal((5, dims[0] * dims[1])) + 0j]
     stack = np.array([rho.mat for rho in states])
     min_eigs = np.array([rho._min_eig for rho in states])
-    a = _reduced_stack(stack, dims, [0], 1e-10, min_eigs)
+    a = _reduced_stack(stack, dims, [0], 1e-10, min_eigs)[0]
     for k in (1, 2, 5):
         for flavor, single in ((SYMMETRIC, tilde_state), (BOSONIC, hat_state)):
             derived, _ = _validated_spectra(_derived_mats(stack, a, k, flavor), 1e-10)
@@ -411,7 +417,7 @@ def test_derived_states_match_the_kronecker_formula_bit_for_bit(dims, dtype):
     rng = np.random.default_rng(dims[0] * 10 + dims[1])
     for n in (1, 7, 256):
         stack, lo = _random_stack(dims, n, rng, dtype)
-        a = _reduced_stack(stack, dims, [0], 1e-10, lo)
+        a = _reduced_stack(stack, dims, [0], 1e-10, lo)[0]
         for k in (1, 2, 3, 10):
             for flavor in (SYMMETRIC, BOSONIC):
                 reference = kron_derived_mats(stack, dims, k, flavor, 1e-10)
@@ -500,7 +506,7 @@ def test_derived_states_of_edge_states_pass_validation(dims):
     # rounding where the bound has no margin: |Tr rho - 1| = tol, and the PSD bound at d_B = 1
     eps = np.finfo(float).eps
     for name, (stack, lo) in _edge_states(dims, np.random.default_rng(sum(dims)), 30).items():
-        a = _reduced_stack(stack, dims, [0], EDGE_TOL, lo)
+        a = _reduced_stack(stack, dims, [0], EDGE_TOL, lo)[0]
         for k in (1, 2, 10, 10**6):
             for flavor in (SYMMETRIC, BOSONIC):
                 derived = _derived_mats(stack, a, k, flavor)
@@ -611,7 +617,7 @@ def test_reduced_state_past_the_proof_is_refused_everywhere():
         lambda: ssa_check(good, rho),
         # a sweep-style stack: the first failing state names the error
         lambda: _derived_min_pt_eigs(
-            mats, _reduced_stack(mats, (2, 2), [0], 1e-10, np.array([s._min_eig for s in stack])), 3, SYMMETRIC
+            mats, _reduced_stack(mats, (2, 2), [0], 1e-10, np.array([s._min_eig for s in stack]))[0], 3, SYMMETRIC
         ),
     ]
     for call in calls:

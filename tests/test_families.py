@@ -253,8 +253,8 @@ def test_stacked_werner_states_concurrence_and_ssa_match_single(d):
         # the kernel on a table of the states, paired with the same table reversed
         min_eigs = np.array([rho._min_eig for rho in states])
         idx = np.column_stack([np.arange(len(states)), np.arange(len(states))[::-1]])
-        _require_a_agreement(_a_marginal_spreads(_reduced_stack(stack, (2, 2), [0], 1e-10, min_eigs), idx))
-        s_b = _entropies(_reduced_stack(stack, (2, 2), [1], 1e-10, min_eigs))
+        _require_a_agreement(_a_marginal_spreads(_reduced_stack(stack, (2, 2), [0], 1e-10, min_eigs)[0], idx))
+        s_b = _entropies(_reduced_stack(stack, (2, 2), [1], 1e-10, min_eigs)[0])
         flags = _ssa_flags(_entropies(stack), s_b, idx)
         for rho_ab, rho_ac, got in zip(states, states[::-1], flags):
             s_b, s_c = (von_neumann_entropy(partial_trace(rho, [1])) for rho in (rho_ab, rho_ac))

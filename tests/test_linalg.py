@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import brute_force_symmetric_projector, random_separable, random_symmetric_supported
+from helpers import brute_force_symmetric_projector, random_separable, random_symmetric_supported, twirl_channel
 from symext import (
     DensityMatrix,
     LayoutError,
@@ -30,7 +30,6 @@ from symext import (
     symmetric_projector,
     tensor_product,
     trace_norm,
-    twirl_channel,
     von_neumann_entropy,
     werner_state,
 )
@@ -270,6 +269,21 @@ def test_partial_trace_multi_factor_order():
     expected = np.kron(parts[0].mat, parts[2].mat)
     assert np.max(np.abs(red.mat - expected)) < 1e-12
     assert red.dims == (2, 2)
+
+
+def test_partial_trace_solves_its_reduced_state_once(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: calls.append(a.shape) or eigvalsh(a, *args))
+    # at tol = 0 rho_A is validated and keeps the spectrum its validation solved; at the
+    # default tol it is proven valid from rho's smallest eigenvalue and solved on its own
+    for tol, solved in ((0, [(1, 2, 2)]), (1e-10, [(2, 2)])):
+        rho = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]), (2, 2), tol=tol)
+        calls.clear()
+        rho_a = partial_trace(rho, [0])
+        assert calls == solved
+        assert rho_a._spectrum.tobytes() == eigvalsh(rho_a.mat).tobytes()
+        assert np.allclose(rho_a.mat, np.diag([0.7, 0.3]), rtol=0, atol=1e-15)
 
 
 def test_partial_transpose_bell():

@@ -40,7 +40,6 @@ from .families import (
     _bell_mats,
     _bell_polytope_flags,
     _bell_ssa_flags,
-    _check_bell_rows,
     _ckw_holds,
     _concurrences,
     _require_a_agreement,
@@ -52,8 +51,8 @@ from .linalg import (
     HERM_TOL,
     DensityMatrix,
     _checked_tol,
-    _entropies,
     _exact_real,
+    _reduced_entropies,
     _reduced_stack,
     _spectral_entropies,
     _validated_spectra,
@@ -75,12 +74,10 @@ _CHUNK_ENTRIES = 4096
 
 # Work guards: werner-sweep and definetti build states of side d^2 at most
 # this large, and every sweep and the definetti table print at most this
-# many rows.  werner-sweep has 2 / psi-step + 1 rows, so its smallest step
-# is 1e-6.  volume draws at most _MAX_SAMPLES points, about 100 s at 10 M
+# many rows.  volume draws at most _MAX_SAMPLES points, about 100 s at 10 M
 # points a second.
 _MAX_SIDE = 256
 _MAX_ROWS = 2_000_001
-_WERNER_MIN_STEP = 2.0 / (_MAX_ROWS - 1)
 _MAX_SAMPLES = 1_000_000_000
 
 
@@ -329,7 +326,7 @@ def _bell_points(n: int):
 
 def _bell_rows(n: int, k: int, flags):
     for chunk in _chunks(_bell_points(n), _chunk_size(4)):
-        p = _check_bell_rows(np.array([weights for _, weights in chunk]))
+        p = np.array([weights for _, weights in chunk])  # in [0, 1] and summing to 1 by construction
         columns = [flag(p, k).tolist() for flag in flags]
         for (labels, _), *row in zip(chunk, *columns):
             yield labels + [str(int(f)) for f in row]
@@ -366,9 +363,9 @@ def _werner_rows(d: int, k: int, n: int, with_oracle: bool):
 
 def _cmd_werner_sweep(args, out: IO[str]) -> int:
     _require_side(args.d)
-    if args.psi_step < _WERNER_MIN_STEP:
-        raise ResourceLimitError(f"--psi-step {args.psi_step} is below the sweep limit {_WERNER_MIN_STEP:g}")
-    n = int(round(2.0 / args.psi_step)) + 1
+    steps = 2.0 / args.psi_step  # inf for a subnormal step
+    n = round(steps) + 1 if math.isfinite(steps) else math.inf
+    _require_rows(f"--psi-step {args.psi_step}", n)
     header = ["psi", "tilde_ppt", "hat_ppt", "exact_flag"]
     if args.with_oracle:
         _check_reach(args.d, args.d, args.k, SYMMETRIC)
@@ -420,7 +417,7 @@ def _werner_pair_table(psis: np.ndarray):
     """
     dims = (2, 2)
     mats, spectra, a = _family_stack(_werner_mats(2, psis), dims)
-    s_b = _entropies(_reduced_stack(mats, dims, [1], HERM_TOL, spectra[:, 0])[0])
+    s_b = _reduced_entropies(mats, dims, [1], HERM_TOL, spectra[:, 0])
     return mats, a, _spectral_entropies(spectra), s_b, _concurrences(mats)
 
 
@@ -434,9 +431,8 @@ def _consistency_rows(n: int):
     for chunk in _chunks(itertools.product(range(n), repeat=2), size):
         idx = np.array(chunk)
         i, j = idx.T
-        spreads = _a_marginal_spreads(a, idx)  # read by both the pentagon and SSA
-        pentagon = _ppt_passes(_consistency_min_pt_eigs(mats, dims, idx, spreads))
-        _require_a_agreement(spreads)
+        _require_a_agreement(_a_marginal_spreads(a, idx))  # the pentagon kernel and SSA take agreeing pairs
+        pentagon = _ppt_passes(_consistency_min_pt_eigs(mats, dims, idx))
         flags = zip(
             pentagon.tolist(),
             _ckw_holds(concurrences[i], concurrences[j], 1.0).tolist(),

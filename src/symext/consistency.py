@@ -80,22 +80,17 @@ def average_marginals(ms: MarginalSet) -> ExtensionProblem:
     return ExtensionProblem(avg, ms.k, _derived_flavor(ms.dims, ms.k, SYMMETRIC))
 
 
-def _consistency_min_pt_eigs(mats, dims, idx: np.ndarray, spreads: np.ndarray) -> np.ndarray:
+def _consistency_min_pt_eigs(mats, dims, idx: np.ndarray) -> np.ndarray:
     """Derived-state eigenvalue of :func:`consistency_verdict` for each row of an (N, k) index array into a table.
 
-    The table holds validated states ``mats`` on layout ``dims``; ``spreads`` are
-    the rows' A-marginal spreads, from A marginals the caller has proven valid
-    or validated.  Rows whose A marginals disagree build no average; their NaN
-    eigenvalue reads as Violated.  The average of each row is a mean of valid
-    states, so it is valid, and its A marginal is the mean of its members'.
+    The table holds validated states ``mats`` on layout ``dims``; the caller has checked that each row's A
+    marginals agree.  The average of each row is a mean of valid states, so it is valid, and its A marginal
+    is the mean of its members'.
     """
     k = idx.shape[1]
-    agree = spreads <= A_MARGINAL_TOL
-    avg = sum(mats[row] for row in idx[agree].T) / k
-    out = np.full(len(agree), np.nan)
+    avg = sum(mats[row] for row in idx.T) / k
     a = hermitize(_ptrace_mat(avg, dims, [0]))
-    out[agree] = _derived_min_pt_eigs(avg, a, k, _derived_flavor(dims, k, SYMMETRIC))
-    return out
+    return _derived_min_pt_eigs(avg, a, k, _derived_flavor(dims, k, SYMMETRIC))
 
 
 def consistency_verdict(ms: MarginalSet) -> CriterionVerdict:
@@ -109,7 +104,7 @@ def consistency_verdict(ms: MarginalSet) -> CriterionVerdict:
     if spreads[0] > A_MARGINAL_TOL:
         return CriterionVerdict(VIOLATED, MARGINAL_MISMATCH, {"a_marginal_trace_distance": float(spreads[0])})
     mats = np.array([rho.mat for rho in ms.marginals])
-    pt_lo = _consistency_min_pt_eigs(mats, ms.dims, np.arange(ms.k)[None], spreads)  # one row naming every marginal
+    pt_lo = _consistency_min_pt_eigs(mats, ms.dims, np.arange(ms.k)[None])  # one row naming every marginal
     rule = "averaging+hat" if _derived_flavor(ms.dims, ms.k, SYMMETRIC) == BOSONIC else "averaging+tilde"
     return _ppt_verdict(float(pt_lo[0]), ms.dims, rule, k=float(ms.k))
 

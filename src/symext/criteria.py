@@ -29,6 +29,7 @@ from .linalg import (
     _require_bipartite,
     _require_symmetric_support,
     hermitize,
+    partial_transpose,
     trace_norm,
 )
 
@@ -204,7 +205,7 @@ def ppt_test(rho: DensityMatrix, cut: int = 1) -> CriterionVerdict:
     PPT relaxation.  Eigenvalues within the tolerance band report
     Inconclusive with a ``boundary`` flag.
     """
-    return _ppt_verdict(float(_min_pt_eigs(rho.mat[None], rho.dims, cut)[0]), rho.dims, "ppt")
+    return _ppt_verdict(float(np.linalg.eigvalsh(hermitize(partial_transpose(rho, cut)))[0]), rho.dims, "ppt")
 
 
 def _derived_verdict(problem: ExtensionProblem) -> CriterionVerdict:

@@ -17,8 +17,8 @@ from .errors import LayoutError, MarginalMismatchError, ValidationError
 from .linalg import (
     DensityMatrix,
     _checked_int,
-    _entropies,
     _first,
+    _reduced_entropies,
     _reduced_of,
     _require_bipartite,
     _spectral_entropies,
@@ -206,7 +206,7 @@ def ssa_check(rho_ab: DensityMatrix, rho_ac: DensityMatrix) -> bool:
     pair = (rho_ab, rho_ac)
     _require_a_agreement(_a_marginal_spreads(np.concatenate([_reduced_of(rho, [0]) for rho in pair]), _PAIR))
     s = np.array([_spectral_entropies(rho._spectrum) for rho in pair])
-    s_b = np.concatenate([_entropies(_reduced_of(rho, [1])) for rho in pair])
+    s_b = np.concatenate([_reduced_entropies(rho.mat[None], rho.dims, [1], rho.tol, rho._min_eig) for rho in pair])
     return bool(_ssa_flags(s, s_b, _PAIR)[0])
 
 

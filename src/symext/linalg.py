@@ -1,17 +1,16 @@
 """Dense complex linear algebra over multi-factor tensor spaces.
 
-States are plain numpy arrays wrapped in :class:`DensityMatrix`, which pins
-down the tensor-factor layout and enforces the physical invariants
-(Hermitian, trace one, positive semidefinite within tolerance).  The
-private kernels (``_validated_spectra``, ``_reduced_stack``, ``_ptrace_mat``,
-``_ptranspose_mat``, ``_trace_norms``, ``_entropies``) work on stacks of shape
-(N, n, n); the public single-state functions call them with a stack of one.
+States are numpy arrays wrapped in :class:`DensityMatrix`, which pins down the
+tensor-factor layout and enforces the physical invariants (Hermitian, trace
+one, PSD within tolerance).  The private kernels (``_validated_spectra``,
+``_reduced_stack``, ``_ptrace_mat``, ``_ptranspose_mat``, ``_trace_norms``,
+``_entropies``) work on stacks of shape (N, n, n) and trust their callers: the
+public functions check outside input once, then call them with a stack of one.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import string
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -54,13 +53,6 @@ def _first(mask: np.ndarray) -> int | None:
     return int(mask.argmax()) if mask.any() else None
 
 
-def _require_square(m: np.ndarray, what: str) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise LayoutError(f"{what} must be square, got shape {m.shape}")
-    return m
-
-
 def _hermitian_spectra(ms: np.ndarray, tol: float) -> np.ndarray:
     """Ascending spectra of a stack; a non-finite entry or a Hermiticity defect above tol raises ValidationError."""
     if not np.isfinite(ms).all():
@@ -81,15 +73,35 @@ def _checked_tol(tol: float) -> float:
     return tol
 
 
-def _checked_int(value, what: str, least: int) -> int:
-    """An integer setting as an int; bools, floats, strings, None and values below least raise ValidationError.
+def _checked_int(value, what: str, least: int | None, error: type[ValidationError] = ValidationError) -> int:
+    """An integer input as an int, by the one integer rule: bools, floats, strings and None raise error.
 
-    numpy integers pass.  Concrete types, not numbers.Integral: an abstract
-    check costs about 0.5 us, and ExtensionProblem runs this per verdict.
+    So do values below least, unless least is None; numpy integers pass.  Concrete types, not
+    numbers.Integral: an abstract check costs about 0.5 us, and ExtensionProblem runs this per verdict.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise error(f"{what} must be an integer{bound}, got {value!r}")
     return int(value)
+
+
+def _checked_dims(dims: Iterable[int]) -> tuple[int, ...]:
+    """Factor dimensions as ints, each an integer >= 1; else LayoutError."""
+    return tuple(_checked_int(d, "factor dimension", 1, LayoutError) for d in dims)
+
+
+def _checked_layout(mat, dims: Iterable[int] | None, what: str) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The one layout rule: a square matrix, as complex, and integer factor dimensions >= 1 whose product is its side.
+
+    dims None is one factor; a breach raises LayoutError.
+    """
+    mat = np.asarray(mat, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise LayoutError(f"{what} must be square, got shape {mat.shape}")
+    dims = (len(mat),) if dims is None else _checked_dims(dims)
+    if math.prod(dims) != len(mat):
+        raise LayoutError(f"layout {dims} implies side {math.prod(dims)}, matrix side is {len(mat)}")
+    return mat, dims
 
 
 def _exact_real(mats: np.ndarray) -> np.ndarray:
@@ -101,7 +113,7 @@ def _exact_real(mats: np.ndarray) -> np.ndarray:
 
 
 def _validated_spectra(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Run DensityMatrix's checks on every matrix of a stack; return their Hermitian parts and ascending spectra.
+    """Run DensityMatrix's checks, at a checked tol, on each matrix of a stack; return Hermitian parts and spectra.
 
     The checks, in DensityMatrix's order: finite entries, Hermiticity defect
     <= tol, |trace - 1| <= tol, smallest eigenvalue >= -10 tol.  On failure
@@ -109,7 +121,6 @@ def _validated_spectra(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.nda
     its own.  States from the first non-finite one on never reach the
     eigensolver.
     """
-    tol = _checked_tol(tol)
     finite = np.isfinite(mats)
     stop = None if finite.all() else _first(~finite.all(axis=(1, 2)))
     mats = mats[:stop]
@@ -138,25 +149,14 @@ class DensityMatrix:
 
     ``dims`` lists the factor dimensions in order as integers, e.g. ``(2, 2)``
     for two qubits (a float, a string or a bool is refused); their product
-    must equal the matrix side.  Validation checks
-    Hermiticity and unit trace within ``tol`` and positivity within
-    ``10 * tol`` slack (the defaults reproduce 1e-10 / 1e-9).  ``tol`` must be
-    finite and non-negative.
+    must equal the matrix side.  Validation checks Hermiticity and unit trace
+    within ``tol`` and positivity within ``10 * tol`` slack (the defaults
+    reproduce 1e-10 / 1e-9).  ``tol`` must be finite and non-negative.
     """
 
     def __init__(self, mat: np.ndarray, dims: Sequence[int] | None = None, *, tol: float = HERM_TOL):
-        mat = _require_square(mat, "state matrix")
-        side = mat.shape[0]
-        if dims is None:
-            dims = (side,)
-        dims = tuple(dims)
-        if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in dims):
-            raise LayoutError(f"factor dimensions must be integers, got {dims}")
-        dims = tuple(int(d) for d in dims)
-        if any(d < 1 for d in dims):
-            raise LayoutError(f"factor dimensions must be >= 1, got {dims}")
-        if math.prod(dims) != side:
-            raise LayoutError(f"layout {dims} implies side {math.prod(dims)}, matrix side is {side}")
+        mat, dims = _checked_layout(mat, dims, "state matrix")
+        tol = _checked_tol(tol)
         herm, spectra = _validated_spectra(mat[None], tol)
         self._hold(herm[0], dims, tol, spectra[0])
 
@@ -168,8 +168,8 @@ class DensityMatrix:
         return rho
 
     def _hold(self, mat: np.ndarray, dims: Sequence[int], tol: float, spectrum: np.ndarray) -> None:
-        """Set the fields: read-only matrix and ascending spectrum (read by the entropies), int dims, float tol."""
-        self._mat, self._spectrum, self._dims, self._tol = mat, spectrum, tuple(map(int, dims)), float(tol)
+        """Set the fields: read-only matrix and ascending spectrum (read by the entropies), checked dims and tol."""
+        self._mat, self._spectrum, self._dims, self._tol = mat, spectrum, tuple(dims), tol
         self._min_eig = spectrum[0]  # the oracle reads full rank off it, the criteria rho_A's validity
         mat.setflags(write=False)
         spectrum.setflags(write=False)
@@ -195,18 +195,18 @@ class DensityMatrix:
         return f"DensityMatrix(dims={self._dims})"
 
 
-def _checked_side(dims: Sequence[int]) -> int:
-    """Side of a layout a state is built on: integer dimensions >= 1 whose product is at most DIM_GUARD."""
-    side = math.prod(_checked_int(d, "factor dimension", 1) for d in dims)
+def _checked_side(dims: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """A layout a state is built on, as checked dims, and its side, refused above DIM_GUARD."""
+    dims = _checked_dims(dims)
+    side = math.prod(dims)
     if side > DIM_GUARD:
         raise ResourceLimitError(f"state side {side} exceeds the guard {DIM_GUARD}")
-    return side
+    return dims, side
 
 
 def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
     """I/d on the given layout, valid by construction: its spectrum is 1/d, d times, with no eigensolve."""
-    dims = tuple(dims)
-    side = _checked_side(dims)
+    dims, side = _checked_side(dims)
     return DensityMatrix._proven(np.eye(side, dtype=complex) / side, dims, HERM_TOL, np.full(side, 1 / side))
 
 
@@ -227,7 +227,7 @@ def pure_state(vec: np.ndarray, dims: Sequence[int] | None = None) -> DensityMat
 
 def random_density(dims: Sequence[int], rng: np.random.Generator) -> DensityMatrix:
     """Full-rank random state from the Ginibre ensemble."""
-    side = _checked_side(dims)
+    dims, side = _checked_side(dims)
     g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     rho = g @ g.conj().T
     return DensityMatrix(rho / np.trace(rho).real, dims)
@@ -239,7 +239,10 @@ def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
 
 
 def _check_positions(positions: Iterable[int], n: int, what: str) -> tuple[int, ...]:
-    pos = tuple(int(i) for i in positions)
+    """Factor positions from outside: at least one, each an integer in range, none twice; else LayoutError."""
+    pos = tuple(_checked_int(i, f"{what} index", None, LayoutError) for i in positions)
+    if not pos:
+        raise LayoutError(f"{what} must name at least one factor")
     if len(pos) != len(set(pos)):
         raise LayoutError(f"{what} contains duplicate indices: {pos}")
     for i in pos:
@@ -248,14 +251,10 @@ def _check_positions(positions: Iterable[int], n: int, what: str) -> tuple[int, 
     return pos
 
 
-def _ptrace_mat(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Partial trace over the factors not in ``keep`` of a square matrix or of each matrix of a stack."""
+def _ptrace_mat(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+    """Partial trace over the factors not in ``keep``, positions in increasing order, of a matrix or of a stack."""
     dims = tuple(dims)
     n = len(dims)
-    keep = sorted(_check_positions(keep, n, "keep"))
-    if not keep:
-        raise LayoutError("keep must name at least one factor")
-    mat = np.asarray(mat)
     lead = mat.shape[:-2]
     t = mat.reshape(lead + dims + dims)
     letters = string.ascii_letters
@@ -270,7 +269,7 @@ def _ptrace_mat(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
 
 
 def _reduced_stack(
-    mats: np.ndarray, dims: Sequence[int], keep: Iterable[int], tol: float, lo
+    mats: np.ndarray, dims: Sequence[int], keep: Sequence[int], tol: float, lo
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Partial traces of a stack of states validated at tol with smallest eigenvalues lo, each proven or validated.
 
@@ -284,7 +283,6 @@ def _reduced_stack(
     validated, with DensityMatrix's checks and messages, and their ascending
     spectra are returned with them so no caller solves them again; else None.
     """
-    keep = tuple(keep)
     reduced = hermitize(_ptrace_mat(mats, dims, keep))
     traced = math.prod(dim for i, dim in enumerate(dims) if i not in keep)
     spare = 5 * tol
@@ -293,9 +291,15 @@ def _reduced_stack(
     return _validated_spectra(reduced, tol)
 
 
-def _reduced_of(rho: DensityMatrix, keep: Iterable[int]) -> np.ndarray:
+def _reduced_of(rho: DensityMatrix, keep: Sequence[int]) -> np.ndarray:
     """The reduced state of one validated state on the factors in keep, as a stack of one, by :func:`_reduced_stack`."""
     return _reduced_stack(rho.mat[None], rho.dims, keep, rho.tol, rho._min_eig)[0]
+
+
+def _reduced_entropies(mats: np.ndarray, dims: Sequence[int], keep: Sequence[int], tol: float, lo) -> np.ndarray:
+    """Entropy in bits of each state of :func:`_reduced_stack`, off the spectra its validation solved if it did."""
+    reduced, spectra = _reduced_stack(mats, dims, keep, tol, lo)
+    return _entropies(reduced) if spectra is None else _spectral_entropies(spectra)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
@@ -307,31 +311,28 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 
 
 def _ptranspose_mat(mat: np.ndarray, dims: Sequence[int], subsystem: int) -> np.ndarray:
-    """Transpose one tensor factor of a square matrix or of each matrix of a stack."""
+    """Transpose the factor at position subsystem of a square matrix or of each matrix of a stack."""
     dims = tuple(dims)
     n = len(dims)
-    (subsystem,) = _check_positions([subsystem], n, "subsystem")
-    mat = np.asarray(mat)
     lead = mat.shape[:-2]
     t = mat.reshape(lead + dims + dims)
-    t = np.swapaxes(t, len(lead) + subsystem, len(lead) + n + subsystem)
-    side = math.prod(dims)
-    return t.reshape(lead + (side, side))
+    return np.swapaxes(t, len(lead) + subsystem, len(lead) + n + subsystem).reshape(mat.shape)
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
     """Transpose one tensor factor; Hermitian and trace-preserving, possibly not PSD."""
+    (subsystem,) = _check_positions([subsystem], len(rho.dims), "subsystem")
     return _ptranspose_mat(rho.mat, rho.dims, subsystem)
 
 
 def hermitian_eigs(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
     """Real spectrum of a Hermitian matrix, ascending."""
-    return _hermitian_spectra(_require_square(m, "matrix")[None], tol)[0]
+    return _hermitian_spectra(_checked_layout(m, None, "matrix")[0][None], _checked_tol(tol))[0]
 
 
 def trace_norm(m: np.ndarray, tol: float = HERM_TOL) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(_trace_norms(_require_square(m, "matrix")[None], tol)[0])
+    return float(_trace_norms(_checked_layout(m, None, "matrix")[0][None], _checked_tol(tol))[0])
 
 
 def _trace_norms(ms: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
@@ -380,7 +381,7 @@ def permutation_operator(d: int, k: int, pi: Sequence[int]) -> np.ndarray:
     """Unitary reordering tensor factors: the factor at position m moves to position pi[m]."""
     d, k = _checked_int(d, "local dimension", 1), _checked_int(k, "factor count", 1)
     size = _checked_power(d, k, "permutation operator")
-    pi = tuple(int(i) for i in pi)
+    pi = tuple(_checked_int(i, "permutation entry", None) for i in pi)
     if sorted(pi) != list(range(k)):
         raise ValidationError(f"permutation {pi} is not a bijection on 0..{k - 1}")
     digits = np.array(list(np.ndindex((d,) * k)), dtype=np.intp)
@@ -401,8 +402,7 @@ def _require_bipartite(rho: DensityMatrix) -> tuple[int, int]:
 
 
 def _check_extension_layout(dims) -> tuple[int, int, int]:
-    """(d_A, d_B, r) of a layout [d_A, d_B, ..., d_B] with r equal B factors."""
-    dims = tuple(dims)
+    """(d_A, d_B, r) of a checked layout (d_A, d_B, ..., d_B) with r equal B factors."""
     if len(dims) < 2:
         raise LayoutError(f"need a layout [d_A, d_B, ..., d_B], got {dims}")
     d_a, d_b = dims[0], dims[1]

@@ -40,11 +40,12 @@ from typing import ClassVar, Mapping
 import numpy as np
 
 from .criteria import BOSONIC, SYMMETRIC, ExtensionProblem
-from .errors import LayoutError, ResourceLimitError
+from .errors import LayoutError, ResourceLimitError, ValidationError
 from .linalg import (
     DensityMatrix,
     _check_extension_layout,
     _checked_int,
+    _checked_layout,
     _checked_power,
     _exact_real,
     _occupation_isometry,
@@ -123,8 +124,11 @@ class OracleResult:
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix in Frobenius norm: clip negative eigenvalues."""
-    h = hermitize(np.asarray(m, dtype=complex))
+    """Nearest PSD matrix in Frobenius norm: clip negative eigenvalues.  A non-finite entry raises ValidationError."""
+    m = _checked_layout(m, None, "matrix")[0]
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix contains non-finite entries")
+    h = hermitize(m)
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError:
@@ -141,9 +145,8 @@ def project_permutation_invariant(x: np.ndarray, dims) -> np.ndarray:
     The k!-term average factors over cosets as the product, for j = 2..k, of
     (1/j)(id + sum_{i<j} Ad_(i j)); each transposition is an axis swap.
     """
-    d_a, d_b, k = _check_extension_layout(dims)
-    x = np.asarray(x, dtype=complex)
-    dims = (d_a,) + (d_b,) * k
+    x, dims = _checked_layout(x, dims, "matrix")
+    k = _check_extension_layout(dims)[2]
     t = x.reshape(dims + dims)
     for j in range(2, k + 1):
         acc = t.copy()
@@ -162,10 +165,10 @@ def project_marginal_affine(x: np.ndarray, dims, target: DensityMatrix) -> np.nd
     Adds the deficit tensored with identity, divided by d_B^(k-1); the output
     trace is one because the correction carries exactly the trace deficit.
     """
+    x, dims = _checked_layout(x, dims, "matrix")
     d_a, d_b, k = _check_extension_layout(dims)
     if target.dims != (d_a, d_b):
-        raise LayoutError(f"target layout {target.dims} does not match extension layout {tuple(dims)}")
-    x = np.asarray(x, dtype=complex)
+        raise LayoutError(f"target layout {target.dims} does not match extension layout {dims}")
     marg = _ptrace_mat(x, dims, keep=[0, 1])
     delta = (target.mat - marg) / d_b ** (k - 1)
     return x + np.kron(delta, np.eye(d_b ** (k - 1), dtype=complex))
@@ -179,9 +182,10 @@ def project_invariant_marginal(x: np.ndarray, dims, target: DensityMatrix) -> np
     equations of the symmetrized marginal map, and its symmetrized placement
     restores the marginal without leaving the subspace.
     """
+    x, dims = _checked_layout(x, dims, "matrix")
     d_a, d_b, k = _check_extension_layout(dims)
     if target.dims != (d_a, d_b):
-        raise LayoutError(f"target layout {target.dims} does not match extension layout {tuple(dims)}")
+        raise LayoutError(f"target layout {target.dims} does not match extension layout {dims}")
     z = project_permutation_invariant(x, dims)
     v = target.mat - _ptrace_mat(z, dims, keep=[0, 1])
     v_a = _ptrace_mat(v, (d_a, d_b), keep=[0])

@@ -501,6 +501,17 @@ def test_werner_sweep_work_guards_admit_their_limits(capsys, monkeypatch):
     assert out.splitlines()[1:] == ["2000001"]
 
 
+def test_werner_sweep_guard_is_the_row_count_rule(capsys, monkeypatch):
+    # a step admitted iff its grid has at most 2,000,001 rows, as for the other sweeps
+    monkeypatch.setattr(cli, "_werner_rows", lambda d, k, n, with_oracle: iter([[str(n)]]))
+    code, out, _ = _run(capsys, ["werner-sweep", "--psi-step", "9.999998e-7"])
+    assert code == 0 and out.splitlines()[1:] == ["2000001"]
+    for step, rows in (("9.99999e-7", "2000003"), ("1e-7", "20000001"), ("5e-324", "inf")):
+        code, out, err = _run(capsys, ["werner-sweep", "--psi-step", step])
+        assert code == 2 and out == ""
+        assert err == f"resource limit: --psi-step {float(step)} gives {rows} rows, above the sweep limit 2000001\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -858,7 +869,7 @@ def test_check_refuses_dims_that_are_not_integers(capsys, tmp_path, bell_file, d
     code, out, err = _run(capsys, ["check", str(bad), "--k", "2"])
     assert code == 1 and out == ""
     lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: factor dimensions must be integers"), err
+    assert len(lines) == 1 and lines[0].startswith("error: factor dimension must be an integer >= 1, got "), err
 
 
 def test_density_matrix_accepts_numpy_integer_dims():

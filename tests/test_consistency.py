@@ -29,7 +29,7 @@ from symext import (
 )
 from symext.consistency import _consistency_min_pt_eigs
 from symext.criteria import _ppt_passes
-from symext.families import _a_marginal_spreads
+from symext.families import A_MARGINAL_TOL, _a_marginal_spreads
 from symext.linalg import _reduced_stack
 
 
@@ -154,7 +154,10 @@ def test_stacked_consistency_matches_the_verdict(dims, k):
     min_eigs = np.array([rho._min_eig for row in rows for rho in row])
     idx = np.arange(len(mats)).reshape(-1, k)
     spreads = _a_marginal_spreads(_reduced_stack(mats, dims, [0], 1e-10, min_eigs)[0], idx)
-    lo = _consistency_min_pt_eigs(mats, dims, idx, spreads)
+    # the kernel runs on the rows whose A marginals agree; on the others the verdict is marginal-mismatch
+    agree = spreads <= A_MARGINAL_TOL
+    lo = np.full(len(rows), np.nan)
+    lo[agree] = _consistency_min_pt_eigs(mats, dims, idx[agree])
     passes = _ppt_passes(lo)
     for i, row in enumerate(rows):
         ms = MarginalSet(row)
@@ -162,4 +165,7 @@ def test_stacked_consistency_matches_the_verdict(dims, k):
         verdict = consistency_verdict(ms)
         assert passes[i] == (verdict.status == INCONCLUSIVE)
         assert np.array_equal(lo[i], verdict.witness.get("min_pt_eig", np.nan), equal_nan=True)
+        if not agree[i]:
+            assert (verdict.status, verdict.criterion) == (VIOLATED, MARGINAL_MISMATCH)
+            assert abs(verdict.witness["a_marginal_trace_distance"] - spreads[i]) < 1e-15
     assert passes.any() and not passes.all()

@@ -167,6 +167,18 @@ def test_ssa_check_of_two_werner_states_runs_three_eigensolves(monkeypatch):
     assert calls == [(1, 2, 2)] * 3
 
 
+def test_ssa_check_at_zero_tolerance_solves_each_reduced_state_once(monkeypatch):
+    rho = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]), (2, 2), tol=0)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: calls.append(a.shape) or eigvalsh(a, *args))
+    # 2 H(0.4, 0.3, 0.2, 0.1) >= 2 H(0.6, 0.4)
+    assert ssa_check(rho, rho)
+    # at tol = 0 no reduced state is proven valid: each rho_A and rho_B is validated, rho_B's entropy
+    # is read off the spectrum its validation solved, and the A marginals' trace distance takes one more
+    assert calls == [(1, 2, 2)] * 5
+
+
 def test_ssa_check_marginal_mismatch():
     from symext import pure_state
 

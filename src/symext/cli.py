@@ -243,10 +243,23 @@ class _OutFile:
         return CliInputError(f"cannot write {self.path}: {err}")
 
 
-def _write_rows(header: Sequence[str], rows, out: IO[str]) -> None:
+def _write_rows(header: Sequence[str], lines, out: IO[str]) -> None:
+    """The header, then each finished line with one write, so a reader sees every row as it is made."""
     out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(row) + "\n")
+    for line in lines:
+        out.write(line)
+
+
+def _flag_lines(prefixes: Sequence[str], flags: Sequence[np.ndarray]) -> list[str]:
+    """A chunk's CSV lines: each prefix, then its row of the boolean flag columns as ,0 / ,1 cells, then a newline.
+
+    Each row's flags are packed into one code, which picks its tail from a table of all 2^m patterns.
+    """
+    tails = ["".join("," + bit for bit in bits) + "\n" for bits in itertools.product("01", repeat=len(flags))]
+    codes = np.zeros(len(prefixes), dtype=np.intp)
+    for column in flags:
+        codes = 2 * codes + column
+    return [prefix + tails[code] for prefix, code in zip(prefixes, codes.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +306,6 @@ def _chunk_size(side: int) -> int:
     return max(1, _CHUNK_ENTRIES // (side * side))
 
 
-def _chunks(items, size: int):
-    """Consecutive lists of at most ``size`` items."""
-    it = iter(items)
-    while chunk := list(itertools.islice(it, size)):
-        yield chunk
-
-
 def _linspace_chunks(n: int, size: int):
     """np.linspace(-1.0, 1.0, n) in consecutive pieces of at most ``size`` values, bit for bit."""
     step = 2.0 / (n - 1)
@@ -312,24 +318,30 @@ def _linspace_chunks(n: int, size: int):
 
 
 def _bell_points(n: int):
-    """Grid points (labels of p1, p2, p3; weights) of the Bell simplex, in lexicographic order."""
-    ticks = [i / (n - 1) for i in range(n)]
-    labels = [_fmt(t) for t in ticks]
-    for i1, p1 in enumerate(ticks):
-        for i2, p2 in enumerate(ticks):
-            for i3, p3 in enumerate(ticks):
-                p4 = 1.0 - p1 - p2 - p3
-                if p4 < -1e-9:
-                    continue
-                yield [labels[i1], labels[i2], labels[i3]], (p1, p2, p3, max(p4, 0.0))
+    """The Bell simplex grid in lexicographic order, in chunks of _chunk_size(4) points: ("p1,p2,p3" labels, weights).
+
+    Built one p1 slab at a time from index arrays, the remainder carried into the next chunk.
+    """
+    size = _chunk_size(4)
+    ticks = np.arange(n) / (n - 1)
+    labels = [_fmt(t) for t in ticks.tolist()]
+    heads = [label + "," for label in labels]
+    rest, p = [], np.empty((0, 4))
+    for i1, p1 in enumerate(ticks.tolist()):
+        p4 = 1.0 - p1 - ticks[:, None] - ticks  # ((1 - p1) - p2) - p3, as the scalar formula rounds
+        i2, i3 = np.nonzero(~(p4 < -1e-9))
+        rest += [heads[i1] + heads[a] + labels[b] for a, b in zip(i2.tolist(), i3.tolist())]
+        slab = np.column_stack([np.full(len(i2), p1), ticks[i2], ticks[i3], np.maximum(p4[i2, i3], 0.0)])
+        p = np.concatenate([p, slab])
+        full = len(rest) if i1 == n - 1 else len(rest) - len(rest) % size
+        for lo in range(0, full, size):
+            yield rest[lo : lo + size], p[lo : lo + size]
+        rest, p = rest[full:], p[full:]
 
 
 def _bell_rows(n: int, k: int, flags):
-    for chunk in _chunks(_bell_points(n), _chunk_size(4)):
-        p = np.array([weights for _, weights in chunk])  # in [0, 1] and summing to 1 by construction
-        columns = [flag(p, k).tolist() for flag in flags]
-        for (labels, _), *row in zip(chunk, *columns):
-            yield labels + [str(int(f)) for f in row]
+    for labels, p in _bell_points(n):  # p in [0, 1] and summing to 1 by construction
+        yield from _flag_lines(labels, [flag(p, k) for flag in flags])
 
 
 def _cmd_bell_sweep(args, out: IO[str]) -> int:
@@ -345,20 +357,19 @@ def _werner_rows(d: int, k: int, n: int, with_oracle: bool):
     dims = (d, d)
     for psis in _linspace_chunks(n, _chunk_size(d * d)):
         mats, spectra, a = _family_stack(_werner_mats(d, psis), dims)  # one A marginal for both columns
-        tilde_ok = _ppt_passes(_derived_min_pt_eigs(mats, a, k, SYMMETRIC)).tolist()
-        hat_ok = _ppt_passes(_derived_min_pt_eigs(mats, a, k, BOSONIC)).tolist()
-        for i, psi in enumerate(psis.tolist()):
-            row = [
-                _fmt(psi),
-                str(int(tilde_ok[i])),
-                str(int(hat_ok[i])),
-                str(int(psi >= exact_threshold - 1e-12)),
-            ]
-            if with_oracle:
-                # validated above with its spectrum, at the tolerance DensityMatrix defaults to
-                problem = ExtensionProblem(DensityMatrix._proven(mats[i], dims, HERM_TOL, spectra[i]), k, SYMMETRIC)
-                row.append(oracle_feasibility(problem).status)
-            yield row
+        flags = [
+            _ppt_passes(_derived_min_pt_eigs(mats, a, k, SYMMETRIC)),
+            _ppt_passes(_derived_min_pt_eigs(mats, a, k, BOSONIC)),
+            psis >= exact_threshold - 1e-12,
+        ]
+        lines = _flag_lines([_fmt(psi) for psi in psis.tolist()], flags)
+        if not with_oracle:
+            yield from lines
+            continue
+        for i, line in enumerate(lines):
+            # validated above with its spectrum, at the tolerance DensityMatrix defaults to
+            problem = ExtensionProblem(DensityMatrix._proven(mats[i], dims, HERM_TOL, spectra[i]), k, SYMMETRIC)
+            yield f"{line[:-1]},{oracle_feasibility(problem).status}\n"
 
 
 def _cmd_werner_sweep(args, out: IO[str]) -> int:
@@ -426,20 +437,19 @@ def _consistency_rows(n: int):
     size = _chunk_size(4)
     grid = list(_linspace_chunks(n, size))
     labels = [_fmt(psi) for psis in grid for psi in psis.tolist()]
+    heads = [label + "," for label in labels]
     # the n Werner states, each built, validated and reduced once; the pairs index into them
     mats, a, s, s_b, concurrences = map(np.concatenate, zip(*map(_werner_pair_table, grid)))
-    for chunk in _chunks(itertools.product(range(n), repeat=2), size):
-        idx = np.array(chunk)
-        i, j = idx.T
+    for lo in range(0, n * n, size):
+        i, j = np.divmod(np.arange(lo, min(lo + size, n * n)), n)
+        idx = np.column_stack([i, j])
         _require_a_agreement(_a_marginal_spreads(a, idx))  # the pentagon kernel and SSA take agreeing pairs
-        pentagon = _ppt_passes(_consistency_min_pt_eigs(mats, dims, idx))
-        flags = zip(
-            pentagon.tolist(),
-            _ckw_holds(concurrences[i], concurrences[j], 1.0).tolist(),
-            _ssa_flags(s, s_b, idx).tolist(),
-        )
-        for (i1, i2), row in zip(chunk, flags):
-            yield [labels[i1], labels[i2]] + [str(int(f)) for f in row]
+        flags = [
+            _ppt_passes(_consistency_min_pt_eigs(mats, dims, idx)),
+            _ckw_holds(concurrences[i], concurrences[j], 1.0),
+            _ssa_flags(s, s_b, idx),
+        ]
+        yield from _flag_lines([heads[x] + labels[y] for x, y in zip(i.tolist(), j.tolist())], flags)
 
 
 def _cmd_consistency_sweep(args, out: IO[str]) -> int:
@@ -453,7 +463,7 @@ def _definetti_rows(rho: DensityMatrix, k_max: int):
     gap, bound = definetti_gap(rho, 1)
     d_b2 = rho.dims[1] ** 2
     scales = ((k, (d_b2 + 1) / (d_b2 + k)) for k in range(1, k_max + 1))
-    return ([str(k), _fmt(gap * scale), _fmt(bound * scale)] for k, scale in scales)
+    return (f"{k},{_fmt(gap * scale)},{_fmt(bound * scale)}\n" for k, scale in scales)
 
 
 def _cmd_definetti(args, out: IO[str]) -> int:

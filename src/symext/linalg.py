@@ -66,11 +66,18 @@ def _hermitian_spectra(ms: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _checked_tol(tol: float) -> float:
-    """A validation tolerance as a float; NaN, infinite and negative values raise ValidationError."""
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValidationError(f"tolerance must be finite and >= 0, got {tol}")
-    return tol
+    """A validation tolerance as a float; non-numbers (bools, strings), NaN, inf and negatives raise ValidationError.
+
+    numpy floats and integers pass, as Python ones do.
+    """
+    number = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
+    try:
+        value = float(tol) if number else math.nan
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not (math.isfinite(value) and value >= 0):
+        raise ValidationError(f"tolerance must be finite and >= 0, got {tol!r}")
+    return value
 
 
 def _checked_int(value, what: str, least: int | None, error: type[ValidationError] = ValidationError) -> int:
@@ -87,6 +94,8 @@ def _checked_int(value, what: str, least: int | None, error: type[ValidationErro
 
 def _checked_dims(dims: Iterable[int]) -> tuple[int, ...]:
     """Factor dimensions as ints, each an integer >= 1; else LayoutError."""
+    if not np.iterable(dims):
+        raise LayoutError(f"factor dimensions must be a sequence, got {dims!r}")
     return tuple(_checked_int(d, "factor dimension", 1, LayoutError) for d in dims)
 
 
@@ -240,6 +249,8 @@ def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
 
 def _check_positions(positions: Iterable[int], n: int, what: str) -> tuple[int, ...]:
     """Factor positions from outside: at least one, each an integer in range, none twice; else LayoutError."""
+    if not np.iterable(positions):
+        raise LayoutError(f"{what} must be a sequence of factor positions, got {positions!r}")
     pos = tuple(_checked_int(i, f"{what} index", None, LayoutError) for i in positions)
     if not pos:
         raise LayoutError(f"{what} must name at least one factor")
@@ -345,7 +356,9 @@ def _trace_norms(ms: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of the difference."""
+    """Half the trace norm of the difference of two states on one layout; different layouts raise LayoutError."""
+    if a.dims != b.dims:
+        raise LayoutError(f"state layouts differ: {a.dims} vs {b.dims}")
     return float(_trace_distances(a.mat[None], b.mat[None])[0])
 
 

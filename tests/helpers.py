@@ -287,3 +287,18 @@ def twirl_channel(rho_sym: DensityMatrix, d: int) -> np.ndarray:
     out = np.tensordot(t, np.tensordot(rho_sym.mat.T, t, axes=(1, 1)), axes=([1, 2], [0, 2]))
     out = hermitize(out)
     return out / np.trace(out).real
+
+
+def reference_bell_points(n):
+    """The Bell simplex grid as a scalar triple loop makes it: ("p1,p2,p3" label, weights) per point, lexicographic."""
+    ticks = [i / (n - 1) for i in range(n)]
+    labels = [f"{t:.10g}" for t in ticks]
+    points = []
+    for i1, p1 in enumerate(ticks):
+        for i2, p2 in enumerate(ticks):
+            for i3, p3 in enumerate(ticks):
+                p4 = 1.0 - p1 - p2 - p3
+                if p4 < -1e-9:
+                    continue
+                points.append((f"{labels[i1]},{labels[i2]},{labels[i3]}", (p1, p2, p3, max(p4, 0.0))))
+    return points

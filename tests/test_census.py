@@ -1,9 +1,11 @@
 """Input census: each public entry point checks the inputs that enter it, by one integer rule and one layout rule.
 
 A first piece of the adversarial census: integer-valued inputs that are not
-integers, matrices whose shape does not fit their layout, non-finite
-matrices and tolerances outside [0, inf) must raise a ``symext.errors`` type
-with no numpy warning.  numpy integers are accepted.
+integers, scalars where a sequence is expected, matrices whose shape does not
+fit their layout, states on different layouts, non-finite matrices and
+tolerances that are not numbers or lie outside [0, inf) must raise a
+``symext.errors`` type with no numpy warning.  numpy integers and floats are
+accepted.
 """
 
 import warnings
@@ -25,6 +27,7 @@ from symext import (
     project_permutation_invariant,
     project_psd,
     random_density,
+    trace_distance,
     trace_norm,
 )
 
@@ -60,6 +63,17 @@ CENSUS = {
     ),
     "project_invariant_marginal side": (
         lambda x: project_invariant_marginal(x, (2, 2, 2), TARGET), [np.eye(7) / 7, np.ones((8, 4))], np.eye(8) / 8
+    ),
+    # a scalar where a sequence is expected
+    "DensityMatrix dims sequence": (lambda v: DensityMatrix(np.eye(4) / 4, v), [4, np.int64(4), 4.0], (np.int64(4),)),
+    "partial_trace keep sequence": (lambda v: partial_trace(BELL, v), [0, np.int64(0)], (np.int64(0),)),
+    # states of different sides, and of one side on different layouts
+    "trace_distance layouts": (lambda s: trace_distance(BELL, s), [maximally_mixed([2]), maximally_mixed([4])], TARGET),
+    # tolerances that are not numbers, and an int beyond the float range
+    "DensityMatrix tol": (
+        lambda t: DensityMatrix(np.eye(4) / 4, (2, 2), tol=t),
+        ["x", "1e-10", True, None, [1e-10], 10**400],
+        np.float32(1e-10),
     ),
     "hermitian_eigs tol": (lambda t: hermitian_eigs(np.eye(2), t), [-1e-10, np.nan, np.inf], np.float32(0)),
     "trace_norm tol": (lambda t: trace_norm(np.eye(2), t), [-1e-10, np.nan, np.inf], np.float32(0)),

@@ -4,6 +4,7 @@ import argparse
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import reference_bell_points
 
 import symext.cli as cli
 import symext.criteria as criteria
@@ -448,6 +450,73 @@ def test_reduced_state_past_the_proof_is_refused_by_the_cli(capsys, tmp_path):
     assert out.read_bytes() == b"kept\n"  # definetti refuses rho_A before it writes the header
 
 
+class _CountingSink(io.StringIO):
+    """Stdout replacement that keeps the text of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append(s)
+        return super().write(s)
+
+
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (["bell-sweep", "--grid", "12"], 364),  # two chunks
+        (["bell-sweep", "--grid", "12", "--criteria", "ppt,ssa"], 364),
+        (["consistency-sweep", "--grid", "17"], 289),  # two chunks
+        (["werner-sweep", "--d", "3", "--psi-step", "0.02"], 101),  # two chunks of 50 and one of 1
+        (["werner-sweep", "--k", "3", "--psi-step", "0.5", "--with-oracle"], 5),
+        (["definetti", "--k-max", "7"], 7),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "--out"])
+def test_csv_commands_write_the_header_and_each_row_with_one_write(monkeypatch, tmp_path, argv, rows, to_file):
+    # a reader of the stream (the benchmark's row timer, ``| head``) sees each row once it is made
+    if to_file:
+        writes, path, write = [], tmp_path / "out.csv", cli._OutFile.write
+        monkeypatch.setattr(cli._OutFile, "write", lambda self, s: writes.append(s) or write(self, s))
+        assert main(argv + ["--out", str(path)]) == 0
+        text = path.read_text()
+    else:
+        sink = _CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(argv) == 0
+        writes, text = sink.writes, sink.getvalue()
+    assert len(writes) == rows + 1
+    assert writes == text.splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_flag_lines_write_every_flag_pattern(m):
+    patterns = list(itertools.product([False, True], repeat=m))
+    patterns = [patterns[i] for i in np.random.default_rng(m).permutation(len(patterns))]
+    prefixes = [f"row{i}" for i in range(len(patterns))]
+    flags = [np.array([bits[c] for bits in patterns]) for c in range(m)]
+    want = [prefix + "".join(f",{int(b)}" for b in bits) + "\n" for prefix, bits in zip(prefixes, patterns)]
+    assert cli._flag_lines(prefixes, flags) == want
+
+
+def test_flag_lines_of_an_empty_chunk():
+    assert cli._flag_lines([], [np.zeros(0, dtype=bool)] * 3) == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 21, 60])
+def test_bell_points_match_the_scalar_triple_loop_bit_for_bit(n):
+    chunks = list(cli._bell_points(n))
+    sizes = [len(labels) for labels, _ in chunks]
+    assert sizes == [len(p) for _, p in chunks]
+    assert all(size == cli._chunk_size(4) for size in sizes[:-1]) and 0 < sizes[-1] <= cli._chunk_size(4)
+    reference = reference_bell_points(n)
+    assert [label for labels, _ in chunks for label in labels] == [label for label, _ in reference]
+    p = np.concatenate([p for _, p in chunks])
+    assert p.dtype == np.float64 and p.tobytes() == np.array([w for _, w in reference]).tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 3, 25, 101, 201, 1001])
 @pytest.mark.parametrize("size", [1, 7, 256])
 def test_linspace_chunks_reproduce_linspace(n, size):
@@ -495,7 +564,7 @@ def test_werner_sweep_work_guards_admit_their_limits(capsys, monkeypatch):
     code, out, _ = _run(capsys, ["werner-sweep", "--d", "16", "--k", "2", "--psi-step", "1"])
     assert code == 0
     assert out.splitlines()[1:] == ["-1,1,0,1", "0,1,1,1", "1,1,1,1"]
-    monkeypatch.setattr(cli, "_werner_rows", lambda d, k, n, with_oracle: iter([[str(n)]]))
+    monkeypatch.setattr(cli, "_werner_rows", lambda d, k, n, with_oracle: iter([f"{n}\n"]))
     code, out, _ = _run(capsys, ["werner-sweep", "--psi-step", "1e-6"])
     assert code == 0
     assert out.splitlines()[1:] == ["2000001"]
@@ -503,7 +572,7 @@ def test_werner_sweep_work_guards_admit_their_limits(capsys, monkeypatch):
 
 def test_werner_sweep_guard_is_the_row_count_rule(capsys, monkeypatch):
     # a step admitted iff its grid has at most 2,000,001 rows, as for the other sweeps
-    monkeypatch.setattr(cli, "_werner_rows", lambda d, k, n, with_oracle: iter([[str(n)]]))
+    monkeypatch.setattr(cli, "_werner_rows", lambda d, k, n, with_oracle: iter([f"{n}\n"]))
     code, out, _ = _run(capsys, ["werner-sweep", "--psi-step", "9.999998e-7"])
     assert code == 0 and out.splitlines()[1:] == ["2000001"]
     for step, rows in (("9.99999e-7", "2000003"), ("1e-7", "20000001"), ("5e-324", "inf")):
@@ -544,18 +613,18 @@ def test_row_and_side_guards_refuse_before_output(capsys, monkeypatch, argv):
 
 
 def test_row_and_side_guards_admit_their_limits(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_bell_rows", lambda n, k, flags: iter([[str(n)]]))
+    monkeypatch.setattr(cli, "_bell_rows", lambda n, k, flags: iter([f"{n}\n"]))
     code, out, _ = _run(capsys, ["bell-sweep", "--grid", "227"])
     assert code == 0
     assert out.splitlines()[1:] == ["227"]
-    monkeypatch.setattr(cli, "_consistency_rows", lambda n: iter([[str(n)]]))
+    monkeypatch.setattr(cli, "_consistency_rows", lambda n: iter([f"{n}\n"]))
     code, out, _ = _run(capsys, ["consistency-sweep", "--grid", "1414"])
     assert code == 0
     assert out.splitlines()[1:] == ["1414"]
     code, out, _ = _run(capsys, ["definetti", "--d", "16", "--k-max", "1"])
     assert code == 0
     assert out.splitlines()[0] == "k,gap,bound" and len(out.splitlines()) == 2
-    monkeypatch.setattr(cli, "_definetti_rows", lambda rho, k_max: iter([[str(k_max)]]))
+    monkeypatch.setattr(cli, "_definetti_rows", lambda rho, k_max: iter([f"{k_max}\n"]))
     code, out, _ = _run(capsys, ["definetti", "--k-max", "2000001"])
     assert code == 0
     assert out.splitlines()[1:] == ["2000001"]
@@ -572,7 +641,7 @@ def test_row_and_side_guards_admit_their_limits(capsys, monkeypatch):
 )
 def test_definetti_side_and_row_caps_bound_a_table_alone(capsys, monkeypatch, argv):
     # a table costs one trace norm whatever its length, so no rows x side work guard refuses it
-    monkeypatch.setattr(cli, "_definetti_rows", lambda rho, k_max: iter([[str(k_max)]]))
+    monkeypatch.setattr(cli, "_definetti_rows", lambda rho, k_max: iter([f"{k_max}\n"]))
     code, out, _ = _run(capsys, argv)
     assert code == 0
     assert out.splitlines()[1:] == [argv[-1]]

@@ -50,10 +50,13 @@ from .families import (
 from .linalg import (
     HERM_TOL,
     DensityMatrix,
+    _checked_int,
     _checked_tol,
     _exact_real,
     _reduced_entropies,
     _reduced_stack,
+    _require_work,
+    _shown,
     _spectral_entropies,
     _validated_spectra,
     random_density,
@@ -72,23 +75,15 @@ MC_BATCH = 1_000_000
 # one state once side^2 exceeds it), so memory stays flat whatever the grid.
 _CHUNK_ENTRIES = 4096
 
-# Work guards: werner-sweep and definetti build states of side d^2 at most
-# this large, and every sweep and the definetti table print at most this
-# many rows.  volume draws at most _MAX_SAMPLES points, about 100 s at 10 M
-# points a second.
-_MAX_SIDE = 256
+# Guards on per-row Python work, which the dense-work rule does not count: every sweep and the definetti
+# table print at most _MAX_ROWS rows, and volume draws at most _MAX_SAMPLES points, about 100 s at 10 M a second.
 _MAX_ROWS = 2_000_001
 _MAX_SAMPLES = 1_000_000_000
 
 
 def _require_rows(flag: str, rows: int) -> None:
     if rows > _MAX_ROWS:
-        raise ResourceLimitError(f"{flag} gives {rows} rows, above the sweep limit {_MAX_ROWS}")
-
-
-def _require_side(d: int) -> None:
-    if d * d > _MAX_SIDE:
-        raise ResourceLimitError(f"--d {d} gives states of side {d * d}, above the limit {_MAX_SIDE}")
+        raise ResourceLimitError(f"{flag} gives {_shown(rows)} rows, above the sweep limit {_MAX_ROWS}")
 
 
 def _family_stack(mats: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -141,14 +136,14 @@ def _flag_type(kind, ok, refusal: str = ""):
                 return value
         except ValidationError as err:
             raise CliInputError(err) from None
-        raise CliInputError(refusal.format(value))
+        raise CliInputError(refusal.format(_shown(value)))
 
     typed.__name__ = kind.__name__
     return typed
 
 
-def _at_least(flag: str, least: int):
-    return _flag_type(int, lambda value: value >= least, f"{flag} must be at least {least}, got {{}}")
+def _at_least(flag: str, least: int):  # by the integer rule, which refuses an int beyond the float range
+    return _flag_type(int, lambda v: _checked_int(v, flag, None) >= least, f"{flag} must be at least {least}, got {{}}")
 
 
 def _criteria(text: str) -> tuple[str, ...]:
@@ -345,7 +340,7 @@ def _bell_rows(n: int, k: int, flags):
 
 
 def _cmd_bell_sweep(args, out: IO[str]) -> int:
-    _require_rows(f"--grid {args.grid}", math.comb(args.grid + 2, 3))
+    _require_rows(f"--grid {_shown(args.grid)}", math.comb(args.grid + 2, 3))
     columns = [(header, flag) for name, header, flag in BELL_COLUMNS if name in args.criteria]
     header = ["p1", "p2", "p3"] + [h for h, _ in columns]
     _write_rows(header, _bell_rows(args.grid, args.k, [flag for _, flag in columns]), out)
@@ -373,10 +368,11 @@ def _werner_rows(d: int, k: int, n: int, with_oracle: bool):
 
 
 def _cmd_werner_sweep(args, out: IO[str]) -> int:
-    _require_side(args.d)
     steps = 2.0 / args.psi_step  # inf for a subnormal step
     n = round(steps) + 1 if math.isfinite(steps) else math.inf
     _require_rows(f"--psi-step {args.psi_step}", n)
+    lg = 2 * math.log2(args.d)  # log2 of the side d^2; a row solves the state and its two derived states
+    _require_work(f"--d {_shown(args.d)} with --psi-step {args.psi_step}", math.log2(3 * n) + 3 * lg, 4 + 2 * lg)
     header = ["psi", "tilde_ppt", "hat_ppt", "exact_flag"]
     if args.with_oracle:
         _check_reach(args.d, args.d, args.k, SYMMETRIC)
@@ -396,7 +392,7 @@ def _volume_membership(which: str, u: np.ndarray) -> np.ndarray:
 
 def _cmd_volume(args, out: IO[str]) -> int:
     if args.samples > _MAX_SAMPLES:
-        raise ResourceLimitError(f"--samples {args.samples} is above the limit {_MAX_SAMPLES}")
+        raise ResourceLimitError(f"--samples {_shown(args.samples)} is above the limit {_MAX_SAMPLES}")
     rng = np.random.Generator(np.random.Philox(args.seed))
     hits = 0
     left = args.samples
@@ -453,7 +449,7 @@ def _consistency_rows(n: int):
 
 
 def _cmd_consistency_sweep(args, out: IO[str]) -> int:
-    _require_rows(f"--grid {args.grid}", args.grid**2)
+    _require_rows(f"--grid {_shown(args.grid)}", args.grid**2)
     _write_rows(["psi1", "psi2", "pentagon", "ckw", "ssa"], _consistency_rows(args.grid), out)
     return EXIT_OK
 
@@ -467,11 +463,10 @@ def _definetti_rows(rho: DensityMatrix, k_max: int):
 
 
 def _cmd_definetti(args, out: IO[str]) -> int:
-    _require_rows(f"--k-max {args.k_max}", args.k_max)
+    _require_rows(f"--k-max {_shown(args.k_max)}", args.k_max)
     if args.state is not None:
         rho = load_state(args.state, tol=args.tol)
     else:
-        _require_side(args.d)
         rho = random_density((args.d, args.d), np.random.Generator(np.random.Philox(args.seed)))
     _write_rows(["k", "gap", "bound"], _definetti_rows(rho, args.k_max), out)
     return EXIT_OK

@@ -21,6 +21,7 @@ from .errors import ValidationError
 from .linalg import (
     DensityMatrix,
     _check_extension_layout,
+    _check_positions,
     _checked_int,
     _occupation_isometry,
     _ptrace_mat,
@@ -29,7 +30,6 @@ from .linalg import (
     _require_bipartite,
     _require_symmetric_support,
     hermitize,
-    partial_transpose,
     trace_norm,
 )
 
@@ -205,7 +205,8 @@ def ppt_test(rho: DensityMatrix, cut: int = 1) -> CriterionVerdict:
     PPT relaxation.  Eigenvalues within the tolerance band report
     Inconclusive with a ``boundary`` flag.
     """
-    return _ppt_verdict(float(np.linalg.eigvalsh(hermitize(partial_transpose(rho, cut)))[0]), rho.dims, "ppt")
+    (cut,) = _check_positions([cut], len(rho.dims), "subsystem")
+    return _ppt_verdict(float(_min_pt_eigs(rho.mat[None], rho.dims, cut)[0]), rho.dims, "ppt")
 
 
 def _derived_verdict(problem: ExtensionProblem) -> CriterionVerdict:

@@ -10,7 +10,7 @@ class LayoutError(ValidationError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A requested construction exceeds the configured dimension guard."""
+    """A requested construction exceeds a work budget or a size limit."""
 
 
 class MarginalMismatchError(ValidationError):

@@ -10,6 +10,7 @@ public functions check outside input once, then call them with a stack of one.
 
 from __future__ import annotations
 
+import itertools
 import math
 import string
 from functools import lru_cache
@@ -27,11 +28,13 @@ ENTROPY_CLAMP = 1e-12
 SYM_SUPPORT_TOL = 1e-9
 
 _EPS = np.finfo(float).eps
+_FLOAT_MAX = float(np.finfo(float).max)
 
-# Dense constructions on r factors (permutation operators, symmetric
-# projectors, the isotypic bases) hold matrices or isometries of side d^r;
-# refuse anything larger.
-DIM_GUARD = 4096
+# The dense-work rule: a construction is refused before it allocates when its estimate passes either
+# budget.  A dense eigensolve or product of side s, such as validating a state, counts s^3 operations;
+# 2^34 of them took 3 to 4 s on 2 cores.  2^28 bytes hold one complex matrix of side 4096.
+WORK_BUDGET = 2**34
+BYTE_BUDGET = 2**28
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -65,37 +68,50 @@ def _hermitian_spectra(ms: np.ndarray, tol: float) -> np.ndarray:
     return np.linalg.eigvalsh(hermitize(ms))
 
 
+def _shown(value) -> str:
+    """A value from outside as a refusal message shows it: its repr, or an int of 2^64 or more as a power of two."""
+    big = isinstance(value, int) and not -(2**64) < value < 2**64
+    return f"{'-' if value < 0 else ''}2^{math.log2(abs(value)):.1f}" if big else repr(value)
+
+
+def _require_work(what: str, ops: float, nbytes: float) -> None:
+    """The dense-work rule on log2 estimates, which form no d^k for an unchecked k: ResourceLimitError past a budget."""
+    work, size = math.log2(WORK_BUDGET), math.log2(BYTE_BUDGET)
+    if not (ops <= work and nbytes <= size):
+        raise ResourceLimitError(f"{what} needs 2^{ops:.1f} operations and 2^{nbytes:.1f} bytes, "
+                                 f"above the budget of 2^{work:.0f} operations and 2^{size:.0f} bytes")
+
+
 def _checked_tol(tol: float) -> float:
     """A validation tolerance as a float; non-numbers (bools, strings), NaN, inf and negatives raise ValidationError.
 
     numpy floats and integers pass, as Python ones do.
     """
     number = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
-    try:
-        value = float(tol) if number else math.nan
-    except OverflowError:  # an int beyond the float range
-        value = math.inf
+    value = float(tol) if number and not (isinstance(tol, int) and abs(tol) > _FLOAT_MAX) else math.nan
     if not (math.isfinite(value) and value >= 0):
-        raise ValidationError(f"tolerance must be finite and >= 0, got {tol!r}")
+        raise ValidationError(f"tolerance must be finite and >= 0, got {_shown(tol)}")
     return value
 
 
 def _checked_int(value, what: str, least: int | None, error: type[ValidationError] = ValidationError) -> int:
     """An integer input as an int, by the one integer rule: bools, floats, strings and None raise error.
 
-    So do values below least, unless least is None; numpy integers pass.  Concrete types, not
-    numbers.Integral: an abstract check costs about 0.5 us, and ExtensionProblem runs this per verdict.
+    So do values below least, unless least is None, and values beyond the float range; numpy integers pass.
+    Concrete types, not numbers.Integral: an abstract check costs about 0.5 us, and this runs per verdict.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (least is not None and value < least):
         bound = "" if least is None else f" >= {least}"
-        raise error(f"{what} must be an integer{bound}, got {value!r}")
+        raise error(f"{what} must be an integer{bound}, got {_shown(value)}")
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:  # float math on it would raise OverflowError
+        raise error(f"{what} must lie within the float range, got {_shown(value)}")
     return int(value)
 
 
 def _checked_dims(dims: Iterable[int]) -> tuple[int, ...]:
     """Factor dimensions as ints, each an integer >= 1; else LayoutError."""
     if not np.iterable(dims):
-        raise LayoutError(f"factor dimensions must be a sequence, got {dims!r}")
+        raise LayoutError(f"factor dimensions must be a sequence, got {_shown(dims)}")
     return tuple(_checked_int(d, "factor dimension", 1, LayoutError) for d in dims)
 
 
@@ -109,7 +125,7 @@ def _checked_layout(mat, dims: Iterable[int] | None, what: str) -> tuple[np.ndar
         raise LayoutError(f"{what} must be square, got shape {mat.shape}")
     dims = (len(mat),) if dims is None else _checked_dims(dims)
     if math.prod(dims) != len(mat):
-        raise LayoutError(f"layout {dims} implies side {math.prod(dims)}, matrix side is {len(mat)}")
+        raise LayoutError(f"layout {dims} implies side {_shown(math.prod(dims))}, matrix side is {len(mat)}")
     return mat, dims
 
 
@@ -204,18 +220,11 @@ class DensityMatrix:
         return f"DensityMatrix(dims={self._dims})"
 
 
-def _checked_side(dims: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """A layout a state is built on, as checked dims, and its side, refused above DIM_GUARD."""
-    dims = _checked_dims(dims)
-    side = math.prod(dims)
-    if side > DIM_GUARD:
-        raise ResourceLimitError(f"state side {side} exceeds the guard {DIM_GUARD}")
-    return dims, side
-
-
 def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
     """I/d on the given layout, valid by construction: its spectrum is 1/d, d times, with no eigensolve."""
-    dims, side = _checked_side(dims)
+    dims = _checked_dims(dims)
+    side = math.prod(dims)
+    _require_work("maximally_mixed", 2 * math.log2(side), 4 + 2 * math.log2(side))
     return DensityMatrix._proven(np.eye(side, dtype=complex) / side, dims, HERM_TOL, np.full(side, 1 / side))
 
 
@@ -230,13 +239,16 @@ def pure_state(vec: np.ndarray, dims: Sequence[int] | None = None) -> DensityMat
         raise ValidationError(f"cannot normalize a vector of norm {norm}")
     if norm < 1e-14:
         raise ValidationError("cannot normalize a zero vector")
+    _require_work("pure_state", 3 * math.log2(len(vec)), 4 + 2 * math.log2(len(vec)))
     vec = vec / norm
     return DensityMatrix(np.outer(vec, vec.conj()), dims)
 
 
 def random_density(dims: Sequence[int], rng: np.random.Generator) -> DensityMatrix:
     """Full-rank random state from the Ginibre ensemble."""
-    dims, side = _checked_side(dims)
+    dims = _checked_dims(dims)
+    side = math.prod(dims)  # one product and one validating eigensolve
+    _require_work("random_density", 1 + 3 * math.log2(side), 4 + 2 * math.log2(side))
     g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     rho = g @ g.conj().T
     return DensityMatrix(rho / np.trace(rho).real, dims)
@@ -244,13 +256,14 @@ def random_density(dims: Sequence[int], rng: np.random.Generator) -> DensityMatr
 
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product; the layout is the concatenation of the layouts."""
+    _require_work("tensor_product", 3 * math.log2(a.side * b.side), 4 + 2 * math.log2(a.side * b.side))
     return DensityMatrix(np.kron(a.mat, b.mat), a.dims + b.dims, tol=max(a.tol, b.tol))
 
 
 def _check_positions(positions: Iterable[int], n: int, what: str) -> tuple[int, ...]:
     """Factor positions from outside: at least one, each an integer in range, none twice; else LayoutError."""
     if not np.iterable(positions):
-        raise LayoutError(f"{what} must be a sequence of factor positions, got {positions!r}")
+        raise LayoutError(f"{what} must be a sequence of factor positions, got {_shown(positions)}")
     pos = tuple(_checked_int(i, f"{what} index", None, LayoutError) for i in positions)
     if not pos:
         raise LayoutError(f"{what} must name at least one factor")
@@ -383,27 +396,20 @@ def _spectral_entropies(eigs: np.ndarray) -> np.ndarray:
     return -np.sum(eigs * np.log2(np.where(eigs > ENTROPY_CLAMP, eigs, 1.0)), axis=-1)
 
 
-def _checked_power(d: int, k: int, what: str) -> int:
-    """d^k for k factors of dimension d, refused above DIM_GUARD; k is compared with log2(DIM_GUARD) first."""
-    if k > DIM_GUARD.bit_length() - 1 or d**k > DIM_GUARD:
-        raise ResourceLimitError(f"{what} on dimension {d}^{k} exceeds the guard {DIM_GUARD}")
-    return d**k
-
-
 def permutation_operator(d: int, k: int, pi: Sequence[int]) -> np.ndarray:
     """Unitary reordering tensor factors: the factor at position m moves to position pi[m]."""
     d, k = _checked_int(d, "local dimension", 1), _checked_int(k, "factor count", 1)
-    size = _checked_power(d, k, "permutation operator")
+    # a complex matrix of side d^k, and d^k words of k digits at about 128 bytes a digit as Python objects
+    # (92 measured), which bound k at d = 1; _occupation_isometry makes the same estimate
+    lg, what = k * math.log2(d), f"permutation operator on dimension {_shown(d)}^{_shown(k)}"
+    _require_work(what, 2 * lg, max(4 + 2 * lg, 7 + lg + math.log2(k)))
     pi = tuple(_checked_int(i, "permutation entry", None) for i in pi)
-    if sorted(pi) != list(range(k)):
+    if len(pi) != k or sorted(pi) != list(range(k)):
         raise ValidationError(f"permutation {pi} is not a bijection on 0..{k - 1}")
-    digits = np.array(list(np.ndindex((d,) * k)), dtype=np.intp)
-    out_digits = np.empty_like(digits)
-    for m in range(k):
-        out_digits[:, pi[m]] = digits[:, m]
-    target = np.ravel_multi_index(out_digits.T, (d,) * k)
-    w = np.zeros((size, size), dtype=complex)
-    w[target, np.arange(size)] = 1.0
+    place = d ** np.arange(k - 1, -1, -1)  # the place value of each factor's digit in a basis index
+    digits = np.arange(d**k)[:, None] // place % d
+    w = np.zeros((d**k, d**k), dtype=complex)
+    w[digits @ place[list(pi)], np.arange(d**k)] = 1.0  # the digit of factor m moves to place pi[m]
     return w
 
 
@@ -431,12 +437,13 @@ def _occupation_isometry(d: int, k: int) -> np.ndarray:
     Column j is the normalized sum of the words that sort to the j-th sorted
     word; V V^dag is the symmetric projector (1/k!) sum of all W_pi.
     """
-    size = _checked_power(d, k, "symmetric subspace")
+    lg, what = k * math.log2(d), f"symmetric subspace on dimension {_shown(d)}^{_shown(k)}"
+    _require_work(what, 2 * lg, max(4 + 2 * lg, 7 + lg + math.log2(k)))
     groups: dict[tuple[int, ...], list[int]] = {}
-    for idx, word in enumerate(np.ndindex((d,) * k)):
+    for idx, word in enumerate(itertools.product(range(d), repeat=k)):
         groups.setdefault(tuple(sorted(word)), []).append(idx)
     keys = sorted(groups)
-    iso = np.zeros((size, len(keys)))
+    iso = np.zeros((d**k, len(keys)))
     for col, key in enumerate(keys):
         rows = groups[key]
         iso[rows, col] = 1.0 / math.sqrt(len(rows))

@@ -46,10 +46,10 @@ from .linalg import (
     _check_extension_layout,
     _checked_int,
     _checked_layout,
-    _checked_power,
     _exact_real,
     _occupation_isometry,
     _ptrace_mat,
+    _require_work,
     hermitize,
 )
 
@@ -232,12 +232,11 @@ def _weyl_isometry(d: int, shape: tuple[int, ...]) -> np.ndarray:
     k = sum(shape)
     if len(shape) == 1:
         return _occupation_isometry(d, k)
-    size = _checked_power(d, k, "isotypic basis")
     contents = [c - r for r, row in enumerate(shape) for c in range(row)]
-    basis = np.eye(size)
+    basis = np.eye(d**k)  # _check_reach bounds d^k
     for j in range(1, k):
         t = basis.reshape((d,) * k + (-1,))
-        jm = sum(np.swapaxes(t, i, j) for i in range(j)).reshape(size, -1)
+        jm = sum(np.swapaxes(t, i, j) for i in range(j)).reshape(len(basis), -1)
         w, u = np.linalg.eigh(basis.T @ jm)
         basis = basis @ u[:, np.abs(w - contents[j]) < 0.5]  # the eigenvalues are integers
     basis.setflags(write=False)
@@ -621,22 +620,19 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleRe
 def _check_reach(d_a: int, d_b: int, k: int, flavor: str) -> None:
     """Refuse before any work a layout whose extension space side, or whose n_AB^2, exceeds DIM_LIMIT.
 
-    The space is A (x) B^(x)k, or A (x) Sym^k(B) for the bosonic flavor; the Gram matrix and Newton's
-    Hessian are at most n_AB^2 x n_AB^2.  Both flavors build their block isometries with d_B^k rows, so d_B^k
-    beyond DIM_GUARD is refused too.  A one-dimensional B is refused: a state on A (x) C^1 is its own
-    extension.
+    The space is A (x) B^(x)k, or A (x) Sym^k(B) for the bosonic flavor; the Gram matrix and Newton's Hessian
+    are at most n_AB^2 x n_AB^2.  The work rule bounds the block isometries' d_B^k rows before any power is
+    formed.  A one-dimensional B is refused: a state on A (x) C^1 is its own extension.
     """
     if d_b < 2:
         raise LayoutError(f"the extended factor B must have dimension at least 2, got {d_b}")
     if (d_a * d_b) ** 2 > DIM_LIMIT:
         raise ResourceLimitError(f"dual side ({d_a}*{d_b})^2 = {(d_a * d_b) ** 2} exceeds the limit {DIM_LIMIT}")
-    if flavor == SYMMETRIC and k > DIM_LIMIT:
-        # d_B^k >= 2^k > DIM_LIMIT, a power too large to be worth forming
-        raise ResourceLimitError(f"extension space side {d_a}*{d_b}^{k} exceeds the limit {DIM_LIMIT}")
+    lg = k * math.log2(d_b)  # log2 of d_B^k; _weyl_isometry starts from the real identity of that side
+    _require_work(f"block isometries on {d_b}^{k}", 2 * lg, 3 + 2 * lg)
     side = d_a * (d_b**k if flavor == SYMMETRIC else math.comb(d_b + k - 1, k))
     if side > DIM_LIMIT:
         raise ResourceLimitError(f"extension space side {side} exceeds the limit {DIM_LIMIT}")
-    _checked_power(d_b, k, "block isometries on B^(x)k")
 
 
 def oracle_feasibility(problem: ExtensionProblem, cfg: OracleConfig | None = None) -> OracleResult:

@@ -302,3 +302,28 @@ def reference_bell_points(n):
                     continue
                 points.append((f"{labels[i1]},{labels[i2]},{labels[i3]}", (p1, p2, p3, max(p4, 0.0))))
     return points
+
+
+def dim_guard_reach_admits(d_a, d_b, k, flavor):
+    """The oracle's admission before the dense-work rule, kept as a reference.
+
+    DIM_LIMIT (256) on n_AB^2 and on the extension space side, and the old
+    DIM_GUARD (4096) on the d_B^k rows of the block isometries, with k
+    compared with log2 4096 = 12 before any power is formed.
+    """
+    import math
+
+    from symext import SYMMETRIC
+
+    if d_b < 2 or (d_a * d_b) ** 2 > 256 or k > 12:
+        return False
+    side = d_a * (d_b**k if flavor == SYMMETRIC else math.comb(d_b + k - 1, k))
+    return side <= 256 and d_b**k <= 4096
+
+
+class Admitted(Exception):
+    """Raised by a stand-in for the first allocation after a guard: the guard admitted the call."""
+
+
+def admitted(*args, **kwargs):
+    raise Admitted

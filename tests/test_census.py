@@ -1,7 +1,8 @@
 """Input census: each public entry point checks the inputs that enter it, by one integer rule and one layout rule.
 
 A first piece of the adversarial census: integer-valued inputs that are not
-integers, scalars where a sequence is expected, matrices whose shape does not
+integers, integers beyond the float range or too long to print, scalars where
+a sequence is expected, matrices whose shape does not
 fit their layout, states on different layouts, non-finite matrices and
 tolerances that are not numbers or lie outside [0, inf) must raise a
 ``symext.errors`` type with no numpy warning.  numpy integers and floats are
@@ -14,10 +15,17 @@ import numpy as np
 import pytest
 
 from symext import (
+    BOSONIC,
     DensityMatrix,
+    ExtensionProblem,
+    OracleConfig,
     bell_state,
+    bosonic_extension_verdict,
+    definetti_gap,
+    hat_state,
     hermitian_eigs,
     maximally_mixed,
+    oracle_feasibility,
     partial_trace,
     partial_transpose,
     permutation_operator,
@@ -27,11 +35,16 @@ from symext import (
     project_permutation_invariant,
     project_psd,
     random_density,
+    symmetric_extension_verdict,
+    tilde_state,
     trace_distance,
     trace_norm,
+    werner_hat_psi,
+    werner_tilde_psi,
 )
 
 NOT_INTEGERS = [2.0, 0.9, 1.5, True, "1", None, np.float64(1.0)]
+BEYOND_FLOATS = [10**400, 10**5000]  # float math cannot take them, and the second has too many digits to print
 
 BELL = bell_state([0.7, 0.1, 0.1, 0.1])
 TARGET = maximally_mixed([2, 2])
@@ -77,6 +90,28 @@ CENSUS = {
     ),
     "hermitian_eigs tol": (lambda t: hermitian_eigs(np.eye(2), t), [-1e-10, np.nan, np.inf], np.float32(0)),
     "trace_norm tol": (lambda t: trace_norm(np.eye(2), t), [-1e-10, np.nan, np.inf], np.float32(0)),
+    # integers beyond the float range, refused where they enter instead of in the float math they reach
+    "tilde_state k": (lambda k: tilde_state(BELL, k), BEYOND_FLOATS, np.int64(3)),
+    "hat_state k": (lambda k: hat_state(BELL, k), BEYOND_FLOATS, np.int64(3)),
+    "symmetric_extension_verdict k": (
+        lambda k: symmetric_extension_verdict(ExtensionProblem(BELL, k)), BEYOND_FLOATS, np.int64(3)
+    ),
+    "bosonic_extension_verdict k": (
+        lambda k: bosonic_extension_verdict(ExtensionProblem(BELL, k, BOSONIC)), BEYOND_FLOATS, np.int64(3)
+    ),
+    "definetti_gap k": (lambda k: definetti_gap(BELL, k), BEYOND_FLOATS, np.int64(3)),
+    "werner_tilde_psi k": (lambda k: werner_tilde_psi(2, k, 0.5), BEYOND_FLOATS, np.int64(3)),
+    "werner_hat_psi k": (lambda k: werner_hat_psi(2, k, 0.5), BEYOND_FLOATS, np.int64(3)),
+    # integers too long to print whole, in the refusal that names them
+    "DensityMatrix dims digits": (lambda v: DensityMatrix(np.eye(4) / 4, (v, 2)), [10**5000], np.int64(2)),
+    "DensityMatrix tol digits": (lambda t: DensityMatrix(np.eye(4) / 4, (2, 2), tol=t), [10**5000], 0),
+    "partial_trace keep digits": (lambda v: partial_trace(BELL, [v]), [10**5000, -(10**5000)], np.int64(1)),
+    "maximally_mixed dims digits": (lambda v: maximally_mixed([v]), [10**5000], np.int64(2)),
+    "permutation_operator dimension digits": (
+        lambda d: permutation_operator(d, 2, (1, 0)), [10**5000], np.int64(2)
+    ),
+    "OracleConfig max_iters digits": (lambda m: OracleConfig(max_iters=m), [-(10**5000)], np.int64(5)),
+    "oracle_feasibility k digits": (lambda k: oracle_feasibility(ExtensionProblem(BELL, k)), [10**5000], 2),
     "project_psd matrix": (
         project_psd,
         [np.ones((2, 3)), np.ones(4), np.full((2, 2), np.nan), np.diag([np.inf, 1.0]), np.diag([1.0, -np.inf])],

@@ -13,10 +13,11 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import reference_bell_points
+from helpers import Admitted, admitted, reference_bell_points
 
 import symext.cli as cli
 import symext.criteria as criteria
@@ -528,7 +529,7 @@ def test_linspace_chunks_reproduce_linspace(n, size):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["werner-sweep", "--d", "17"],
+        ["werner-sweep", "--d", "18"],
         ["werner-sweep", "--d", "40", "--k", "3"],
         ["werner-sweep", "--psi-step", "1e-15"],
         ["werner-sweep", "--psi-step", "9.9e-7", "--with-oracle"],
@@ -581,6 +582,52 @@ def test_werner_sweep_guard_is_the_row_count_rule(capsys, monkeypatch):
         assert err == f"resource limit: --psi-step {float(step)} gives {rows} rows, above the sweep limit 2000001\n"
 
 
+@pytest.mark.parametrize("d, rows", [(16, 341), (8, 21845), (4, 1398101)])
+def test_werner_sweep_work_rule_admits_its_largest_grid(capsys, monkeypatch, d, rows):
+    # a row costs three eigensolves of side d^2: rows * 3 * d^6 <= 2^34
+    monkeypatch.setattr(cli, "_werner_rows", lambda d, k, n, with_oracle: iter([f"{n}\n"]))
+    code, out, _ = _run(capsys, ["werner-sweep", "--d", str(d), "--psi-step", repr(2 / (rows - 1))])
+    assert (code, out.splitlines()[1:]) == (0, [str(rows)])
+    code, out, err = _run(capsys, ["werner-sweep", "--d", str(d), "--psi-step", repr(2 / rows)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"resource limit: --d {d} with --psi-step {2 / rows!r} needs 2^34.0 operations")
+
+
+def test_definetti_side_is_bounded_by_random_density(capsys, monkeypatch):
+    # 2 * 2025^3 operations are admitted, 2 * 2116^3 are not; a draw past the guard raises Admitted
+    no_draws = SimpleNamespace(standard_normal=admitted)
+    monkeypatch.setattr(cli, "random_density", lambda dims, rng: random_density(dims, no_draws))
+    with pytest.raises(Admitted):
+        main(["definetti", "--d", "45"])
+    code, out, err = _run(capsys, ["definetti", "--d", "46"])
+    assert (code, out) == (2, "") and err.startswith("resource limit: random_density needs 2^34.1 operations")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "STATE", "--k", str(10**400)],
+        ["bell-sweep", "--k", str(10**400)],
+        ["werner-sweep", "--k", str(10**400)],
+        ["definetti", "--k-max", str(10**400)],
+        ["bell-sweep", "--grid", str(10**1500)],
+        ["consistency-sweep", "--grid", str(10**1500)],
+        ["volume", "--which", "exact", "--samples", str(10**1500), "--seed", "1"],
+    ],
+    ids=lambda argv: " ".join(f"<{len(a)} digits>" if len(a) > 100 else a for a in argv),
+)
+def test_integer_flags_beyond_the_float_range_are_refused_before_output(capsys, tmp_path, bell_file, argv):
+    argv = [bell_file if arg == "STATE" else arg for arg in argv]
+    path = tmp_path / "out.csv"
+    path.write_text("kept\n")
+    for extra in ([], ["--out", str(path)]) if argv[0] in ("bell-sweep", "werner-sweep", "definetti") else ([],):
+        code, out, err = _run(capsys, argv + extra)
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and len(lines[0]) < 100, lines
+    assert path.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -588,7 +635,7 @@ def test_werner_sweep_guard_is_the_row_count_rule(capsys, monkeypatch):
         ["bell-sweep", "--grid", "10000"],
         ["consistency-sweep", "--grid", "1415"],
         ["consistency-sweep", "--grid", "4000000"],
-        ["definetti", "--d", "17"],
+        ["definetti", "--d", "46"],
         ["definetti", "--d", "100", "--k-max", "1"],
         ["definetti", "--k-max", "2000002"],
         ["definetti", "--k-max", "1000000000"],
@@ -601,8 +648,10 @@ def test_row_and_side_guards_refuse_before_output(capsys, monkeypatch, argv):
     def unreachable(*args):
         raise AssertionError("a state or grid was built or a sample drawn")
 
-    for name in ("_bell_points", "_linspace_chunks", "random_density", "definetti_gap", "_volume_membership"):
+    for name in ("_bell_points", "_linspace_chunks", "definetti_gap", "_volume_membership"):
         monkeypatch.setattr(cli, name, unreachable)
+    # random_density refuses a side before it draws: with no generator, a draw would raise AttributeError
+    monkeypatch.setattr(cli, "random_density", lambda dims, rng: random_density(dims, None))
     start = time.perf_counter()
     code, out, err = _run(capsys, argv)
     assert time.perf_counter() - start < 1.0

@@ -32,6 +32,7 @@ from symext import (
     hat_state,
     maximally_mixed,
     partial_trace,
+    partial_transpose,
     ppt_test,
     random_density,
     ssa_check,
@@ -46,7 +47,7 @@ from symext import (
     werner_tilde_threshold,
 )
 from symext.criteria import _derived_mats, _derived_min_pt_eigs, _lift, _min_pt_eigs, _ppt_passes
-from symext.linalg import _hermiticity_defects, _reduced_stack, _validated_spectra
+from symext.linalg import _hermiticity_defects, _reduced_stack, _validated_spectra, hermitize
 
 
 def test_tilde_fixed_point():
@@ -204,6 +205,17 @@ def test_ppt_test_verdicts():
     boundary = ppt_test(hat_state(bell_state([0.75, 1 / 12, 1 / 12, 1 / 12]), 2))
     assert boundary.status == INCONCLUSIVE
     assert boundary.witness.get("boundary") == 1.0
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2), (4, 2)])
+def test_ppt_test_reads_the_stacked_kernel_bit_for_bit(dims):
+    # ppt_test calls _min_pt_eigs; its value is the eigensolve of the single partial transpose it replaced
+    rng = np.random.default_rng(sum(dims))
+    for _ in range(20):
+        rho = random_density(dims, rng)
+        for cut in range(len(dims)):
+            lo = float(np.linalg.eigvalsh(hermitize(partial_transpose(rho, cut)))[0])
+            assert ppt_test(rho, cut).witness["min_pt_eig"] == lo
 
 
 def test_symmetric_verdict_routing():

@@ -7,13 +7,22 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from helpers import brute_force_symmetric_projector, random_separable, random_symmetric_supported, twirl_channel
+from helpers import (
+    Admitted,
+    admitted,
+    brute_force_symmetric_projector,
+    random_separable,
+    random_symmetric_supported,
+    twirl_channel,
+)
 from symext import (
     DensityMatrix,
     LayoutError,
@@ -33,7 +42,15 @@ from symext import (
     von_neumann_entropy,
     werner_state,
 )
-from symext.linalg import _entropies, _ptrace_mat, _ptranspose_mat, _trace_norms, _validated_spectra, hermitize
+from symext.linalg import (
+    _entropies,
+    _occupation_isometry,
+    _ptrace_mat,
+    _ptranspose_mat,
+    _trace_norms,
+    _validated_spectra,
+    hermitize,
+)
 
 
 def test_density_matrix_validation():
@@ -144,8 +161,47 @@ def test_random_density_refuses_a_dimension_that_is_not_an_integer():
 def test_maximally_mixed_refuses_a_side_beyond_the_guard():
     # the side 10^12 is refused before any allocation
     message = _refused_quietly(ResourceLimitError, lambda: maximally_mixed([10**6, 10**6]))
-    assert message == "state side 1000000000000 exceeds the guard 4096"
+    assert message == (
+        "maximally_mixed needs 2^79.7 operations and 2^83.7 bytes, above the budget of 2^34 operations and 2^28 bytes"
+    )
     assert _refused_quietly(ResourceLimitError, lambda: random_density([64, 65], np.random.default_rng(0)))
+
+
+_MIXED_20, _MIXED_129, _MIXED_29, _MIXED_89 = (maximally_mixed([n]) for n in (20, 129, 29, 89))
+_NO_DRAWS = SimpleNamespace(standard_normal=admitted)
+
+# site: (the call at one size, the numpy function of its first large allocation, the largest size the work
+# rule admits, one step past it).  Sides 2580 = 20 * 129 and 2581 = 29 * 89 come from two small factors.
+WORK_BOUNDARIES = {
+    "maximally_mixed": (lambda n: maximally_mixed([n]), "eye", 4096, 4097),
+    "maximally_mixed layout": (lambda n: maximally_mixed([64, n]), "eye", 64, 65),
+    "random_density": (lambda n: random_density((n,), _NO_DRAWS), None, 2048, 2049),
+    "tensor_product": (lambda ab: tensor_product(*ab), "kron", (_MIXED_20, _MIXED_129), (_MIXED_29, _MIXED_89)),
+    "pure_state": (lambda n: pure_state(np.ones(n)), "outer", 2580, 2581),
+    "permutation_operator k": (lambda k: permutation_operator(2, k, range(k)), "zeros", 12, 13),
+    "permutation_operator d": (lambda d: permutation_operator(d, 2, (1, 0)), "zeros", 64, 65),
+    "permutation_operator d=1": (lambda k: permutation_operator(1, k, range(k)), "zeros", 2**21, 2**21 + 1),
+    "symmetric subspace k": (lambda k: _occupation_isometry.__wrapped__(2, k), "zeros", 12, 13),
+    "symmetric subspace d": (lambda d: _occupation_isometry.__wrapped__(d, 2), "zeros", 64, 65),
+    "symmetric subspace d=1": (lambda k: _occupation_isometry.__wrapped__(1, k), "zeros", 2**21, 2**21 + 1),
+}
+
+
+@pytest.mark.parametrize("site", list(WORK_BOUNDARIES))
+def test_work_rule_admits_its_largest_case_and_refuses_the_next_before_allocating(site, monkeypatch):
+    build, allocator, largest, past = WORK_BOUNDARIES[site]
+    if allocator is not None:
+        monkeypatch.setattr(np, allocator, admitted)
+    with pytest.raises(Admitted):
+        build(largest)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=r"above the budget of 2\^34 operations and 2\^28 bytes$"):
+            build(past)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("dims", [(1,), (2,), (2, 2), (3,), (2, 3), (3, 3), (2, 2, 2), (5, 7), (4, 4, 4), (12, 12)])
@@ -397,7 +453,8 @@ def test_factor_count_guard_refuses_before_any_power_or_range(name, args):
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
     elapsed, message = json.loads(proc.stdout)
     assert elapsed < 0.1
-    assert message.endswith(f"on dimension {args[0]}^{args[1]} exceeds the guard 4096")
+    assert f" on dimension {args[0]}^{args[1]} needs 2^" in message
+    assert message.endswith("above the budget of 2^34 operations and 2^28 bytes")
 
 
 def test_von_neumann_entropy():
@@ -471,7 +528,7 @@ def test_symmetric_projector_properties(d, r):
 
 
 def test_symmetric_projector_at_the_guard():
-    # r = 12 is the largest qubit count DIM_GUARD admits; a 12!-term sum would not finish
+    # r = 12 is the largest qubit count the work rule admits; a 12!-term sum would not finish
     rng = np.random.default_rng(11)
     start = time.perf_counter()
     proj = symmetric_projector(2, 12)

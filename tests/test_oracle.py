@@ -1,6 +1,7 @@
 """Feasibility oracle: projections and end-to-end decisions."""
 
 import dataclasses
+import itertools
 import math
 import time
 import tracemalloc
@@ -17,6 +18,7 @@ from helpers import (
     compress_rows,
     dense_dual_check,
     dense_face_affine_projection,
+    dim_guard_reach_admits,
     lift_blocks,
     lifted_placements,
     placed_amap,
@@ -726,7 +728,7 @@ def test_oracle_resource_guard_and_config():
     with pytest.raises(ResourceLimitError):
         oracle_feasibility(ExtensionProblem(maximally_mixed([2, 2]), 8, SYMMETRIC))
     # a numpy k is stored as int: 2 ** np.int64(64) would wrap to 0 and pass the guard
-    with pytest.raises(ResourceLimitError, match="exceeds the limit"):
+    with pytest.raises(ResourceLimitError, match="above the budget"):
         oracle_feasibility(ExtensionProblem(maximally_mixed([2, 2]), np.int64(64), SYMMETRIC))
     # the budget is the one setting: an integer >= 1, refused as a ValidationError otherwise
     assert [f.name for f in dataclasses.fields(OracleConfig)] == ["max_iters"]
@@ -745,17 +747,21 @@ def test_oracle_resource_guard_and_config():
 def test_check_reach_refuses_wide_spaces_in_bounded_time():
     _check_reach(2, 2, 7, SYMMETRIC)
     _check_reach(2, 2, 12, BOSONIC)
-    for d_a, d_b, k, flavor in [(2, 2, 8, SYMMETRIC), (2, 2, 128, BOSONIC), (2, 3, 5, SYMMETRIC)]:
-        with pytest.raises(ResourceLimitError, match="exceeds the limit 256"):
+    for d_a, d_b, k, flavor, message in [
+        (2, 2, 8, SYMMETRIC, "exceeds the limit 256"),
+        (2, 2, 128, BOSONIC, r"block isometries on 2\^128 needs"),
+        (2, 3, 5, SYMMETRIC, "exceeds the limit 256"),
+    ]:
+        with pytest.raises(ResourceLimitError, match=message):
             _check_reach(d_a, d_b, k, flavor)
     # the bosonic side stays small, but the block isometries have d_B^k rows
     for d_a, d_b, k in [(2, 2, 13), (1, 3, 8), (2, 4, 7)]:
-        with pytest.raises(ResourceLimitError, match=rf"dimension {d_b}\^{k} exceeds the guard 4096"):
+        with pytest.raises(ResourceLimitError, match=rf"block isometries on {d_b}\^{k} needs"):
             _check_reach(d_a, d_b, k, BOSONIC)
-    with pytest.raises(ResourceLimitError, match=r"dimension 2\^13 exceeds the guard 4096"):
+    with pytest.raises(ResourceLimitError, match=r"block isometries on 2\^13 needs"):
         oracle_feasibility(ExtensionProblem(maximally_mixed([2, 2]), 13, BOSONIC))
     # a huge k is refused without forming d_B^k
-    for flavor, message in [(SYMMETRIC, r"side 2\*3\^1000000000 exceeds"), (BOSONIC, "exceeds the limit 256")]:
+    for flavor, message in [(SYMMETRIC, r"on 3\^1000000000 needs"), (BOSONIC, r"on 3\^1000000000 needs")]:
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError, match=message):
             _check_reach(2, 3, 10**9, flavor)
@@ -796,6 +802,20 @@ def test_check_reach_admits_its_widest_layouts():
     # d_B = 1 raised numpy's 64-axis limit from the block set-up at k = 63
     with pytest.raises(LayoutError, match="at least 2"):
         oracle_feasibility(ExtensionProblem(maximally_mixed([2, 1]), 63))
+
+
+def test_check_reach_admits_the_layouts_the_dim_guard_admitted():
+    # the bytes of the side-d_B^k identity replace the old d_B^k <= 4096: no layout changes side
+    for d_a, d_b in itertools.product(range(1, 17), repeat=2):
+        if d_a * d_b > 16:
+            continue
+        for k, flavor in itertools.product(range(1, 65), (SYMMETRIC, BOSONIC)):
+            try:
+                _check_reach(d_a, d_b, k, flavor)
+                admits = True
+            except (ResourceLimitError, LayoutError):
+                admits = False
+            assert admits == dim_guard_reach_admits(d_a, d_b, k, flavor), (d_a, d_b, k, flavor)
 
 
 # (state, k, flavor) -> (status, Newton steps).  The statuses were recorded

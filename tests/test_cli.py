@@ -319,6 +319,18 @@ def _verdict_states():
     return states
 
 
+def _refused_state_objects():
+    """State files that check refuses, named as ``{name}`` placeholders of the verdict digests."""
+    bell = state_to_obj(bell_state([1, 0, 0, 0]))
+    objs = {name: json.loads(json.dumps(bell)) for name in ("non-hermitian", "trace-off", "non-finite")}
+    objs["non-hermitian"]["matrix"]["re"][0][1] = 0.1
+    objs["trace-off"]["matrix"]["re"][0][0] = 0.4  # trace 0.9
+    objs["non-finite"]["matrix"]["im"][1][2] = float("nan")
+    # admitted, lambda_min -0.9e-9, but d_B lambda_min is below -5 tol: rho_A is validated and refused
+    objs["past-the-proof"] = state_to_obj(DensityMatrix(np.diag([-0.9e-9, -0.9e-9, 0.5 + 0.9e-9, 0.5 + 0.9e-9]), (2, 2)))
+    return objs
+
+
 @pytest.fixture(scope="module")
 def verdict_state_paths(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("verdict-states")
@@ -326,15 +338,20 @@ def verdict_state_paths(tmp_path_factory):
     for name, rho in _verdict_states().items():
         paths[name] = str(tmp / f"{name}.json")
         dump_state(rho, paths[name])
+    for name, obj in _refused_state_objects().items():
+        paths[name] = str(tmp / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(obj) + "\n")
     return paths
 
 
 @pytest.mark.parametrize("case", VERDICT_DIGESTS, ids=lambda case: " ".join(case["argv"]))
 def test_verdict_output_matches_recorded_digest(capsys, verdict_state_paths, case):
-    # digests of check, consistency and volume stdout recorded before the verdicts shared one kernel
+    # digests of check, consistency and volume stdout recorded before the verdicts shared one kernel;
+    # rows with a "code" also record the exact stderr: refusals, and check at tolerances where rho_A
+    # is validated rather than proven
     argv = [verdict_state_paths[arg[1:-1]] if arg.startswith("{") else arg for arg in case["argv"]]
     code, out, err = _run(capsys, argv)
-    assert code == 0 and err == ""
+    assert (code, err) == (case.get("code", 0), case.get("stderr", ""))
     assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
 
 
@@ -435,6 +452,22 @@ def test_consistency_sweep_eigensolves_each_state_once(capsys, monkeypatch):
     assert len(calls) <= 8
     assert calls[:2] == [((25, 4, 4), np.float64), ((25, 2, 2), np.float64)]
     assert all(dtype == np.float64 for _, dtype in calls)
+
+
+def test_check_runs_two_eigensolves(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "state.json"
+    dump_state(random_density((3, 3), np.random.default_rng(31)), str(path))
+    calls = _count_eigensolves(monkeypatch)
+    code, out, _ = _run(capsys, ["check", str(path), "--k", "3"])
+    assert code == 0 and json.loads(out)["status"] in ("Violated", "Inconclusive")
+    # the validating solve of rho and the derived state's partial transpose: rho_A is proven valid
+    assert [shape[-2:] for shape, _ in calls] == [(9, 9), (9, 9)]
+    # at --tol 0 the proof has no room, so rho_A is validated with one more, 3 x 3, solve; dyadic
+    # weights make the trace exactly one
+    dump_state(DensityMatrix(np.diag([2.0**-j for j in range(1, 9)] + [2.0**-8]), (3, 3)), str(path))
+    calls.clear()
+    assert _run(capsys, ["check", str(path), "--k", "3", "--tol", "0"])[0] == 0
+    assert [shape[-2:] for shape, _ in calls] == [(9, 9), (3, 3), (9, 9)]
 
 
 def test_reduced_state_past_the_proof_is_refused_by_the_cli(capsys, tmp_path):

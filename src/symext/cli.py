@@ -167,25 +167,36 @@ def state_to_obj(rho: DensityMatrix) -> dict:
 
 
 def state_from_obj(obj: dict, tol: float = HERM_TOL) -> DensityMatrix:
+    """The state of a decoded state file, validated at tol; its validating eigensolve is estimated first."""
     try:
         dims = list(obj["dims"])
         re = np.asarray(obj["matrix"]["re"], dtype=float)
         im = np.asarray(obj["matrix"]["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:  # OverflowError: an int past the float range
         raise CliInputError(f"malformed state object: {err}") from err
     if re.ndim != 2 or re.shape != im.shape:
         raise CliInputError(f"re/im parts must be equal-shape 2-D arrays, got {re.shape} and {im.shape}")
+    lg = math.log2(max(re.size, 1)) / 2  # log2 of the side of a square matrix, which one eigensolve validates
+    _require_work("state file", 3 * lg, 4 + 2 * lg)
     return DensityMatrix(re + 1j * im, dims, tol=tol)
 
 
 def load_state(path: str, tol: float = HERM_TOL) -> DensityMatrix:
+    """The state in a JSON state file, read as bytes and decoded as UTF-8; see :func:`state_from_obj`."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:  # newlines as text mode reads them, which the positions in a JSON error count
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        obj = json.loads(text)
     except OSError as err:
         raise CliInputError(f"cannot read {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise CliInputError(f"{path} is not valid UTF-8: {err}") from err
     except json.JSONDecodeError as err:
         raise CliInputError(f"{path} is not valid JSON: {err}") from err
+    except RecursionError:
+        raise CliInputError(f"{path} is not valid JSON: arrays or objects nested too deeply") from None
     return state_from_obj(obj, tol=tol)
 
 
@@ -203,9 +214,11 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
+_JSON = json.JSONEncoder(sort_keys=True)  # what json.dumps(obj, sort_keys=True) builds on every call
+
+
 def _emit_json(obj: dict, out: IO[str]) -> None:
-    out.write(json.dumps(obj, sort_keys=True))
-    out.write("\n")
+    out.write(_JSON.encode(obj) + "\n")
 
 
 class _OutFile:
@@ -467,6 +480,8 @@ def _cmd_definetti(args, out: IO[str]) -> int:
     if args.state is not None:
         rho = load_state(args.state, tol=args.tol)
     else:
+        lg = 2 * math.log2(args.d)  # log2 of the side d^2: the state's product and validation, then the trace norm
+        _require_work(f"--d {_shown(args.d)}", math.log2(3) + 3 * lg, 4 + 2 * lg)
         rho = random_density((args.d, args.d), np.random.Generator(np.random.Philox(args.seed)))
     _write_rows(["k", "gap", "bound"], _definetti_rows(rho, args.k_max), out)
     return EXIT_OK

@@ -25,7 +25,7 @@ from .criteria import (
 )
 from .errors import LayoutError, ValidationError
 from .families import A_MARGINAL_TOL, _a_marginal_spreads, _require_a_agreement
-from .linalg import DensityMatrix, _ptrace_mat, _reduced_of, _require_bipartite, hermitize
+from .linalg import DensityMatrix, _ptrace_mat, _reduced_of, _require_bipartite
 
 MARGINAL_MISMATCH = "marginal-mismatch"
 
@@ -89,7 +89,7 @@ def _consistency_min_pt_eigs(mats, dims, idx: np.ndarray) -> np.ndarray:
     """
     k = idx.shape[1]
     avg = sum(mats[row] for row in idx.T) / k
-    a = hermitize(_ptrace_mat(avg, dims, [0]))
+    a = _ptrace_mat(avg, dims, [0])  # exactly Hermitian, as avg is
     return _derived_min_pt_eigs(avg, a, k, _derived_flavor(dims, k, SYMMETRIC))
 
 

@@ -75,10 +75,10 @@ class DefinettiGap(NamedTuple):
 
 def _lift(scale, mats: np.ndarray, c, reduced: np.ndarray, d_b: int) -> np.ndarray:
     """scale * mats + c * (reduced x I_B) of one matrix or a stack, adding c * reduced into each diagonal block."""
-    out = scale * mats
-    add = c * reduced
-    for j in range(d_b):
-        out[..., j::d_b, j::d_b] += add
+    out = np.multiply(scale, mats, order="C")
+    d_a = reduced.shape[-1]
+    blocks = np.einsum("...ajbj->...abj", out.reshape(out.shape[:-2] + (d_a, d_b, d_a, d_b)))  # a writeable view
+    blocks += c * reduced[..., None]
     return out
 
 
@@ -158,8 +158,11 @@ def generalized_hat(rho: DensityMatrix, k: int) -> DensityMatrix:
 
 
 def _min_pt_eigs(mats: np.ndarray, dims, cut: int = 1) -> np.ndarray:
-    """Smallest eigenvalue of the partial transpose across ``cut`` of each matrix of a stack."""
-    return np.linalg.eigvalsh(hermitize(_ptranspose_mat(mats, dims, cut)))[:, 0]
+    """Smallest eigenvalue of the partial transpose across ``cut`` of each exactly Hermitian matrix of a stack.
+
+    A partial transpose only moves entries, so it is exactly Hermitian too, and is solved as it is.
+    """
+    return np.linalg.eigvalsh(_ptranspose_mat(mats, dims, cut))[:, 0]
 
 
 def _ppt_passes(lo):

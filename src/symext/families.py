@@ -21,6 +21,7 @@ from .linalg import (
     _reduced_entropies,
     _reduced_of,
     _require_bipartite,
+    _require_work,
     _spectral_entropies,
     _trace_distances,
     permutation_operator,
@@ -135,6 +136,9 @@ def werner_state(d: int, psi: float) -> DensityMatrix:
     subspaces with weights (1 + psi)/2 and (1 - psi)/2; separable (and PPT)
     exactly when psi >= 0.
     """
+    d = _checked_int(d, "local dimension", 2)
+    lg = 2 * math.log2(d)  # log2 of the side d^2, which one eigensolve validates
+    _require_work("werner_state", 3 * lg, 4 + 2 * lg)
     return DensityMatrix(_werner_mats(d, np.array([psi], dtype=float))[0], (d, d))
 
 

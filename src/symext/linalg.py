@@ -153,12 +153,12 @@ def _validated_spectra(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.nda
     # trace to inf, or to nan; the checks below are written to fail on nan
     with np.errstate(over="ignore", invalid="ignore"):
         defects = _hermiticity_defects(mats)
-        deviation = np.abs(mats.diagonal(axis1=1, axis2=2).sum(axis=-1) - 1.0)
+        deviation = np.abs(mats.trace(axis1=1, axis2=2) - 1.0)
     herm = hermitize(mats)
     spectra = np.linalg.eigvalsh(herm)
     lo = spectra[:, 0]
-    i = _first(~((defects <= tol) & (deviation <= tol) & (lo >= -10 * tol)))
-    if i is not None:
+    if not (defects.max(initial=0.0) <= tol and deviation.max(initial=0.0) <= tol and lo.min(initial=0.0) >= -10 * tol):
+        i = _first(~((defects <= tol) & (deviation <= tol) & (lo >= -10 * tol)))
         if not defects[i] <= tol:
             raise ValidationError(f"state is not Hermitian: max |M - M^dag| entry {defects[i]:.1e}")
         if not deviation[i] <= tol:
@@ -275,28 +275,35 @@ def _check_positions(positions: Iterable[int], n: int, what: str) -> tuple[int, 
     return pos
 
 
-def _ptrace_mat(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Partial trace over the factors not in ``keep``, positions in increasing order, of a matrix or of a stack."""
-    dims = tuple(dims)
-    n = len(dims)
-    lead = mat.shape[:-2]
-    t = mat.reshape(lead + dims + dims)
-    letters = string.ascii_letters
+@lru_cache(maxsize=None)
+def _ptrace_plan(dims: tuple[int, ...], keep: tuple[int, ...]) -> tuple[str, int]:
+    """The einsum subscripts and the reduced side of :func:`_ptrace_mat`, built once per layout."""
+    n, letters = len(dims), string.ascii_letters
     row = [letters[i] for i in range(n)]
     col = list(row)
     for j, i in enumerate(keep):
         col[i] = letters[n + j]
     out = [row[i] for i in keep] + [col[i] for i in keep]
-    reduced = np.einsum("..." + "".join(row + col) + "->..." + "".join(out), t)
-    side = math.prod(dims[i] for i in keep)
-    return reduced.reshape(lead + (side, side))
+    return "..." + "".join(row + col) + "->..." + "".join(out), math.prod(dims[i] for i in keep)
+
+
+def _ptrace_mat(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+    """Partial trace over the factors not in ``keep``, positions in increasing order, of a matrix or of a stack.
+
+    Every entry sums its terms in one order, so the trace of an exactly Hermitian matrix is exactly Hermitian.
+    """
+    dims = tuple(dims)
+    subscripts, side = _ptrace_plan(dims, tuple(keep))
+    lead = mat.shape[:-2]
+    return np.einsum(subscripts, mat.reshape(lead + dims + dims)).reshape(lead + (side, side))
 
 
 def _reduced_stack(
-    mats: np.ndarray, dims: Sequence[int], keep: Sequence[int], tol: float, lo
+    mats: np.ndarray, dims: Sequence[int], keep: Sequence[int], tol: float, lo: np.ndarray | float
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Partial traces of a stack of states validated at tol with smallest eigenvalues lo, each proven or validated.
+    """Partial traces of a stack of exactly Hermitian states validated at tol, each proven valid or validated.
 
+    lo holds the states' smallest eigenvalues, or is one float for a stack of one.
     With d the product of the traced dimensions, <x|Tr_B rho|x> = sum_b <x b|rho|x b>
     >= d lambda_min(rho) for unit x.  So where d lo >= -5 tol for every state, each
     reduced state passes the PSD check at -10 tol with 5 tol to spare for rounding:
@@ -307,10 +314,11 @@ def _reduced_stack(
     validated, with DensityMatrix's checks and messages, and their ascending
     spectra are returned with them so no caller solves them again; else None.
     """
-    reduced = hermitize(_ptrace_mat(mats, dims, keep))
-    traced = math.prod(dim for i, dim in enumerate(dims) if i not in keep)
+    reduced = _ptrace_mat(mats, dims, keep)
+    traced = mats.shape[-1] // reduced.shape[-1]
     spare = 5 * tol
-    if spare >= 3 * traced * mats.shape[-1] * _EPS and np.all(traced * lo >= -spare):
+    lowest = lo if isinstance(lo, float) else lo.min()  # numpy floats are floats
+    if spare >= 3 * traced * mats.shape[-1] * _EPS and lowest * traced >= -spare:
         return reduced, None
     return _validated_spectra(reduced, tol)
 
@@ -340,7 +348,7 @@ def _ptranspose_mat(mat: np.ndarray, dims: Sequence[int], subsystem: int) -> np.
     n = len(dims)
     lead = mat.shape[:-2]
     t = mat.reshape(lead + dims + dims)
-    return np.swapaxes(t, len(lead) + subsystem, len(lead) + n + subsystem).reshape(mat.shape)
+    return t.swapaxes(len(lead) + subsystem, len(lead) + n + subsystem).reshape(mat.shape)
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:

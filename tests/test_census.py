@@ -6,9 +6,11 @@ a sequence is expected, matrices whose shape does not
 fit their layout, states on different layouts, non-finite matrices and
 tolerances that are not numbers or lie outside [0, inf) must raise a
 ``symext.errors`` type with no numpy warning.  numpy integers and floats are
-accepted.
+accepted.  A state file the CLI cannot read as a state, whatever its bytes,
+exits 1 with one ``error:`` line.
 """
 
+import json
 import warnings
 
 import numpy as np
@@ -42,6 +44,7 @@ from symext import (
     werner_hat_psi,
     werner_tilde_psi,
 )
+from symext.cli import main, state_to_obj
 
 NOT_INTEGERS = [2.0, 0.9, 1.5, True, "1", None, np.float64(1.0)]
 BEYOND_FLOATS = [10**400, 10**5000]  # float math cannot take them, and the second has too many digits to print
@@ -130,3 +133,45 @@ def test_entry_point_refuses_bad_input_and_accepts_numpy_scalars(entry):
                 call(value)
             assert type(err.value).__module__ == "symext.errors", (value, repr(err.value))
         call(accepted)
+
+
+_BELL_FILE = json.dumps(state_to_obj(BELL))
+_HUGE_ENTRY = state_to_obj(BELL)
+_HUGE_ENTRY["matrix"]["re"][0][1] = 10**400
+
+# state files that raised a raw exception from the reader, which check, consistency and definetti --state share:
+# (bytes, the error line; {path} stands for the file's path)
+STATE_FILES = {
+    "not UTF-8": (
+        b"\xff\xfe" + _BELL_FILE.encode("utf-16-le"),
+        "error: {path} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    ),
+    "an integer past the float range": (
+        json.dumps(_HUGE_ENTRY).encode(),
+        "error: malformed state object: int too large to convert to float",
+    ),
+    "100,000 nested arrays": (b"[" * 100_000, "error: {path} is not valid JSON: arrays or objects nested too deeply"),
+    # the UTF-8 byte-order mark keeps the refusal it always had
+    "a UTF-8 BOM": (
+        b"\xef\xbb\xbf" + _BELL_FILE.encode(),
+        "error: {path} is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(STATE_FILES))
+def test_state_file_refusals_are_one_error_line(capsys, tmp_path, name):
+    data, line = STATE_FILES[name]
+    path = tmp_path / "state.json"
+    path.write_bytes(data)
+    out = tmp_path / "out.csv"
+    out.write_text("kept\n")
+    for argv in (
+        ["check", str(path), "--k", "2"],
+        ["consistency", str(path), str(path)],
+        ["definetti", "--state", str(path), "--out", str(out)],
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", line.format(path=path) + "\n"), argv
+    assert out.read_text() == "kept\n"

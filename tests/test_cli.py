@@ -22,6 +22,7 @@ from helpers import Admitted, admitted, reference_bell_points
 import symext.cli as cli
 import symext.criteria as criteria
 from symext import DensityMatrix, bell_state, maximally_mixed, random_density, werner_state
+from symext.errors import ResourceLimitError
 from symext.cli import dump_state, load_state, main, state_from_obj, state_to_obj
 
 SWEEP_DIGESTS = json.loads((Path(__file__).parent / "data" / "sweep_digests.json").read_text())
@@ -626,14 +627,35 @@ def test_werner_sweep_work_rule_admits_its_largest_grid(capsys, monkeypatch, d, 
     assert err.startswith(f"resource limit: --d {d} with --psi-step {2 / rows!r} needs 2^34.0 operations")
 
 
-def test_definetti_side_is_bounded_by_random_density(capsys, monkeypatch):
-    # 2 * 2025^3 operations are admitted, 2 * 2116^3 are not; a draw past the guard raises Admitted
+def test_definetti_side_is_bounded_by_its_three_eigensolves(capsys, monkeypatch, tmp_path):
+    # the state's product and validation and the trace norm: 3 * 1764^3 operations are admitted, 3 * 1849^3
+    # are not; a draw past the guard raises Admitted
     no_draws = SimpleNamespace(standard_normal=admitted)
     monkeypatch.setattr(cli, "random_density", lambda dims, rng: random_density(dims, no_draws))
     with pytest.raises(Admitted):
-        main(["definetti", "--d", "45"])
-    code, out, err = _run(capsys, ["definetti", "--d", "46"])
-    assert (code, out) == (2, "") and err.startswith("resource limit: random_density needs 2^34.1 operations")
+        main(["definetti", "--d", "42"])
+    path = tmp_path / "out.csv"
+    path.write_text("kept\n")
+    code, out, err = _run(capsys, ["definetti", "--d", "43", "--out", str(path)])
+    assert (code, out) == (2, "") and err.startswith("resource limit: --d 43 needs 2^34.1 operations")
+    assert path.read_text() == "kept\n"
+
+
+def test_state_file_side_is_bounded_by_its_validating_eigensolve():
+    # a file's side s costs s^3 for the eigensolve that validates it, estimated before the complex matrix is
+    # built: side 2581 is refused, as for pure_state; zero-stride views stand for its decoded parts
+    zeros = np.broadcast_to(0.0, (2581, 2581))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as err:
+            state_from_obj({"dims": [2581], "matrix": {"re": zeros, "im": zeros}})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        "state file needs 2^34.0 operations and 2^26.7 bytes, above the budget of 2^34 operations and 2^28 bytes"
+    )
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(
@@ -668,7 +690,7 @@ def test_integer_flags_beyond_the_float_range_are_refused_before_output(capsys, 
         ["bell-sweep", "--grid", "10000"],
         ["consistency-sweep", "--grid", "1415"],
         ["consistency-sweep", "--grid", "4000000"],
-        ["definetti", "--d", "46"],
+        ["definetti", "--d", "43"],
         ["definetti", "--d", "100", "--k-max", "1"],
         ["definetti", "--k-max", "2000002"],
         ["definetti", "--k-max", "1000000000"],

@@ -178,6 +178,7 @@ WORK_BOUNDARIES = {
     "random_density": (lambda n: random_density((n,), _NO_DRAWS), None, 2048, 2049),
     "tensor_product": (lambda ab: tensor_product(*ab), "kron", (_MIXED_20, _MIXED_129), (_MIXED_29, _MIXED_89)),
     "pure_state": (lambda n: pure_state(np.ones(n)), "outer", 2580, 2581),
+    "werner_state": (lambda d: werner_state(d, 0.5), "zeros", 50, 51),  # one validating eigensolve of side d^2
     "permutation_operator k": (lambda k: permutation_operator(2, k, range(k)), "zeros", 12, 13),
     "permutation_operator d": (lambda d: permutation_operator(d, 2, (1, 0)), "zeros", 64, 65),
     "permutation_operator d=1": (lambda k: permutation_operator(1, k, range(k)), "zeros", 2**21, 2**21 + 1),

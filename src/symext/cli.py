@@ -178,7 +178,9 @@ def state_from_obj(obj: dict, tol: float = HERM_TOL) -> DensityMatrix:
         raise CliInputError(f"re/im parts must be equal-shape 2-D arrays, got {re.shape} and {im.shape}")
     lg = math.log2(max(re.size, 1)) / 2  # log2 of the side of a square matrix, which one eigensolve validates
     _require_work("state file", 3 * lg, 4 + 2 * lg)
-    return DensityMatrix(re + 1j * im, dims, tol=tol)
+    mat = np.empty(re.shape, dtype=complex)  # each part as the file has it, signed zeros included
+    mat.real, mat.imag = re, im
+    return DensityMatrix(mat, dims, tol=tol)
 
 
 def load_state(path: str, tol: float = HERM_TOL) -> DensityMatrix:

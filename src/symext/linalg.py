@@ -157,8 +157,9 @@ def _validated_spectra(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.nda
     herm = hermitize(mats)
     spectra = np.linalg.eigvalsh(herm)
     lo = spectra[:, 0]
-    if not (defects.max(initial=0.0) <= tol and deviation.max(initial=0.0) <= tol and lo.min(initial=0.0) >= -10 * tol):
-        i = _first(~((defects <= tol) & (deviation <= tol) & (lo >= -10 * tol)))
+    passed = (defects <= tol) & (deviation <= tol) & (lo >= -10 * tol)
+    if not passed.all():
+        i = int(passed.argmin())  # the first failing state
         if not defects[i] <= tol:
             raise ValidationError(f"state is not Hermitian: max |M - M^dag| entry {defects[i]:.1e}")
         if not deviation[i] <= tol:
@@ -317,7 +318,7 @@ def _reduced_stack(
     reduced = _ptrace_mat(mats, dims, keep)
     traced = mats.shape[-1] // reduced.shape[-1]
     spare = 5 * tol
-    lowest = lo if isinstance(lo, float) else lo.min()  # numpy floats are floats
+    lowest = lo if isinstance(lo, float) else lo.min()  # np.float64 is a float
     if spare >= 3 * traced * mats.shape[-1] * _EPS and lowest * traced >= -spare:
         return reduced, None
     return _validated_spectra(reduced, tol)

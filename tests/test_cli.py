@@ -328,7 +328,8 @@ def _refused_state_objects():
     objs["trace-off"]["matrix"]["re"][0][0] = 0.4  # trace 0.9
     objs["non-finite"]["matrix"]["im"][1][2] = float("nan")
     # admitted, lambda_min -0.9e-9, but d_B lambda_min is below -5 tol: rho_A is validated and refused
-    objs["past-the-proof"] = state_to_obj(DensityMatrix(np.diag([-0.9e-9, -0.9e-9, 0.5 + 0.9e-9, 0.5 + 0.9e-9]), (2, 2)))
+    past = DensityMatrix(np.diag([-0.9e-9, -0.9e-9, 0.5 + 0.9e-9, 0.5 + 0.9e-9]), (2, 2))
+    objs["past-the-proof"] = state_to_obj(past)
     return objs
 
 

@@ -239,6 +239,22 @@ def test_pure_state_refuses_a_vector_without_a_finite_norm(vec):
     assert _refused_quietly(ValidationError, lambda: pure_state(vec, (2, 2))).startswith("cannot normalize")
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 3, 2), (3, 2, 2, 2)])
+def test_partial_traces_and_transposes_of_exactly_hermitian_states_are_exactly_hermitian(dims):
+    # the reduced states and the derived states' partial transposes are solved without hermitize
+    rng = np.random.default_rng(sum(dims))
+    states = [random_density(dims, rng) for _ in range(4)]
+    real = [hermitize(rho.mat.real) for rho in states]
+    for stack in (np.array([rho.mat for rho in states]), np.array(real)):
+        for r in range(1, len(dims) + 1):
+            for keep in itertools.combinations(range(len(dims)), r):
+                reduced = _ptrace_mat(stack, dims, keep)
+                assert np.array_equal(reduced, reduced.conj().swapaxes(-1, -2)), keep
+            for sub in range(len(dims)):
+                pt = _ptranspose_mat(stack, dims, sub)
+                assert np.array_equal(pt, pt.conj().swapaxes(-1, -2)), sub
+
+
 def test_stacked_partial_trace_transpose_norm_and_entropy_match_single():
     rng = np.random.default_rng(12)
     dims = (2, 3, 2)

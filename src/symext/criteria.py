@@ -75,10 +75,10 @@ class DefinettiGap(NamedTuple):
 
 def _lift(scale, mats: np.ndarray, c, reduced: np.ndarray, d_b: int) -> np.ndarray:
     """scale * mats + c * (reduced x I_B) of one matrix or a stack, adding c * reduced into each diagonal block."""
-    out = np.multiply(scale, mats, order="C")  # C order, so the reshape below is a view
-    d_a = reduced.shape[-1]
-    blocks = np.einsum("...ajbj->...abj", out.reshape(out.shape[:-2] + (d_a, d_b, d_a, d_b)))  # <a j|out|b j>
-    blocks += c * reduced[..., None]  # einsum's diagonal of a writeable array is a writeable view
+    out = scale * mats
+    add = c * reduced
+    for j in range(d_b):
+        out[..., j::d_b, j::d_b] += add
     return out
 
 

@@ -2,9 +2,11 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1276,3 +1278,109 @@ def test_oracle_degenerate_iterate_regression():
     res = oracle_feasibility(ExtensionProblem(werner_state(2, -0.1), 6, SYMMETRIC))
     assert res.status == FEASIBLE
     assert res.certificate["marginal_residual"] <= OracleConfig().tol_gap
+
+
+# --- recorded digests of whole solves ---------------------------------------------
+
+ORACLE_DIGESTS = Path(__file__).parent / "data" / "oracle_digests.json"
+DIGEST_FLOATS = ("residual", "marginal_residual", "min_eig", "dual_trace", "dual_min_eig")
+
+
+def _digest_problems():
+    """(label, problem) for GOLDEN and for seeded states from every stratum of the oracle benchmark workloads."""
+    cases = [(f"golden {state} k={k} {flavor}", _golden_problem(state, k, flavor)) for state, k, flavor, _, _ in GOLDEN]
+    rng = np.random.Generator(np.random.PCG64(32))
+
+    def werner(d, k, flavor, lo, hi, tag):
+        psi = float(rng.uniform(lo, hi))
+        cases.append((f"werner d={d} k={k} {flavor} psi={psi!r} [{tag}]", ExtensionProblem(werner_state(d, psi), k, flavor)))
+
+    def bell(p, k, flavor, tag, rotate=False):
+        p = np.asarray(p, dtype=float) / np.sum(p)
+        rho = _local_frame(bell_state(p), rng) if rotate else bell_state(p)
+        cases.append((f"bell{' rotated' if rotate else ''} p={p.tolist()} k={k} {flavor} [{tag}]",
+                      ExtensionProblem(rho, k, flavor)))
+
+    def near(p0, concentration=3000.0):
+        p0 = np.asarray(p0, dtype=float)
+        p = np.zeros(4)
+        p[p0 > 0] = rng.dirichlet(p0[p0 > 0] * concentration)
+        return p[rng.permutation(4)]
+
+    def violated():
+        top = rng.uniform(0.82, 0.9)
+        return np.insert(rng.dirichlet(np.full(3, 30.0)) * (1 - top), int(rng.integers(4)), top)
+
+    for d, ks in ((2, range(2, 6)), (3, range(2, 5))):
+        for k in ks:
+            thr = -(d - 1) / k
+            werner(d, k, SYMMETRIC, 0.1, 0.8, "far feasible")
+            werner(d, k, SYMMETRIC, thr + 0.05, 0.0, "feasible")
+            if thr - 0.1 > -0.95:
+                werner(d, k, SYMMETRIC, -0.95, thr - 0.1, "infeasible")
+    for k in (2, 3):
+        werner(2, k, SYMMETRIC, 0.95, 0.99, "near pure")
+    for d, ks in ((2, range(2, 9)), (3, range(2, 5))):
+        for k in ks:
+            werner(d, k, BOSONIC, -0.95, -1.0 / k - 0.15, "infeasible")
+            werner(d, k, BOSONIC, 0.05, 0.9, "feasible")
+    for flavor in (SYMMETRIC, BOSONIC):
+        for d, ks in ((2, (2, 3, 4)), (3, (2, 3) if flavor == SYMMETRIC else (2, 3, 4))):
+            for k in ks:
+                for psi in (-1.0, 1.0):
+                    cases.append((f"werner d={d} k={k} {flavor} psi={psi} [face]",
+                                  ExtensionProblem(werner_state(d, psi), k, flavor)))
+        for k in (2, 3, 4):
+            bell(rng.dirichlet(np.full(4, 20.0)), k, flavor, "near mixed")
+        bell(violated(), 2, flavor, "violated")
+        for k in (2, 3):
+            top = rng.uniform(0.3, 0.45)
+            bell(np.array([top, 1 - top, 0.0, 0.0])[rng.permutation(4)], k, flavor, "rank 2")
+            bell(np.eye(4)[int(rng.integers(4))], k, flavor, "pure")
+            bell(near([0.4, 0.3, 0.3, 0.0]), k + 1, flavor, "rank 3")
+            bell(near([0.35, 0.65, 0.0, 0.0]), k, flavor, "rank 2", rotate=True)
+            bell(near([0.34, 0.33, 0.33, 0.0]), k + 1, flavor, "rank 3", rotate=True)
+        bell(near([0.6, 0.2, 0.2, 0.0], 20000.0), 3, flavor, "rank 3", rotate=True)
+    bell(near([0.70, 0.145, 0.105, 0.05], 10000.0), 3, SYMMETRIC, "near the boundary")
+    # within TOL_GAP of the threshold: the default 30 steps run out
+    cases.append(("werner d=2 k=3 symmetric psi=-1/3-1e-6 [undecided]",
+                  ExtensionProblem(werner_state(2, -1 / 3 - 1e-6), 3, SYMMETRIC)))
+    for dims in ((2, 2), (2, 3)):
+        for k in (2, 3):
+            for flavor in (SYMMETRIC, BOSONIC):
+                cases.append((f"ginibre {dims} k={k} {flavor}", ExtensionProblem(random_density(dims, rng), k, flavor)))
+    return cases
+
+
+def _digest_row(label, res):
+    row = {"case": label, "status": res.status, "stop_reason": res.stop_reason, "iterations": res.iterations,
+           "block_sides": list(res.block_sides), "certified": res.certificate.get("certified"),
+           "residual": res.residual}
+    row.update((key, res.certificate.get(key)) for key in DIGEST_FLOATS[1:])
+    return row
+
+
+def test_oracle_solves_match_their_recorded_digests():
+    # every solve's verdict, stop reason, steps, blocks and certificate test
+    # exactly, and its reported floats within 1e-12, as recorded before the
+    # per-layout block plans replaced the per-call glue of a solve
+    recorded = json.loads(ORACLE_DIGESTS.read_text())
+    cases = _digest_problems()
+    assert [row["case"] for row in recorded] == [label for label, _ in cases]
+    strata = set()
+    for (label, problem), want in zip(cases, recorded):
+        got = _digest_row(label, oracle_feasibility(problem))
+        for key, value in want.items():
+            if key in DIGEST_FLOATS and value is not None:
+                assert got[key] == pytest.approx(value, rel=0, abs=1e-12), (label, key)
+            else:
+                assert got[key] == value, (label, key)
+        strata.add((got["status"], got["stop_reason"]))
+    assert strata == {(FEASIBLE, "feasible-gap"), (INFEASIBLE, "dual-certificate"), (INFEASIBLE, "face-reach"),
+                      (UNDECIDED, "max-iters")}
+
+
+if __name__ == "__main__":
+    # records the digests: PYTHONPATH=src python tests/test_oracle.py
+    rows = [_digest_row(label, oracle_feasibility(problem)) for label, problem in _digest_problems()]
+    ORACLE_DIGESTS.write_text("[\n" + ",\n".join("  " + json.dumps(row) for row in rows) + "\n]\n")

@@ -66,10 +66,10 @@ def _check_bell_probs(p: Sequence[float]) -> np.ndarray:
 def _check_bell_rows(p: np.ndarray) -> np.ndarray:
     """Check each row of an (N, 4) array of Bell weights; return them clipped to [0, 1].
 
-    The error names the first failing row, with the message a single row gets.
+    The error names the first failing row, with the message a single row gets; a NaN weight is out of range.
     """
-    out_of_range = np.any((p < -1e-12) | (p > 1 + 1e-12), axis=1)
-    off_sum = np.abs(p.sum(axis=1) - 1.0) > 1e-12
+    out_of_range = ~np.all((-1e-12 <= p) & (p <= 1 + 1e-12), axis=1)
+    off_sum = ~(np.abs(p.sum(axis=1) - 1.0) <= 1e-12)
     i = _first(out_of_range | off_sum)
     if i is not None:
         if out_of_range[i]:

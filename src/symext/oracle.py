@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from typing import ClassVar, Mapping
 
 import numpy as np
@@ -245,7 +246,7 @@ def _weyl_isometry(d: int, shape: tuple[int, ...]) -> np.ndarray:
 
 def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """a @ v for a vector or C-ordered matrix v; a real a is not cast to complex for a complex v."""
-    if np.iscomplexobj(a) or not np.iscomplexobj(v):
+    if a.dtype.kind == "c" or v.dtype.kind != "c":
         return a @ v
     pairs = v.view(float).reshape(len(v), 2 * math.prod(v.shape[1:]))
     return (a @ pairs).view(complex).reshape((a.shape[0],) + v.shape[1:])
@@ -274,6 +275,15 @@ class _Blocks:
     then maps onto the r^2 entries of F^dag (marginal) F, and the duals of
     Newton live there too; compress and expand move between them and AB.
     Full-rank blocks have frame None and work on all n_AB^2 entries.
+
+    The rest is the plan of a solve, computed once per block set so that a
+    solve pays for its eigensolves and little else: runs[b] = (start, stop,
+    side) of block b in the flat iterate; rows[b], its placements as the
+    (r, placements * other B factors * side) rows that placed_marginal
+    contracts, a view when one placement is stored; scales[b] =
+    sqrt(m_b) / len(placed[b]) and roots[b] = sqrt(m_b); and transpose, the
+    index that maps each entry of the flat iterate to its mirror entry
+    within its block.  All arrays are read-only.
     """
 
     dims: tuple[int, ...]
@@ -284,7 +294,11 @@ class _Blocks:
     frame: np.ndarray | None
     rank: int  # side r of the duals: the rank of the marginal on a face, n_AB otherwise
     sides: tuple[int, ...]
-    offsets: tuple[int, ...]  # where each block's run starts in the flat iterate, then its length
+    runs: tuple[tuple[int, int, int], ...]
+    rows: tuple[np.ndarray, ...]
+    scales: tuple[float, ...]
+    roots: tuple[float, ...]
+    transpose: np.ndarray
 
     def compress(self, op: np.ndarray) -> np.ndarray:
         """The flattened F^dag op F of an operator on AB; op itself, flattened, off a face."""
@@ -296,14 +310,20 @@ class _Blocks:
         return w if self.frame is None else self.frame @ w @ self.frame.conj().T
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
-        runs = zip(self.offsets, self.offsets[1:], self.sides)
-        return [flat[..., a:b].reshape(flat.shape[:-1] + (s, s)) for a, b, s in runs]
+        return [flat[..., a:b].reshape(flat.shape[:-1] + (s, s)) for a, b, s in self.runs]
+
+    def hermitian(self, flat: np.ndarray) -> np.ndarray:
+        """The Hermitian part of every block of a flat iterate, or of each of a stack, in one pass; hermitize's sums."""
+        half = flat / 2
+        return half + half.take(self.transpose, axis=-1).conj()
 
     def marginal(self, flat: np.ndarray) -> np.ndarray:
         return _matvec(self.amap, flat)
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         """amap^dag w: the blocks of the lift (1/k) sum_i W_{AB_i} (x) I of W = expand(w); amap is not copied."""
+        if self.amap.dtype.kind != "c" and w.dtype.kind != "c":
+            return self.amap.T @ w
         return _matvec(self.amap.T, w.conj()).conj()
 
     def correction(self, deficit: np.ndarray) -> np.ndarray:
@@ -318,12 +338,10 @@ class _Blocks:
         placements of V_b, all at once, then lifted back to AB through the frame.
         """
         r = self.rank
-        out = np.zeros((r, r), dtype=np.result_type(flat, *self.placed))
-        for p, m, blk in zip(self.placed, self.weights, self.split(flat)):
-            # rows (A B_i, placement, other B factors); a view when one placement is stored
-            v = p.swapaxes(0, 1).reshape(r, -1)
-            vn = (v.reshape(-1, blk.shape[0]) @ blk).reshape(r, -1)
-            out += math.sqrt(m) / len(p) * (vn @ v.conj().T)
+        out = np.zeros((r, r), dtype=np.result_type(flat, self.amap))
+        for v, scale, (a, b, s) in zip(self.rows, self.scales, self.runs):
+            vn = (v.reshape(-1, s) @ flat[a:b].reshape(s, s)).reshape(r, -1)
+            out += scale * (vn @ v.conj().T)
         return self.expand(out)
 
     def min_eig(self, *flats: np.ndarray) -> np.ndarray:
@@ -333,8 +351,8 @@ class _Blocks:
         The span of no blocks is empty, and the minimum over it infinite.
         """
         lows = np.full(len(flats), math.inf)
-        for m, blk in zip(self.weights, self.split(np.array(flats))):
-            np.minimum(lows, np.linalg.eigvalsh(hermitize(blk))[:, 0] / math.sqrt(m), out=lows)
+        for root, blk in zip(self.roots, self.split(self.hermitian(np.array(flats)))):
+            np.minimum(lows, np.linalg.eigvalsh(blk)[:, 0] / root, out=lows)
         return lows
 
 
@@ -342,25 +360,33 @@ def _make_blocks(dims, placed, weights, frame=None) -> _Blocks:
     # the placements have r rows per B factor: n_AB, or the frame's rank on a face
     r = dims[0] * dims[1] if frame is None else frame.shape[1]
     sides = tuple(p.shape[-1] for p in placed)
-    offsets = tuple(np.cumsum([0, *(s * s for s in sides)]).tolist())
+    offsets = list(accumulate((s * s for s in sides), initial=0))
+    runs = tuple(zip(offsets, offsets[1:], sides))
+    # rows (A B_i, placement, other B factors); a view when one placement is stored
+    rows = tuple(p.swapaxes(0, 1).reshape(r, -1) for p in placed)
+    scales = tuple(math.sqrt(m) / len(p) for p, m in zip(placed, weights))
+    roots = tuple(math.sqrt(m) for m in weights)
+    transpose = np.arange(offsets[-1])
     # amap^T, so that each block's columns of amap are one contiguous run
     amap_t = np.empty((offsets[-1], r * r), dtype=np.result_type(float, *placed))
-    for p, m, s, off in zip(placed, weights, sides, offsets):
+    for p, scale, (a, b, s) in zip(placed, scales, runs):
+        transpose[a:b] = transpose[a:b].reshape(s, s).T.ravel()
         # sum over the placements of the trace over the B factors other than B_i of V N V^dag
         u = p.transpose(1, 3, 0, 2).reshape(r * s, -1)
         uu = (u @ u.conj().T).reshape(r, s, r, s)
-        run = amap_t[off : off + s * s]
+        run = amap_t[a:b]
         run.reshape(s, s, r, r)[...] = uu.transpose(1, 3, 0, 2)
-        run *= math.sqrt(m) / len(p)
+        run *= scale
     amap = amap_t.T
     # the pseudoinverse is taken through the r^2 x r^2 Gram matrix; it is PSD, so the eigenvalues
     # above RANK_RTOL times the largest are the singular values pinv would keep
     lam, vecs = np.linalg.eigh(amap @ amap.conj().T)
     keep = lam > RANK_RTOL * lam[-1]
     gpinv = (vecs[:, keep] / lam[keep]) @ vecs[:, keep].conj().T
-    for arr in (*placed, amap, gpinv) + (() if frame is None else (frame,)):
+    for arr in (*placed, *rows, amap, gpinv, transpose) + (() if frame is None else (frame,)):
         arr.setflags(write=False)
-    return _Blocks(tuple(dims), tuple(placed), tuple(weights), amap, gpinv, frame, r, sides, offsets)
+    return _Blocks(tuple(dims), tuple(placed), tuple(weights), amap, gpinv, frame, r, sides, runs, rows, scales, roots,
+                   transpose)
 
 
 @lru_cache(maxsize=None)
@@ -454,7 +480,8 @@ def _checked_witness(op: np.ndarray, low: float, rho: DensityMatrix) -> tuple[np
     ||sigma - rho||_1, a witness that passes also proves that no sigma within trace norm TOL_GAP of rho
     extends.  On a boundary marginal, whose trace can be negative only by rounding, it fails.
     """
-    witness = hermitize(op) + max(0.0, -low) * np.eye(len(op))
+    witness = hermitize(op)
+    witness.flat[:: len(op) + 1] += max(0.0, -low)
     trace = float(np.vdot(witness, rho.mat).real)
     return witness, trace, trace < 0 and trace <= -TOL_GAP * float(np.linalg.svd(witness, compute_uv=False)[0])
 
@@ -505,7 +532,7 @@ def _verdict(blocks: _Blocks, rho: DensityMatrix, status: str, stop: str, y: np.
 
 def _dual_point(blocks: _Blocks, w: np.ndarray, target: np.ndarray):
     """(parts, y, theta) at w: the eigendecomposition of each block of z = amap^dag w, y = P+(z), theta(w)."""
-    parts = [np.linalg.eigh(hermitize(b)) for b in blocks.split(blocks.adjoint(w))]
+    parts = [np.linalg.eigh(b) for b in blocks.split(blocks.hermitian(blocks.adjoint(w)))]
     y = np.concatenate([((v * np.maximum(lam, 0.0)) @ v.conj().T).ravel() for lam, v in parts])
     return parts, y, 0.5 * float(np.vdot(y, y).real) - float(np.vdot(w, target).real)
 
@@ -529,9 +556,9 @@ def _newton_hessian(blocks: _Blocks, parts) -> np.ndarray:
     """
     m = blocks.amap.shape[0]
     hess = np.zeros((m, m), dtype=np.result_type(blocks.amap, *(v for _, v in parts)))
-    for (lam, v), s, off in zip(parts, blocks.sides, blocks.offsets):
+    for (lam, v), (a, b, s) in zip(parts, blocks.runs):
         # amap's block-b columns, stored as rows of amap^T: A_j[p, q] at [p, (q, j)]
-        run = blocks.amap[:, off : off + s * s].T.reshape(s, s * m)
+        run = blocks.amap[:, a:b].T.reshape(s, s * m)
         # conj(C_b): V^T A_j conj(V), from (V^T A_j)[a, q] stored at [q, (j, a)]
         conj_c = (_matvec(run.T, v).reshape(s, m * s).T @ v.conj()).reshape(m, s * s)
         # conj() of a real array is the array itself: scaling it in place would scale conj_c too
@@ -583,7 +610,7 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleRe
                 status, stop = FEASIBLE, STOP_FEASIBLE_GAP
                 break
             # the lift of -w has the negated spectra of the blocks of amap^dag w
-            low = min((-lam[-1] / math.sqrt(m) for m, (lam, _) in zip(blocks.weights, parts)), default=math.inf)
+            low = min((-lam[-1] / root for root, (lam, _) in zip(blocks.roots, parts)), default=math.inf)
             candidate = _checked_witness(blocks.expand(-w), low, rho)
             if candidate[2]:
                 status, stop, dual = INFEASIBLE, STOP_DUAL_CERTIFICATE, candidate

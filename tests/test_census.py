@@ -21,6 +21,9 @@ from symext import (
     DensityMatrix,
     ExtensionProblem,
     OracleConfig,
+    bell_exact_2ext,
+    bell_polytope_condition,
+    bell_ssa,
     bell_state,
     bosonic_extension_verdict,
     definetti_gap,
@@ -115,6 +118,11 @@ CENSUS = {
     ),
     "OracleConfig max_iters digits": (lambda m: OracleConfig(max_iters=m), [-(10**5000)], np.int64(5)),
     "oracle_feasibility k digits": (lambda k: oracle_feasibility(ExtensionProblem(BELL, k)), [10**5000], 2),
+    # NaN weights, which compare False with every bound
+    **{
+        f"{fn.__name__} weights": (fn, [[np.nan, 0.2, 0.3, 0.5], [0.5, 0.5, 0.0, np.nan], [np.nan] * 4], [0.7, 0.1, 0.1, 0.1])
+        for fn in (bell_state, bell_polytope_condition, bell_exact_2ext, bell_ssa)
+    },
     "project_psd matrix": (
         project_psd,
         [np.ones((2, 3)), np.ones(4), np.full((2, 2), np.nan), np.diag([np.inf, 1.0]), np.diag([1.0, -np.inf])],

@@ -1044,6 +1044,34 @@ def test_gram_pseudoinverse_matches_pinv():
     assert faces == 24
 
 
+def test_block_plans_are_the_expressions_they_replace():
+    # the per-layout plan fields, read-only and bit for bit what a solve
+    # computed on every call before, on every workload layout and GOLDEN face
+    blocks_sets = [_extension_blocks(d, d, k, flavor) for d, k, flavor in WORKLOAD_LAYOUTS]
+    blocks_sets += [_solve_blocks(_golden_problem(state, k, flavor)) for state, k, flavor, _, _ in GOLDEN]
+    rng = np.random.default_rng(70)
+    kinds = set()
+    for blocks in blocks_sets:
+        kinds.add((blocks.frame is not None, blocks.amap.dtype.kind))
+        offsets = np.cumsum([0, *(s * s for s in blocks.sides)]).tolist()
+        assert blocks.runs == tuple(zip(offsets, offsets[1:], blocks.sides))
+        assert blocks.scales == tuple(math.sqrt(m) / len(p) for p, m in zip(blocks.placed, blocks.weights))
+        assert blocks.roots == tuple(math.sqrt(m) for m in blocks.weights)
+        for p, v in zip(blocks.placed, blocks.rows):
+            ref = p.swapaxes(0, 1).reshape(blocks.rank, -1)
+            assert v.dtype == ref.dtype and np.array_equal(v, ref) and not v.flags.writeable
+        transpose = blocks.transpose
+        assert not transpose.flags.writeable and np.array_equal(np.sort(transpose), np.arange(offsets[-1]))
+        n = offsets[-1]
+        for flat in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            for stack in (flat, np.array([flat, -flat])):
+                ref = [hermitize(b) for b in blocks.split(stack)]
+                assert all(np.array_equal(a, b) for a, b in zip(blocks.split(blocks.hermitian(stack)), ref))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            blocks.transpose = transpose
+    assert kinds == {(False, "f"), (True, "f"), (True, "c")}
+
+
 def test_dual_witness_reads_the_same_on_the_blocks_and_densely():
     # the certificate's smallest eigenvalue, read on the blocks through amap^dag,
     # is the dense lift's on the flavor space and the forced face

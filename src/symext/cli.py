@@ -159,13 +159,6 @@ def _criteria(text: str) -> tuple[str, ...]:
 # with real/imaginary parts split so any JSON reader can parse them.
 
 
-def state_to_obj(rho: DensityMatrix) -> dict:
-    return {
-        "dims": list(rho.dims),
-        "matrix": {"re": rho.mat.real.tolist(), "im": rho.mat.imag.tolist()},
-    }
-
-
 def state_from_obj(obj: dict, tol: float = HERM_TOL) -> DensityMatrix:
     """The state of a decoded state file, validated at tol; its validating eigensolve is estimated first."""
     try:
@@ -200,12 +193,6 @@ def load_state(path: str, tol: float = HERM_TOL) -> DensityMatrix:
     except RecursionError:
         raise CliInputError(f"{path} is not valid JSON: arrays or objects nested too deeply") from None
     return state_from_obj(obj, tol=tol)
-
-
-def dump_state(rho: DensityMatrix, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_obj(rho), fh)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .criteria import (
 )
 from .errors import LayoutError, ValidationError
 from .families import A_MARGINAL_TOL, _a_marginal_spreads, _require_a_agreement
-from .linalg import DensityMatrix, _ptrace_mat, _reduced_of, _require_bipartite
+from .linalg import DensityMatrix, _checked_real, _ptrace_mat, _reduced_of, _require_bipartite, _shown
 
 MARGINAL_MISMATCH = "marginal-mismatch"
 
@@ -37,6 +37,8 @@ class MarginalSet:
     marginals: tuple[DensityMatrix, ...]
 
     def __init__(self, marginals):
+        if not np.iterable(marginals):
+            raise ValidationError(f"marginals must be a sequence of states, got {_shown(marginals)}")
         marginals = tuple(marginals)
         if len(marginals) < 2:
             raise ValidationError(f"need at least two marginals, got {len(marginals)}")
@@ -111,7 +113,4 @@ def consistency_verdict(ms: MarginalSet) -> CriterionVerdict:
 
 def werner_pentagon(psi1: float, psi2: float) -> bool:
     """Closed form of the two-qubit Werner-pair consistency criterion: psi1 + psi2 >= -1."""
-    for psi in (psi1, psi2):
-        if not -1.0 <= psi <= 1.0:
-            raise ValidationError(f"parameters must lie in [-1, 1], got {psi}")
-    return psi1 + psi2 >= -1.0
+    return _checked_real(psi1, "parameters", -1.0, 1.0) + _checked_real(psi2, "parameters", -1.0, 1.0) >= -1.0

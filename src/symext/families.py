@@ -16,7 +16,9 @@ import numpy as np
 from .errors import LayoutError, MarginalMismatchError, ValidationError
 from .linalg import (
     DensityMatrix,
+    _checked_array,
     _checked_int,
+    _checked_real,
     _first,
     _reduced_entropies,
     _reduced_of,
@@ -57,25 +59,16 @@ _YY = np.array(
 
 
 def _check_bell_probs(p: Sequence[float]) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
+    """Four Bell weights by the real rule, each in [0, 1] and summing to 1 within 1e-12; returned clipped to [0, 1]."""
+    p = _checked_array(p, "probabilities", "iuf").astype(float)
     if p.shape != (4,):
         raise ValidationError(f"need four probabilities, got shape {p.shape}")
-    return _check_bell_rows(p[None])[0]
-
-
-def _check_bell_rows(p: np.ndarray) -> np.ndarray:
-    """Check each row of an (N, 4) array of Bell weights; return them clipped to [0, 1].
-
-    The error names the first failing row, with the message a single row gets; a NaN weight is out of range.
-    """
-    out_of_range = ~np.all((-1e-12 <= p) & (p <= 1 + 1e-12), axis=1)
-    off_sum = ~(np.abs(p.sum(axis=1) - 1.0) <= 1e-12)
-    i = _first(out_of_range | off_sum)
-    if i is not None:
-        if out_of_range[i]:
-            raise ValidationError(f"probabilities must lie in [0, 1], got {p[i].tolist()}")
-        raise ValidationError(f"probabilities must sum to 1, got sum {p[i].sum()!r}")
-    return np.clip(p, 0.0, 1.0)
+    clipped = np.clip(p, 0.0, 1.0)
+    for w in np.where(np.abs(p - clipped) <= 1e-12, clipped, p).tolist():  # NaN stays NaN, and is refused
+        _checked_real(w, "probabilities", 0.0, 1.0)
+    if not abs(p.sum() - 1.0) <= 1e-12:
+        raise ValidationError(f"probabilities must sum to 1, got sum {p.sum()!r}")
+    return clipped
 
 
 def _bell_mats(p: np.ndarray) -> np.ndarray:
@@ -116,11 +109,7 @@ def bell_ssa(p: Sequence[float]) -> bool:
 
 
 def _werner_mats(d: int, psis: np.ndarray) -> np.ndarray:
-    """Werner matrices for each parameter of a 1-D array, not yet validated as states."""
-    d = _checked_int(d, "local dimension", 2)
-    i = _first(~((-1.0 <= psis) & (psis <= 1.0)))
-    if i is not None:
-        raise ValidationError(f"parameter must lie in [-1, 1], got {psis[i]}")
+    """Werner matrices for a checked d >= 2 and each checked parameter of a 1-D array, not yet validated as states."""
     swap = permutation_operator(d, 2, (1, 0))
     eye = np.eye(d * d, dtype=complex)
     sym = (eye + swap) / 2
@@ -139,7 +128,8 @@ def werner_state(d: int, psi: float) -> DensityMatrix:
     d = _checked_int(d, "local dimension", 2)
     lg = 2 * math.log2(d)  # log2 of the side d^2, which one eigensolve validates
     _require_work("werner_state", 3 * lg, 4 + 2 * lg)
-    return DensityMatrix(_werner_mats(d, np.array([psi], dtype=float))[0], (d, d))
+    psi = _checked_real(psi, "parameter", -1.0, 1.0)
+    return DensityMatrix(_werner_mats(d, np.array([psi]))[0], (d, d))
 
 
 def _werner_counts(d: int, k: int) -> tuple[int, int]:
@@ -149,13 +139,13 @@ def _werner_counts(d: int, k: int) -> tuple[int, int]:
 def werner_tilde_psi(d: int, k: int, psi: float) -> float:
     """Parameter of the tilde state of a Werner state: (d + k psi) / (d^2 + k)."""
     d, k = _werner_counts(d, k)
-    return (d + k * psi) / (d**2 + k)
+    return (d + k * _checked_real(psi, "parameter", -math.inf, math.inf)) / (d**2 + k)
 
 
 def werner_hat_psi(d: int, k: int, psi: float) -> float:
     """Parameter of the hat state of a Werner state: (1 + k psi) / (d + k)."""
     d, k = _werner_counts(d, k)
-    return (1 + k * psi) / (d + k)
+    return (1 + k * _checked_real(psi, "parameter", -math.inf, math.inf)) / (d + k)
 
 
 def werner_tilde_threshold(d: int, k: int) -> float:
@@ -243,6 +233,5 @@ def ckw_check(rho_ab: DensityMatrix, rho_ac: DensityMatrix, c_abc: float) -> boo
     The caller provides c_abc (it equals 1 for the Werner-pair comparison);
     computing tripartite concurrences is out of scope here.
     """
-    if not 0.0 <= c_abc <= 1.0:
-        raise ValidationError(f"global concurrence must lie in [0, 1], got {c_abc}")
+    c_abc = _checked_real(c_abc, "global concurrence", 0.0, 1.0)
     return bool(_ckw_holds(wootters_concurrence(rho_ab), wootters_concurrence(rho_ac), c_abc))

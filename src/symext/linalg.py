@@ -82,13 +82,35 @@ def _require_work(what: str, ops: float, nbytes: float) -> None:
                                  f"above the budget of 2^{work:.0f} operations and 2^{size:.0f} bytes")
 
 
-def _checked_tol(tol: float) -> float:
-    """A validation tolerance as a float; non-numbers (bools, strings), NaN, inf and negatives raise ValidationError.
+def _real(value) -> float:
+    """The real rule's predicate: a Python or numpy int or float as a float, anything else (a bool too) as NaN."""
+    number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    return float(value) if number and not (isinstance(value, int) and abs(value) > _FLOAT_MAX) else math.nan
 
-    numpy floats and integers pass, as Python ones do.
-    """
-    number = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
-    value = float(tol) if number and not (isinstance(tol, int) and abs(tol) > _FLOAT_MAX) else math.nan
+
+def _checked_real(value, what: str, lo: float, hi: float) -> float:
+    """The one real rule: a finite Python or numpy int or float in [lo, hi], as a float; else ValidationError."""
+    x = _real(value)
+    if not (math.isfinite(x) and lo <= x <= hi):
+        span = f"{'(' if lo == -math.inf else '['}{lo:g}, {hi:g}{')' if hi == math.inf else ']'}"
+        raise ValidationError(f"{what} must lie in {span}, got {_shown(value)}")
+    return x
+
+
+def _checked_array(value, what: str, kinds: str = "iufc") -> np.ndarray:
+    """The real rule's arrays: np.asarray(value); a ragged array or a dtype kind not in kinds raises ValidationError."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # numpy refuses a ragged nesting
+        raise ValidationError(f"{what} must be a numeric array, got a ragged sequence") from None
+    if arr.dtype.kind not in kinds:  # bool, string and object arrays are not numeric
+        raise ValidationError(f"{what} must be a numeric array, got dtype {arr.dtype}")
+    return arr
+
+
+def _checked_tol(tol: float) -> float:
+    """A validation tolerance as a float; non-numbers by the real rule, NaN, inf and negatives raise ValidationError."""
+    value = _real(tol)
     if not (math.isfinite(value) and value >= 0):
         raise ValidationError(f"tolerance must be finite and >= 0, got {_shown(tol)}")
     return value
@@ -120,7 +142,7 @@ def _checked_layout(mat, dims: Iterable[int] | None, what: str) -> tuple[np.ndar
 
     dims None is one factor; a breach raises LayoutError.
     """
-    mat = np.asarray(mat, dtype=complex)
+    mat = _checked_array(mat, what).astype(complex, copy=False)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise LayoutError(f"{what} must be square, got shape {mat.shape}")
     dims = (len(mat),) if dims is None else _checked_dims(dims)
@@ -231,7 +253,7 @@ def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
 
 def pure_state(vec: np.ndarray, dims: Sequence[int] | None = None) -> DensityMatrix:
     """Projector |v><v| / <v|v> on the given layout."""
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
+    vec = _checked_array(vec, "state vector").astype(complex, copy=False).reshape(-1)
     # NaN or inf entries, or squares whose sum overflows, leave a norm that is not
     # finite: refused here, before the division below would warn
     with np.errstate(over="ignore", invalid="ignore"):
@@ -412,6 +434,8 @@ def permutation_operator(d: int, k: int, pi: Sequence[int]) -> np.ndarray:
     # (92 measured), which bound k at d = 1; _occupation_isometry makes the same estimate
     lg, what = k * math.log2(d), f"permutation operator on dimension {_shown(d)}^{_shown(k)}"
     _require_work(what, 2 * lg, max(4 + 2 * lg, 7 + lg + math.log2(k)))
+    if not np.iterable(pi):
+        raise ValidationError(f"permutation must be a sequence of factor positions, got {_shown(pi)}")
     pi = tuple(_checked_int(i, "permutation entry", None) for i in pi)
     if len(pi) != k or sorted(pi) != list(range(k)):
         raise ValidationError(f"permutation {pi} is not a bijection on 0..{k - 1}")

@@ -1,8 +1,25 @@
 """Shared sample generators for the test suite."""
 
+import json
+
 import numpy as np
 
 from symext import DensityMatrix, OracleConfig, random_density, symmetric_projector
+
+
+def state_to_obj(rho):
+    """A state as a decoded state file holds it: {"dims": [...], "matrix": {"re": [[...]], "im": [[...]]}}."""
+    return {
+        "dims": list(rho.dims),
+        "matrix": {"re": rho.mat.real.tolist(), "im": rho.mat.imag.tolist()},
+    }
+
+
+def dump_state(rho, path):
+    """Write a state file that ``symext.cli.load_state`` reads back."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(state_to_obj(rho), fh)
+        fh.write("\n")
 
 
 def random_separable(dims, rng, terms=6):

@@ -1,13 +1,17 @@
-"""Input census: each public entry point checks the inputs that enter it, by one integer rule and one layout rule.
+"""Input census: each public entry point checks the inputs that enter it, by one integer rule, one real rule and
+one layout rule.
 
 A first piece of the adversarial census: integer-valued inputs that are not
 integers, integers beyond the float range or too long to print, scalars where
 a sequence is expected, matrices whose shape does not
 fit their layout, states on different layouts, non-finite matrices and
 tolerances that are not numbers or lie outside [0, inf) must raise a
-``symext.errors`` type with no numpy warning.  numpy integers and floats are
-accepted.  A state file the CLI cannot read as a state, whatever its bytes,
-exits 1 with one ``error:`` line.
+``symext.errors`` type with no numpy warning.  So must real parameters that
+are not numbers (bools, numeric strings, None, sequences), NaN, or values
+outside their range or not finite, and matrices, vectors and weights that are
+ragged or not numeric (string, bool or object arrays).  numpy integers and
+floats are accepted.  A state file the CLI cannot read as a state, whatever
+its bytes, exits 1 with one ``error:`` line.
 """
 
 import json
@@ -15,6 +19,7 @@ import warnings
 
 import numpy as np
 import pytest
+from helpers import state_to_obj
 
 from symext import (
     BOSONIC,
@@ -25,7 +30,9 @@ from symext import (
     bell_polytope_condition,
     bell_ssa,
     bell_state,
+    MarginalSet,
     bosonic_extension_verdict,
+    ckw_check,
     definetti_gap,
     hat_state,
     hermitian_eigs,
@@ -39,18 +46,29 @@ from symext import (
     project_marginal_affine,
     project_permutation_invariant,
     project_psd,
+    pure_state,
     random_density,
     symmetric_extension_verdict,
     tilde_state,
     trace_distance,
     trace_norm,
     werner_hat_psi,
+    werner_pentagon,
+    werner_state,
     werner_tilde_psi,
 )
-from symext.cli import main, state_to_obj
+from symext.cli import main
 
 NOT_INTEGERS = [2.0, 0.9, 1.5, True, "1", None, np.float64(1.0)]
 BEYOND_FLOATS = [10**400, 10**5000]  # float math cannot take them, and the second has too many digits to print
+
+# every real parameter is bounded or must be finite, so infinities are refused too
+NOT_REALS = [True, "0.5", "a", None, [0.5], np.nan, np.inf, -np.inf]
+# string, bool, object and ragged matrices, and the vectors of their first rows
+NOT_MATRICES = [
+    [["0.5", "0"], ["0", "0.5"]], [[True, False], [False, False]], [[0.5, None], [None, 0.5]], [[1, 0], [0]]
+]
+NOT_VECTORS = [["1", "0"], [True, False], [1, None], [[1, 0], [0]]]
 
 BELL = bell_state([0.7, 0.1, 0.1, 0.1])
 TARGET = maximally_mixed([2, 2])
@@ -123,9 +141,27 @@ CENSUS = {
         f"{fn.__name__} weights": (fn, [[np.nan, 0.2, 0.3, 0.5], [0.5, 0.5, 0.0, np.nan], [np.nan] * 4], [0.7, 0.1, 0.1, 0.1])
         for fn in (bell_state, bell_polytope_condition, bell_exact_2ext, bell_ssa)
     },
+    # real parameters, each weight of a Bell mixture, and numeric arrays, by the real rule
+    "werner_state psi": (lambda psi: werner_state(2, psi), NOT_REALS + [1.5], np.float64(0.5)),
+    "werner_tilde_psi psi": (lambda psi: werner_tilde_psi(3, 2, psi), NOT_REALS, np.float64(-1.5)),
+    "werner_hat_psi psi": (lambda psi: werner_hat_psi(3, 2, psi), NOT_REALS, np.int64(-3)),
+    "werner_pentagon psi1": (lambda psi: werner_pentagon(psi, 0.0), NOT_REALS + [-1.5], np.float64(-0.5)),
+    "werner_pentagon psi2": (lambda psi: werner_pentagon(0.0, psi), NOT_REALS + [1.5], np.int64(-1)),
+    "ckw_check c_abc": (lambda c: ckw_check(BELL, BELL, c), NOT_REALS + [1.5, -0.5], np.float64(1.0)),
+    **{
+        f"{fn.__name__} weight kinds": (lambda v, fn=fn: fn([v] * 4), NOT_REALS, np.float64(0.25))
+        for fn in (bell_state, bell_polytope_condition, bell_exact_2ext, bell_ssa)
+    },
+    "DensityMatrix matrix": (DensityMatrix, NOT_MATRICES, np.eye(2) / 2),
+    "hermitian_eigs matrix": (hermitian_eigs, NOT_MATRICES, np.eye(2, dtype=np.int64)),
+    "trace_norm matrix": (trace_norm, NOT_MATRICES, np.eye(2, dtype=np.int64)),
+    "pure_state vector": (pure_state, NOT_VECTORS, np.array([1, 0], dtype=np.int64)),
+    "permutation_operator sequence": (lambda pi: permutation_operator(2, 2, pi), [5, np.int64(5)], (np.int64(1), 0)),
+    "MarginalSet sequence": (MarginalSet, [5, np.float64(0.5)], (BELL, BELL)),
     "project_psd matrix": (
         project_psd,
-        [np.ones((2, 3)), np.ones(4), np.full((2, 2), np.nan), np.diag([np.inf, 1.0]), np.diag([1.0, -np.inf])],
+        [np.ones((2, 3)), np.ones(4), np.full((2, 2), np.nan), np.diag([np.inf, 1.0]), np.diag([1.0, -np.inf])]
+        + NOT_MATRICES,
         np.diag([1.0, -1.0]),
     ),
 }
@@ -141,6 +177,27 @@ def test_entry_point_refuses_bad_input_and_accepts_numpy_scalars(entry):
                 call(value)
             assert type(err.value).__module__ == "symext.errors", (value, repr(err.value))
         call(accepted)
+
+
+# refusals whose words predate the real rule: (call, message)
+REAL_MESSAGES = [
+    (lambda: bell_state([0.5, 0.6, 0.0, -0.1]), "probabilities must lie in [0, 1], got -0.1"),
+    (lambda: bell_ssa([0.5, 0.3, 0.1, 0.2]), f"probabilities must sum to 1, got sum {np.float64(1.1)!r}"),
+    (lambda: bell_exact_2ext([0.5, 0.5]), "need four probabilities, got shape (2,)"),
+    (lambda: werner_state(2, 1.5), "parameter must lie in [-1, 1], got 1.5"),
+    (lambda: werner_pentagon(0.0, -1.5), "parameters must lie in [-1, 1], got -1.5"),
+    (lambda: ckw_check(BELL, BELL, 1.5), "global concurrence must lie in [0, 1], got 1.5"),
+    (lambda: DensityMatrix(np.eye(4) / 4, tol="1e-10"), "tolerance must be finite and >= 0, got '1e-10'"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(REAL_MESSAGES)))
+def test_real_refusals_keep_their_words(case):
+    call, message = REAL_MESSAGES[case]
+    with pytest.raises(Exception) as err:
+        call()
+    assert type(err.value).__module__ == "symext.errors"
+    assert str(err.value) == message
 
 
 _BELL_FILE = json.dumps(state_to_obj(BELL))

@@ -17,13 +17,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import Admitted, admitted, reference_bell_points
+from helpers import Admitted, admitted, dump_state, reference_bell_points, state_to_obj
 
 import symext.cli as cli
 import symext.criteria as criteria
 from symext import DensityMatrix, bell_state, maximally_mixed, random_density, werner_state
 from symext.errors import ResourceLimitError
-from symext.cli import dump_state, load_state, main, state_from_obj, state_to_obj
+from symext.cli import load_state, main, state_from_obj
 
 SWEEP_DIGESTS = json.loads((Path(__file__).parent / "data" / "sweep_digests.json").read_text())
 

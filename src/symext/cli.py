@@ -50,6 +50,7 @@ from .families import (
 from .linalg import (
     HERM_TOL,
     DensityMatrix,
+    _checked_array,
     _checked_int,
     _checked_tol,
     _exact_real,
@@ -163,9 +164,9 @@ def state_from_obj(obj: dict, tol: float = HERM_TOL) -> DensityMatrix:
     """The state of a decoded state file, validated at tol; its validating eigensolve is estimated first."""
     try:
         dims = list(obj["dims"])
-        re = np.asarray(obj["matrix"]["re"], dtype=float)
-        im = np.asarray(obj["matrix"]["im"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as err:  # OverflowError: an int past the float range
+        # by the real rule: numeric strings, all-bool parts and ints past the float range (dtype object) are refused
+        re, im = (_checked_array(obj["matrix"][part], "state matrix", "iuf") for part in ("re", "im"))
+    except (KeyError, TypeError) as err:
         raise CliInputError(f"malformed state object: {err}") from err
     if re.ndim != 2 or re.shape != im.shape:
         raise CliInputError(f"re/im parts must be equal-shape 2-D arrays, got {re.shape} and {im.shape}")

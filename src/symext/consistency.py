@@ -23,9 +23,9 @@ from .criteria import (
     _derived_min_pt_eigs,
     _ppt_verdict,
 )
-from .errors import LayoutError, ValidationError
+from .errors import ValidationError
 from .families import A_MARGINAL_TOL, _a_marginal_spreads, _require_a_agreement
-from .linalg import DensityMatrix, _checked_real, _ptrace_mat, _reduced_of, _require_bipartite, _shown
+from .linalg import DensityMatrix, _checked_instance, _checked_real, _ptrace_mat, _reduced_of, _require_bipartite, _shown
 
 MARGINAL_MISMATCH = "marginal-mismatch"
 
@@ -42,10 +42,9 @@ class MarginalSet:
         marginals = tuple(marginals)
         if len(marginals) < 2:
             raise ValidationError(f"need at least two marginals, got {len(marginals)}")
-        dims = _require_bipartite(marginals[0])
+        dims = _require_bipartite(marginals[0], "marginal")
         for rho in marginals[1:]:
-            if rho.dims != dims:
-                raise LayoutError(f"marginal layouts differ: {dims} vs {rho.dims}")
+            _checked_instance(rho, DensityMatrix, "marginal", dims)
         object.__setattr__(self, "marginals", marginals)
 
     @property
@@ -64,7 +63,7 @@ def a_marginal_spread(ms: MarginalSet) -> float:
 
 def _a_spreads(ms: MarginalSet) -> np.ndarray:
     """A set's A-marginal spread as an array of one, each A marginal reduced at its own marginal's tolerance."""
-    a = np.concatenate([_reduced_of(rho, [0]) for rho in ms.marginals])
+    a = np.concatenate([_reduced_of(rho, [0]) for rho in _checked_instance(ms, MarginalSet, "marginal set").marginals])
     return _a_marginal_spreads(a, np.arange(ms.k)[None])
 
 

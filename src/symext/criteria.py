@@ -22,6 +22,7 @@ from .linalg import (
     DensityMatrix,
     _check_extension_layout,
     _check_positions,
+    _checked_instance,
     _checked_int,
     _occupation_isometry,
     _ptrace_mat,
@@ -53,7 +54,7 @@ class ExtensionProblem:
     flavor: str = SYMMETRIC
 
     def __post_init__(self):
-        _require_bipartite(self.marginal)
+        _require_bipartite(self.marginal, "marginal")
         object.__setattr__(self, "k", _checked_int(self.k, "extension count", 1))
         if self.flavor not in (SYMMETRIC, BOSONIC):
             raise ValidationError(f"flavor must be '{SYMMETRIC}' or '{BOSONIC}', got {self.flavor!r}")
@@ -137,7 +138,7 @@ def generalized_hat(rho: DensityMatrix, k: int) -> DensityMatrix:
     symmetric subspace of its B factors (true of any marginal of a bosonic
     state, and required for the output to have unit trace).
     """
-    dims = rho.dims
+    dims = _checked_instance(rho, DensityMatrix, "state").dims
     d_a, d_b, r = _check_extension_layout(dims)
     weights = generalized_coefficients(k, d_b, r)
     # I_A x V compresses onto A x Sym^r(B); it is real, so its adjoint is its transpose
@@ -208,15 +209,18 @@ def ppt_test(rho: DensityMatrix, cut: int = 1) -> CriterionVerdict:
     PPT relaxation.  Eigenvalues within the tolerance band report
     Inconclusive with a ``boundary`` flag.
     """
-    (cut,) = _check_positions([cut], len(rho.dims), "subsystem")
+    (cut,) = _check_positions([cut], len(_checked_instance(rho, DensityMatrix, "state").dims), "subsystem")
     return _ppt_verdict(float(_min_pt_eigs(rho.mat[None], rho.dims, cut)[0]), rho.dims, "ppt")
 
 
-def _derived_verdict(problem: ExtensionProblem) -> CriterionVerdict:
+def _derived_verdict(problem: ExtensionProblem, flavor: str) -> CriterionVerdict:
+    """The verdict of an ExtensionProblem of the given flavor, by the argument rule; another flavor raises."""
+    if _checked_instance(problem, ExtensionProblem, "problem").flavor != flavor:
+        raise ValidationError(f"expected a {flavor}-flavor problem, got {problem.flavor!r}")
     rho, k = problem.marginal, problem.k
-    flavor = _derived_flavor(rho.dims, k, problem.flavor)
-    lo = float(_derived_min_pt_eigs(rho.mat[None], _reduced_of(rho, [0]), k, flavor)[0])
-    return _ppt_verdict(lo, rho.dims, "hat-ppt" if flavor == BOSONIC else "tilde-ppt", k=float(k))
+    derived = _derived_flavor(rho.dims, k, flavor)
+    lo = float(_derived_min_pt_eigs(rho.mat[None], _reduced_of(rho, [0]), k, derived)[0])
+    return _ppt_verdict(lo, rho.dims, "hat-ppt" if derived == BOSONIC else "tilde-ppt", k=float(k))
 
 
 def symmetric_extension_verdict(problem: ExtensionProblem) -> CriterionVerdict:
@@ -226,16 +230,12 @@ def symmetric_extension_verdict(problem: ExtensionProblem) -> CriterionVerdict:
     k = 2 route through the hat state, which is strictly stronger there
     because a two-qubit 2-symmetric extension implies a 2-bosonic one.
     """
-    if problem.flavor != SYMMETRIC:
-        raise ValidationError(f"expected a symmetric-flavor problem, got {problem.flavor!r}")
-    return _derived_verdict(problem)
+    return _derived_verdict(problem, SYMMETRIC)
 
 
 def bosonic_extension_verdict(problem: ExtensionProblem) -> CriterionVerdict:
     """Necessary-condition verdict for the k-bosonic extension problem."""
-    if problem.flavor != BOSONIC:
-        raise ValidationError(f"expected a bosonic-flavor problem, got {problem.flavor!r}")
-    return _derived_verdict(problem)
+    return _derived_verdict(problem, BOSONIC)
 
 
 def definetti_gap(rho_ab: DensityMatrix, k: int) -> DefinettiGap:

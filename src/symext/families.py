@@ -17,6 +17,7 @@ from .errors import LayoutError, MarginalMismatchError, ValidationError
 from .linalg import (
     DensityMatrix,
     _checked_array,
+    _checked_instance,
     _checked_int,
     _checked_real,
     _first,
@@ -137,15 +138,17 @@ def _werner_counts(d: int, k: int) -> tuple[int, int]:
 
 
 def werner_tilde_psi(d: int, k: int, psi: float) -> float:
-    """Parameter of the tilde state of a Werner state: (d + k psi) / (d^2 + k)."""
+    """Parameter of the tilde state of a Werner state: (d + k psi) / (d^2 + k); a result past the float range raises."""
     d, k = _werner_counts(d, k)
-    return (d + k * _checked_real(psi, "parameter", -math.inf, math.inf)) / (d**2 + k)
+    psi = _checked_real(psi, "parameter", -math.inf, math.inf)
+    return _checked_real((d + k * psi) / (d**2 + k), "tilde parameter", -math.inf, math.inf)
 
 
 def werner_hat_psi(d: int, k: int, psi: float) -> float:
-    """Parameter of the hat state of a Werner state: (1 + k psi) / (d + k)."""
+    """Parameter of the hat state of a Werner state: (1 + k psi) / (d + k); a result past the float range raises."""
     d, k = _werner_counts(d, k)
-    return (1 + k * _checked_real(psi, "parameter", -math.inf, math.inf)) / (d + k)
+    psi = _checked_real(psi, "parameter", -math.inf, math.inf)
+    return _checked_real((1 + k * psi) / (d + k), "hat parameter", -math.inf, math.inf)
 
 
 def werner_tilde_threshold(d: int, k: int) -> float:
@@ -193,9 +196,7 @@ def ssa_check(rho_ab: DensityMatrix, rho_ac: DensityMatrix) -> bool:
     Both inputs must be bipartite with matching A marginals; a mismatch is
     already a proof of inconsistency and raises.
     """
-    _require_bipartite(rho_ab)
-    _require_bipartite(rho_ac)
-    if rho_ab.dims[0] != rho_ac.dims[0]:
+    if _require_bipartite(rho_ab, "rho_ab")[0] != _require_bipartite(rho_ac, "rho_ac")[0]:
         raise LayoutError(f"A dimensions differ: {rho_ab.dims[0]} vs {rho_ac.dims[0]}")
     pair = (rho_ab, rho_ac)
     _require_a_agreement(_a_marginal_spreads(np.concatenate([_reduced_of(rho, [0]) for rho in pair]), _PAIR))
@@ -218,9 +219,7 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     max{0, l1 - l2 - l3 - l4} with l_i the descending square roots of the
     eigenvalues of rho (Y x Y) rho* (Y x Y).
     """
-    if rho.dims != (2, 2):
-        raise LayoutError(f"concurrence needs a two-qubit layout, got {rho.dims}")
-    return float(_concurrences(rho.mat[None])[0])
+    return float(_concurrences(_checked_instance(rho, DensityMatrix, "state", (2, 2)).mat[None])[0])
 
 
 def _ckw_holds(c_ab, c_ac, c_abc: float):

@@ -130,6 +130,15 @@ def _checked_int(value, what: str, least: int | None, error: type[ValidationErro
     return int(value)
 
 
+def _checked_instance(value, cls: type, what: str, dims: tuple[int, ...] | None = None):
+    """The one argument rule: value if a cls, else ValidationError naming its type; a state off dims: LayoutError."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{what} must be of type {cls.__name__}, got {type(value).__name__}")
+    if dims is not None and value.dims != dims:
+        raise LayoutError(f"{what} must have layout {dims}, got {value.dims}")
+    return value
+
+
 def _checked_dims(dims: Iterable[int]) -> tuple[int, ...]:
     """Factor dimensions as ints, each an integer >= 1; else LayoutError."""
     if not np.iterable(dims):
@@ -279,7 +288,8 @@ def random_density(dims: Sequence[int], rng: np.random.Generator) -> DensityMatr
 
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product; the layout is the concatenation of the layouts."""
-    _require_work("tensor_product", 3 * math.log2(a.side * b.side), 4 + 2 * math.log2(a.side * b.side))
+    side = _checked_instance(a, DensityMatrix, "state").side * _checked_instance(b, DensityMatrix, "state").side
+    _require_work("tensor_product", 3 * math.log2(side), 4 + 2 * math.log2(side))
     return DensityMatrix(np.kron(a.mat, b.mat), a.dims + b.dims, tol=max(a.tol, b.tol))
 
 
@@ -359,7 +369,7 @@ def _reduced_entropies(mats: np.ndarray, dims: Sequence[int], keep: Sequence[int
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the factors in ``keep``, kept in original order; :func:`_reduced_stack` proves or validates it."""
-    keep = sorted(_check_positions(keep, len(rho.dims), "keep"))
+    keep = sorted(_check_positions(keep, len(_checked_instance(rho, DensityMatrix, "state").dims), "keep"))
     reduced, spectra = _reduced_stack(rho.mat[None], rho.dims, keep, rho.tol, rho._min_eig)
     dims = tuple(rho.dims[i] for i in keep)
     return DensityMatrix._proven(reduced[0], dims, rho.tol, None if spectra is None else spectra[0])
@@ -376,7 +386,7 @@ def _ptranspose_mat(mat: np.ndarray, dims: Sequence[int], subsystem: int) -> np.
 
 def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
     """Transpose one tensor factor; Hermitian and trace-preserving, possibly not PSD."""
-    (subsystem,) = _check_positions([subsystem], len(rho.dims), "subsystem")
+    (subsystem,) = _check_positions([subsystem], len(_checked_instance(rho, DensityMatrix, "state").dims), "subsystem")
     return _ptranspose_mat(rho.mat, rho.dims, subsystem)
 
 
@@ -401,8 +411,7 @@ def _trace_norms(ms: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the trace norm of the difference of two states on one layout; different layouts raise LayoutError."""
-    if a.dims != b.dims:
-        raise LayoutError(f"state layouts differ: {a.dims} vs {b.dims}")
+    _checked_instance(b, DensityMatrix, "state", _checked_instance(a, DensityMatrix, "state").dims)
     return float(_trace_distances(a.mat[None], b.mat[None])[0])
 
 
@@ -413,7 +422,7 @@ def _trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Spectral entropy in bits; eigenvalues below 1e-12 count as zero."""
-    return float(_spectral_entropies(rho._spectrum))
+    return float(_spectral_entropies(_checked_instance(rho, DensityMatrix, "state")._spectrum))
 
 
 def _entropies(mats: np.ndarray) -> np.ndarray:
@@ -446,9 +455,9 @@ def permutation_operator(d: int, k: int, pi: Sequence[int]) -> np.ndarray:
     return w
 
 
-def _require_bipartite(rho: DensityMatrix) -> tuple[int, int]:
-    """The layout (d_A, d_B) of a state on two factors; any other number of factors raises LayoutError."""
-    if len(rho.dims) != 2:
+def _require_bipartite(rho: DensityMatrix, what: str = "state") -> tuple[int, int]:
+    """The layout (d_A, d_B) of a state on two factors, by the argument rule; other factor counts raise LayoutError."""
+    if len(_checked_instance(rho, DensityMatrix, what).dims) != 2:
         raise LayoutError(f"expected a bipartite layout, got {rho.dims}")
     return rho.dims
 

@@ -45,6 +45,7 @@ from .errors import LayoutError, ResourceLimitError, ValidationError
 from .linalg import (
     DensityMatrix,
     _check_extension_layout,
+    _checked_instance,
     _checked_int,
     _checked_layout,
     _exact_real,
@@ -168,8 +169,7 @@ def project_marginal_affine(x: np.ndarray, dims, target: DensityMatrix) -> np.nd
     """
     x, dims = _checked_layout(x, dims, "matrix")
     d_a, d_b, k = _check_extension_layout(dims)
-    if target.dims != (d_a, d_b):
-        raise LayoutError(f"target layout {target.dims} does not match extension layout {dims}")
+    _checked_instance(target, DensityMatrix, "target", (d_a, d_b))
     marg = _ptrace_mat(x, dims, keep=[0, 1])
     delta = (target.mat - marg) / d_b ** (k - 1)
     return x + np.kron(delta, np.eye(d_b ** (k - 1), dtype=complex))
@@ -185,8 +185,7 @@ def project_invariant_marginal(x: np.ndarray, dims, target: DensityMatrix) -> np
     """
     x, dims = _checked_layout(x, dims, "matrix")
     d_a, d_b, k = _check_extension_layout(dims)
-    if target.dims != (d_a, d_b):
-        raise LayoutError(f"target layout {target.dims} does not match extension layout {dims}")
+    _checked_instance(target, DensityMatrix, "target", (d_a, d_b))
     z = project_permutation_invariant(x, dims)
     v = target.mat - _ptrace_mat(z, dims, keep=[0, 1])
     v_a = _ptrace_mat(v, (d_a, d_b), keep=[0])
@@ -677,8 +676,8 @@ def oracle_feasibility(problem: ExtensionProblem, cfg: OracleConfig | None = Non
     TOL_GAP of the feasibility boundary), or an eigensolve failed
     (``linalg-error``, ``min_eig`` NaN).
     """
-    max_iters = (cfg or OracleConfig()).max_iters
-    rho = problem.marginal
+    rho = _checked_instance(problem, ExtensionProblem, "problem").marginal
+    max_iters = _checked_instance(OracleConfig() if cfg is None else cfg, OracleConfig, "cfg").max_iters
     d_a, d_b = rho.dims
     _check_reach(d_a, d_b, problem.k, problem.flavor)
     blocks = _extension_blocks(d_a, d_b, problem.k, problem.flavor)

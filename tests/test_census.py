@@ -1,5 +1,5 @@
-"""Input census: each public entry point checks the inputs that enter it, by one integer rule, one real rule and
-one layout rule.
+"""Input census: each public entry point checks the inputs that enter it, by one integer rule, one real rule, one
+layout rule and one argument rule.
 
 A first piece of the adversarial census: integer-valued inputs that are not
 integers, integers beyond the float range or too long to print, scalars where
@@ -10,8 +10,12 @@ tolerances that are not numbers or lie outside [0, inf) must raise a
 are not numbers (bools, numeric strings, None, sequences), NaN, or values
 outside their range or not finite, and matrices, vectors and weights that are
 ragged or not numeric (string, bool or object arrays).  numpy integers and
-floats are accepted.  A state file the CLI cannot read as a state, whatever
-its bytes, exits 1 with one ``error:`` line.
+floats are accepted.  By the argument rule, a value that is not a
+``DensityMatrix`` where a state belongs, not an ``ExtensionProblem``,
+``MarginalSet`` or ``OracleConfig`` where one of those belongs (an int,
+None, an ndarray, a list), or a state off the layout its call needs, is
+refused by type name or layout.  A state file the CLI cannot read as a
+state, whatever its bytes, exits 1 with one ``error:`` line.
 """
 
 import json
@@ -23,9 +27,14 @@ from helpers import state_to_obj
 
 from symext import (
     BOSONIC,
+    SYMMETRIC,
     DensityMatrix,
     ExtensionProblem,
+    LayoutError,
     OracleConfig,
+    ValidationError,
+    a_marginal_spread,
+    average_marginals,
     bell_exact_2ext,
     bell_polytope_condition,
     bell_ssa,
@@ -33,7 +42,9 @@ from symext import (
     MarginalSet,
     bosonic_extension_verdict,
     ckw_check,
+    consistency_verdict,
     definetti_gap,
+    generalized_hat,
     hat_state,
     hermitian_eigs,
     maximally_mixed,
@@ -48,14 +59,19 @@ from symext import (
     project_psd,
     pure_state,
     random_density,
+    ssa_check,
+    sufficient_separability,
     symmetric_extension_verdict,
+    tensor_product,
     tilde_state,
     trace_distance,
     trace_norm,
+    von_neumann_entropy,
     werner_hat_psi,
     werner_pentagon,
     werner_state,
     werner_tilde_psi,
+    wootters_concurrence,
 )
 from symext.cli import main
 
@@ -72,6 +88,10 @@ NOT_VECTORS = [["1", "0"], [True, False], [1, None], [[1, 0], [0]]]
 
 BELL = bell_state([0.7, 0.1, 0.1, 0.1])
 TARGET = maximally_mixed([2, 2])
+PROBLEM = ExtensionProblem(BELL, 2)
+
+# values of other types where a state, a problem, a marginal set or a config belongs
+NOT_ARGUMENTS = [5, None, np.eye(4) / 4, [BELL]]
 
 # entry point: (call taking one input, inputs it must refuse, an input it must accept)
 CENSUS = {
@@ -164,6 +184,69 @@ CENSUS = {
         + NOT_MATRICES,
         np.diag([1.0, -1.0]),
     ),
+    # the argument rule: each state, problem, marginal set and config is checked for its type where it enters
+    "tensor_product first": (lambda s: tensor_product(s, BELL), NOT_ARGUMENTS, BELL),
+    "tensor_product second": (lambda s: tensor_product(BELL, s), NOT_ARGUMENTS, BELL),
+    "partial_trace state": (lambda s: partial_trace(s, [0]), NOT_ARGUMENTS, BELL),
+    "partial_transpose state": (lambda s: partial_transpose(s, 1), NOT_ARGUMENTS, BELL),
+    "trace_distance first": (lambda s: trace_distance(s, BELL), NOT_ARGUMENTS, TARGET),
+    "trace_distance second": (lambda s: trace_distance(BELL, s), NOT_ARGUMENTS, TARGET),
+    "von_neumann_entropy state": (von_neumann_entropy, NOT_ARGUMENTS, BELL),
+    "ppt_test state": (ppt_test, NOT_ARGUMENTS, BELL),
+    "generalized_hat state": (lambda s: generalized_hat(s, 2), NOT_ARGUMENTS, BELL),
+    "ExtensionProblem marginal": (lambda s: ExtensionProblem(s, 2), NOT_ARGUMENTS, BELL),
+    "tilde_state state": (lambda s: tilde_state(s, 2), NOT_ARGUMENTS, BELL),
+    "hat_state state": (lambda s: hat_state(s, 2), NOT_ARGUMENTS, BELL),
+    "definetti_gap state": (lambda s: definetti_gap(s, 2), NOT_ARGUMENTS, BELL),
+    "sufficient_separability state": (sufficient_separability, NOT_ARGUMENTS, BELL),
+    "ssa_check first": (lambda s: ssa_check(s, BELL), NOT_ARGUMENTS, BELL),
+    "ssa_check second": (lambda s: ssa_check(BELL, s), NOT_ARGUMENTS, BELL),
+    "wootters_concurrence state": (wootters_concurrence, NOT_ARGUMENTS + [maximally_mixed([4])], BELL),
+    "ckw_check state": (lambda s: ckw_check(BELL, s, 1.0), NOT_ARGUMENTS + [maximally_mixed([2, 3])], BELL),
+    "MarginalSet first member": (lambda s: MarginalSet([s, BELL]), NOT_ARGUMENTS, BELL),
+    "MarginalSet other member": (
+        lambda s: MarginalSet([BELL, BELL, s]), NOT_ARGUMENTS + [maximally_mixed([2, 3])], BELL
+    ),
+    "project_marginal_affine target": (
+        lambda t: project_marginal_affine(np.eye(8) / 8, (2, 2, 2), t), NOT_ARGUMENTS + [maximally_mixed([4])], TARGET
+    ),
+    "project_invariant_marginal target": (
+        lambda t: project_invariant_marginal(np.eye(8) / 8, (2, 2, 2), t),
+        NOT_ARGUMENTS + [maximally_mixed([4])],
+        TARGET,
+    ),
+    "oracle_feasibility problem": (oracle_feasibility, NOT_ARGUMENTS + [BELL], PROBLEM),
+    "oracle_feasibility cfg": (lambda c: oracle_feasibility(PROBLEM, c), [0, 5, np.eye(4), [30]], OracleConfig(5)),
+    "symmetric_extension_verdict problem": (symmetric_extension_verdict, NOT_ARGUMENTS + [BELL], PROBLEM),
+    "bosonic_extension_verdict problem": (
+        bosonic_extension_verdict, NOT_ARGUMENTS + [BELL], ExtensionProblem(BELL, 2, BOSONIC)
+    ),
+    # a list of states is not a marginal set
+    **{
+        f"{fn.__name__} marginal set": (fn, NOT_ARGUMENTS + [[BELL, BELL], (BELL, BELL)], MarginalSet([BELL, BELL]))
+        for fn in (a_marginal_spread, average_marginals, consistency_verdict)
+    },
+    # refusals no other test reaches
+    "ExtensionProblem flavor": (lambda f: ExtensionProblem(BELL, 2, f), ["x", None, 5], BOSONIC),
+    "partial_trace keep duplicates": (lambda keep: partial_trace(BELL, keep), [[0, 0], [1, 1]], [1, 0]),
+    "pure_state zero vector": (pure_state, [[0, 0], np.zeros(4)], [0, 1]),
+    "project_permutation_invariant factors": (
+        lambda dims: project_permutation_invariant(np.eye(2), dims), [[2]], [1, 2]
+    ),
+    "ssa_check A dimensions": (lambda s: ssa_check(BELL, s), [maximally_mixed([3, 2])], maximally_mixed([2, 3])),
+    "symmetric_extension_verdict flavor": (
+        lambda f: symmetric_extension_verdict(ExtensionProblem(BELL, 2, f)), [BOSONIC], SYMMETRIC
+    ),
+    "bosonic_extension_verdict flavor": (
+        lambda f: bosonic_extension_verdict(ExtensionProblem(BELL, 2, f)), [SYMMETRIC], BOSONIC
+    ),
+    # the Werner maps refuse a parameter past the float range, formed as written
+    "werner_tilde_psi range": (
+        lambda a: werner_tilde_psi(*a), [(2, 2, 1e308), (2, 2, -1e308), (3, 10**9, 1e300)], (3, 2, -1.5)
+    ),
+    "werner_hat_psi range": (
+        lambda a: werner_hat_psi(*a), [(2, 2, 1e308), (2, 2, -1e308), (3, 10**9, 1e300)], (3, 2, -0.5)
+    ),
 }
 
 
@@ -200,9 +283,54 @@ def test_real_refusals_keep_their_words(case):
     assert str(err.value) == message
 
 
+# the argument rule's words, which name a refused value's type, never its repr: (call, error type, message)
+ARGUMENT_MESSAGES = [
+    (lambda: partial_trace(np.eye(4) / 4, [0]), ValidationError, "state must be of type DensityMatrix, got ndarray"),
+    (lambda: tensor_product(BELL, [BELL]), ValidationError, "state must be of type DensityMatrix, got list"),
+    (lambda: ExtensionProblem(None, 2), ValidationError, "marginal must be of type DensityMatrix, got NoneType"),
+    (lambda: ssa_check(BELL, 5), ValidationError, "rho_ac must be of type DensityMatrix, got int"),
+    (lambda: MarginalSet([BELL, 5]), ValidationError, "marginal must be of type DensityMatrix, got int"),
+    (
+        lambda: symmetric_extension_verdict(BELL),
+        ValidationError,
+        "problem must be of type ExtensionProblem, got DensityMatrix",
+    ),
+    (lambda: consistency_verdict([BELL, BELL]), ValidationError, "marginal set must be of type MarginalSet, got list"),
+    (lambda: oracle_feasibility(PROBLEM, 0), ValidationError, "cfg must be of type OracleConfig, got int"),
+    (lambda: trace_distance(BELL, maximally_mixed([4])), LayoutError, "state must have layout (2, 2), got (4,)"),
+    (lambda: MarginalSet([BELL, maximally_mixed([2, 3])]), LayoutError, "marginal must have layout (2, 2), got (2, 3)"),
+    (lambda: wootters_concurrence(maximally_mixed([4])), LayoutError, "state must have layout (2, 2), got (4,)"),
+    (
+        lambda: project_marginal_affine(np.eye(8) / 8, (2, 2, 2), maximally_mixed([4])),
+        LayoutError,
+        "target must have layout (2, 2), got (4,)",
+    ),
+    # the messages the rule keeps
+    (lambda: definetti_gap(maximally_mixed([2, 2, 2]), 2), LayoutError, "expected a bipartite layout, got (2, 2, 2)"),
+    (lambda: ssa_check(BELL, maximally_mixed([3, 2])), LayoutError, "A dimensions differ: 2 vs 3"),
+    (
+        lambda: bosonic_extension_verdict(PROBLEM),
+        ValidationError,
+        "expected a bosonic-flavor problem, got 'symmetric'",
+    ),
+]
+
+
+@pytest.mark.parametrize("case", range(len(ARGUMENT_MESSAGES)))
+def test_argument_refusals_name_the_type_or_layout(case):
+    call, error, message = ARGUMENT_MESSAGES[case]
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
 _BELL_FILE = json.dumps(state_to_obj(BELL))
 _HUGE_ENTRY = state_to_obj(BELL)
 _HUGE_ENTRY["matrix"]["re"][0][1] = 10**400
+_STRING_ENTRIES = state_to_obj(BELL)
+_STRING_ENTRIES["matrix"]["re"] = [["0.25"] * 4] * 4
+_BOOL_PART = state_to_obj(BELL)
+_BOOL_PART["matrix"]["im"] = [[False] * 4] * 4
 
 # state files that raised a raw exception from the reader, which check, consistency and definetti --state share:
 # (bytes, the error line; {path} stands for the file's path)
@@ -211,9 +339,17 @@ STATE_FILES = {
         b"\xff\xfe" + _BELL_FILE.encode("utf-16-le"),
         "error: {path} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
     ),
+    # numpy reads a part holding an integer past the float range as an object array, which the real rule refuses
     "an integer past the float range": (
         json.dumps(_HUGE_ENTRY).encode(),
-        "error: malformed state object: int too large to convert to float",
+        "error: state matrix must be a numeric array, got dtype object",
+    ),
+    # parts the real rule refuses, as DensityMatrix does; both were read as numbers
+    "numeric strings": (
+        json.dumps(_STRING_ENTRIES).encode(), "error: state matrix must be a numeric array, got dtype <U4"
+    ),
+    "an all-bool part": (
+        json.dumps(_BOOL_PART).encode(), "error: state matrix must be a numeric array, got dtype bool"
     ),
     "100,000 nested arrays": (b"[" * 100_000, "error: {path} is not valid JSON: arrays or objects nested too deeply"),
     # the UTF-8 byte-order mark keeps the refusal it always had
@@ -240,3 +376,10 @@ def test_state_file_refusals_are_one_error_line(capsys, tmp_path, name):
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", line.format(path=path) + "\n"), argv
     assert out.read_text() == "kept\n"
+
+
+def test_consistency_of_one_state_file_exits_1(capsys, tmp_path):
+    path = tmp_path / "one.json"
+    path.write_text(_BELL_FILE)
+    assert main(["consistency", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: need at least two state files\n")

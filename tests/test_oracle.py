@@ -1261,6 +1261,48 @@ def test_certificate_test_runs_once_per_witness(monkeypatch):
             assert res.certificate["certified"] is True
 
 
+def _counting_dual_points(monkeypatch) -> list:
+    """Patch _dual_point to record each call: the start of a run, then each line-search trial."""
+    calls = []
+    real = oracle_mod._dual_point
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(oracle_mod, "_dual_point", counting)
+    return calls
+
+
+def test_line_search_halves_its_step_when_the_full_step_does_not_descend(monkeypatch):
+    # a seeded full-rank marginal, bosonic at k = 3, whose solve backtracks (rare: 3 of 3,960 seeded solves);
+    # a run makes one dual point at its start and one per trial, and each step but the last searches a line,
+    # so every trial beyond one per search is a halving
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
+    gg = g @ g.conj().T
+    rho = DensityMatrix(0.7 * gg / np.trace(gg).real + 0.3 * np.eye(9) / 9, (3, 3))
+    calls = _counting_dual_points(monkeypatch)
+    res = oracle_feasibility(ExtensionProblem(rho, 3, BOSONIC))
+    assert (res.status, res.stop_reason) == (INFEASIBLE, "dual-certificate")
+    assert res.certificate["certified"] is True
+    halvings = len(calls) - res.iterations  # (calls - 1) trials, (iterations - 1) line searches
+    assert halvings >= 1
+
+
+def test_line_search_without_descent_ends_undecided_at_the_point_it_tested(monkeypatch):
+    # a negated Hessian turns Newton's direction uphill: every one of the 30 trials fails the Armijo test,
+    # and the run stops after its first step with that step's point and gap
+    real_hessian = oracle_mod._newton_hessian
+    monkeypatch.setattr(oracle_mod, "_newton_hessian", lambda blocks, parts: -real_hessian(blocks, parts))
+    calls = _counting_dual_points(monkeypatch)
+    res = oracle_feasibility(ExtensionProblem(werner_state(2, -0.2), 3, SYMMETRIC))
+    assert (res.status, res.stop_reason, res.iterations) == (UNDECIDED, "max-iters", 1)
+    assert len(calls) == 1 + 30
+    assert len(res.gap_trace) == 1 and res.residual == res.gap_trace[0][1] > 1e-7
+    assert res.dual_witness is None and math.isfinite(res.certificate["min_eig"])
+
+
 @pytest.mark.parametrize(
     "rho,k",
     [(bell_state([3 / 4, 1 / 12, 1 / 12, 1 / 12]), 2), (werner_state(2, -1 / 3), 3)],

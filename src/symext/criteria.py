@@ -30,6 +30,8 @@ from .linalg import (
     _reduced_of,
     _require_bipartite,
     _require_symmetric_support,
+    _require_work,
+    _shown,
     hermitize,
     trace_norm,
 )
@@ -119,10 +121,17 @@ def generalized_coefficients(k: int, d: int, r: int) -> np.ndarray:
     """Mixing weights p_0..p_r of the multi-factor hat construction.
 
     p_s = C(k, s) C(d + r - 1, r - s) / C(d + k + r - 1, r); they sum to one.
+    The binomials are exact integers: by Vandermonde's identity each product
+    is at most the denominator, of fewer than B = r log2(d + k + r) bits, so
+    the r + 1 weights are estimated at (r + 1) B^log2(3) bit operations, a
+    Karatsuba product of B-bit integers each, before any is formed.
     """
     k, d, r = _checked_int(k, "k", 1), _checked_int(d, "d", 2), _checked_int(r, "r", 1)
     if k < r:
         raise ValidationError(f"need k >= r, got k={k}, r={r}")
+    bits = r * math.log2(d + k + r)
+    _require_work(f"generalized_coefficients({_shown(k)}, {_shown(d)}, {_shown(r)})",
+                  math.log2(r + 1) + math.log2(3) * math.log2(bits), math.log2(8 * (r + 1) + bits / 2))
     denom = math.comb(d + k + r - 1, r)
     return np.array([math.comb(k, s) * math.comb(d + r - 1, r - s) / denom for s in range(r + 1)])
 

@@ -138,17 +138,19 @@ def _werner_counts(d: int, k: int) -> tuple[int, int]:
 
 
 def werner_tilde_psi(d: int, k: int, psi: float) -> float:
-    """Parameter of the tilde state of a Werner state: (d + k psi) / (d^2 + k); a result past the float range raises."""
+    """Parameter of the tilde state of a Werner state: (d + k psi) / (d^2 + k); either past the float range raises."""
     d, k = _werner_counts(d, k)
     psi = _checked_real(psi, "parameter", -math.inf, math.inf)
-    return _checked_real((d + k * psi) / (d**2 + k), "tilde parameter", -math.inf, math.inf)
+    denominator = _checked_real(d**2 + k, "tilde denominator d^2 + k", 1, math.inf)
+    return _checked_real((d + k * psi) / denominator, "tilde parameter", -math.inf, math.inf)
 
 
 def werner_hat_psi(d: int, k: int, psi: float) -> float:
-    """Parameter of the hat state of a Werner state: (1 + k psi) / (d + k); a result past the float range raises."""
+    """Parameter of the hat state of a Werner state: (1 + k psi) / (d + k); either past the float range raises."""
     d, k = _werner_counts(d, k)
     psi = _checked_real(psi, "parameter", -math.inf, math.inf)
-    return _checked_real((1 + k * psi) / (d + k), "hat parameter", -math.inf, math.inf)
+    denominator = _checked_real(d + k, "hat denominator d + k", 1, math.inf)
+    return _checked_real((1 + k * psi) / denominator, "hat parameter", -math.inf, math.inf)
 
 
 def werner_tilde_threshold(d: int, k: int) -> float:

@@ -478,11 +478,26 @@ def _checked_witness(op: np.ndarray, low: float, rho: DensityMatrix) -> tuple[np
     Tr(W' rho) < 0 and Tr(W' rho) <= -TOL_GAP ||W'||_2: as |Tr(W' (sigma - rho))| <= ||W'||_2
     ||sigma - rho||_1, a witness that passes also proves that no sigma within trace norm TOL_GAP of rho
     extends.  On a boundary marginal, whose trace can be negative only by rounding, it fails.
+
+    ||W'||_2 is bracketed by ||W'||_F / sqrt(n) <= ||W'||_2 <= ||W'||_F for W' of side n, and the largest
+    singular value is computed only when Tr(W' rho) falls between the two bounds' verdicts: at or below
+    -TOL_GAP ||W'||_F the test passes, above -TOL_GAP ||W'||_F / sqrt(n) it fails.  Each bound is padded by
+    64 n ulps, past the rounding of the norm's sum of n^2 squares and of LAPACK's largest singular value, so a
+    bound decides only what the SVD would.
     """
     witness = hermitize(op)
-    witness.flat[:: len(op) + 1] += max(0.0, -low)
+    n = len(op)
+    witness.flat[:: n + 1] += max(0.0, -low)
     trace = float(np.vdot(witness, rho.mat).real)
-    return witness, trace, trace < 0 and trace <= -TOL_GAP * float(np.linalg.svd(witness, compute_uv=False)[0])
+    if not trace < 0:
+        return witness, trace, False
+    fro = math.sqrt(float(np.vdot(witness, witness).real))
+    pad = 64 * n * math.ulp(1.0)
+    if trace <= -TOL_GAP * fro * (1 + pad):
+        return witness, trace, True
+    if trace > -TOL_GAP * fro * (1 - pad) / math.sqrt(n):
+        return witness, trace, False
+    return witness, trace, trace <= -TOL_GAP * float(np.linalg.svd(witness, compute_uv=False)[0])
 
 
 def _verdict(blocks: _Blocks, rho: DensityMatrix, status: str, stop: str, y: np.ndarray, x: np.ndarray,
@@ -529,11 +544,33 @@ def _verdict(blocks: _Blocks, rho: DensityMatrix, status: str, stop: str, y: np.
 # marginal theta is unbounded below and -w becomes a dual witness.
 
 
-def _dual_point(blocks: _Blocks, w: np.ndarray, target: np.ndarray):
-    """(parts, y, theta) at w: the eigendecomposition of each block of z = amap^dag w, y = P+(z), theta(w)."""
-    parts = [np.linalg.eigh(b) for b in blocks.split(blocks.hermitian(blocks.adjoint(w)))]
+def _dual_point(blocks: _Blocks, w: np.ndarray, target: np.ndarray, z: np.ndarray | None = None):
+    """(parts, y, theta) at w: the eigendecomposition of each block of z = amap^dag w, y = P+(z), theta(w).
+
+    Every dual point after Newton's start is formed here, and so is the start when _start_point finds a block
+    of z that is not positive definite; z, the Hermitian part of amap^dag w, is passed when already formed.
+    """
+    if z is None:
+        z = blocks.hermitian(blocks.adjoint(w))
+    parts = [np.linalg.eigh(b) for b in blocks.split(z)]
     y = np.concatenate([((v * np.maximum(lam, 0.0)) @ v.conj().T).ravel() for lam, v in parts])
     return parts, y, 0.5 * float(np.vdot(y, y).real) - float(np.vdot(w, target).real)
+
+
+def _start_point(blocks: _Blocks, w: np.ndarray, target: np.ndarray):
+    """(parts, y, theta) at Newton's start w, with parts None when one Cholesky per block proves z = amap^dag w PD.
+
+    Then P+(z) = z: y is z itself, and no eigensolve runs until the run needs the spectra, for a certificate
+    test or a Newton step.  A Cholesky that fails only says that its block is not positive definite, never
+    linalg-error: the start is then formed in full by _dual_point.
+    """
+    z = blocks.hermitian(blocks.adjoint(w))
+    try:
+        for b in blocks.split(z):
+            np.linalg.cholesky(b)
+    except np.linalg.LinAlgError:
+        return _dual_point(blocks, w, target, z)
+    return None, z, 0.5 * float(np.vdot(z, z).real) - float(np.vdot(w, target).real)
 
 
 def _jacobian_weights(lam: np.ndarray) -> np.ndarray:
@@ -577,7 +614,12 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleRe
     test; otherwise, before the last step, it moves w by a Newton step
     damped by an Armijo line search.  w starts at gpinv rho, where amap^dag w
     = amap^+ rho; on a face w and rho are r x r, read in the frame, and the
-    witness is lifted back to AB.  The run ends Undecided when the steps run
+    witness is lifted back to AB.  When one Cholesky per block proves that
+    start positive definite, X is the start itself, and its eigensolves run
+    only if the run goes on to a certificate test or a Newton step.  Only
+    rounding makes it go on: the start's affine correction
+    amap^+ (amap amap^+ rho - rho) is zero, so the run stops Feasible at
+    step 1, on a face too.  The run ends Undecided when the steps run
     out or the line search finds no descent (``max-iters``) and when an
     eigensolve fails, in the reach test or the certificate's readbacks too
     (``linalg-error``), reporting the last point it tested.
@@ -599,7 +641,7 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleRe
                 low = blocks.min_eig(blocks.adjoint(blocks.compress(-residual)))[0]
                 return _verdict(blocks, rho, INFEASIBLE, STOP_FACE_REACH, x, x, deficit,
                                 _checked_witness(-residual, low, rho), iterations=0)
-        parts, y, theta = _dual_point(blocks, w, target)
+        parts, y, theta = _start_point(blocks, w, target)
         for step in range(1, max_iters + 1):
             c = blocks.correction(blocks.marginal(y) - target)  # y minus its affine projection
             x = y - c
@@ -608,6 +650,8 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleRe
             if gap <= TOL_FEASIBLE:
                 status, stop = FEASIBLE, STOP_FEASIBLE_GAP
                 break
+            if parts is None:  # a positive definite start that did not stop Feasible
+                parts = [np.linalg.eigh(b) for b in blocks.split(y)]
             # the lift of -w has the negated spectra of the blocks of amap^dag w
             low = min((-lam[-1] / root for root, (lam, _) in zip(blocks.roots, parts)), default=math.inf)
             candidate = _checked_witness(blocks.expand(-w), low, rho)

@@ -44,6 +44,7 @@ from symext import (
     ckw_check,
     consistency_verdict,
     definetti_gap,
+    generalized_coefficients,
     generalized_hat,
     hat_state,
     hermitian_eigs,
@@ -240,12 +241,20 @@ CENSUS = {
     "bosonic_extension_verdict flavor": (
         lambda f: bosonic_extension_verdict(ExtensionProblem(BELL, 2, f)), [SYMMETRIC], BOSONIC
     ),
-    # the Werner maps refuse a parameter past the float range, formed as written
+    # the Werner maps refuse a parameter, or its integer denominator, past the float range, formed as written
     "werner_tilde_psi range": (
-        lambda a: werner_tilde_psi(*a), [(2, 2, 1e308), (2, 2, -1e308), (3, 10**9, 1e300)], (3, 2, -1.5)
+        lambda a: werner_tilde_psi(*a),
+        [(2, 2, 1e308), (2, 2, -1e308), (3, 10**9, 1e300), (10**200, 1, 0.5)],
+        (3, 2, -1.5),
     ),
     "werner_hat_psi range": (
-        lambda a: werner_hat_psi(*a), [(2, 2, 1e308), (2, 2, -1e308), (3, 10**9, 1e300)], (3, 2, -0.5)
+        lambda a: werner_hat_psi(*a),
+        [(2, 2, 1e308), (2, 2, -1e308), (3, 10**9, 1e300), (10**308, 10**308, 0.5)],
+        (3, 2, -0.5),
+    ),
+    # exact binomials past the work budget are refused before any is formed; the largest admitted k = r, d = 2
+    "generalized_coefficients work": (
+        lambda a: generalized_coefficients(*a), [(10**6, 2, 10**6), (1989, 2, 1989)], (1988, 2, 1988)
     ),
 }
 

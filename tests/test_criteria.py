@@ -22,6 +22,7 @@ from symext import (
     DensityMatrix,
     ExtensionProblem,
     LayoutError,
+    ResourceLimitError,
     MarginalSet,
     ValidationError,
     bell_state,
@@ -93,6 +94,38 @@ def test_derived_states_preserve_a_marginal():
         for k in (1, 2, 5):
             for derived in (tilde_state(rho, k), hat_state(rho, k)):
                 assert np.max(np.abs(partial_trace(derived, [0]).mat - rho_a)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "largest,past",
+    [((1988, 2, 1988), (1989, 2, 1989)), ((10**300, 2, 131), (10**300, 2, 132))],
+    ids=["k=r", "k=10^300"],
+)
+def test_generalized_coefficients_admit_their_largest_case_in_time_and_refuse_the_next(largest, past):
+    # the exact binomials grow about as r^2.6: r = 10,000 took 19 s, and (10^6, 2, 10^6) did not return in 2
+    # minutes.  The work rule estimates (r + 1) Karatsuba products of r log2(d + k + r) bits before any is formed
+    start = time.perf_counter()
+    p = generalized_coefficients(*largest)
+    assert time.perf_counter() - start < 2.0
+    assert np.all(p >= 0) and abs(p.sum() - 1.0) < 1e-12
+    for refused in (past, (10**6, 2, 10**6)):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=r"above the budget of 2\^34 operations and 2\^28 bytes$"):
+            generalized_coefficients(*refused)
+        assert time.perf_counter() - start < 0.1
+
+
+def test_werner_maps_refuse_a_denominator_past_the_float_range():
+    # d^2 + k and d + k are exact ints that may pass the float range though d and k do not: they are refused
+    # by the real rule, where the float-by-int division raised a raw OverflowError.  The formula is not
+    # re-associated, so psi = -1.5 still maps to 0 exactly
+    with pytest.raises(ValidationError, match=r"^tilde denominator d\^2 \+ k must lie in \[1, inf\), got 2\^1328\.8$"):
+        werner_tilde_psi(10**200, 1, 0.5)
+    with pytest.raises(ValidationError, match=r"^hat denominator d \+ k must lie in \[1, inf\), got 2\^1024\.2$"):
+        werner_hat_psi(10**308, 10**308, 0.5)
+    assert werner_tilde_psi(3, 2, -1.5) == 0.0
+    assert werner_tilde_psi(10**100, 1, 0.5) == pytest.approx(1e-100, rel=1e-15)
+    assert werner_hat_psi(10**307, 10**307, 0.5) == pytest.approx(0.25, rel=1e-15)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -899,16 +899,18 @@ def test_oracle_matches_golden_statuses_and_iterations():
             assert res.dual_witness is None and "certified" not in res.certificate
 
 
-def _eigh_dtypes(monkeypatch):
-    """The dtypes of the matrices np.linalg.eigh is called on, from here on."""
+def _factorization_dtypes(monkeypatch):
+    """The dtypes of the matrices np.linalg.eigh and np.linalg.cholesky are called on, from here on."""
     seen = []
-    real_eigh = np.linalg.eigh
 
-    def recording(a, *args, **kwargs):
-        seen.append(np.asarray(a).dtype)
-        return real_eigh(a, *args, **kwargs)
+    def recording(factor):
+        def recorded(a, *args, **kwargs):
+            seen.append(np.asarray(a).dtype)
+            return factor(a, *args, **kwargs)
+        return recorded
 
-    monkeypatch.setattr(np.linalg, "eigh", recording)
+    for name in ("eigh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
     return seen
 
 
@@ -927,12 +929,12 @@ def test_real_marginals_solve_in_real_arithmetic_with_the_complex_verdicts(monke
     ]
     real = [p for p in problems if not p.marginal.mat.imag.any()]
     assert len(real) == len(problems) - 1  # all but the rotated Bell state
-    seen = _eigh_dtypes(monkeypatch)
+    seen = _factorization_dtypes(monkeypatch)
     solved = []
     for problem in real:
         seen.clear()
         res = oracle_feasibility(problem)
-        # no complex eigensolve: not the kernel test, nor any block of any step
+        # no complex factorization: not the kernel test, nor the start's Cholesky, nor any block of any step
         assert seen and all(dt == np.float64 for dt in seen), problem
         if res.dual_witness is not None:
             assert res.dual_witness.dtype == np.float64
@@ -956,9 +958,10 @@ def test_real_marginals_solve_in_real_arithmetic_with_the_complex_verdicts(monke
 
 def test_complex_marginals_still_solve_in_complex_arithmetic(monkeypatch):
     # a Bell state in a random local frame has a complex marginal: its kernel
-    # test, its blocks and its witness stay complex, full rank or on a face
+    # test, its blocks' Cholesky factors and eigensolves and its witness stay
+    # complex, full rank or on a face
     rng = np.random.default_rng(69)
-    seen = _eigh_dtypes(monkeypatch)
+    seen = _factorization_dtypes(monkeypatch)
     for p, k in [((0.6, 0.0, 0.21, 0.19), 3), ((0.5, 0.3, 0.15, 0.05), 2), ((0.8, 0.2, 0.0, 0.0), 2)]:
         problem = ExtensionProblem(_local_frame(bell_state(p), rng), k, SYMMETRIC)
         assert problem.marginal.mat.imag.any()
@@ -1135,21 +1138,9 @@ def test_oracle_stop_reasons_and_telemetry():
     assert res.gap_trace[0] == first_gap and res.gap_trace[-1] == (100, res.residual)
 
 
-def test_newton_eigensolves_each_block_once_per_dual_point(monkeypatch):
-    # the witness shift reads the spectra of Newton's dual point, and the
-    # verdict reads min_eig of x and dual_min_eig of W' from one eigvalsh
-    # per block, whatever the step count; a full-rank marginal takes no
-    # kernel eigensolve, its validation spectrum settles full rank
-    face = ExtensionProblem(werner_state(3, 1.0), 2, SYMMETRIC)
-    cases = [
-        (NEWTON_UNDECIDED_AT_3, OracleConfig(max_iters=3), UNDECIDED, 3),
-        (NEWTON_UNDECIDED_AT_3, None, FEASIBLE, 6),
-        (ExtensionProblem(werner_state(2, -0.5), 3, SYMMETRIC), None, INFEASIBLE, 1),
-        (face, None, FEASIBLE, 1),
-    ]
-    for problem, _, _, _ in cases:
-        oracle_feasibility(problem)  # builds and caches the blocks
-    counts = {"eigvalsh": 0, "eigh": 0, "dual points": 0}
+def _counting_factorizations(monkeypatch, names=("eigvalsh", "eigh", "cholesky")):
+    """Patch the named np.linalg functions and _dual_point to count their calls; eigh's inputs are kept."""
+    counts = dict.fromkeys(names + ("dual points",), 0)
     eigh_inputs = []
 
     def counting(name, fn):
@@ -1160,9 +1151,33 @@ def test_newton_eigensolves_each_block_once_per_dual_point(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
-    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     monkeypatch.setattr(oracle_mod, "_dual_point", counting("dual points", oracle_mod._dual_point))
+    return counts, eigh_inputs
+
+
+def test_newton_eigensolves_each_block_once_per_dual_point(monkeypatch):
+    # the start tests each block of its point with one Cholesky, up to the
+    # first that is not positive definite; a positive definite start is its
+    # own projection and stops Feasible at step 1 without an eigh, any other
+    # start is a dual point.  The witness shift reads the spectra of Newton's
+    # dual point, and the verdict reads min_eig of x and dual_min_eig of W'
+    # from one eigvalsh per block, whatever the step count; a full-rank
+    # marginal takes no kernel eigensolve, its validation spectrum settles
+    # full rank
+    face = ExtensionProblem(werner_state(3, 1.0), 2, SYMMETRIC)
+    cases = [
+        (NEWTON_UNDECIDED_AT_3, OracleConfig(max_iters=3), UNDECIDED, 3),
+        (NEWTON_UNDECIDED_AT_3, None, FEASIBLE, 6),
+        (ExtensionProblem(werner_state(2, -0.5), 3, SYMMETRIC), None, INFEASIBLE, 1),
+        (ExtensionProblem(werner_state(2, 0.5), 3, SYMMETRIC), None, FEASIBLE, 1),
+        (face, None, FEASIBLE, 1),
+    ]
+    for problem, _, _, _ in cases:
+        oracle_feasibility(problem)  # builds and caches the blocks
+    counts, eigh_inputs = _counting_factorizations(monkeypatch)
+    definite = []
     for problem, cfg, status, steps in cases:
         counts.update(dict.fromkeys(counts, 0))
         eigh_inputs.clear()
@@ -1170,7 +1185,13 @@ def test_newton_eigensolves_each_block_once_per_dual_point(monkeypatch):
         assert (res.status, res.iterations) == (status, steps)
         blocks = len(res.block_sides)
         assert counts["eigvalsh"] == blocks
-        assert counts["dual points"] >= steps
+        assert 1 <= counts["cholesky"] <= blocks
+        # a dual point at the start when a Cholesky failed, and one per line-search trial
+        if counts["dual points"] == 0:
+            assert counts["cholesky"] == blocks and (status, steps) == (FEASIBLE, 1)
+            definite.append(problem)
+        else:
+            assert counts["dual points"] >= steps
         mat = _solve_matrix(problem.marginal)
         kernel_tests = sum(a.shape == mat.shape and np.array_equal(a, mat) for a in eigh_inputs)
         if problem is face:
@@ -1181,6 +1202,41 @@ def test_newton_eigensolves_each_block_once_per_dual_point(monkeypatch):
         else:
             assert res.block_sides == (8, 4)
             assert kernel_tests == 0 and counts["eigh"] == blocks * counts["dual points"]
+    # the starts of Werner psi = 0.5 and of the face are positive definite
+    assert definite == [cases[3][0], face]
+
+
+@pytest.mark.parametrize(
+    "psi,status,eighs,choleskys",
+    # the psi = -0.5 start fails its first block's Cholesky and pays one eigh per block, as before the test
+    [(0.5, FEASIBLE, 0, 2), (-0.5, INFEASIBLE, 2, 1)],
+    ids=["positive-definite-start", "indefinite-start"],
+)
+def test_a_positive_definite_start_takes_no_eigensolve(monkeypatch, psi, status, eighs, choleskys):
+    # Werner d = 2, k = 3 is full rank on blocks 8 and 4: at psi = 0.5 its start amap^+ rho is positive
+    # definite, so it is its own PSD projection, lies on the affine set and stops Feasible at step 1
+    problem = ExtensionProblem(werner_state(2, psi), 3, SYMMETRIC)
+    oracle_feasibility(problem)  # builds and caches the blocks
+    counts, _ = _counting_factorizations(monkeypatch, ("eigh", "cholesky", "svd"))
+    res = oracle_feasibility(problem)
+    assert (res.status, res.iterations, res.block_sides) == (status, 1, (8, 4))
+    assert (counts["eigh"], counts["cholesky"], counts["svd"]) == (eighs, choleskys, 0)
+
+
+def test_a_positive_definite_start_that_goes_on_solves_its_blocks_then(monkeypatch):
+    # a positive definite start stops Feasible at step 1 unless rounding leaves a gap above TOL_FEASIBLE; with
+    # the tolerance at 0 the run goes on, and its first eigensolves are those of the start's blocks, as a start
+    # formed in full would have taken them; Werner psi = 0.5 extends, so no step may certify otherwise
+    monkeypatch.setattr(oracle_mod, "TOL_FEASIBLE", 0.0)
+    problem = ExtensionProblem(werner_state(2, 0.5), 3, SYMMETRIC)
+    blocks = _solve_blocks(problem)
+    w = oracle_mod._matvec(blocks.gpinv, blocks.compress(_solve_matrix(problem.marginal)))
+    start = blocks.split(blocks.hermitian(blocks.adjoint(w)))
+    counts, eigh_inputs = _counting_factorizations(monkeypatch, ("eigh", "cholesky"))
+    res = oracle_feasibility(problem, OracleConfig(max_iters=3))
+    assert res.iterations >= 2 and res.status != INFEASIBLE
+    assert counts["cholesky"] == len(start) and counts["eigh"] >= len(start)
+    assert all(np.array_equal(a, b) for a, b in zip(eigh_inputs, start))
 
 
 HESSIAN_CASES = [
@@ -1233,6 +1289,43 @@ def test_newton_hessian_is_real_on_real_marginals(rho, k):
     assert blocks.amap.dtype == target.dtype == np.float64
     w, d = (_random_hermitian(blocks.rank, rng).real.ravel() for _ in range(2))
     assert _checked_hessian(blocks, target, w, d).dtype == np.float64
+
+
+def test_certificate_bounds_decide_only_what_the_svd_would(monkeypatch):
+    # ||W'||_F / sqrt(n) <= ||W'||_2 <= ||W'||_F: the test passes at a trace at or below -TOL_GAP ||W'||_F and
+    # fails above -TOL_GAP ||W'||_F / sqrt(n) without an SVD, which decides only between the two.  On seeded
+    # Hermitian W' (low = 0, so no shift), marginals mixed from its extreme eigenvectors put the trace just
+    # inside and just outside each bound, at ||W'||_2 and in the band's middle
+    rng = np.random.default_rng(70)
+    real_svd = np.linalg.svd
+    svds = []
+
+    def counting(a, *args, **kwargs):
+        svds.append(None)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    tol = oracle_mod.TOL_GAP
+    outcomes = set()
+    for dims in ((2, 2), (2, 3), (3, 3), (4, 4)):
+        n = math.prod(dims)
+        for _ in range(4):
+            w = _random_hermitian(n, rng)
+            lam, vecs = np.linalg.eigh(w)
+            fro, norm2 = np.linalg.norm(w), float(real_svd(w, compute_uv=False)[0])
+            edges = (fro, fro / math.sqrt(n), norm2)
+            for t in [e * (1 + rel) for e in edges for rel in (-1e-4, -1e-7, 1e-7, 1e-4)] + [sum(edges[:2]) / 2]:
+                # Tr(W' rho) = -TOL_GAP t for rho = p |v_0><v_0| + (1 - p) |v_last><v_last|
+                p = (lam[-1] + tol * t) / (lam[-1] - lam[0])
+                mix = p * np.outer(vecs[:, 0], vecs[:, 0].conj()) + (1 - p) * np.outer(vecs[:, -1], vecs[:, -1].conj())
+                svds.clear()
+                witness, trace, certified = oracle_mod._checked_witness(w, 0.0, DensityMatrix(hermitize(mix), dims))
+                assert trace == pytest.approx(-tol * t, rel=1e-8)
+                plain = trace < 0 and trace <= -tol * float(real_svd(witness, compute_uv=False)[0])
+                assert certified is plain, (dims, t / fro)
+                assert len(svds) == (-tol * fro < trace <= -tol * fro / math.sqrt(n)), (dims, t / fro)
+                outcomes.add((certified, len(svds)))
+    assert outcomes == {(True, 0), (True, 1), (False, 1), (False, 0)}
 
 
 def test_certificate_test_runs_once_per_witness(monkeypatch):

@@ -33,6 +33,8 @@ weight 1); the symmetric flavor keeps every lambda.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
@@ -43,6 +45,7 @@ import numpy as np
 from .criteria import BOSONIC, SYMMETRIC, ExtensionProblem
 from .errors import LayoutError, ResourceLimitError, ValidationError
 from .linalg import (
+    BYTE_BUDGET,
     DensityMatrix,
     _check_extension_layout,
     _checked_instance,
@@ -388,7 +391,50 @@ def _make_blocks(dims, placed, weights, frame=None) -> _Blocks:
                    transpose)
 
 
-@lru_cache(maxsize=None)
+def _held_bytes(blocks: _Blocks) -> int:
+    """Bytes of the distinct buffers behind a block set's arrays: a view counts as the array it views."""
+    owners = {}
+    for arr in (*blocks.placed, *blocks.rows, blocks.amap, blocks.gpinv, blocks.transpose):
+        while arr.base is not None:
+            arr = arr.base
+        owners[id(arr)] = arr.nbytes
+    return sum(owners.values())
+
+
+class _LeastRecentlyUsed:
+    """A thread-safe cache of block sets by layout that holds at most BYTE_BUDGET bytes of block arrays.
+
+    A set is built outside the lock, so a slow build delays no other layout; when two threads build one
+    layout, the first set cached is the one both return.  Past the budget the least recently used sets go
+    first, and a set larger than the whole budget is returned without being kept.
+    """
+
+    def __init__(self, build):
+        self.build = build
+        self.lock = threading.Lock()
+        self.sets: OrderedDict[tuple, tuple[_Blocks, int]] = OrderedDict()  # layout -> (set, bytes), oldest first
+        self.held = 0
+
+    def __call__(self, *layout) -> _Blocks:
+        with self.lock:
+            entry = self.sets.get(layout)
+            if entry is not None:
+                self.sets.move_to_end(layout)
+                return entry[0]
+        blocks = self.build(*layout)
+        size = _held_bytes(blocks)
+        with self.lock:
+            if layout not in self.sets:
+                self.sets[layout] = (blocks, size)
+                self.held += size
+            self.sets.move_to_end(layout)
+            blocks = self.sets[layout][0]
+            while self.held > BYTE_BUDGET:
+                self.held -= self.sets.popitem(last=False)[1][1]
+        return blocks
+
+
+@_LeastRecentlyUsed
 def _extension_blocks(d_a: int, d_b: int, k: int, flavor: str) -> _Blocks:
     """Blocks of the flavor: every lambda with at most d_B rows, or only lambda = (k)."""
     shapes = [(k,)] if flavor == BOSONIC else list(_partitions(k, d_b))
@@ -443,9 +489,32 @@ def _state_kernel(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _nullspace(rows: np.ndarray) -> np.ndarray:
+    """Null space basis, as columns, of the m x s kernel rows M: the right singular vectors whose singular values
+    are at or below RANK_RTOL times the largest.
+
+    Rows at least as tall as they are wide first try to prove that no singular value is that small, by one
+    Cholesky of H = G - RANK_RTOL tr(G) I with G = M^dag M.  Forming G rounds it by at most gamma_m tr G (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 3.5; gamma_n = n u / (1 - n u) for the unit roundoff
+    u), and a Cholesky that succeeds factors H up to a backward error of at most gamma_(s+1) tr G (Theorem 10.3).
+    Both stay below RANK_RTOL tr(G) / 2 while (m + s + 1) u <= RANK_RTOL / 4, which every layout _check_reach
+    admits: m is at most the stored placements (k, or one for lambda = (k)) times (n_AB - 1) d_B^(k-1), 30,720
+    at bosonic 8 x 2, k = 12, and s at most 256.  So success proves sigma_min(M)^2 >= RANK_RTOL tr(G) / 2 >=
+    RANK_RTOL sigma_max(M)^2 / 2: sigma_min / sigma_max is at least sqrt(RANK_RTOL / 2), about 7e-6, five
+    orders of magnitude above the cut and far past the SVD's own rounding, so the SVD would keep every singular
+    value and the null space is empty.  A Cholesky that fails proves nothing: the QR and SVD below decide.
+    """
+    m, s = rows.shape
+    if m >= s:
+        gram = rows.conj().T @ rows
+        gram.flat[:: s + 1] -= RANK_RTOL * np.trace(gram).real
+        try:
+            np.linalg.cholesky(gram)
+            return np.zeros((s, 0), dtype=rows.dtype)
+        except np.linalg.LinAlgError:
+            pass
     # tall rows have the singular values and right singular vectors of their
     # s x s factor R, and a U that would only be discarded
-    if rows.shape[0] > rows.shape[1]:
+    if m > s:
         rows = np.linalg.qr(rows, mode="r")
     _, svals, vh = np.linalg.svd(rows)
     rank = int(np.sum(svals > RANK_RTOL * svals[0])) if svals.size else 0

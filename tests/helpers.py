@@ -113,6 +113,17 @@ def dense_face_affine_projection(x, dims, kernel, target):
     return z + phi(marg_adj(w))
 
 
+def plain_nullspace(rows):
+    """Null space basis of kernel rows by a QR of tall rows and an SVD: the rank decision facial reduction had first."""
+    from symext.oracle import RANK_RTOL
+
+    if rows.shape[0] > rows.shape[1]:
+        rows = np.linalg.qr(rows, mode="r")
+    _, svals, vh = np.linalg.svd(rows)
+    rank = int(np.sum(svals > RANK_RTOL * svals[0])) if svals.size else 0
+    return vh[rank:].conj().T
+
+
 def lift_blocks(blocks, flat):
     """The full-space operator sum_b m_b Sym(V_b M_b V_b^dag) of a flat block iterate."""
     import math

@@ -19,6 +19,7 @@ state, whatever its bytes, exits 1 with one ``error:`` line.
 """
 
 import json
+import time
 import warnings
 
 import numpy as np
@@ -75,6 +76,7 @@ from symext import (
     wootters_concurrence,
 )
 from symext.cli import main
+from symext.oracle import KERNEL_TOL
 
 NOT_INTEGERS = [2.0, 0.9, 1.5, True, "1", None, np.float64(1.0)]
 BEYOND_FLOATS = [10**400, 10**5000]  # float math cannot take them, and the second has too many digits to print
@@ -269,6 +271,35 @@ def test_entry_point_refuses_bad_input_and_accepts_numpy_scalars(entry):
                 call(value)
             assert type(err.value).__module__ == "symext.errors", (value, repr(err.value))
         call(accepted)
+
+
+def _kernel_edge_marginal(d, low):
+    """A d x d marginal with smallest eigenvalue low, in a complex frame and with a rest of the spectrum seeded by d."""
+    rng = np.random.default_rng(900 + d)
+    n = d * d
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    spectrum = np.append(rng.dirichlet(np.ones(n - 1)) * (1 - low), low)
+    mat = (u * spectrum) @ u.conj().T
+    return DensityMatrix((mat + mat.conj().T) / 2, (d, d))
+
+
+@pytest.mark.parametrize("flavor", [SYMMETRIC, BOSONIC])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("d", [2, 3])
+def test_oracle_returns_in_time_around_the_kernel_cut(d, k, flavor):
+    # smallest eigenvalues of 0 to 4 KERNEL_TOL straddle both cuts of the full-rank test: the kernel
+    # eigensolve's KERNEL_TOL and the validation spectrum's 2 KERNEL_TOL
+    for scale in (0.0, 0.5, 1.0, 2.0, 2.5, 4.0):
+        rho = _kernel_edge_marginal(d, scale * KERNEL_TOL)
+        assert abs(np.linalg.eigvalsh(rho.mat)[0] - scale * KERNEL_TOL) < 1e-14
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                oracle_feasibility(ExtensionProblem(rho, k, flavor))
+            except Exception as err:
+                assert type(err).__module__ == "symext.errors", (scale, repr(err))
+        assert time.perf_counter() - start < 2, scale
 
 
 # refusals whose words predate the real rule: (call, message)

@@ -1,11 +1,15 @@
 """Feasibility oracle: projections and end-to-end decisions."""
 
 import dataclasses
+import importlib.util
 import itertools
 import json
 import math
+import sys
 import time
 import tracemalloc
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +28,7 @@ from helpers import (
     lift_blocks,
     lifted_placements,
     placed_amap,
+    plain_nullspace,
     project_affine,
     random_separable,
     rebuilt_placements,
@@ -64,6 +69,7 @@ from symext.oracle import (
     _dual_point,
     _extension_blocks,
     _face_blocks,
+    _held_bytes,
     _make_blocks,
     _newton_hessian,
     _nullspace,
@@ -972,20 +978,26 @@ def test_complex_marginals_still_solve_in_complex_arithmetic(monkeypatch):
             assert res.dual_witness.dtype == np.complex128
 
 
+def _kernel_rows(problem):
+    """The kernel rows R V_b facial reduction hands to _nullspace, one per block of the flavor; none at full rank."""
+    face = _state_kernel(problem.marginal)
+    if face is None:
+        return []
+    d_a, d_b = problem.marginal.dims
+    out = []
+    for p in _extension_blocks(d_a, d_b, problem.k, problem.flavor).placed:
+        count, n_ab, _, s = p.shape
+        out.append((face[0].conj().T @ p.reshape(count, n_ab, -1)).reshape(-1, s))
+    return out
+
+
 def test_face_null_spaces_match_the_plain_svd():
     # _nullspace takes the SVD of the s x s factor of a QR of tall rows: on
     # every GOLDEN face it keeps the dimensions a plain SVD of the rows gives
     faces = 0
     for state, k, flavor, _, _ in GOLDEN:
-        rho = _golden_problem(state, k, flavor).marginal
-        face = _state_kernel(rho)
-        if face is None:
-            continue
-        kernel = face[0]
-        d_a, d_b = rho.dims
-        for p in _extension_blocks(d_a, d_b, k, flavor).placed:
-            count, n_ab, _, s = p.shape
-            rows = (kernel.conj().T @ p.reshape(count, n_ab, -1)).reshape(-1, s)
+        for rows in _kernel_rows(_golden_problem(state, k, flavor)):
+            s = rows.shape[1]
             svals = np.linalg.svd(rows, compute_uv=False)
             rank = int(np.sum(svals > oracle_mod.RANK_RTOL * svals[0]))
             null = _nullspace(rows)
@@ -994,6 +1006,87 @@ def test_face_null_spaces_match_the_plain_svd():
             assert np.max(np.abs(rows @ null), initial=0.0) < 1e-12
             faces += 1
     assert faces > 30
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_face_null_spaces_are_the_plain_qr_and_svd_bit_for_bit(monkeypatch, tmp_path):
+    # the Cholesky that proves a face block empty returns only what the QR and
+    # SVD would: on every face block of GOLDEN and of the oracle-bosonic-face
+    # benchmark workload at seeds 1-3, some proved empty and some not
+    problems = [_golden_problem(state, k, flavor) for state, k, flavor, _, _ in GOLDEN]
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses resolve their annotations there
+    spec.loader.exec_module(workloads)
+    for seed in (1, 2, 3):
+        problems += [op.problem for op in workloads.build("oracle-bosonic-face", seed, tmp_path)]
+    rows_sets = [rows for problem in problems for rows in _kernel_rows(problem)]
+    refs = [plain_nullspace(rows) for rows in rows_sets]
+    counts, _ = _counting_factorizations(monkeypatch, ("svd",))
+    proved = kept = 0
+    for rows, ref in zip(rows_sets, refs):
+        counts["svd"] = 0
+        null = _nullspace(rows)
+        assert null.shape == ref.shape and null.dtype == ref.dtype and np.array_equal(null, ref)
+        if not counts["svd"]:
+            assert rows.shape[0] >= rows.shape[1] and null.shape[1] == 0
+        proved += not counts["svd"]
+        kept += null.shape[1] > 0
+    assert proved > 100 and kept > 50
+
+
+@pytest.mark.parametrize("ratio,svds", [(1e-3, 0), (1e-4, 0), (1e-6, 1), (1e-7, 1), (1e-9, 1), (1e-12, 1)])
+def test_nullspace_proves_only_well_conditioned_rows_full_rank(monkeypatch, ratio, svds):
+    # seeded rows, tall and square, real and complex, with singular values 1 down to 1/2 and one at ratio:
+    # the Cholesky proves full rank when ratio^2 clears RANK_RTOL tr(G), about (2e-5)^2 here, and needs
+    # no SVD; the others fall through to the QR and SVD, and only 1e-12, below RANK_RTOL, leaves a null space
+    rng = np.random.default_rng(72)
+    cases = []
+    for m, s, kind in [(40, 8, float), (40, 8, complex), (8, 8, float), (30, 12, complex)]:
+        gauss = lambda shape: rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if kind is complex else 0)
+        u, v = np.linalg.qr(gauss((m, s)))[0], np.linalg.qr(gauss((s, s)))[0]
+        svals = np.append(np.linspace(1.0, 0.5, s - 1), ratio)
+        rows = (u * svals) @ v.conj().T
+        cases.append((rows, plain_nullspace(rows)))
+    counts, _ = _counting_factorizations(monkeypatch, ("svd",))
+    for rows, ref in cases:
+        counts["svd"] = 0
+        null = _nullspace(rows)
+        assert null.shape == ref.shape and null.dtype == ref.dtype and np.array_equal(null, ref)
+        assert counts["svd"] == svds and null.shape[1] == (ratio < oracle_mod.RANK_RTOL)
+
+
+def test_nullspace_rounding_bound_holds_on_every_admitted_layout():
+    # the Cholesky proof needs (m + s + 1) u <= RANK_RTOL / 4 for m x s kernel rows: m is at most the stored
+    # placements (k, or one for the bosonic flavor's single block) times (n_AB - 1) d_B^(k-1), s at most DIM_LIMIT
+    widest = 0
+    for d_a, d_b in itertools.product(range(1, 17), repeat=2):
+        if d_a * d_b > 16:
+            continue
+        for k, flavor in itertools.product(range(1, 65), (SYMMETRIC, BOSONIC)):
+            try:
+                _check_reach(d_a, d_b, k, flavor)
+            except (ResourceLimitError, LayoutError):
+                continue
+            m = (k if flavor == SYMMETRIC else 1) * (d_a * d_b - 1) * d_b ** (k - 1)
+            widest = max(widest, m + OracleConfig.dim_limit + 1)
+    assert widest == 30720 + 257
+    assert widest * np.finfo(float).eps / 2 <= oracle_mod.RANK_RTOL / 4
+
+
+@pytest.mark.parametrize("d,k,svds", [(3, 4, 0), (4, 3, 1)])
+def test_empty_face_blocks_take_no_svd(monkeypatch, d, k, svds):
+    # Werner psi = -1, symmetric: at d = 3, k = 4 every block's face is empty
+    # and proved so by Cholesky; at d = 4, k = 3 one block keeps a face of side 1
+    problem = ExtensionProblem(werner_state(d, -1.0), k, SYMMETRIC)
+    ref = oracle_feasibility(problem)  # builds and caches the blocks
+    counts, _ = _counting_factorizations(monkeypatch, ("svd",))
+    res = oracle_feasibility(problem)
+    assert counts["svd"] == svds
+    assert (res.status, res.stop_reason, res.block_sides) == (ref.status, ref.stop_reason, ref.block_sides)
+    assert res.block_sides == (() if d == 3 else (1,))
 
 
 # the (d, k, flavor) of every full-rank block set the oracle benchmark workloads solve on, d_A = d_B = d
@@ -1045,6 +1138,96 @@ def test_gram_pseudoinverse_matches_pinv():
         assert blocks.gpinv.dtype == ref.dtype
         assert np.max(np.abs(blocks.gpinv - ref)) < 1e-12, (blocks.dims, blocks.sides)
     assert faces == 24
+
+
+def _bitwise_equal(x, y):
+    """Two block-set fields alike bit for bit: arrays by dtype, shape and bytes, tuples entry by entry."""
+    if isinstance(x, np.ndarray):
+        return isinstance(y, np.ndarray) and (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+    if isinstance(x, tuple):
+        return isinstance(y, tuple) and len(x) == len(y) and all(map(_bitwise_equal, x, y))
+    return x == y
+
+
+def _same_block_set(a, b):
+    return all(_bitwise_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+
+
+def _fresh_block_cache(monkeypatch, budget=None):
+    """Run the block-set cache empty from here on, within budget bytes when given; the test's end restores it."""
+    monkeypatch.setattr(_extension_blocks, "sets", OrderedDict())
+    monkeypatch.setattr(_extension_blocks, "held", 0)
+    if budget is not None:
+        monkeypatch.setattr(oracle_mod, "BYTE_BUDGET", budget)
+
+
+def _held_within_budget():
+    sizes = [size for _, size in _extension_blocks.sets.values()]
+    return _extension_blocks.held == sum(sizes) <= oracle_mod.BYTE_BUDGET
+
+
+# four small layouts: bosonic ones store one placement, with rows that view it
+CACHE_LAYOUTS = [(2, 2, 2, SYMMETRIC), (2, 2, 3, SYMMETRIC), (2, 2, 4, BOSONIC), (3, 3, 2, BOSONIC)]
+
+
+def test_block_set_cache_drops_the_least_recently_used_past_the_byte_budget(monkeypatch):
+    built = {layout: _extension_blocks.build(*layout) for layout in CACHE_LAYOUTS}
+    sizes = {layout: _held_bytes(blocks) for layout, blocks in built.items()}
+    for layout, blocks in built.items():
+        # every distinct buffer once: the rows of a block that stores one placement view it, the others are copies
+        views = [np.may_share_memory(v, p) for v, p in zip(blocks.rows, blocks.placed)]
+        assert views == [p.shape[0] == 1 for p in blocks.placed]
+        owned = [*blocks.placed, blocks.amap, blocks.gpinv, blocks.transpose]
+        owned += [v for v, view in zip(blocks.rows, views) if not view]
+        assert sizes[layout] == sum(arr.nbytes for arr in owned), layout
+    a, b, c, d = CACHE_LAYOUTS
+    _fresh_block_cache(monkeypatch, sizes[a] + sizes[b] + sizes[c] - 1)
+    first = {}
+    for layout in (a, b, c):
+        first[layout] = _extension_blocks(*layout)
+        assert _same_block_set(first[layout], built[layout]) and _held_within_budget()
+    # the oldest set went first
+    assert list(_extension_blocks.sets) == [b, c]
+    # a hit returns the cached set and makes it the newest
+    assert _extension_blocks(*b) is first[b] and list(_extension_blocks.sets) == [c, b]
+    # a rebuilt set equals the evicted one bit for bit; c, now the oldest, goes
+    again = _extension_blocks(*a)
+    assert again is not first[a] and _same_block_set(again, first[a])
+    assert list(_extension_blocks.sets) == [b, a] and _held_within_budget()
+    # a set larger than the whole budget is returned but not kept
+    monkeypatch.setattr(oracle_mod, "BYTE_BUDGET", sizes[d] - 1)
+    assert _same_block_set(_extension_blocks(*d), built[d])
+    assert not _extension_blocks.sets and _extension_blocks.held == 0
+
+
+def test_block_set_cache_keeps_every_workload_layout():
+    # the 16 full-rank layouts of the two oracle workloads hold about 4 MB, far within BYTE_BUDGET
+    sets = [_extension_blocks(d, d, k, flavor) for d, k, flavor in WORKLOAD_LAYOUTS]
+    assert sum(map(_held_bytes, sets)) < oracle_mod.BYTE_BUDGET // 32
+    assert all(_extension_blocks(d, d, k, flavor) is blocks for (d, k, flavor), blocks in zip(WORKLOAD_LAYOUTS, sets))
+
+
+def test_block_set_cache_is_safe_to_call_concurrently(monkeypatch):
+    # four threads, more than the cores, ask for four layouts in turn while only two sets fit, switching
+    # often: every call returns its layout's set, and the byte count, which a lost update would break, holds
+    built = {layout: _extension_blocks.build(*layout) for layout in CACHE_LAYOUTS}
+    sizes = sorted(map(_held_bytes, built.values()))
+    _fresh_block_cache(monkeypatch, sizes[-1] + sizes[-2])
+    order = [CACHE_LAYOUTS[i % 4] for i in range(40)]
+
+    def ask(shift):
+        return [(layout, _extension_blocks(*layout)) for layout in order[shift:] + order[:shift]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            answers = [pair for pairs in pool.map(ask, range(4), timeout=60) for pair in pairs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(answers) == 160
+    assert all(_same_block_set(blocks, built[layout]) for layout, blocks in answers)
+    assert _held_within_budget() and _extension_blocks.sets
 
 
 def test_block_plans_are_the_expressions_they_replace():
@@ -1157,6 +1340,20 @@ def _counting_factorizations(monkeypatch, names=("eigvalsh", "eigh", "cholesky")
     return counts, eigh_inputs
 
 
+def _tall_kernel_rows(problem):
+    """How many blocks of the flavor have kernel rows R V_b at least as tall as wide: 0 for a full-rank marginal."""
+    return sum(m >= s for m, s in (rows.shape for rows in _kernel_rows(problem)))
+
+
+def _start_choleskys(problem):
+    """The Cholesky factors Newton's start takes: up to its first block that is not positive definite, read by eigvalsh."""
+    blocks = _solve_blocks(problem)
+    w = oracle_mod._matvec(blocks.gpinv, blocks.compress(_solve_matrix(problem.marginal)))
+    start = blocks.split(blocks.hermitian(blocks.adjoint(w)))
+    lows = [np.linalg.eigvalsh(b)[0] for b in start]
+    return next((i + 1 for i, low in enumerate(lows) if low <= 0), len(start))
+
+
 def test_newton_eigensolves_each_block_once_per_dual_point(monkeypatch):
     # the start tests each block of its point with one Cholesky, up to the
     # first that is not positive definite; a positive definite start is its
@@ -1165,7 +1362,8 @@ def test_newton_eigensolves_each_block_once_per_dual_point(monkeypatch):
     # dual point, and the verdict reads min_eig of x and dual_min_eig of W'
     # from one eigvalsh per block, whatever the step count; a full-rank
     # marginal takes no kernel eigensolve, its validation spectrum settles
-    # full rank
+    # full rank.  Facial reduction adds one Cholesky per block whose kernel
+    # rows are at least as tall as they are wide, counted apart from the start's
     face = ExtensionProblem(werner_state(3, 1.0), 2, SYMMETRIC)
     cases = [
         (NEWTON_UNDECIDED_AT_3, OracleConfig(max_iters=3), UNDECIDED, 3),
@@ -1176,19 +1374,32 @@ def test_newton_eigensolves_each_block_once_per_dual_point(monkeypatch):
     ]
     for problem, _, _, _ in cases:
         oracle_feasibility(problem)  # builds and caches the blocks
+    expected = [(_tall_kernel_rows(problem), _start_choleskys(problem)) for problem, _, _, _ in cases]
     counts, eigh_inputs = _counting_factorizations(monkeypatch)
+    counts["face choleskys"] = 0
+    face_blocks = oracle_mod._face_blocks
+
+    def counted_face_blocks(*args):
+        before = counts["cholesky"]
+        out = face_blocks(*args)
+        counts["face choleskys"] += counts["cholesky"] - before
+        return out
+
+    monkeypatch.setattr(oracle_mod, "_face_blocks", counted_face_blocks)
     definite = []
-    for problem, cfg, status, steps in cases:
+    for (problem, cfg, status, steps), (tall, start) in zip(cases, expected):
         counts.update(dict.fromkeys(counts, 0))
         eigh_inputs.clear()
         res = oracle_feasibility(problem, cfg)
         assert (res.status, res.iterations) == (status, steps)
         blocks = len(res.block_sides)
         assert counts["eigvalsh"] == blocks
-        assert 1 <= counts["cholesky"] <= blocks
+        assert counts["face choleskys"] == tall
+        start_choleskys = counts["cholesky"] - tall
+        assert start_choleskys == start and 1 <= start_choleskys <= blocks
         # a dual point at the start when a Cholesky failed, and one per line-search trial
         if counts["dual points"] == 0:
-            assert counts["cholesky"] == blocks and (status, steps) == (FEASIBLE, 1)
+            assert start_choleskys == blocks and (status, steps) == (FEASIBLE, 1)
             definite.append(problem)
         else:
             assert counts["dual points"] >= steps

@@ -98,6 +98,9 @@ class OracleConfig:
         _checked_int(self.max_iters, "max_iters", 1)
 
 
+_DEFAULT_CONFIG = OracleConfig()
+
+
 @dataclass(frozen=True)
 class OracleResult:
     """Verdict of one oracle run.
@@ -340,10 +343,16 @@ class _Blocks:
         placements of V_b, all at once, then lifted back to AB through the frame.
         """
         r = self.rank
-        out = np.zeros((r, r), dtype=np.result_type(flat, self.amap))
+        out = None
         for v, scale, (a, b, s) in zip(self.rows, self.scales, self.runs):
             vn = (v.reshape(-1, s) @ flat[a:b].reshape(s, s)).reshape(r, -1)
-            out += scale * (vn @ v.conj().T)
+            term = scale * (vn @ v.conj().T)
+            if out is None:
+                out = term
+            else:
+                out += term
+        if out is None:  # the span of no blocks
+            out = np.zeros((r, r), dtype=np.result_type(flat, self.amap))
         return self.expand(out)
 
     def min_eig(self, *flats: np.ndarray) -> np.ndarray:
@@ -352,10 +361,15 @@ class _Blocks:
         X vanishes off that span; on it X is the direct sum of I_{m_b} (x) M_b, with M_b = N_b / sqrt(m_b).
         The span of no blocks is empty, and the minimum over it infinite.
         """
-        lows = np.full(len(flats), math.inf)
+        lows = [math.inf] * len(flats)
         for root, blk in zip(self.roots, self.split(self.hermitian(np.array(flats)))):
-            np.minimum(lows, np.linalg.eigvalsh(blk)[:, 0] / root, out=lows)
-        return lows
+            eigs = np.linalg.eigvalsh(blk)
+            for i, low in enumerate(lows):
+                value = eigs.item(i, 0) / root
+                # as np.minimum takes it: value unless low is smaller, and a NaN on either side
+                if not low < value and low == low:
+                    lows[i] = value
+        return np.array(lows)
 
 
 def _make_blocks(dims, placed, weights, frame=None) -> _Blocks:
@@ -406,7 +420,7 @@ class _LeastRecentlyUsed:
 
     A set is built outside the lock, so a slow build delays no other layout; when two threads build one
     layout, the first set cached is the one both return.  Past the budget the least recently used sets go
-    first, and a set larger than the whole budget is returned without being kept.
+    first, and a set larger than the whole budget is returned without being kept or evicting any other.
     """
 
     def __init__(self, build):
@@ -424,11 +438,14 @@ class _LeastRecentlyUsed:
         blocks = self.build(*layout)
         size = _held_bytes(blocks)
         with self.lock:
-            if layout not in self.sets:
-                self.sets[layout] = (blocks, size)
-                self.held += size
-            self.sets.move_to_end(layout)
-            blocks = self.sets[layout][0]
+            entry = self.sets.get(layout)
+            if entry is not None:
+                self.sets.move_to_end(layout)
+                return entry[0]
+            if size > BYTE_BUDGET:  # kept, it would evict every set and then itself
+                return blocks
+            self.sets[layout] = (blocks, size)
+            self.held += size
             while self.held > BYTE_BUDGET:
                 self.held -= self.sets.popitem(last=False)[1][1]
         return blocks
@@ -613,21 +630,29 @@ def _verdict(blocks: _Blocks, rho: DensityMatrix, status: str, stop: str, y: np.
 # marginal theta is unbounded below and -w becomes a dual witness.
 
 
-def _dual_point(blocks: _Blocks, w: np.ndarray, target: np.ndarray, z: np.ndarray | None = None):
+def _theta(y: np.ndarray, w: np.ndarray, target: np.ndarray) -> float:
+    """theta(w) = 1/2 ||y||^2 - <w, rho> for y = P+(amap^dag w)."""
+    return 0.5 * float(np.vdot(y, y).real) - float(np.vdot(w, target).real)
+
+
+def _dual_point(blocks: _Blocks, w: np.ndarray, target: np.ndarray | None, z: np.ndarray | None = None):
     """(parts, y, theta) at w: the eigendecomposition of each block of z = amap^dag w, y = P+(z), theta(w).
 
     Every dual point after Newton's start is formed here, and so is the start when _start_point finds a block
     of z that is not positive definite; z, the Hermitian part of amap^dag w, is passed when already formed.
+    theta is None when no target is given: the start's is formed only for a Newton step.
     """
     if z is None:
         z = blocks.hermitian(blocks.adjoint(w))
     parts = [np.linalg.eigh(b) for b in blocks.split(z)]
-    y = np.concatenate([((v * np.maximum(lam, 0.0)) @ v.conj().T).ravel() for lam, v in parts])
-    return parts, y, 0.5 * float(np.vdot(y, y).real) - float(np.vdot(w, target).real)
+    y = np.empty_like(z)
+    for (lam, v), (a, b, s) in zip(parts, blocks.runs):
+        np.matmul(v * np.maximum(lam, 0.0), v.conj().T, out=y[a:b].reshape(s, s))
+    return parts, y, None if target is None else _theta(y, w, target)
 
 
-def _start_point(blocks: _Blocks, w: np.ndarray, target: np.ndarray):
-    """(parts, y, theta) at Newton's start w, with parts None when one Cholesky per block proves z = amap^dag w PD.
+def _start_point(blocks: _Blocks, w: np.ndarray):
+    """(parts, y) at Newton's start w, with parts None when one Cholesky per block proves z = amap^dag w PD.
 
     Then P+(z) = z: y is z itself, and no eigensolve runs until the run needs the spectra, for a certificate
     test or a Newton step.  A Cholesky that fails only says that its block is not positive definite, never
@@ -638,18 +663,25 @@ def _start_point(blocks: _Blocks, w: np.ndarray, target: np.ndarray):
         for b in blocks.split(z):
             np.linalg.cholesky(b)
     except np.linalg.LinAlgError:
-        return _dual_point(blocks, w, target, z)
-    return None, z, 0.5 * float(np.vdot(z, z).real) - float(np.vdot(w, target).real)
+        return _dual_point(blocks, w, None, z)[:2]
+    return None, z
 
 
 def _jacobian_weights(lam: np.ndarray) -> np.ndarray:
-    """Divided differences of max(., 0) at the eigenvalues: J(E) = V (omega o V^dag E V) V^dag."""
-    pos = lam > 0
-    same = pos[:, None] == pos[None, :]
-    rise = np.maximum(lam, 0.0)
-    # 1 or 0 for a pair on one side of zero; a pair across zero has lam_p != lam_q
-    across = (rise[:, None] - rise[None, :]) / np.where(same, 1.0, lam[:, None] - lam[None, :])
-    return np.where(same, pos[:, None] & pos[None, :], across)
+    """Divided differences of max(., 0) at the ascending eigenvalues: J(E) = V (omega o V^dag E V) V^dag.
+
+    With the n0 non-positive eigenvalues first, omega is 0 among them and 1 among the positive ones; across
+    zero it is lam_q / (lam_q - lam_p) for lam_q > 0 >= lam_p, in row q and column p and mirrored.
+    """
+    n = len(lam)
+    n0 = int(lam.searchsorted(0.0, "right"))
+    omega = np.zeros((n, n))
+    omega[n0:, n0:] = 1.0
+    rise = lam[n0:, None]
+    across = rise / (rise - lam[:n0])
+    omega[n0:, :n0] = across
+    omega[:n0, n0:] = across.T
+    return omega
 
 
 def _newton_hessian(blocks: _Blocks, parts) -> np.ndarray:
@@ -710,7 +742,8 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleRe
                 low = blocks.min_eig(blocks.adjoint(blocks.compress(-residual)))[0]
                 return _verdict(blocks, rho, INFEASIBLE, STOP_FACE_REACH, x, x, deficit,
                                 _checked_witness(-residual, low, rho), iterations=0)
-        parts, y, theta = _start_point(blocks, w, target)
+        parts, y = _start_point(blocks, w)
+        theta = None
         for step in range(1, max_iters + 1):
             c = blocks.correction(blocks.marginal(y) - target)  # y minus its affine projection
             x = y - c
@@ -722,7 +755,7 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleRe
             if parts is None:  # a positive definite start that did not stop Feasible
                 parts = [np.linalg.eigh(b) for b in blocks.split(y)]
             # the lift of -w has the negated spectra of the blocks of amap^dag w
-            low = min((-lam[-1] / root for root, (lam, _) in zip(blocks.roots, parts)), default=math.inf)
+            low = min((-lam.item(-1) / root for root, (lam, _) in zip(blocks.roots, parts)), default=math.inf)
             candidate = _checked_witness(blocks.expand(-w), low, rho)
             if candidate[2]:
                 status, stop, dual = INFEASIBLE, STOP_DUAL_CERTIFICATE, candidate
@@ -733,18 +766,22 @@ def _run_newton(blocks: _Blocks, rho: DensityMatrix, max_iters: int) -> OracleRe
             # marginal's residual off a support face, which no w changes
             grad = blocks.marginal(c)
             hess = _newton_hessian(blocks, parts)
-            d = np.linalg.solve(hess + 1e-10 * np.eye(len(grad)), -grad)
+            hess.flat[:: len(grad) + 1] += 1e-10
+            d = np.linalg.solve(hess, -grad)
             d = hermitize(d.reshape(blocks.rank, blocks.rank)).ravel()
             slope = float(np.vdot(grad, d).real)
+            if theta is None:
+                theta = _theta(y, w, target)
             alpha = 1.0
             for _ in range(30):
-                trial = _dual_point(blocks, w + alpha * d, target)
+                moved = w + alpha * d
+                trial = _dual_point(blocks, moved, target)
                 if trial[2] <= theta + 1e-4 * alpha * slope:
                     break
                 alpha /= 2
             else:
                 break  # no descent along d
-            w = w + alpha * d
+            w = moved
             parts, y, theta = trial
         return _verdict(blocks, rho, status, stop, y, x, gap, dual,
                         iterations=len(gaps), gap_trace=tuple(enumerate(gaps, 1)))
@@ -790,7 +827,7 @@ def oracle_feasibility(problem: ExtensionProblem, cfg: OracleConfig | None = Non
     (``linalg-error``, ``min_eig`` NaN).
     """
     rho = _checked_instance(problem, ExtensionProblem, "problem").marginal
-    max_iters = _checked_instance(OracleConfig() if cfg is None else cfg, OracleConfig, "cfg").max_iters
+    max_iters = _checked_instance(_DEFAULT_CONFIG if cfg is None else cfg, OracleConfig, "cfg").max_iters
     d_a, d_b = rho.dims
     _check_reach(d_a, d_b, problem.k, problem.flavor)
     blocks = _extension_blocks(d_a, d_b, problem.k, problem.flavor)

@@ -124,6 +124,41 @@ def plain_nullspace(rows):
     return vh[rank:].conj().T
 
 
+def reference_jacobian_weights(lam):
+    """Divided differences of max(., 0) at eigenvalues in any order, by two where passes over the n x n table."""
+    pos = lam > 0
+    same = pos[:, None] == pos[None, :]
+    rise = np.maximum(lam, 0.0)
+    # 1 or 0 for a pair on one side of zero; a pair across zero has lam_p != lam_q
+    across = (rise[:, None] - rise[None, :]) / np.where(same, 1.0, lam[:, None] - lam[None, :])
+    return np.where(same, pos[:, None] & pos[None, :], across)
+
+
+def reference_min_eig(blocks, *flats):
+    """Smallest eigenvalue of each flat iterate on the span of the blocks, folded in by np.minimum from np.full."""
+    import math
+
+    lows = np.full(len(flats), math.inf)
+    for root, blk in zip(blocks.roots, blocks.split(blocks.hermitian(np.array(flats)))):
+        np.minimum(lows, np.linalg.eigvalsh(blk)[:, 0] / root, out=lows)
+    return lows
+
+
+def reference_positive_part(parts):
+    """P+ of every block from its eigendecomposition, raveled and concatenated into one flat iterate."""
+    return np.concatenate([((v * np.maximum(lam, 0.0)) @ v.conj().T).ravel() for lam, v in parts])
+
+
+def reference_placed_marginal(blocks, flat):
+    """The AB marginal of a flat iterate from the stored placements, summed into zeros."""
+    r = blocks.rank
+    out = np.zeros((r, r), dtype=np.result_type(flat, blocks.amap))
+    for v, scale, (a, b, s) in zip(blocks.rows, blocks.scales, blocks.runs):
+        vn = (v.reshape(-1, s) @ flat[a:b].reshape(s, s)).reshape(r, -1)
+        out += scale * (vn @ v.conj().T)
+    return blocks.expand(out)
+
+
 def lift_blocks(blocks, flat):
     """The full-space operator sum_b m_b Sym(V_b M_b V_b^dag) of a flat block iterate."""
     import math

@@ -15,7 +15,11 @@ floats are accepted.  By the argument rule, a value that is not a
 ``MarginalSet`` or ``OracleConfig`` where one of those belongs (an int,
 None, an ndarray, a list), or a state off the layout its call needs, is
 refused by type name or layout.  A state file the CLI cannot read as a
-state, whatever its bytes, exits 1 with one ``error:`` line.
+state, whatever its bytes, exits 1 with one ``error:`` line.  Matrices with
+subnormal entries, off-diagonal entries near the float limit or Hermiticity
+defects at the tolerance and just past it are accepted or refused by
+``DensityMatrix``, and every accepted one returns or is refused by the state
+entry points and the oracle within 2 s.
 """
 
 import json
@@ -300,6 +304,73 @@ def test_oracle_returns_in_time_around_the_kernel_cut(d, k, flavor):
             except Exception as err:
                 assert type(err).__module__ == "symext.errors", (scale, repr(err))
         assert time.perf_counter() - start < 2, scale
+
+
+def _matrix(entries, diag=(0.25, 0.25, 0.25, 0.25)):
+    """A 4 x 4 complex matrix with the given diagonal and the given (row, column) entries, written as they are."""
+    m = np.diag(np.asarray(diag, dtype=complex))
+    for (i, j), value in entries.items():
+        m[i, j] = value
+    return m
+
+
+# (matrix, whether DensityMatrix accepts it at its default tolerance HERM_TOL = 1e-10): subnormal entries,
+# added Hermitian, off-diagonal entries near the float limit, and Hermiticity defects at the tolerance and
+# one ulp past it
+EXTREME_MATRICES = {
+    "subnormal off-diagonal": (_matrix({(0, 1): 5e-324, (1, 0): 5e-324}), True),
+    "subnormal imaginary off-diagonal": (_matrix({(0, 3): 5e-324j, (3, 0): -5e-324j}), True),
+    "subnormal eigenvalue": (_matrix({}, (0.5, 0.5, 5e-324, 0.0)), True),
+    "subnormal off-diagonal on the kernel": (_matrix({(2, 3): 5e-324, (3, 2): 5e-324}, (0.5, 0.5, 0.0, 0.0)), True),
+    "off-diagonal 1e200": (_matrix({(0, 1): 1e200, (1, 0): 1e200}), False),
+    "off-diagonal 1e308": (_matrix({(0, 1): 1e308, (1, 0): 1e308}), False),
+    "off-diagonal 1.7e308": (_matrix({(0, 1): 1.7e308, (1, 0): 1.7e308}), False),
+    "imaginary off-diagonal 1.7e308": (_matrix({(0, 1): 1.7e308j, (1, 0): -1.7e308j}), False),
+    "Hermiticity defect at tol": (_matrix({(0, 1): 1e-10}), True),
+    "Hermiticity defect one ulp past tol": (_matrix({(0, 1): np.nextafter(1e-10, 1.0)}), False),
+}
+
+
+def _returns_or_refuses(call):
+    """call's result, or None when it raised a symext.errors type; within 2 s, with warnings as errors."""
+    start = time.perf_counter()
+    out = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = call()
+        except Exception as err:
+            assert type(err).__module__ == "symext.errors", repr(err)
+    assert time.perf_counter() - start < 2
+    return out
+
+
+@pytest.mark.parametrize("name", list(EXTREME_MATRICES))
+def test_extreme_entries_return_or_refuse_in_time(name):
+    mat, accepted = EXTREME_MATRICES[name]
+    rho = _returns_or_refuses(lambda: DensityMatrix(mat, (2, 2)))
+    assert (rho is not None) == accepted
+    if rho is None:
+        return
+    calls = [
+        lambda: partial_trace(rho, [0]),
+        lambda: partial_trace(rho, [1]),
+        lambda: von_neumann_entropy(rho),
+        lambda: trace_distance(rho, TARGET),
+        lambda: ssa_check(rho, rho),
+        lambda: ssa_check(TARGET, rho),
+        lambda: consistency_verdict(MarginalSet([rho, rho])),
+        lambda: consistency_verdict(MarginalSet([TARGET, rho])),
+    ]
+    for k in (2, 3):
+        calls += [
+            lambda k=k: symmetric_extension_verdict(ExtensionProblem(rho, k, SYMMETRIC)),
+            lambda k=k: bosonic_extension_verdict(ExtensionProblem(rho, k, BOSONIC)),
+            lambda k=k: oracle_feasibility(ExtensionProblem(rho, k, SYMMETRIC)),
+            lambda k=k: oracle_feasibility(ExtensionProblem(rho, k, BOSONIC)),
+        ]
+    for call in calls:
+        _returns_or_refuses(call)
 
 
 # refusals whose words predate the real rule: (call, message)

@@ -32,6 +32,10 @@ from helpers import (
     project_affine,
     random_separable,
     rebuilt_placements,
+    reference_jacobian_weights,
+    reference_min_eig,
+    reference_placed_marginal,
+    reference_positive_part,
 )
 from symext import (
     BOSONIC,
@@ -69,7 +73,9 @@ from symext.oracle import (
     _dual_point,
     _extension_blocks,
     _face_blocks,
+    _Blocks,
     _held_bytes,
+    _jacobian_weights,
     _make_blocks,
     _newton_hessian,
     _nullspace,
@@ -1011,17 +1017,21 @@ def test_face_null_spaces_match_the_plain_svd():
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
+def _workload_problems(monkeypatch, tmp_path, name):
+    """The problems of the named oracle benchmark workload's rounds at seeds 1-3."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses resolve their annotations there
+    spec.loader.exec_module(workloads)
+    return [op.problem for seed in (1, 2, 3) for op in workloads.build(name, seed, tmp_path)]
+
+
 def test_face_null_spaces_are_the_plain_qr_and_svd_bit_for_bit(monkeypatch, tmp_path):
     # the Cholesky that proves a face block empty returns only what the QR and
     # SVD would: on every face block of GOLDEN and of the oracle-bosonic-face
     # benchmark workload at seeds 1-3, some proved empty and some not
     problems = [_golden_problem(state, k, flavor) for state, k, flavor, _, _ in GOLDEN]
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses resolve their annotations there
-    spec.loader.exec_module(workloads)
-    for seed in (1, 2, 3):
-        problems += [op.problem for op in workloads.build("oracle-bosonic-face", seed, tmp_path)]
+    problems += _workload_problems(monkeypatch, tmp_path, "oracle-bosonic-face")
     rows_sets = [rows for problem in problems for rows in _kernel_rows(problem)]
     refs = [plain_nullspace(rows) for rows in rows_sets]
     counts, _ = _counting_factorizations(monkeypatch, ("svd",))
@@ -1194,10 +1204,10 @@ def test_block_set_cache_drops_the_least_recently_used_past_the_byte_budget(monk
     again = _extension_blocks(*a)
     assert again is not first[a] and _same_block_set(again, first[a])
     assert list(_extension_blocks.sets) == [b, a] and _held_within_budget()
-    # a set larger than the whole budget is returned but not kept
+    # a set larger than the whole budget is returned but not kept, and the sets that fit stay
     monkeypatch.setattr(oracle_mod, "BYTE_BUDGET", sizes[d] - 1)
     assert _same_block_set(_extension_blocks(*d), built[d])
-    assert not _extension_blocks.sets and _extension_blocks.held == 0
+    assert list(_extension_blocks.sets) == [b, a] and _extension_blocks.held == sizes[b] + sizes[a]
 
 
 def test_block_set_cache_keeps_every_workload_layout():
@@ -1652,6 +1662,118 @@ def test_oracle_degenerate_iterate_regression():
     res = oracle_feasibility(ExtensionProblem(werner_state(2, -0.1), 6, SYMMETRIC))
     assert res.status == FEASIBLE
     assert res.certificate["marginal_residual"] <= OracleConfig().tol_gap
+
+
+# --- the per-solve arithmetic against the forms it replaced ------------------------
+
+
+def _same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+
+
+def _seeded_spectra():
+    """2,400 ascending spectra of sides 1-39, cycling through six kinds: Gaussian ones of one random scale, ones
+    with exact zeros, all positive, all non-positive, ones with +0.0 and -0.0 entries, and ones of few values."""
+    rng = np.random.default_rng(73)
+    out = []
+    for i in range(2400):
+        n, kind = 1 + i % 39, (i // 39) % 6
+        lam = rng.standard_normal(n) * 10.0 ** int(rng.integers(-12, 3))
+        zeros = rng.random(n) < 0.3
+        if kind == 1:
+            lam[zeros] = 0.0
+        elif kind == 2:
+            lam = np.abs(lam) + 5e-324
+        elif kind == 3:
+            lam = -np.abs(lam)
+            lam[zeros] = 0.0
+        elif kind == 4:
+            lam[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+        elif kind == 5:
+            lam = rng.choice([-1.0, -0.0, 0.0, 1e-300, 2.0], size=n)
+        out.append(np.sort(lam))
+    return out
+
+
+def test_jacobian_weights_are_the_two_where_passes_on_seeded_spectra():
+    # the sliced divided differences read the non-positive eigenvalues as one leading run of the ascending
+    # spectrum: on every kind of spectrum they equal the full table of two where passes, dtype included
+    kinds = set()
+    for lam in _seeded_spectra():
+        assert _same_array(_jacobian_weights(lam), reference_jacobian_weights(lam)), lam
+        kinds.add((bool((lam > 0).all()), bool((lam <= 0).all()), bool((lam == 0).any()),
+                   bool((np.signbit(lam) & (lam == 0)).any())))
+    # all positive, all non-positive, mixed; with zeros, and with -0.0 among them
+    assert {(True, False, False, False), (False, True, True, True), (False, False, True, True),
+            (False, False, False, False)} <= kinds
+
+
+def test_min_eig_folds_the_block_minima_as_np_minimum_does():
+    # one to three flats at once on blocks 8 and 4: zero, negated zero, seeded Hermitian and non-finite
+    # blocks, whose NaN eigenvalues propagate to their flat's minimum
+    blocks = _extension_blocks(2, 2, 3, SYMMETRIC)
+    n = blocks.runs[-1][1]
+    rng = np.random.default_rng(74)
+    flats = [np.zeros(n), -np.zeros(n), rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)]
+    for run in blocks.runs:
+        bad = rng.standard_normal(n)
+        bad[run[0]] = math.inf
+        flats.append(bad)
+    # a complex stack halves an infinite entry by complex division, which makes NaNs of its own
+    with np.errstate(invalid="ignore"):
+        for count in (1, 2, 3):
+            for stack in itertools.permutations(flats, count):
+                assert _same_array(blocks.min_eig(*stack), reference_min_eig(blocks, *stack))
+    assert np.isnan(blocks.min_eig(flats[-1], flats[0])).tolist() == [True, False]
+    empty = _make_blocks((2, 2, 2), [], [])
+    assert _same_array(empty.min_eig(np.zeros(0), np.zeros(0)), reference_min_eig(empty, np.zeros(0), np.zeros(0)))
+
+
+def test_solve_arithmetic_is_the_reference_forms_on_every_block_set(monkeypatch, tmp_path):
+    # every dual point, Hessian and readback of the GOLDEN solves and of both oracle workloads at seeds 1-3:
+    # P+ written block by block into one flat iterate equals the concatenated blocks, the sliced Jacobian
+    # weights the two where passes, min_eig the np.minimum fold from np.full, and placed_marginal the sum
+    # from zeros, each with its dtype
+    problems = [_golden_problem(state, k, flavor) for state, k, flavor, _, _ in GOLDEN]
+    problems += _workload_problems(monkeypatch, tmp_path, "oracle-symmetric")
+    problems += _workload_problems(monkeypatch, tmp_path, "oracle-bosonic-face")
+    seen = dict.fromkeys(("dual points", "weights", "min_eig", "placed_marginal"), 0)
+    dual_point, weights = oracle_mod._dual_point, oracle_mod._jacobian_weights
+    min_eig, placed_marginal = _Blocks.min_eig, _Blocks.placed_marginal
+
+    def checked_dual_point(*args):
+        parts, y, theta = dual_point(*args)
+        assert _same_array(y, reference_positive_part(parts))
+        seen["dual points"] += 1
+        return parts, y, theta
+
+    def checked_weights(lam):
+        out = weights(lam)
+        assert _same_array(out, reference_jacobian_weights(lam))
+        seen["weights"] += 1
+        return out
+
+    def checked_min_eig(blocks, *flats):
+        out = min_eig(blocks, *flats)
+        assert _same_array(out, reference_min_eig(blocks, *flats))
+        seen["min_eig"] += 1
+        return out
+
+    def checked_placed_marginal(blocks, flat):
+        out = placed_marginal(blocks, flat)
+        assert _same_array(out, reference_placed_marginal(blocks, flat))
+        seen["placed_marginal"] += 1
+        return out
+
+    monkeypatch.setattr(oracle_mod, "_dual_point", checked_dual_point)
+    monkeypatch.setattr(oracle_mod, "_jacobian_weights", checked_weights)
+    monkeypatch.setattr(_Blocks, "min_eig", checked_min_eig)
+    monkeypatch.setattr(_Blocks, "placed_marginal", checked_placed_marginal)
+    for problem in problems:
+        oracle_feasibility(problem)
+    # one readback per verdict, and one more for a face-reach witness's shift
+    assert seen["placed_marginal"] == len(problems) < seen["min_eig"]
+    assert seen["dual points"] > 300 and seen["weights"] > 100, seen
 
 
 # --- recorded digests of whole solves ---------------------------------------------
